@@ -20,9 +20,22 @@ from .errors import (AnalysisError, BadEntryError, DatasetError,
                      MalformedImageError, MemoryFault, PathError,
                      UndefinedInstructionError)
 from .memory import MemorySystem, FetchUnit, DEBUG_ADDR, FLASH_BASE, RAM_BASE
-from .regression import (CVResult, FitResult, FoldScore, RegressionDataset,
-                         fit, fold_indices, kfold_cv, load_dataset, mape, r2,
-                         resd, save_dataset)
+
+# The regression names load numpy, so they are imported on first use
+# (PEP 562); `run` and `analyze` never pay for numpy.
+_REGRESSION_NAMES = frozenset([
+    "CVResult", "FitResult", "FoldScore", "RegressionDataset", "fit",
+    "fold_indices", "kfold_cv", "load_dataset", "mape", "r2", "resd",
+    "save_dataset",
+])
+
+
+def __getattr__(name):
+    if name in _REGRESSION_NAMES:
+        from . import regression
+        return getattr(regression, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __version__ = "0.1.0"
 

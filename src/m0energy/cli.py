@@ -17,12 +17,12 @@ import os
 import sys
 
 from . import cfg as cfgmod
-from . import regression
 from .cpu import Simulator
 from .energy import (HardwareConfig, builtin_configs, builtin_model,
                      builtin_models, compare_configs, estimate, load_models,
                      save_models, EnergyModel)
-from .errors import AnalysisError, DatasetError, InvalidConfigError, M0EnergyError
+from .errors import (AnalysisError, BadEntryError, DatasetError,
+                     InvalidConfigError, M0EnergyError, MalformedImageError)
 from .memory import DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE
 
 MAX_CYCLES_DEFAULT = 10 ** 9
@@ -185,7 +185,17 @@ def _run_report(path, data, config, sim, summary, model_file_models):
 
 
 def cmd_run(args, parser):
+    if args.max_cycles < 0:
+        parser.error("--max-cycles must be >= 0, got %d" % args.max_cycles)
     data = _read_image(args.image, parser)
+    try:
+        return _run(args, parser, data)
+    except (MalformedImageError, BadEntryError) as exc:
+        print("run error: %s" % exc, file=sys.stderr)
+        return 1
+
+
+def _run(args, parser, data):
     model_file_models = None
     if args.model_file:
         try:
@@ -215,7 +225,12 @@ def cmd_run(args, parser):
     if model_file_models is not None and not any(
             m.config == config for m in model_file_models):
         parser.error("model file has no record for %s" % config.label())
-    trace_fh = open(args.trace, "w") if args.trace else None
+    trace_fh = None
+    if args.trace:
+        try:
+            trace_fh = open(args.trace, "w")
+        except OSError as exc:
+            parser.error("cannot write trace: %s" % exc)
     try:
         sim, summary = _simulate(data, config, args, trace_fh)
     finally:
@@ -280,6 +295,7 @@ def cmd_analyze(args, parser):
 # -- fit ---------------------------------------------------------------------
 
 def cmd_fit(args, parser):
+    from . import regression  # numpy loads only for fit
     try:
         dataset = regression.load_dataset(args.dataset)
         result = regression.fit(dataset)

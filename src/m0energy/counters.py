@@ -29,29 +29,6 @@ class EventCounters:
     fetch_stall_cycles: int = 0
     histogram: dict = field(default_factory=dict)
 
-    def record_step(self, step):
-        """Fold one StepResult into the counters."""
-        ins = step.instruction
-        if ins.op == "MULS":
-            self.c2 += 1
-        else:
-            self.c1 += 1
-        if step.branch_taken:
-            self.c3 += 1
-        for _addr, _size, rw, region in step.data_accesses:
-            if region == "ram":
-                if rw == "r":
-                    self.c4 += 1
-                else:
-                    self.c5 += 1
-            elif region == "flash":
-                self.c6 += 1
-            # mmio accesses count nowhere
-        self.total_cycles += step.cycles
-        self.fetch_stall_cycles += step.fetch_stall
-        name = ins.mnemonic
-        self.histogram[name] = self.histogram.get(name, 0) + 1
-
     def as_vector(self):
         return (self.c1, self.c2, self.c3, self.c4, self.c5, self.c6)
 

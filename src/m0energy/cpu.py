@@ -18,6 +18,31 @@ Base cycle costs before memory stalls (data-driven, override via the
                                     then halts)
 
 Fetch and Flash data stalls from the memory system are added on top.
+
+Execution runs on a translation cache, in the manner of QEMU's translation
+blocks.  The first time a Flash (or boot-alias) pc is reached, the
+straight-line code there is decoded once, up to and including its
+terminator (`Instruction.is_terminator`, the rule the CFG uses), into
+entries that carry the handler, the instruction, its base cycles with the
+timing class fixed at decode time (so `timing` is read once, at
+translation), and the Flash words whose fetch can stall.  Inside a block
+every fetch is sequential, so the word the fetch unit holds is known at
+translation time: `FetchUnit.stall_for` is called only when a fetch leaves
+the held word or follows a taken branch, and never at zero wait states,
+where no fetch stalls.  c1, c2 and the histogram are tallied once per
+executed block, c3 and the fetch stalls per instruction, in locals that
+are folded into the counters when `run` or `step` returns; c4..c6 and the
+Flash data stalls are counted where the access happens.  Only Flash is
+cached: it cannot be written, so its translations never go stale.  RAM
+code may modify itself, so each RAM instruction is fetched and decoded
+afresh every time it runs.
+
+An instruction commits on completion: one that faults adds no counter
+event and no cycles.  A single data access raises before it counts; block
+transfers (PUSH/POP/LDM/STM) roll back the events of the words they did
+transfer.  Register and memory writes made before the fault are not
+undone.  `StepResult` records are built only for `step()` and `on_step`.
+
 A simulator instance is single-threaded; distinct instances are
 independent.
 """
@@ -26,7 +51,7 @@ from dataclasses import dataclass, field
 
 from . import decode as dec
 from .counters import EventCounters
-from .errors import M0EnergyError, MemoryFault
+from .errors import M0EnergyError
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, MemorySystem)
 
 MASK32 = 0xFFFFFFFF
@@ -45,6 +70,13 @@ DEFAULT_TIMING = {
     "pc_branch": 3,
     "bkpt": 1,
 }
+
+# op -> DEFAULT_TIMING key; ops not listed are data processing ("dp").
+# Block transfers, BCOND and MOV/ADD into pc are classified in _timing_class.
+_TIMING_KEYS = dict.fromkeys(dec.LOAD_OPS, "load")
+_TIMING_KEYS.update(dict.fromkeys(dec.STORE_OPS, "store"))
+_TIMING_KEYS.update({"B": "branch_taken", "BL": "bl", "BX": "bx",
+                     "BLX": "blx", "MULS": "muls", "BKPT": "bkpt"})
 
 
 @dataclass
@@ -90,6 +122,48 @@ class RunSummary:
     cycle_count: int
     exit_reason: str
     steps: int = 0
+
+
+class _Block:
+    """Straight-line code decoded once.
+
+    `entries` holds one tuple per instruction: (handler, instruction,
+    address, base cycles if not taken, base cycles if taken, Flash words
+    fetched with a possible stall, index in the block).  `word` is the
+    Flash word of the first fetch, checked against the fetch unit on entry
+    (None when no fetch can stall); `end` is the fall-through pc.  `mix`
+    and `muls` are what one full execution adds to the histogram and c2.
+    """
+    __slots__ = ("entries", "word", "end", "mix", "muls")
+
+    def __init__(self, entries, word, end):
+        self.entries = entries
+        self.word = word
+        self.end = end
+        mix = {}
+        for entry in entries:
+            mnemonic = entry[1].mnemonic
+            mix[mnemonic] = mix.get(mnemonic, 0) + 1
+        self.mix = tuple(mix.items())
+        self.muls = mix.get("MULS", 0)
+
+
+class _StepDone(Exception):
+    """Raised from step()'s on_step hook to stop after one instruction."""
+
+
+def _timing_class(ins, t):
+    """(base cycles if not taken, if taken), fixed at decode time."""
+    op, f = ins.op, ins.fields
+    if op in ("PUSH", "POP", "LDM", "STM"):
+        n = t["block_base"] + len(f["regs"]) + (1 if f.get("pc") else 0)
+        return n, n
+    if op == "BCOND":
+        return t["branch_not_taken"], t["branch_taken"]
+    if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15:
+        return t["pc_branch"], t["pc_branch"]
+    n = t[_TIMING_KEYS.get(op, "dp")]
+    return n, n
 
 
 def _add_with_carry(a, b, carry_in):
@@ -146,8 +220,9 @@ class Simulator:
             self.timing.update(timing)
         self.counters = EventCounters()
         self.state = CpuState()
-        self._decode_cache = {}
+        self._blocks = {}        # Flash/alias pc -> _Block
         self._sequential = False
+        self._accesses = None    # per-step access log, only while tracing
         self.reset()
 
     # -- lifecycle ----------------------------------------------------------
@@ -177,116 +252,203 @@ class Simulator:
         self.state.n = bool(result & 0x80000000)
         self.state.z = result == 0
 
-    # -- memory helpers (collect accesses and stalls per step) --------------
+    # -- memory helpers: count c4..c6 and Flash data stalls in place ----------
 
     def _read(self, addr, size):
-        value, stall, region = self.mem.read(addr & MASK32, size)
-        self._accesses.append((addr & MASK32, size, "r", region))
-        self._data_stall += stall
+        addr &= MASK32
+        value, stall, region = self.mem.read(addr, size)
+        if region == "ram":
+            self.counters.c4 += 1
+        else:
+            self.counters.c6 += 1
+            self.state.cycle_count += stall
+        if self._accesses is not None:
+            self._accesses.append((addr, size, "r", region))
         return value
 
     def _write(self, addr, size, value):
-        stall, region = self.mem.write(addr & MASK32, size, value)
-        self._accesses.append((addr & MASK32, size, "w", region))
-        self._data_stall += stall
+        addr &= MASK32
+        stall, region = self.mem.write(addr, size, value)
+        if region == "ram":
+            self.counters.c5 += 1
+        if stall:
+            self.state.cycle_count += stall
+        if self._accesses is not None:
+            self._accesses.append((addr, size, "w", region))
 
     def _branch(self, target):
         self.state.pc = target
-        self._branched = True
 
-    # -- stepping -------------------------------------------------------------
+    # -- translation ----------------------------------------------------------
 
-    def _decode_at(self, addr, now):
-        hw1, stall = self.mem.fetch(addr, now, self._sequential)
-        fetch_stall = stall
-        cacheable = self.mem.region(addr) != "ram"
-        cached = self._decode_cache.get(addr) if cacheable else None
-        if cached is not None and not dec.is_wide(hw1):
-            return cached, fetch_stall
-        hw2 = None
-        if dec.is_wide(hw1):
-            hw2, stall2 = self.mem.fetch(addr + 2, now + stall, True)
-            fetch_stall += stall2
-            if cached is not None:
-                return cached, fetch_stall
-        ins = dec.decode(hw1, hw2, addr)
-        if cacheable:
-            self._decode_cache[addr] = ins
-        return ins, fetch_stall
+    def _translate(self, pc):
+        """The block at pc, decoded once and cached for Flash, afresh for RAM.
 
-    def step(self):
-        """Execute one instruction; returns its StepResult."""
-        s = self.state
-        if s.halted:
-            raise M0EnergyError("cannot step a halted core")
-        addr = s.regs[15]
-        ins, fetch_stall = self._decode_at(addr, s.cycle_count)
-
-        self._accesses = []
-        self._data_stall = 0
-        self._branched = False
-        taken = bool(HANDLERS[ins.op](self, ins))
-
-        base = self._base_cycles(ins, taken, len(self._accesses))
-        cycles = fetch_stall + base + self._data_stall
-        if not self._branched:
-            s.regs[15] = (addr + ins.size) & MASK32
-        s.cycle_count += cycles
-        self._sequential = not taken
-
-        step = StepResult(ins, cycles, taken, self._accesses, s.halted,
-                          fetch_stall)
-        self.counters.record_step(step)
-        return step
-
-    def run(self, max_cycles=10 ** 9, on_step=None):
-        """Step until halt, fault, or cycle budget; never raises mid-run."""
-        steps = 0
-        exit_reason = None
+        Decoding stops after a terminator, and before an instruction that
+        cannot be fetched or decoded so that executing it raises the fault;
+        at the block's first instruction it raises here.  A RAM block is one
+        instruction long.
+        """
+        mem = self.mem
+        kind = mem.region(pc)
+        stalls = mem.wait_states != 0 and kind != "ram"
+        held = None          # Flash word held after the previous fetch
+        first_word = None
+        entries = []
+        addr = pc
         while True:
-            if self.state.halted:
-                exit_reason = "halt"
-                break
-            if self.state.cycle_count >= max_cycles:
-                exit_reason = "cycle-budget"
+            if entries and mem.region(addr) != kind:
                 break
             try:
-                result = self.step()
-            except M0EnergyError as exc:
-                exit_reason = "fault: %s" % exc
+                hw1 = mem.read_code(addr)
+                hw2 = mem.read_code(addr + 2) if dec.is_wide(hw1) else None
+                ins = dec.decode(hw1, hw2, addr)
+            except M0EnergyError:
+                if entries:
+                    break
+                raise
+            words = []
+            if stalls:
+                for half in range(addr, addr + ins.size, 2):
+                    word = mem.fetch_word(half)
+                    if word != held:
+                        words.append(word)
+                        held = word
+                if not entries:
+                    first_word = words.pop(0)
+            base, base_taken = _timing_class(ins, self.timing)
+            entries.append((HANDLERS[ins.op], ins, addr, base, base_taken,
+                            tuple(words), len(entries)))
+            addr += ins.size
+            if ins.is_terminator() or kind == "ram":
                 break
-            steps += 1
-            if on_step is not None:
-                on_step(result)
-        return RunSummary(self.counters.snapshot(), self.state.cycle_count,
-                          exit_reason, steps)
+        block = _Block(entries, first_word, addr)
+        if kind != "ram":
+            self._blocks[pc] = block
+        return block
 
-    def _base_cycles(self, ins, taken, n_transfer):
-        t = self.timing
-        op = ins.op
-        if op in dec.LOAD_OPS:
-            return t["load"]
-        if op in dec.STORE_OPS:
-            return t["store"]
-        if op in ("PUSH", "POP", "LDM", "STM"):
-            return t["block_base"] + n_transfer
-        if op == "BCOND":
-            return t["branch_taken"] if taken else t["branch_not_taken"]
-        if op == "B":
-            return t["branch_taken"]
-        if op == "BL":
-            return t["bl"]
-        if op == "BX":
-            return t["bx"]
-        if op == "BLX":
-            return t["blx"]
-        if op == "MULS":
-            return t["muls"]
-        if op == "BKPT":
-            return t["bkpt"]
-        if taken:
-            return t["pc_branch"]  # MOV/ADD writing pc
-        return t["dp"]
+    # -- execution --------------------------------------------------------------
+
+    def step(self):
+        """Execute one instruction; returns its StepResult.  Faults raise."""
+        if self.state.halted:
+            raise M0EnergyError("cannot step a halted core")
+        done = []
+
+        def stop(result):
+            done.append(result)
+            raise _StepDone
+
+        try:
+            self._execute(float("inf"), stop)
+        except _StepDone:
+            pass
+        return done[0]
+
+    def run(self, max_cycles=10 ** 9, on_step=None):
+        """Execute until halt, fault, or cycle budget; never raises mid-run.
+
+        The budget is checked before every instruction.  `on_step`, when
+        given, receives a StepResult after each completed instruction.
+        """
+        c = self.counters
+        before = c.c1 + c.c2
+        try:
+            exit_reason = self._execute(max_cycles, on_step)
+        except M0EnergyError as exc:
+            exit_reason = "fault: %s" % exc
+        return RunSummary(c.snapshot(), self.state.cycle_count, exit_reason,
+                          c.c1 + c.c2 - before)
+
+    def _execute(self, max_cycles, on_step):
+        """The engine behind run() and step(); returns the exit reason and
+        raises on a fault.  Counters are folded in on every exit."""
+        s = self.state
+        regs = s.regs
+        blocks = self._blocks
+        fetch_unit = self.mem.fetch_unit
+        stall_for = fetch_unit.stall_for
+        histogram = self.counters.histogram
+        sequential = self._sequential
+        start_cycles = s.cycle_count
+        executed = muls = taken_count = fetch_stalls = 0
+        if on_step is not None:
+            self._accesses = []
+        try:
+            while True:
+                if s.halted:
+                    return "halt"
+                pc = regs[15]
+                now = s.cycle_count
+                if now >= max_cycles:
+                    return "cycle-budget"
+                block = blocks.get(pc) or self._translate(pc)
+                stall = 0
+                word = block.word
+                if word is not None and (not sequential
+                                         or word != fetch_unit.current_word):
+                    stall = stall_for(word, now, sequential)
+                sequential = True  # no taken branch inside a block
+                entries = block.entries
+                try:
+                    for handler, ins, addr, base, base_taken, words, i in entries:
+                        regs[15] = addr
+                        now = s.cycle_count
+                        if now >= max_cycles:
+                            self._tally(entries[:i])
+                            return "cycle-budget"
+                        for word in words:
+                            stall += stall_for(word, now + stall, True)
+                        taken = handler(self, ins)
+                        if taken:
+                            taken_count += 1
+                            s.cycle_count += base_taken + stall
+                        else:
+                            s.cycle_count += base + stall
+                        fetch_stalls += stall
+                        if on_step is not None:
+                            if not taken:
+                                regs[15] = addr + ins.size
+                            sequential = not taken
+                            result = StepResult(ins, s.cycle_count - now,
+                                                bool(taken), self._accesses,
+                                                s.halted, stall)
+                            self._accesses = []
+                            on_step(result)
+                        stall = 0
+                except M0EnergyError:
+                    self._tally(entries[:i])  # the faulting one commits nothing
+                    raise
+                except _StepDone:
+                    self._tally(entries[:i + 1])
+                    raise
+                executed += len(entries)
+                muls += block.muls
+                for mnemonic, count in block.mix:
+                    histogram[mnemonic] = histogram.get(mnemonic, 0) + count
+                if not taken:
+                    regs[15] = block.end
+                sequential = not taken
+        finally:
+            c = self.counters
+            c.c1 += executed - muls
+            c.c2 += muls
+            c.c3 += taken_count
+            c.fetch_stall_cycles += fetch_stalls
+            c.total_cycles += s.cycle_count - start_cycles
+            self._sequential = sequential
+            self._accesses = None
+
+    def _tally(self, entries):
+        """Fold the completed part of a block into c1, c2 and the histogram."""
+        c = self.counters
+        for entry in entries:
+            ins = entry[1]
+            if ins.op == "MULS":
+                c.c2 += 1
+            else:
+                c.c1 += 1
+            c.histogram[ins.mnemonic] = c.histogram.get(ins.mnemonic, 0) + 1
 
 
 # -- instruction handlers -----------------------------------------------
@@ -678,6 +840,21 @@ def _h_str_sp(sim, ins):
     sim._write((sim._rget(13) + f["imm"]) & MASK32, 4, sim._rget(f["rt"]))
 
 
+def _commit_on_completion(transfer):
+    """A block transfer that faults part-way rolls back the counter events
+    and Flash stalls of the words it did transfer."""
+    def handler(sim, ins):
+        c, s = sim.counters, sim.state
+        saved = c.c4, c.c5, c.c6, s.cycle_count
+        try:
+            return transfer(sim, ins)
+        except M0EnergyError:
+            c.c4, c.c5, c.c6, s.cycle_count = saved
+            raise
+    return handler
+
+
+@_commit_on_completion
 def _h_push(sim, ins):
     regs = ins.fields["regs"]
     addr = (sim._rget(13) - 4 * len(regs)) & MASK32
@@ -686,6 +863,7 @@ def _h_push(sim, ins):
         sim._write(addr + 4 * i, 4, sim._rget(r))
 
 
+@_commit_on_completion
 def _h_pop(sim, ins):
     f = ins.fields
     regs = list(f["regs"])
@@ -702,6 +880,7 @@ def _h_pop(sim, ins):
         return True
 
 
+@_commit_on_completion
 def _h_ldm(sim, ins):
     f = ins.fields
     base = sim._rget(f["rn"])
@@ -711,6 +890,7 @@ def _h_ldm(sim, ins):
         sim._rset(f["rn"], base + 4 * len(f["regs"]))
 
 
+@_commit_on_completion
 def _h_stm(sim, ins):
     f = ins.fields
     base = sim._rget(f["rn"])

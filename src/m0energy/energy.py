@@ -12,6 +12,7 @@ Coefficients are stored exactly as published (six decimal places), with
 the reported hardware-validation MAPE/RESD kept as provenance metadata.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfigError
@@ -156,13 +157,22 @@ def load_models(path):
     if not lines or lines[0] != MODEL_FILE_HEADER:
         raise InvalidConfigError("model file missing header %r" % MODEL_FILE_HEADER)
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise InvalidConfigError("model file line %d: expected 9 fields" % lineno)
-        freq = int(parts[0])
-        prefetch = parts[1].lower() == "on"
-        ws = int(parts[2])
-        beta = tuple(float(p) for p in parts[3:])
-        models.append(EnergyModel(HardwareConfig(freq, prefetch, ws), beta,
-                                  provenance="fitted"))
+        try:
+            models.append(_parse_model(line))
+        except (InvalidConfigError, ValueError) as exc:
+            raise InvalidConfigError("model file line %d: %s" % (lineno, exc)) from None
     return models
+
+
+def _parse_model(line):
+    parts = line.split(",")
+    if len(parts) != 9:
+        raise InvalidConfigError("expected 9 fields")
+    prefetch = {"on": True, "off": False}.get(parts[1].strip().lower())
+    if prefetch is None:
+        raise InvalidConfigError("prefetch must be on or off, got %r" % parts[1])
+    beta = tuple(float(p) for p in parts[3:])
+    if not all(math.isfinite(b) for b in beta):
+        raise InvalidConfigError("coefficients must be finite numbers")
+    config = HardwareConfig(int(parts[0]), prefetch, int(parts[2]))
+    return EnergyModel(config, beta, provenance="fitted")

@@ -118,19 +118,26 @@ class MemorySystem:
 
     # -- core interface ----------------------------------------------------
 
-    def fetch(self, addr, now, sequential=True):
-        """Fetch the instruction halfword at addr; returns (value, stall)."""
+    def read_code(self, addr):
+        """The instruction halfword at addr, without fetch timing."""
         if addr & 1:
             raise MemoryFault(addr, "misaligned fetch")
         region = self.region(addr)
         if region is None:
             raise MemoryFault(addr, "unmapped fetch")
-        value = self._raw_read(addr, 2, region)
-        if region == "ram":
+        return self._raw_read(addr, 2, region)
+
+    def fetch_word(self, addr):
+        """The Flash word (offset) the fetch unit reads for a halfword at addr."""
+        return self._flash_offset(addr) & ~3
+
+    def fetch(self, addr, now, sequential=True):
+        """Fetch the instruction halfword at addr; returns (value, stall)."""
+        value = self.read_code(addr)
+        if self.region(addr) == "ram":
             return value, 0
-        stall = self.fetch_unit.stall_for(self._flash_offset(addr) & ~3,
-                                          now, sequential)
-        return value, stall
+        return value, self.fetch_unit.stall_for(self.fetch_word(addr), now,
+                                                sequential)
 
     def read(self, addr, size, now=0):
         """Data read; returns (value, stall, region) with alias -> flash."""

@@ -10,7 +10,10 @@ by hand.  Counter expectations are hand counts over the executed path.
 
 import numpy as np
 
-from m0energy import Assembler, RegressionDataset, Simulator
+from m0energy import (Assembler, CpuState, EventCounters, M0EnergyError,
+                      MemorySystem, RegressionDataset, Simulator)
+from m0energy.cpu import HANDLERS
+from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
 
 MASK32 = 0xFFFFFFFF
 
@@ -188,6 +191,107 @@ def run_kernel(name, wait_states=0, prefetch=False, collect_steps=False):
 
 
 # -- independent oracles ------------------------------------------------------
+
+class ReferenceStepper:
+    """The documented model executed one instruction at a time, as an oracle
+    for the simulator's engine.
+
+    Every halfword is fetched through MemorySystem.fetch and decoded on
+    every step, cycles are summed from the README timing table, and counters
+    come from each completed step's access list.  Only the instruction
+    semantics (cpu.HANDLERS) are shared with the simulator.
+    """
+
+    def __init__(self, image, wait_states=0, prefetch=False):
+        self.mem = MemorySystem(image, wait_states=wait_states,
+                                prefetch=prefetch)
+        self.state = CpuState()
+        self.state.regs[13], self.state.pc = self.mem.reset_vector()
+        self.counters = EventCounters()
+        self.sequential = False
+
+    def _rget(self, i):
+        return (self.state.regs[15] + 4) & MASK32 if i == 15 else self.state.regs[i]
+
+    def _rset(self, i, value):
+        self.state.regs[i] = value & MASK32
+
+    def _set_nz(self, result):
+        self.state.n, self.state.z = bool(result >> 31), result == 0
+
+    def _read(self, addr, size):
+        value, stall, region = self.mem.read(addr & MASK32, size)
+        self.accesses.append(("r", region, stall))
+        return value
+
+    def _write(self, addr, size, value):
+        stall, region = self.mem.write(addr & MASK32, size, value)
+        self.accesses.append(("w", region, stall))
+
+    def _branch(self, target):
+        self.state.pc = target
+
+    def step(self):
+        s, c = self.state, self.counters
+        addr, now = s.pc, s.cycle_count
+        hw1, fetch_stall = self.mem.fetch(addr, now, self.sequential)
+        hw2 = None
+        if is_wide(hw1):
+            hw2, more = self.mem.fetch(addr + 2, now + fetch_stall, True)
+            fetch_stall += more
+        ins = decode(hw1, hw2, addr)
+        self.accesses = []
+        taken = bool(HANDLERS[ins.op](self, ins))
+        op, f = ins.op, ins.fields
+        if op in ("PUSH", "POP", "LDM", "STM"):
+            base = 1 + len(self.accesses)
+        elif op in LOAD_OPS or op in STORE_OPS:
+            base = 2
+        else:
+            base = {"B": 3, "BCOND": 3 if taken else 1, "BL": 4, "BX": 3,
+                    "BLX": 3}.get(op, 3 if taken else 1)
+        s.cycle_count += fetch_stall + base + sum(a[2] for a in self.accesses)
+        if not taken:
+            s.pc = addr + ins.size
+        self.sequential = not taken
+        if op == "MULS":
+            c.c2 += 1
+        else:
+            c.c1 += 1
+        c.c3 += taken
+        for rw, region, _ in self.accesses:
+            if region == "ram":
+                if rw == "r":
+                    c.c4 += 1
+                else:
+                    c.c5 += 1
+            elif region == "flash":
+                c.c6 += 1
+        c.fetch_stall_cycles += fetch_stall
+        c.total_cycles = s.cycle_count
+        c.histogram[ins.mnemonic] = c.histogram.get(ins.mnemonic, 0) + 1
+
+    def run(self, max_cycles=10 ** 6):
+        while not self.state.halted:
+            if self.state.cycle_count >= max_cycles:
+                return "cycle-budget"
+            try:
+                self.step()
+            except M0EnergyError as exc:
+                return "fault: %s" % exc
+        return "halt"
+
+
+def machine_state(sim):
+    """Everything the engine and the reference stepper must agree on."""
+    s, c = sim.state, sim.counters
+    return {"regs": list(s.regs), "flags": (s.n, s.z, s.c, s.v),
+            "halted": s.halted, "cycles": s.cycle_count,
+            "counters": c.as_vector(), "total_cycles": c.total_cycles,
+            "fetch_stalls": c.fetch_stall_cycles,
+            "histogram": dict(c.histogram), "ram": bytes(sim.mem.ram),
+            "output": bytes(sim.mem.debug_output)}
+
 
 def recount_from_steps(steps):
     """Re-derive the six counters from a step trace, independently of

@@ -1,8 +1,13 @@
 """End-to-end CLI tests (in-process main with captured stdout)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import m0energy
 
 from helpers import (kernel_image, recount_from_trace_file, run_kernel,
                      synth_dataset)
@@ -292,3 +297,63 @@ def test_missing_image_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", str(tmp_path / "nope.bin")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("data", [b"\x00\x20\x00", b"\x00" * (64 * 1024 + 4)],
+                         ids=["3-bytes", "larger-than-flash"])
+@pytest.mark.parametrize("extra", [[], ["--sweep"]])
+def test_run_unloadable_image_exits_one(tmp_path, capsys, data, extra):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    code, out, err = run_cli(["run", str(path)] + extra, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("run error: image is")
+
+
+def test_run_bad_reset_vector_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes((0x20002000).to_bytes(4, "little")
+                     + (0xF0000001).to_bytes(4, "little"))
+    code, _, err = run_cli(["run", str(path)], capsys)
+    assert code == 1 and "reset vector" in err
+
+
+def test_run_unwritable_trace_is_usage_error(tmp_path, capsys):
+    image = write_kernel(tmp_path, "loop5")
+    with pytest.raises(SystemExit) as err:
+        main(["run", image, "--trace", str(tmp_path / "missing" / "x")])
+    assert err.value.code == 2
+    assert "cannot write trace" in capsys.readouterr().err
+
+
+def test_run_negative_max_cycles_is_usage_error(tmp_path, capsys):
+    image = write_kernel(tmp_path, "loop5")
+    with pytest.raises(SystemExit) as err:
+        main(["run", image, "--max-cycles", "-5"])
+    assert err.value.code == 2
+    assert "--max-cycles" in capsys.readouterr().err
+
+
+def test_run_bad_model_file_is_usage_error(tmp_path, capsys):
+    image = write_kernel(tmp_path, "loop5")
+    model = tmp_path / "model.csv"
+    model.write_text("freq_mhz,prefetch,wait_states,b1,b2,b3,b4,b5,b6\n"
+                     "20,maybe,0,1,1,1,1,1,1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["run", image, "--model-file", str(model)])
+    assert err.value.code == 2
+    assert "model file line 2" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(m0energy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, m0energy.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    # the regression names still resolve from the package, on first use
+    from m0energy import fit, regression
+    assert fit is regression.fit

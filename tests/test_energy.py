@@ -188,3 +188,21 @@ def test_model_file_rejects_bad_header(tmp_path):
     path.write_text("nope\n1,on,0,1,1,1,1,1,1\n")
     with pytest.raises(InvalidConfigError):
         load_models(path)
+
+
+@pytest.mark.parametrize("record,detail", [
+    ("20,off,0,0.9,oops,1,1,1,1", "could not convert"),
+    ("2O,off,0,0.9,1,1,1,1,1", "invalid literal"),
+    ("20,off,one,0.9,1,1,1,1,1", "invalid literal"),
+    ("20,maybe,0,0.9,1,1,1,1,1", "prefetch must be on or off"),
+    ("20,on,0,0.9,nan,1,1,1,1", "finite"),
+    ("48,on,0,0.9,1,1,1,1,1", "48 MHz requires 1 wait state"),
+])
+def test_load_models_rejects_bad_records_naming_the_line(tmp_path, record,
+                                                         detail):
+    path = tmp_path / "bad.csv"
+    path.write_text("freq_mhz,prefetch,wait_states,b1,b2,b3,b4,b5,b6\n"
+                    "20,on,0,1,1,1,1,1,1\n" + record + "\n")
+    with pytest.raises(InvalidConfigError) as err:
+        load_models(path)
+    assert "line 3" in str(err.value) and detail in str(err.value)
