@@ -17,8 +17,8 @@ from .energy import (EnergyModel, HardwareConfig, builtin_configs,
                      load_models, relative_weights, save_models)
 from .errors import (AnalysisError, BadEntryError, DatasetError,
                      DegenerateDesignError, InvalidConfigError, M0EnergyError,
-                     MalformedImageError, MemoryFault, PathError,
-                     UndefinedInstructionError)
+                     InvalidStateFault, MalformedImageError, MemoryFault,
+                     PathError, UndefinedInstructionError)
 from .memory import MemorySystem, FetchUnit, DEBUG_ADDR, FLASH_BASE, RAM_BASE
 
 # The regression names load numpy, so they are imported on first use
@@ -47,8 +47,8 @@ __all__ = [
     "HardwareConfig", "builtin_configs", "builtin_model", "builtin_models",
     "compare_configs", "estimate", "load_models", "relative_weights",
     "save_models", "AnalysisError", "BadEntryError", "DatasetError",
-    "DegenerateDesignError", "InvalidConfigError", "M0EnergyError",
-    "MalformedImageError", "MemoryFault", "PathError",
+    "DegenerateDesignError", "InvalidConfigError", "InvalidStateFault",
+    "M0EnergyError", "MalformedImageError", "MemoryFault", "PathError",
     "UndefinedInstructionError", "MemorySystem", "FetchUnit", "DEBUG_ADDR",
     "FLASH_BASE", "RAM_BASE", "CVResult", "FitResult", "FoldScore",
     "RegressionDataset", "fit", "fold_indices", "kfold_cv", "load_dataset",

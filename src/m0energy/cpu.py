@@ -43,6 +43,13 @@ transfers (PUSH/POP/LDM/STM) roll back the events of the words they did
 transfer.  Register and memory writes made before the fault are not
 undone.  `StepResult` records are built only for `step()` and `on_step`.
 
+BX, BLX and POP into pc are interworking branches: bit 0 of the target is
+the Thumb bit.  A clear bit would select ARM state, which ARMv6-M lacks, so
+the branch completes and counts, and the INVSTATE fault is taken before
+the target executes.  Such a branch leaves pc odd (the target plus one);
+no block starts at an odd pc, so the next translation raises the fault and
+the execution loop needs no check of its own.
+
 A simulator instance is single-threaded; distinct instances are
 independent.
 """
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 
 from . import decode as dec
 from .counters import EventCounters
-from .errors import M0EnergyError
+from .errors import InvalidStateFault, M0EnergyError
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, MemorySystem)
 
 MASK32 = 0xFFFFFFFF
@@ -286,9 +293,12 @@ class Simulator:
 
         Decoding stops after a terminator, and before an instruction that
         cannot be fetched or decoded so that executing it raises the fault;
-        at the block's first instruction it raises here.  A RAM block is one
-        instruction long.
+        at the block's first instruction it raises here, as it does for the
+        odd pc an interworking branch leaves when the Thumb bit is clear.
+        A RAM block is one instruction long.
         """
+        if pc & 1:
+            raise InvalidStateFault(pc ^ 1)
         mem = self.mem
         kind = mem.region(pc)
         stalls = mem.wait_states != 0 and kind != "ram"
@@ -876,7 +886,7 @@ def _h_pop(sim, ins):
         target = sim._read(addr + 4 * len(regs), 4)
     sim._rset(13, addr + 4 * count)
     if target is not None:
-        sim._branch(target & ~1)
+        _bx_write_pc(sim, target)
         return True
 
 
@@ -901,6 +911,12 @@ def _h_stm(sim, ins):
 
 # control flow
 
+def _bx_write_pc(sim, target):
+    """Interworking branch: a target with bit 0 clear leaves pc odd, which
+    raises the INVSTATE fault before the next instruction executes."""
+    sim.state.regs[15] = (target & MASK32) ^ 1
+
+
 def _h_bcond(sim, ins):
     if _cond_passed(ins.fields["cond"], sim.state):
         sim._branch(ins.fields["target"])
@@ -919,14 +935,14 @@ def _h_bl(sim, ins):
 
 
 def _h_bx(sim, ins):
-    sim._branch(sim._rget(ins.fields["rm"]) & ~1)
+    _bx_write_pc(sim, sim._rget(ins.fields["rm"]))
     return True
 
 
 def _h_blx(sim, ins):
-    target = sim._rget(ins.fields["rm"]) & ~1
+    target = sim._rget(ins.fields["rm"])
     sim._rset(14, (ins.addr + 2) | 1)
-    sim._branch(target)
+    _bx_write_pc(sim, target)
     return True
 
 

@@ -31,6 +31,16 @@ class MemoryFault(M0EnergyError):
         super().__init__("%s at 0x%08x" % (kind, addr))
 
 
+class InvalidStateFault(M0EnergyError):
+    """Interworking branch (BX, BLX, POP into pc) to a target with the
+    Thumb bit clear; ARMv6-M has no ARM state and takes an INVSTATE fault."""
+
+    def __init__(self, target):
+        self.target = target
+        super().__init__("INVSTATE: branch to 0x%08x with the Thumb bit clear"
+                         % target)
+
+
 class InvalidConfigError(M0EnergyError):
     """Hardware configuration outside the ten supported combinations."""
 

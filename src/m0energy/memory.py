@@ -22,7 +22,8 @@ buffer.  The model, chosen so every timing figure is reproducible by hand:
     disturb the fetch buffer.  RAM never stalls.
 
 With WaitState = 0 no access ever stalls, so cycle counts are independent
-of the prefetch setting.
+of the prefetch setting: `timing_class` is the one place that says which
+(WaitState, PreFetch) settings therefore run identically.
 """
 
 from .errors import BadEntryError, MalformedImageError, MemoryFault
@@ -34,6 +35,18 @@ DEBUG_ADDR = 0x40000000
 
 DEFAULT_FLASH_SIZE = 64 * 1024
 DEFAULT_RAM_SIZE = 8 * 1024
+
+
+def timing_class(wait_states, prefetch):
+    """The (wait_states, prefetch) a run under these settings behaves as.
+
+    Settings with the same class execute the same instructions in the same
+    cycles, with the same counters and fetch stalls, for every image and
+    cycle budget: at zero wait states no fetch or data access stalls, so
+    the prefetch buffer has nothing to hide.  Core frequency never enters:
+    it only converts cycles into time.
+    """
+    return wait_states, bool(prefetch and wait_states)
 
 
 class FetchUnit:
@@ -139,7 +152,7 @@ class MemorySystem:
         return value, self.fetch_unit.stall_for(self.fetch_word(addr), now,
                                                 sequential)
 
-    def read(self, addr, size, now=0):
+    def read(self, addr, size):
         """Data read; returns (value, stall, region) with alias -> flash."""
         region = self.region(addr)
         if region is None:
@@ -151,7 +164,7 @@ class MemorySystem:
             return value, 0, "ram"
         return value, self.wait_states, "flash"
 
-    def write(self, addr, size, value, now=0):
+    def write(self, addr, size, value):
         """Data write; returns (stall, region)."""
         if addr == DEBUG_ADDR and size == 1:
             self.debug_output.append(value & 0xFF)

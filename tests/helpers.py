@@ -10,8 +10,9 @@ by hand.  Counter expectations are hand counts over the executed path.
 
 import numpy as np
 
-from m0energy import (Assembler, CpuState, EventCounters, M0EnergyError,
-                      MemorySystem, RegressionDataset, Simulator)
+from m0energy import (Assembler, CpuState, EventCounters, InvalidStateFault,
+                      M0EnergyError, MemorySystem, RegressionDataset,
+                      Simulator)
 from m0energy.cpu import HANDLERS
 from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
 
@@ -177,6 +178,31 @@ TIMING_CONFIGS = [  # (wait_states, prefetch, cycles key)
 ]
 
 
+# Interworking branches to r0; a target with bit 0 clear takes INVSTATE.
+INTERWORKING_BRANCHES = {
+    "bx": lambda a: a.bx(0),
+    "blx": lambda a: a.blx(0),
+    "pop_pc": lambda a: (a.push([0]), a.pop([], pc=True)),
+}
+
+
+def invstate_image(emit_branch):
+    """r0 holds the even (Thumb bit clear) address of MOVS r0, #1; BKPT, and
+    `emit_branch` branches to it.  r0 still names the target after the
+    INVSTATE fault, because the target never executes."""
+    a = Assembler()
+    a.movs(1, 7)
+    a.adr(0, "target")
+    emit_branch(a)
+    a.bkpt()
+    a.word(0xBE002001, label="target")   # MOVS r0, #1 ; BKPT
+    return a.image()
+
+
+def invstate_reason(target):
+    return "fault: INVSTATE: branch to 0x%08x with the Thumb bit clear" % target
+
+
 def kernel_image(name):
     return KERNELS[name][0]().image()
 
@@ -199,7 +225,8 @@ class ReferenceStepper:
     Every halfword is fetched through MemorySystem.fetch and decoded on
     every step, cycles are summed from the README timing table, and counters
     come from each completed step's access list.  Only the instruction
-    semantics (cpu.HANDLERS) are shared with the simulator.
+    semantics (cpu.HANDLERS) are shared with the simulator, including the
+    odd pc an interworking branch leaves when it clears the Thumb bit.
     """
 
     def __init__(self, image, wait_states=0, prefetch=False):
@@ -234,6 +261,8 @@ class ReferenceStepper:
     def step(self):
         s, c = self.state, self.counters
         addr, now = s.pc, s.cycle_count
+        if addr & 1:
+            raise InvalidStateFault(addr ^ 1)
         hw1, fetch_stall = self.mem.fetch(addr, now, self.sequential)
         hw2 = None
         if is_wide(hw1):

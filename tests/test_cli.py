@@ -9,10 +9,13 @@ import pytest
 
 import m0energy
 
-from helpers import (kernel_image, recount_from_trace_file, run_kernel,
-                     synth_dataset)
-from m0energy import (Assembler, HardwareConfig, builtin_model, estimate,
-                      load_models, save_dataset)
+from helpers import (INTERWORKING_BRANCHES, KERNELS, invstate_image,
+                     invstate_reason, kernel_image, recount_from_trace_file,
+                     run_kernel, synth_dataset)
+from m0energy import (Assembler, EnergyModel, HardwareConfig, builtin_model,
+                      builtin_models, estimate, load_models, save_dataset,
+                      save_models)
+from m0energy import cli
 from m0energy.cli import main
 
 
@@ -99,6 +102,94 @@ def test_run_sweep_covers_all_ten_configs(tmp_path, capsys):
     vectors = {tuple(r["counters"]["c%d" % i] for i in range(1, 7))
                for r in report["runs"]}
     assert len(vectors) == 1
+
+
+def single_run_argv(image, config, extra):
+    return ["run", image, "--freq", str(config["frequency_mhz"]),
+            "--prefetch", config["prefetch"],
+            "--waitstates", str(config["wait_states"])] + extra
+
+
+def write_scaled_model_file(tmp_path):
+    """One fitted record per built-in configuration."""
+    path = tmp_path / "models.csv"
+    save_models(path, [EnergyModel(m.config, tuple(1.5 * b for b in m.beta))
+                       for m in builtin_models()])
+    return ["--model-file", str(path)]
+
+
+def write_invstate_image(tmp_path, branch):
+    path = tmp_path / ("invstate_%s.bin" % branch)
+    path.write_bytes(invstate_image(INTERWORKING_BRANCHES[branch]))
+    return str(path)
+
+
+# id -> (image writer, extra flags writer)
+SWEEP_CASES = {name: (lambda tmp_path, name=name: write_kernel(tmp_path, name),
+                      lambda tmp_path: [])
+               for name in sorted(KERNELS)}
+SWEEP_CASES.update({
+    # each timing class has run a different number of instructions
+    "budget-cut": (lambda tmp_path: write_kernel(tmp_path, "loop5"),
+                   lambda tmp_path: ["--max-cycles", "15"]),
+    "fault": (lambda tmp_path: write_invstate_image(tmp_path, "pop_pc"),
+              lambda tmp_path: []),
+    "entry": (lambda tmp_path: write_kernel(tmp_path, "call_ret"),
+              lambda tmp_path: ["--entry", "0x0800000e"]),
+    "model-file": (lambda tmp_path: write_kernel(tmp_path, "pushpop_loop"),
+                   write_scaled_model_file),
+})
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_runs_equal_single_runs(tmp_path, capsys, case):
+    write_image, write_extra = SWEEP_CASES[case]
+    image, extra = write_image(tmp_path), write_extra(tmp_path)
+    code, out, _ = run_cli(["run", image, "--sweep"] + extra, capsys)
+    runs = json.loads(out)["runs"]
+    assert len(runs) == 10
+    single_codes = []
+    for entry in runs:
+        single_code, single_out, _ = run_cli(
+            single_run_argv(image, entry["config"], extra), capsys)
+        assert cli.to_json(entry) + "\n" == single_out
+        single_codes.append(single_code)
+    assert code == max(single_codes)
+    if case == "budget-cut":
+        assert len({r["counters"]["c1"] for r in runs}) == 3 and code == 1
+
+
+def test_sweep_builds_one_simulator_per_timing_class(tmp_path, capsys,
+                                                     monkeypatch):
+    built = []
+
+    class CountingSimulator(cli.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self.mem.wait_states,
+                          self.mem.fetch_unit.prefetch_enabled))
+
+    monkeypatch.setattr(cli, "Simulator", CountingSimulator)
+    image = write_kernel(tmp_path, "pushpop_loop")
+    code, out, _ = run_cli(["run", image, "--sweep"], capsys)
+    assert code == 0 and len(json.loads(out)["runs"]) == 10
+    assert len(built) == 3
+    assert {ws for ws, _ in built} == {0, 1}
+    assert {prefetch for ws, prefetch in built if ws == 1} == {False, True}
+
+
+@pytest.mark.parametrize("branch", sorted(INTERWORKING_BRANCHES))
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+def test_run_invstate_fault_exits_one(tmp_path, capsys, branch, sweep):
+    image = write_invstate_image(tmp_path, branch)
+    code, out, _ = run_cli(["run", image] + (["--sweep"] if sweep else []),
+                           capsys)
+    assert code == 1
+    report = json.loads(out)
+    reports = report["runs"] if sweep else [report]
+    for run in reports:
+        assert run["exit_reason"] == invstate_reason(run["result_r0"])
+        assert run["counters"]["c3"] == 1
 
 
 def test_run_trace_recount_matches_counters(tmp_path, capsys):

@@ -4,17 +4,22 @@ reference stepper in helpers.py, which fetches and decodes every step.
 Covered: every hand-traced kernel and seeded random programs (loops, RAM
 and Flash loads, stores, PUSH/POP, calls, varying alignment) under every
 timing configuration; every cycle-budget cut, with and without resuming;
-single-stepping; block transfers that fault part-way; and code copied into
-RAM, run, patched and run again.
+single-stepping; block transfers that fault part-way; interworking branches
+that clear the Thumb bit; and code copied into RAM, run, patched and run
+again.  Every run is also repeated under the other settings of its timing
+class (`memory.timing_class`), which must behave identically: `run --sweep`
+simulates each class once.
 """
 
 import random
 
 import pytest
 
-from helpers import (KERNELS, TIMING_CONFIGS, ReferenceStepper, kernel_image,
-                     machine_state)
+from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
+                     ReferenceStepper, invstate_image, invstate_reason,
+                     kernel_image, machine_state)
 from m0energy import Assembler, Simulator
+from m0energy.memory import timing_class
 
 RANDOM_SEEDS = range(24)
 
@@ -24,12 +29,28 @@ def both(image, ws, prefetch):
             ReferenceStepper(image, wait_states=ws, prefetch=prefetch))
 
 
+def assert_class_mates_match(sim, summary, image, ws, prefetch, max_cycles):
+    """The other settings in the timing class of (ws, prefetch) -- at zero
+    wait states, the other prefetch setting -- end in the same state."""
+    for other_ws, other_prefetch, _key in TIMING_CONFIGS:
+        if ((other_ws, other_prefetch) != (ws, prefetch)
+                and timing_class(other_ws, other_prefetch)
+                == timing_class(ws, prefetch)):
+            mate = Simulator(image, wait_states=other_ws,
+                             prefetch=other_prefetch)
+            mate_summary = mate.run(max_cycles=max_cycles)
+            assert mate_summary.exit_reason == summary.exit_reason
+            assert mate_summary.steps == summary.steps
+            assert machine_state(mate) == machine_state(sim)
+
+
 def assert_same_run(image, ws, prefetch, max_cycles=10 ** 6):
     sim, ref = both(image, ws, prefetch)
     summary = sim.run(max_cycles=max_cycles)
     assert summary.exit_reason == ref.run(max_cycles=max_cycles)
     assert machine_state(sim) == machine_state(ref)
     assert summary.steps == sum(ref.counters.histogram.values())
+    assert_class_mates_match(sim, summary, image, ws, prefetch, max_cycles)
     return summary
 
 
@@ -128,8 +149,10 @@ def test_every_budget_cut_matches_reference(image, ws, prefetch, _key):
     total = Simulator(image, wait_states=ws, prefetch=prefetch).run().cycle_count
     for budget in range(min(total, 400) + 1):
         sim, ref = both(image, ws, prefetch)
-        assert sim.run(max_cycles=budget).exit_reason == ref.run(budget)
+        summary = sim.run(max_cycles=budget)
+        assert summary.exit_reason == ref.run(budget)
         assert machine_state(sim) == machine_state(ref), budget
+        assert_class_mates_match(sim, summary, image, ws, prefetch, budget)
         # resuming after the cut keeps the fetch buffer and branch state
         assert sim.run().exit_reason == ref.run() == "halt"
         assert machine_state(sim) == machine_state(ref), budget
@@ -187,6 +210,29 @@ def test_transfer_faulting_part_way_commits_nothing(emit, base, completed,
     # only the literal load before the transfer counted a data event
     assert (counters.c4, counters.c5, counters.c6) == (0, 0, 1)
     assert counters.c1 == completed and summary.steps == completed
+
+
+@pytest.mark.parametrize("name", sorted(INTERWORKING_BRANCHES))
+@pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
+def test_interworking_branch_to_even_target_faults_invstate(name, ws, prefetch,
+                                                            _key):
+    image = invstate_image(INTERWORKING_BRANCHES[name])
+    summary = assert_same_run(image, ws, prefetch)
+    sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+    assert sim.run() == summary
+    target = sim.state.regs[0]
+    assert target & 1 == 0 and sim.state.regs[1] == 7
+    assert summary.exit_reason == invstate_reason(target)
+    # the branch completed and counted; the target's MOVS never ran
+    assert summary.counters.c3 == 1
+    assert summary.counters.histogram.get("MOVS") == 1
+    assert "BKPT" not in summary.counters.histogram
+
+
+def test_mov_into_pc_still_ignores_bit_zero():
+    sim = Simulator(invstate_image(lambda a: a.mov_hi(15, 0)))
+    assert sim.run().exit_reason == "halt"
+    assert sim.state.regs[0] == 1
 
 
 def ram_code_image():
