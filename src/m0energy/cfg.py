@@ -13,21 +13,16 @@ Memory events are classified by statically resolvable addresses only:
 
 Unresolved accesses make the affected counters unknown and turn energy
 estimates into intervals; there is no value analysis beyond PC/SP bases.
-Indirect branches (BX, BLX, POP into pc, MOV/ADD into pc) produce
-unknown-target edges and end the descent on that path.
+Blocks end, and get their edges, by `decode.control_flow`.  Indirect
+branches (BX, BLX, POP into pc, MOV/ADD into pc) produce unknown-target
+edges and end the descent on that path.
 """
 
 from dataclasses import dataclass, field
 
 from . import decode as dec
+from .decode import EDGE_CALL, EDGE_FALLTHROUGH, EDGE_RETURN, EDGE_TAKEN
 from .errors import AnalysisError, M0EnergyError, PathError
-
-EDGE_FALLTHROUGH = "fallthrough"
-EDGE_TAKEN = "taken"
-EDGE_CALL = "call"
-EDGE_RETURN = "return"
-
-_TAKEN_KINDS = (EDGE_TAKEN, EDGE_CALL, EDGE_RETURN)
 
 
 @dataclass
@@ -104,49 +99,6 @@ class CFG:
         return self.blocks[addr]
 
 
-def _walk_targets(ins):
-    """(worklist successors, is_terminator) for the decode pass."""
-    op = ins.op
-    if op == "BCOND":
-        return [ins.fields["target"], ins.addr + 2], True
-    if op == "B":
-        return [ins.fields["target"]], True
-    if op == "BL":
-        return [ins.fields["target"], ins.addr + 4], True
-    if op == "BLX":
-        return [ins.addr + 2], True
-    if op == "BKPT" or op == "BX":
-        return [], True
-    if op == "POP" and ins.fields.get("pc"):
-        return [], True
-    if op in ("MOV_HI", "ADD_HI") and ins.fields.get("rd") == 15:
-        return [], True
-    return [ins.addr + ins.size], False
-
-
-def _block_edges(ins):
-    """Outgoing edges when `ins` terminates a block."""
-    op = ins.op
-    if op == "BCOND":
-        return [(ins.fields["target"], EDGE_TAKEN),
-                (ins.addr + 2, EDGE_FALLTHROUGH)]
-    if op == "B":
-        return [(ins.fields["target"], EDGE_TAKEN)]
-    if op == "BL":
-        return [(ins.fields["target"], EDGE_CALL),
-                (ins.addr + 4, EDGE_FALLTHROUGH)]
-    if op == "BLX":
-        return [(None, EDGE_CALL), (ins.addr + 2, EDGE_FALLTHROUGH)]
-    if op == "BX":
-        kind = EDGE_RETURN if ins.fields["rm"] == 14 else EDGE_TAKEN
-        return [(None, kind)]
-    if op == "POP":
-        return [(None, EDGE_RETURN)]
-    if op in ("MOV_HI", "ADD_HI"):
-        return [(None, EDGE_TAKEN)]
-    return []  # BKPT
-
-
 def extract_cfg(mem, entry):
     """Recursive-descent CFG over the image held by `mem`."""
     entry &= ~1
@@ -154,6 +106,7 @@ def extract_cfg(mem, entry):
         raise AnalysisError(entry, "entry outside executable memory")
 
     decoded = {}
+    flows = {}  # terminator address -> its control_flow edges
     leaders = {entry}
     work = [entry]
     while work:
@@ -169,11 +122,15 @@ def extract_cfg(mem, entry):
         except M0EnergyError as exc:
             raise AnalysisError(addr, "undecodable code (%s)" % exc) from None
         decoded[addr] = ins
-        targets, terminator = _walk_targets(ins)
-        for t in targets:
-            if terminator:
-                leaders.add(t)
-            work.append(t)
+        edges = dec.control_flow(ins)
+        if edges is None:
+            work.append(addr + ins.size)
+            continue
+        flows[addr] = edges
+        for target, _kind in edges:
+            if target is not None:
+                leaders.add(target)
+                work.append(target)
 
     addrs = sorted(decoded)
     for prev, cur in zip(addrs, addrs[1:]):
@@ -188,23 +145,19 @@ def extract_cfg(mem, entry):
             contiguous = addr == current[-1].addr + current[-1].size
             if addr in leaders or not contiguous:
                 _close_block(blocks, current, mem,
-                             fallthrough=addr if contiguous else None)
+                             [(addr, EDGE_FALLTHROUGH)] if contiguous else [])
                 current = []
         current.append(ins)
-        if ins.is_terminator():
-            _close_block(blocks, current, mem, fallthrough=None)
+        if addr in flows:
+            _close_block(blocks, current, mem, flows[addr])
             current = []
     if current:
-        _close_block(blocks, current, mem, fallthrough=None)
+        _close_block(blocks, current, mem, [])
     return CFG(entry, blocks)
 
 
-def _close_block(blocks, instructions, mem, fallthrough):
+def _close_block(blocks, instructions, mem, edges):
     last = instructions[-1]
-    if last.is_terminator():
-        edges = _block_edges(last)
-    else:
-        edges = [(fallthrough, EDGE_FALLTHROUGH)] if fallthrough is not None else []
     block = BasicBlock(instructions[0].addr, last.addr + last.size,
                        list(instructions),
                        static_block_counters(instructions, mem), edges)
@@ -295,7 +248,7 @@ def path_energy(blocks, edges, model):
         nxt = blocks[i + 1].start
         ok = False
         for target, kind in blocks[i].successors:
-            if taken and kind in _TAKEN_KINDS and (target is None or target == nxt):
+            if taken and kind != EDGE_FALLTHROUGH and target in (None, nxt):
                 ok = True
             if not taken and kind == EDGE_FALLTHROUGH and target == nxt:
                 ok = True

@@ -9,7 +9,8 @@ Subcommands:
 per timing class (`memory.timing_class`): WS0, WS1 with prefetch off and
 WS1 with prefetch on.  Configurations in a class run identically, so each
 gets its class's run; its frequency sets only the wall time, and its model
-the energy and the ranking.
+the energy and the ranking.  With `--model-file` the file's models set
+both, and `comparison` ranks only the configurations the file covers.
 
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
@@ -213,7 +214,7 @@ def _run(args, parser, data):
         if args.trace:
             parser.error("--trace cannot be combined with --sweep")
         reports = []
-        results = {}
+        results = {}  # the ranked configurations
         ok = True
         runs = {}  # timing class -> (sim, summary), shared by its configs
         for config in builtin_configs():
@@ -223,10 +224,13 @@ def _run(args, parser, data):
             sim, summary = runs[key]
             reports.append(_run_report(args.image, data, config, sim, summary,
                                        model_file_models))
-            results[config] = (summary.counters, summary.cycle_count)
+            if model_file_models is None or any(
+                    m.config == config for m in model_file_models):
+                results[config] = (summary.counters, summary.cycle_count)
             ok = ok and summary.exit_reason == "halt"
         comparison = [{"config": c.label(), "energy_nj": e, "time_us": t}
-                      for c, e, t in compare_configs(results)]
+                      for c, e, t in compare_configs(results,
+                                                     model_file_models)]
         _emit({"image": _image_info(args.image, data), "runs": reports,
                "comparison": comparison}, args.format)
         return 0 if ok else 1
@@ -305,11 +309,18 @@ def cmd_analyze(args, parser):
 # -- fit ---------------------------------------------------------------------
 
 def cmd_fit(args, parser):
+    if args.emit_model:  # bad output flags fail before the fit runs
+        config = _config_from_args(args, parser)
+        if os.path.isdir(args.emit_model) or not os.access(
+                os.path.dirname(args.emit_model) or ".", os.W_OK):
+            parser.error("cannot write model: %s" % args.emit_model)
     from . import regression  # numpy loads only for fit
     try:
         dataset = regression.load_dataset(args.dataset)
         result = regression.fit(dataset)
         cv = regression.kfold_cv(dataset, k=args.kfold, seed=args.seed)
+    except OSError as exc:
+        parser.error("cannot read dataset: %s" % exc)
     except DatasetError as exc:
         print("fit error: %s" % exc, file=sys.stderr)
         return 1
@@ -325,9 +336,11 @@ def cmd_fit(args, parser):
         "model_file": None,
     }
     if args.emit_model:
-        config = _config_from_args(args, parser)
-        save_models(args.emit_model,
-                    [EnergyModel(config, result.beta, provenance="fitted")])
+        try:
+            save_models(args.emit_model,
+                        [EnergyModel(config, result.beta, provenance="fitted")])
+        except OSError as exc:
+            parser.error("cannot write model: %s" % exc)
         report["model_file"] = args.emit_model
     _emit(report, args.format)
     return 0

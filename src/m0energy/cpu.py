@@ -22,7 +22,7 @@ Fetch and Flash data stalls from the memory system are added on top.
 Execution runs on a translation cache, in the manner of QEMU's translation
 blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is decoded once, up to and including its
-terminator (`Instruction.is_terminator`, the rule the CFG uses), into
+terminator (`decode.control_flow`, the one block-end rule), into
 entries that carry the handler, the instruction, its base cycles with the
 timing class fixed at decode time (so `timing` is read once, at
 translation), and the Flash words whose fetch can stall.  Inside a block
@@ -761,93 +761,23 @@ def _h_ldr_lit(sim, ins):
     sim._rset(f["rt"], sim._read(f["lit_addr"], 4))
 
 
-def _ea_imm(sim, f):
-    return (sim._rget(f["rn"]) + f["imm"]) & MASK32
-
-
-def _ea_reg(sim, f):
-    return (sim._rget(f["rn"]) + sim._rget(f["rm"])) & MASK32
-
-
-def _load(sim, f, ea, size, signed=False):
-    v = sim._read(ea, size)
-    if signed:
-        top = 1 << (8 * size - 1)
-        if v & top:
-            v -= 1 << (8 * size)
+def _h_load(sim, ins):
+    """Register, immediate and SP-relative loads: `rn` plus `imm` or `rm`,
+    `size` bytes, sign-extended when the op is signed."""
+    f = ins.fields
+    offset = f["imm"] if "imm" in f else sim._rget(f["rm"])
+    size = f["size"]
+    v = sim._read(sim._rget(f["rn"]) + offset, size)
+    if "signed" in f and v >> (8 * size - 1):
+        v -= 1 << (8 * size)
     sim._rset(f["rt"], v)
 
 
-def _h_ldr_imm(sim, ins):
-    _load(sim, ins.fields, _ea_imm(sim, ins.fields), 4)
-
-
-def _h_ldrb_imm(sim, ins):
-    _load(sim, ins.fields, _ea_imm(sim, ins.fields), 1)
-
-
-def _h_ldrh_imm(sim, ins):
-    _load(sim, ins.fields, _ea_imm(sim, ins.fields), 2)
-
-
-def _h_ldr_reg(sim, ins):
-    _load(sim, ins.fields, _ea_reg(sim, ins.fields), 4)
-
-
-def _h_ldrb_reg(sim, ins):
-    _load(sim, ins.fields, _ea_reg(sim, ins.fields), 1)
-
-
-def _h_ldrh_reg(sim, ins):
-    _load(sim, ins.fields, _ea_reg(sim, ins.fields), 2)
-
-
-def _h_ldrsb_reg(sim, ins):
-    _load(sim, ins.fields, _ea_reg(sim, ins.fields), 1, signed=True)
-
-
-def _h_ldrsh_reg(sim, ins):
-    _load(sim, ins.fields, _ea_reg(sim, ins.fields), 2, signed=True)
-
-
-def _h_ldr_sp(sim, ins):
+def _h_store(sim, ins):
+    """Register, immediate and SP-relative stores of the low `size` bytes."""
     f = ins.fields
-    _load(sim, f, (sim._rget(13) + f["imm"]) & MASK32, 4)
-
-
-def _h_str_imm(sim, ins):
-    f = ins.fields
-    sim._write(_ea_imm(sim, f), 4, sim._rget(f["rt"]))
-
-
-def _h_strb_imm(sim, ins):
-    f = ins.fields
-    sim._write(_ea_imm(sim, f), 1, sim._rget(f["rt"]))
-
-
-def _h_strh_imm(sim, ins):
-    f = ins.fields
-    sim._write(_ea_imm(sim, f), 2, sim._rget(f["rt"]))
-
-
-def _h_str_reg(sim, ins):
-    f = ins.fields
-    sim._write(_ea_reg(sim, f), 4, sim._rget(f["rt"]))
-
-
-def _h_strb_reg(sim, ins):
-    f = ins.fields
-    sim._write(_ea_reg(sim, f), 1, sim._rget(f["rt"]))
-
-
-def _h_strh_reg(sim, ins):
-    f = ins.fields
-    sim._write(_ea_reg(sim, f), 2, sim._rget(f["rt"]))
-
-
-def _h_str_sp(sim, ins):
-    f = ins.fields
-    sim._write((sim._rget(13) + f["imm"]) & MASK32, 4, sim._rget(f["rt"]))
+    offset = f["imm"] if "imm" in f else sim._rget(f["rm"])
+    sim._write(sim._rget(f["rn"]) + offset, f["size"], sim._rget(f["rt"]))
 
 
 def _commit_on_completion(transfer):
@@ -965,13 +895,8 @@ HANDLERS = {
     "REV": _h_rev, "REV16": _h_rev16, "REVSH": _h_revsh,
     "HINT": _h_hint, "BKPT": _h_bkpt,
     "LDR_LIT": _h_ldr_lit,
-    "LDR_IMM": _h_ldr_imm, "LDRB_IMM": _h_ldrb_imm, "LDRH_IMM": _h_ldrh_imm,
-    "LDR_REG": _h_ldr_reg, "LDRB_REG": _h_ldrb_reg, "LDRH_REG": _h_ldrh_reg,
-    "LDRSB_REG": _h_ldrsb_reg, "LDRSH_REG": _h_ldrsh_reg,
-    "LDR_SP": _h_ldr_sp,
-    "STR_IMM": _h_str_imm, "STRB_IMM": _h_strb_imm, "STRH_IMM": _h_strh_imm,
-    "STR_REG": _h_str_reg, "STRB_REG": _h_strb_reg, "STRH_REG": _h_strh_reg,
-    "STR_SP": _h_str_sp,
+    **dict.fromkeys(dec.LOAD_OPS - {"LDR_LIT"}, _h_load),
+    **dict.fromkeys(dec.STORE_OPS, _h_store),
     "PUSH": _h_push, "POP": _h_pop, "LDM": _h_ldm, "STM": _h_stm,
     "BCOND": _h_bcond, "B": _h_b, "BL": _h_bl, "BX": _h_bx, "BLX": _h_blx,
 }

@@ -8,6 +8,9 @@ Each decoded instruction carries an internal `op` id used for execution
 dispatch, a display mnemonic, an operand dict, and a pre-rendered text form.
 Branch targets and literal-pool addresses are resolved at decode time (they
 only depend on the instruction address).
+
+`control_flow` is the one rule for which instructions end a basic block
+and where control goes next; the simulator and the static CFG both use it.
 """
 
 from dataclasses import dataclass, field
@@ -35,8 +38,12 @@ STORE_OPS = frozenset([
     "STR_REG", "STRH_REG", "STRB_REG", "STR_IMM", "STRB_IMM", "STRH_IMM",
     "STR_SP",
 ])
-# Terminators for basic-block construction (BKPT included; it halts).
-BRANCH_OPS = frozenset(["B", "BCOND", "BL", "BX", "BLX"])
+
+# Kinds of control-flow edge; every kind but fall-through is a taken branch.
+EDGE_FALLTHROUGH = "fallthrough"
+EDGE_TAKEN = "taken"
+EDGE_CALL = "call"
+EDGE_RETURN = "return"
 
 
 def reg_name(i):
@@ -63,13 +70,31 @@ class Instruction:
 
     def is_terminator(self):
         """Control transfer or BKPT: ends a basic block."""
-        if self.op in BRANCH_OPS or self.op == "BKPT":
-            return True
-        if self.op == "POP" and self.fields.get("pc"):
-            return True
-        if self.op in ("MOV_HI", "ADD_HI") and self.fields.get("rd") == 15:
-            return True
-        return False
+        return control_flow(self) is not None
+
+
+def control_flow(ins):
+    """Edges [(target or None, kind)] out of a block `ins` ends, or None when
+    it falls through.  None marks a target known only at run time; BKPT
+    halts, so it ends a block with no edge."""
+    op, f = ins.op, ins.fields
+    if op == "BCOND":
+        return [(f["target"], EDGE_TAKEN), (ins.addr + 2, EDGE_FALLTHROUGH)]
+    if op == "B":
+        return [(f["target"], EDGE_TAKEN)]
+    if op == "BL":
+        return [(f["target"], EDGE_CALL), (ins.addr + 4, EDGE_FALLTHROUGH)]
+    if op == "BLX":
+        return [(None, EDGE_CALL), (ins.addr + 2, EDGE_FALLTHROUGH)]
+    if op == "BX":
+        return [(None, EDGE_RETURN if f["rm"] == 14 else EDGE_TAKEN)]
+    if op == "POP" and f["pc"]:
+        return [(None, EDGE_RETURN)]
+    if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15:
+        return [(None, EDGE_TAKEN)]
+    if op == "BKPT":
+        return []
+    return None
 
 
 def is_wide(hw):
@@ -189,7 +214,10 @@ def decode(hw1, hw2=None, addr=0):
                  ("LDR_REG", "LDR", 4), ("LDRH_REG", "LDRH", 2),
                  ("LDRB_REG", "LDRB", 1), ("LDRSH_REG", "LDRSH", 2)]
         op, mn, size = table[kind]
-        return _ins(addr, op, mn, hw, {"rt": rt, "rn": rn, "rm": rm, "size": size},
+        fields = {"rt": rt, "rn": rn, "rm": rm, "size": size}
+        if mn in ("LDRSB", "LDRSH"):
+            fields["signed"] = True
+        return _ins(addr, op, mn, hw, fields,
                     "%s %s, [%s, %s]" % (mn, reg_name(rt), reg_name(rn), reg_name(rm)))
 
     # 011xx: word/byte load/store with 5-bit immediate offset
@@ -219,7 +247,7 @@ def decode(hw1, hw2=None, addr=0):
         rt = (hw >> 8) & 7
         imm = (hw & 0xFF) * 4
         op, mn = (("LDR_SP", "LDR") if top5 & 1 else ("STR_SP", "STR"))
-        return _ins(addr, op, mn, hw, {"rt": rt, "imm": imm, "size": 4},
+        return _ins(addr, op, mn, hw, {"rt": rt, "rn": 13, "imm": imm, "size": 4},
                     "%s %s, [sp, #%d]" % (mn, reg_name(rt), imm))
 
     # 10100: ADR; 10101: ADD Rd, SP, #imm

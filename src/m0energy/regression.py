@@ -79,10 +79,11 @@ class CVResult:
 
 
 def load_dataset(path, name=None):
-    """Read a `c1,..,c6,energy_nj` CSV; errors carry the offending line."""
+    """Read a `c1,..,c6,energy_nj` CSV; errors carry the offending line.
+    Latin-1 decodes any byte, so a binary file is reported as bad CSV."""
     counts = []
     energies = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="latin-1") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

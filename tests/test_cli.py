@@ -110,12 +110,17 @@ def single_run_argv(image, config, extra):
             "--waitstates", str(config["wait_states"])] + extra
 
 
+def write_model_file(tmp_path, models):
+    path = tmp_path / "models.csv"
+    save_models(path, models)
+    return str(path)
+
+
 def write_scaled_model_file(tmp_path):
     """One fitted record per built-in configuration."""
-    path = tmp_path / "models.csv"
-    save_models(path, [EnergyModel(m.config, tuple(1.5 * b for b in m.beta))
-                       for m in builtin_models()])
-    return ["--model-file", str(path)]
+    return ["--model-file", write_model_file(tmp_path, [
+        EnergyModel(m.config, tuple(1.5 * b for b in m.beta))
+        for m in builtin_models()])]
 
 
 def write_invstate_image(tmp_path, branch):
@@ -157,6 +162,45 @@ def test_sweep_runs_equal_single_runs(tmp_path, capsys, case):
     assert code == max(single_codes)
     if case == "budget-cut":
         assert len({r["counters"]["c1"] for r in runs}) == 3 and code == 1
+
+
+def test_sweep_model_file_ranks_by_the_files_models(tmp_path, capsys):
+    image = write_kernel(tmp_path, "pushpop_loop")
+    models = write_model_file(tmp_path, [
+        EnergyModel(m.config, tuple(3 * b for b in m.beta))
+        for m in builtin_models()])
+    code, out, _ = run_cli(["run", image, "--sweep", "--model-file", models],
+                           capsys)
+    assert code == 0
+    report = json.loads(out)
+    energy = {run["config"]["label"]: run["energy_nj"][0]["energy_nj"]
+              for run in report["runs"]}
+    assert energy["[20, OFF, 0]"] == pytest.approx(92.022558, abs=5e-7)
+    ranked = report["comparison"]
+    assert len(ranked) == 10
+    for row in ranked:
+        assert row["energy_nj"] == energy[row["config"]]
+    assert [row["energy_nj"] for row in ranked] == sorted(energy.values())
+
+
+def test_sweep_model_file_ranks_only_the_configs_it_covers(tmp_path, capsys):
+    image = write_kernel(tmp_path, "pushpop_loop")
+    beta = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    models = write_model_file(tmp_path, [
+        EnergyModel(HardwareConfig(20, False, 0), tuple(2 * b for b in beta)),
+        EnergyModel(HardwareConfig(48, True, 1), beta)])
+    code, out, _ = run_cli(["run", image, "--sweep", "--model-file", models],
+                           capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["runs"]) == 10
+    wall = {run["config"]["label"]: run["wall_time_us"] for run in report["runs"]}
+    # c1..c6 = 18, 0, 3, 4, 4, 0: 63 nJ under beta
+    assert report["comparison"] == [
+        {"config": "[48, ON, 1]", "energy_nj": 63.0,
+         "time_us": wall["[48, ON, 1]"]},
+        {"config": "[20, OFF, 0]", "energy_nj": 126.0,
+         "time_us": wall["[20, OFF, 0]"]}]
 
 
 def test_sweep_builds_one_simulator_per_timing_class(tmp_path, capsys,
@@ -369,6 +413,40 @@ def test_fit_emit_model_round_trip(tmp_path, capsys):
     loaded = load_models(model_path)[0]
     vec = tuple(report["counters"]["c%d" % i] for i in range(1, 7))
     assert entry["energy_nj"] == pytest.approx(estimate(vec, loaded), abs=5e-7)
+
+
+def test_fit_missing_or_unreadable_dataset_is_usage_error(tmp_path, capsys):
+    for dataset in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["fit", str(dataset)])
+        assert err.value.code == 2
+        assert "cannot read dataset" in capsys.readouterr().err
+
+
+def test_fit_binary_dataset_is_a_fit_error(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"c1,c2,c3,c4,c5,c6,energy_nj\n\xff\xfe\x00\x81\n")
+    code, out, err = run_cli(["fit", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("fit error: ") and "line 2" in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_fit_unwritable_emit_model_fails_before_fitting(tmp_path, capsys,
+                                                        monkeypatch, where):
+    from m0energy import regression
+
+    def no_fit(dataset):
+        raise AssertionError("the fit ran before the output path was checked")
+
+    monkeypatch.setattr(regression, "fit", no_fit)
+    csv_path = tmp_path / "data.csv"
+    save_dataset(csv_path, synth_dataset(seed=4, n=30, noise=0.0))
+    target = tmp_path / "missing" / "m.csv" if where == "missing-dir" else tmp_path
+    with pytest.raises(SystemExit) as err:
+        main(["fit", str(csv_path), "--emit-model", str(target)])
+    assert err.value.code == 2
+    assert "cannot write model" in capsys.readouterr().err
 
 
 def test_run_model_file_without_matching_config_is_usage_error(tmp_path, capsys):

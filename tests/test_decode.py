@@ -5,10 +5,12 @@ hand (field extraction double-checked against a reference disassembly of
 the same words) and frozen here.
 """
 
+import random
+
 import pytest
 
-from m0energy import decode, UndefinedInstructionError
-from m0energy.decode import is_wide
+from m0energy import Assembler, decode, UndefinedInstructionError
+from m0energy.decode import control_flow, is_wide
 
 # (halfword, expected text at addr 0x08000000)
 EXPECTED_16BIT = [
@@ -203,3 +205,227 @@ def test_decode_deterministic():
     a = decode(0x2001, None, 0x08000000)
     b = decode(0x2001, None, 0x08000000)
     assert a == b
+
+
+# -- decode(assemble(x)) round trip for every Assembler emitter ---------------
+# Each row draws seeded random operands for one emitter and states, from
+# those operands alone, the op, the text, the complete operand dict and the
+# control-flow edges the decoder must give back.
+
+FLASH = 0x08000000
+LOW_DP = {  # emitter -> (op, mnemonic); all take (rdn, rm)
+    "ands": ("ANDS", "ANDS"), "eors": ("EORS", "EORS"),
+    "lsls_reg": ("LSLS_REG", "LSLS"), "lsrs_reg": ("LSRS_REG", "LSRS"),
+    "asrs_reg": ("ASRS_REG", "ASRS"), "adcs": ("ADCS", "ADCS"),
+    "sbcs": ("SBCS", "SBCS"), "rors": ("RORS", "RORS"), "tst": ("TST", "TST"),
+    "rsbs": ("RSBS", "RSBS"), "cmp_reg": ("CMP_REG", "CMP"),
+    "cmn": ("CMN", "CMN"), "orrs": ("ORRS", "ORRS"), "muls": ("MULS", "MULS"),
+    "bics": ("BICS", "BICS"), "mvns": ("MVNS", "MVNS"),
+}
+EXTENDS = ["sxth", "sxtb", "uxth", "uxtb", "rev", "rev16", "revsh"]
+IMM_MEM = {  # emitter -> (op, mnemonic, size); all take (rt, rn, off)
+    "ldr_imm": ("LDR_IMM", "LDR", 4), "ldrb_imm": ("LDRB_IMM", "LDRB", 1),
+    "ldrh_imm": ("LDRH_IMM", "LDRH", 2), "str_imm": ("STR_IMM", "STR", 4),
+    "strb_imm": ("STRB_IMM", "STRB", 1), "strh_imm": ("STRH_IMM", "STRH", 2),
+}
+REG_MEM = {  # emitter -> (op, mnemonic, size, signed); all take (rt, rn, rm)
+    "ldr_reg": ("LDR_REG", "LDR", 4, False),
+    "ldrb_reg": ("LDRB_REG", "LDRB", 1, False),
+    "ldrh_reg": ("LDRH_REG", "LDRH", 2, False),
+    "ldrsb_reg": ("LDRSB_REG", "LDRSB", 1, True),
+    "ldrsh_reg": ("LDRSH_REG", "LDRSH", 2, True),
+    "str_reg": ("STR_REG", "STR", 4, False),
+    "strb_reg": ("STRB_REG", "STRB", 1, False),
+    "strh_reg": ("STRH_REG", "STRH", 2, False),
+}
+CONDS = ["eq", "ne", "cs", "cc", "mi", "pl", "vs", "vc", "hi", "ls", "ge",
+         "lt", "gt", "le"]
+
+
+def rname(r):
+    return {13: "sp", 14: "lr", 15: "pc"}.get(r, "r%d" % r)
+
+
+def rlist(regs):
+    return "{%s}" % ", ".join(rname(r) for r in regs)
+
+
+def round_trip_case(emitter, rng, addr):
+    """(args, op, text, fields, edges) for one random use of `emitter` at
+    `addr`; edges is None for an instruction that falls through."""
+    def lo():
+        return rng.randint(0, 7)
+
+    def hi():
+        return rng.randint(0, 15)
+
+    imm8 = rng.randint(0, 255)
+    if emitter in LOW_DP:
+        op, mn = LOW_DP[emitter]
+        rd, rm = lo(), lo()
+        return (rd, rm), op, "%s %s, %s" % (mn, rname(rd), rname(rm)), \
+            {"rd": rd, "rm": rm}, None
+    if emitter in EXTENDS:
+        rd, rm = lo(), lo()
+        op = emitter.upper()
+        return (rd, rm), op, "%s %s, %s" % (op, rname(rd), rname(rm)), \
+            {"rd": rd, "rm": rm}, None
+    if emitter in IMM_MEM:
+        op, mn, size = IMM_MEM[emitter]
+        rt, rn, off = lo(), lo(), size * rng.randint(0, 31)
+        return (rt, rn, off), op, "%s %s, [%s, #%d]" % (
+            mn, rname(rt), rname(rn), off), \
+            {"rt": rt, "rn": rn, "imm": off, "size": size}, None
+    if emitter in REG_MEM:
+        op, mn, size, signed = REG_MEM[emitter]
+        rt, rn, rm = lo(), lo(), lo()
+        fields = {"rt": rt, "rn": rn, "rm": rm, "size": size}
+        if signed:
+            fields["signed"] = True
+        return (rt, rn, rm), op, "%s %s, [%s, %s]" % (
+            mn, rname(rt), rname(rn), rname(rm)), fields, None
+    if emitter in ("movs", "adds_imm8", "subs_imm8", "cmp_imm"):
+        op, mn = {"movs": ("MOVS_IMM", "MOVS"), "adds_imm8": ("ADDS_IMM8", "ADDS"),
+                  "subs_imm8": ("SUBS_IMM8", "SUBS"),
+                  "cmp_imm": ("CMP_IMM", "CMP")}[emitter]
+        rd = lo()
+        return (rd, imm8), op, "%s %s, #%d" % (mn, rname(rd), imm8), \
+            {"rd": rd, "imm": imm8}, None
+    if emitter == "movs_reg":
+        rd, rm = lo(), lo()
+        return (rd, rm), "MOVS_REG", "MOVS %s, %s" % (rname(rd), rname(rm)), \
+            {"rd": rd, "rm": rm}, None
+    if emitter in ("mov_hi", "add_hi", "cmp_hi"):
+        rd, rm = hi(), hi()
+        mn = emitter[:3].upper()
+        edges = None
+        if rd == 15 and emitter != "cmp_hi":
+            edges = [(None, "taken")]
+        return (rd, rm), mn + "_HI", "%s %s, %s" % (mn, rname(rd), rname(rm)), \
+            {"rd": rd, "rm": rm}, edges
+    if emitter in ("adds_reg", "subs_reg"):
+        rd, rn, rm = lo(), lo(), lo()
+        mn = emitter[:4].upper()
+        return (rd, rn, rm), mn + "_REG", "%s %s, %s, %s" % (
+            mn, rname(rd), rname(rn), rname(rm)), \
+            {"rd": rd, "rn": rn, "rm": rm}, None
+    if emitter in ("adds_imm3", "subs_imm3"):
+        rd, rn, imm = lo(), lo(), rng.randint(0, 7)
+        mn = emitter[:4].upper()
+        return (rd, rn, imm), mn + "_IMM3", "%s %s, %s, #%d" % (
+            mn, rname(rd), rname(rn), imm), {"rd": rd, "rn": rn, "imm": imm}, None
+    if emitter in ("lsls_imm", "lsrs_imm", "asrs_imm"):
+        rd, rm = lo(), lo()
+        imm = rng.randint(1, 31 if emitter == "lsls_imm" else 32)
+        mn = emitter[:4].upper()
+        return (rd, rm, imm), mn + "_IMM", "%s %s, %s, #%d" % (
+            mn, rname(rd), rname(rm), imm), {"rd": rd, "rm": rm, "imm": imm}, None
+    if emitter == "nop":
+        return (), "HINT", "NOP", {}, None
+    if emitter in ("ldr_lit", "adr"):
+        r, imm = lo(), 4 * imm8
+        lit = ((addr + 4) & ~3) + imm
+        if emitter == "ldr_lit":
+            return (r, lit), "LDR_LIT", "LDR %s, [pc, #%d]" % (rname(r), imm), \
+                {"rt": r, "imm": imm, "lit_addr": lit}, None
+        return (r, lit), "ADR", "ADR %s, #%d" % (rname(r), imm), \
+            {"rd": r, "imm": imm, "lit_addr": lit}, None
+    if emitter in ("ldr_sp", "str_sp"):
+        rt, off = lo(), 4 * imm8
+        mn = emitter[:3].upper()
+        return (rt, off), mn + "_SP", "%s %s, [sp, #%d]" % (mn, rname(rt), off), \
+            {"rt": rt, "rn": 13, "imm": off, "size": 4}, None
+    if emitter in ("add_sp", "sub_sp"):
+        imm = 4 * rng.randint(0, 127)
+        mn = emitter[:3].upper()
+        return (imm,), mn + "_SP_IMM7", "%s sp, #%d" % (mn, imm), {"imm": imm}, None
+    if emitter == "add_sp_imm8":
+        rd, imm = lo(), 4 * imm8
+        return (rd, imm), "ADD_SP_IMM8", "ADD %s, sp, #%d" % (rname(rd), imm), \
+            {"rd": rd, "imm": imm}, None
+    if emitter in ("push", "pop"):
+        regs = sorted(rng.sample(range(8), rng.randint(0, 8)))
+        extra = not regs or rng.random() < 0.5   # lr for PUSH, pc for POP
+        if emitter == "push":
+            shown = regs + ([14] if extra else [])
+            return (regs, extra), "PUSH", "PUSH " + rlist(shown), \
+                {"regs": shown}, None
+        return (regs, extra), "POP", "POP " + rlist(regs + ([15] if extra else [])), \
+            {"regs": regs, "pc": extra}, [(None, "return")] if extra else None
+    if emitter in ("stm", "ldm"):
+        rn, regs = lo(), sorted(rng.sample(range(8), rng.randint(1, 8)))
+        if emitter == "stm":
+            return (rn, regs), "STM", "STM %s!, %s" % (rname(rn), rlist(regs)), \
+                {"rn": rn, "regs": regs}, None
+        wback = rn not in regs
+        return (rn, regs), "LDM", "LDM %s%s, %s" % (
+            rname(rn), "!" if wback else "", rlist(regs)), \
+            {"rn": rn, "regs": regs, "wback": wback}, None
+    if emitter in ("b", "beq", "bne"):
+        cond = {"beq": "eq", "bne": "ne"}.get(emitter)
+        if emitter == "b" and rng.random() < 0.5:
+            cond = rng.choice(CONDS)
+        reach = 2048 if cond is None else 256
+        target = addr + 4 + 2 * rng.randint(-reach // 2, reach // 2 - 1)
+        args = (target,) if emitter != "b" else (target, cond)
+        if cond is None:
+            return args, "B", "B 0x%08x" % target, {"target": target}, \
+                [(target, "taken")]
+        mn = "B" + cond.upper()
+        return args, "BCOND", "%s 0x%08x" % (mn, target), \
+            {"cond": CONDS.index(cond), "target": target}, \
+            [(target, "taken"), (addr + 2, "fallthrough")]
+    if emitter == "bl":
+        target = addr + 4 + 2 * rng.randint(-(1 << 23), (1 << 23) - 1)
+        return (target,), "BL", "BL 0x%08x" % target, {"target": target}, \
+            [(target, "call"), (addr + 4, "fallthrough")]
+    if emitter == "bx":
+        rm = hi()
+        return (rm,), "BX", "BX " + rname(rm), {"rm": rm}, \
+            [(None, "return" if rm == 14 else "taken")]
+    if emitter == "blx":
+        rm = hi()
+        return (rm,), "BLX", "BLX " + rname(rm), {"rm": rm}, \
+            [(None, "call"), (addr + 2, "fallthrough")]
+    if emitter == "bkpt":
+        return (imm8,), "BKPT", "BKPT #%d" % imm8, {"imm": imm8}, []
+    raise AssertionError("no round-trip row for %s" % emitter)
+
+
+# every public emitter; one without a row fails in round_trip_case
+EMITTERS = sorted(name for name in dir(Assembler) if not name.startswith("_")
+                  and name not in ("label", "raw", "word", "image", "udf"))
+
+
+def assemble_one(emitter, args, padding):
+    """Image with `padding` NOPs, then the instruction; returns the
+    instruction's address and the decode of it."""
+    a = Assembler()
+    for _ in range(padding):
+        a.nop()
+    getattr(a, emitter)(*args)
+    image = a.image()
+    addr = FLASH + 8 + 2 * padding
+    off = addr - FLASH
+    hw1 = int.from_bytes(image[off:off + 2], "little")
+    hw2 = int.from_bytes(image[off + 2:off + 4], "little") if is_wide(hw1) else None
+    return addr, decode(hw1, hw2, addr)
+
+
+@pytest.mark.parametrize("emitter", EMITTERS)
+def test_decode_of_assembled_emitter_round_trips(emitter):
+    for seed in range(40):
+        rng = random.Random("%s-%d" % (emitter, seed))
+        padding = seed % 2   # half the cases start off a word boundary
+        addr = FLASH + 8 + 2 * padding
+        args, op, text, fields, edges = round_trip_case(emitter, rng, addr)
+        ins_addr, ins = assemble_one(emitter, args, padding)
+        assert ins_addr == addr
+        assert (ins.op, ins.text, ins.fields) == (op, text, fields), args
+        assert control_flow(ins) == edges, args
+        assert ins.is_terminator() == (edges is not None)
+
+
+def test_udf_emitter_decodes_as_undefined():
+    with pytest.raises(UndefinedInstructionError):
+        assemble_one("udf", (), 0)

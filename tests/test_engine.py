@@ -16,9 +16,10 @@ import random
 import pytest
 
 from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
-                     ReferenceStepper, invstate_image, invstate_reason,
-                     kernel_image, machine_state)
-from m0energy import Assembler, Simulator
+                     ReferenceStepper, dynamic_block_path, invstate_image,
+                     invstate_reason, kernel_image, machine_state)
+from m0energy import (Assembler, MemorySystem, Simulator, builtin_models,
+                      extract_cfg, path_energy)
 from m0energy.memory import timing_class
 
 RANDOM_SEEDS = range(24)
@@ -138,6 +139,46 @@ def test_random_programs_match_reference(seed, ws, prefetch, _key):
 def test_boot_alias_programs_match_reference(seed, ws, prefetch, _key):
     summary = assert_same_run(random_program(seed, flash_base=0), ws, prefetch)
     assert summary.exit_reason == "halt"
+
+
+@pytest.mark.parametrize("flash_base", [0x08000000, 0], ids=["flash", "alias"])
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_random_programs_static_counts_match_dynamic(seed, flash_base):
+    """Criterion 7 beyond the fixed kernels: along the executed block path,
+    the static block counts plus the taken edges give the dynamic counters.
+    The loads and stores through r7 are unresolved statically; these
+    programs write no debug port, so each one is exactly one RAM or Flash
+    event."""
+    image = random_program(seed, flash_base)
+    sim = Simulator(image)
+    steps = []
+    assert sim.run(on_step=steps.append).exit_reason == "halt"
+    mem = MemorySystem(image)
+    graph = extract_cfg(mem, mem.reset_vector()[1])
+    blocks, edges = dynamic_block_path(graph, steps)
+    assert [step.instruction.addr for step in steps] == [
+        ins.addr for block in blocks for ins in block.instructions]
+    path_energy(blocks, edges, builtin_models()[0])  # every edge is in the CFG
+
+    def total(name):
+        return sum(getattr(block.static_counts, name) for block in blocks)
+
+    c = sim.counters
+    assert (c.c1, c.c2, c.c3) == (total("c1"), total("c2"), sum(edges))
+    assert c.c4 + c.c6 == (total("c4_known") + total("c6_known")
+                           + total("unresolved_loads"))
+    assert c.c5 == total("c5_known") + total("unresolved_stores")
+    # each translation block is a run of CFG blocks joined by fall-through,
+    # ending where a CFG block ends on a terminator
+    for pc, translated in sim._blocks.items():
+        expected = []
+        block = graph.blocks[pc]
+        while True:
+            expected += [ins.addr for ins in block.instructions]
+            if block.terminator is not None:
+                break
+            block = graph.blocks[block.end]
+        assert [entry[1].addr for entry in translated.entries] == expected
 
 
 @pytest.mark.parametrize("image", [kernel_image("pushpop_loop"),
