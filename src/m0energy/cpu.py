@@ -19,6 +19,11 @@ Base cycle costs before memory stalls (data-driven, override via the
 
 Fetch and Flash data stalls from the memory system are added on top.
 
+Data processing is four handler families, and each `HANDLERS` row binds one
+to an op's operands: `_addsub` (the one place add, subtract and compare set
+N, Z, C and V), `_logical`, `_shift` and `_extend`.  `_extend_bits` is the
+one sign/zero-extension rule, shared by loads, SXT*/UXT* and REVSH.
+
 Execution runs on a translation cache, in the manner of QEMU's translation
 blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is decoded once, up to and including its
@@ -54,6 +59,7 @@ A simulator instance is single-threaded; distinct instances are
 independent.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 from . import decode as dec
@@ -173,16 +179,6 @@ def _timing_class(ins, t):
     return n, n
 
 
-def _add_with_carry(a, b, carry_in):
-    a &= MASK32
-    b &= MASK32
-    total = a + b + carry_in
-    result = total & MASK32
-    carry = total > MASK32
-    overflow = bool(~(a ^ b) & (a ^ result) & 0x80000000)
-    return result, carry, overflow
-
-
 def _cond_passed(cond, s):
     if cond == 0:
         return s.z
@@ -254,10 +250,6 @@ class Simulator:
 
     def _rset(self, i, value):
         self.state.regs[i] = value & MASK32
-
-    def _set_nz(self, result):
-        self.state.n = bool(result & 0x80000000)
-        self.state.z = result == 0
 
     # -- memory helpers: count c4..c6 and Flash data stalls in place ----------
 
@@ -464,16 +456,119 @@ class Simulator:
 # -- instruction handlers -----------------------------------------------
 # Each takes (sim, ins) and returns truthy when a branch was taken.
 
-def _h_movs_imm(sim, ins):
-    f = ins.fields
-    sim._rset(f["rd"], f["imm"])
-    sim._set_nz(f["imm"])
+def _addsub(first, subtract=False, carry=False, write=True):
+    """ADDS, SUBS, ADCS, SBCS, RSBS, CMP and CMN: first + second (inverted
+    for a subtraction) + carry-in.  `first` is the first operand's field, or
+    None for RSBS's zero; the second is `imm` when the encoding has one, else
+    `rm`.  The carry-in is the C flag when `carry`, else 1 for a subtraction
+    and 0 for an addition; `write` stores the result in rd."""
+    def handler(sim, ins):
+        f = ins.fields
+        a = sim._rget(f[first]) if first else 0
+        b = f["imm"] if "imm" in f else sim._rget(f["rm"])
+        if subtract:
+            b ^= MASK32
+        s = sim.state
+        total = a + b + (s.c if carry else subtract)
+        result = total & MASK32
+        if write:
+            s.regs[f["rd"]] = result
+        s.n = result > 0x7FFFFFFF
+        s.z = result == 0
+        s.c = total > MASK32
+        s.v = bool(~(a ^ b) & (a ^ result) & 0x80000000)
+    return handler
 
 
-def _h_movs_reg(sim, ins):
-    v = sim._rget(ins.fields["rm"])
-    sim._rset(ins.fields["rd"], v)
-    sim._set_nz(v)
+def _logical(fn, write=True):
+    """MOVS, ANDS, EORS, ORRS, BICS, MVNS, TST and MULS: fn(rd, second), the
+    second operand being `imm` when the encoding has one, else `rm` (all
+    low registers).  N and Z come from the result; C and V are kept."""
+    def handler(sim, ins):
+        f = ins.fields
+        s = sim.state
+        regs = s.regs
+        result = fn(regs[f["rd"]],
+                    f["imm"] if "imm" in f else regs[f["rm"]]) & MASK32
+        if write:
+            regs[f["rd"]] = result
+        s.n = result > 0x7FFFFFFF
+        s.z = result == 0
+    return handler
+
+
+def _shift_lsl(value, amount):
+    if amount < 32:
+        full = value << amount
+        return full & MASK32, bool(full & (1 << 32))
+    if amount == 32:
+        return 0, bool(value & 1)
+    return 0, False
+
+
+def _shift_lsr(value, amount):
+    if amount < 32:
+        return (value >> amount) & MASK32, bool((value >> (amount - 1)) & 1)
+    if amount == 32:
+        return 0, bool(value >> 31)
+    return 0, False
+
+
+def _shift_asr(value, amount):
+    sign = bool(value & 0x80000000)
+    if amount < 32:
+        result = value >> amount
+        if sign:
+            result |= (MASK32 << (32 - amount)) & MASK32
+        return result & MASK32, bool((value >> (amount - 1)) & 1)
+    return (MASK32 if sign else 0), sign
+
+
+def _shift_ror(value, amount):
+    m = amount % 32
+    if m == 0:
+        return value, bool(value >> 31)
+    result = ((value >> m) | (value << (32 - m))) & MASK32
+    return result, bool(result >> 31)
+
+
+def _shift(shifter):
+    """LSLS, LSRS and ASRS by `imm` shift rm into rd; the register forms
+    and RORS shift rd in place by the low byte of rm.  N and Z come from
+    the result; C is the last bit `shifter` shifts out, kept when the
+    amount is 0 (the shifters see amounts of 1 and up)."""
+    def handler(sim, ins):
+        f = ins.fields
+        s = sim.state
+        regs = s.regs
+        if "imm" in f:
+            value, amount = regs[f["rm"]], f["imm"]
+        else:
+            value, amount = regs[f["rd"]], regs[f["rm"]] & 0xFF
+        if amount:
+            value, s.c = shifter(value, amount)
+        regs[f["rd"]] = value
+        s.n = value > 0x7FFFFFFF
+        s.z = value == 0
+    return handler
+
+
+def _extend_bits(value, bits, signed):
+    """The low `bits` of value, sign-extended when `signed`, as 32 bits: the
+    one extension rule, for loads, SXT*/UXT* and REVSH."""
+    value &= (1 << bits) - 1
+    if signed and value >> (bits - 1):
+        value |= MASK32 ^ ((1 << bits) - 1)
+    return value
+
+
+def _extend(bits, signed):
+    """SXTB, SXTH, UXTB and UXTH: rd = the low `bits` of rm, extended."""
+    def handler(sim, ins):
+        f = ins.fields
+        regs = sim.state.regs
+        regs[f["rd"]] = _extend_bits(regs[f["rm"]], bits, signed)
+    return handler
 
 
 def _h_mov_hi(sim, ins):
@@ -494,206 +589,6 @@ def _h_add_hi(sim, ins):
     sim._rset(f["rd"], v)
 
 
-def _h_cmp_hi(sim, ins):
-    f = ins.fields
-    res, c, v = _add_with_carry(sim._rget(f["rd"]), ~sim._rget(f["rm"]), 1)
-    sim._set_nz(res)
-    sim.state.c = c
-    sim.state.v = v
-
-
-def _shift_lsl(value, amount):
-    if amount == 0:
-        return value, None
-    if amount < 32:
-        full = value << amount
-        return full & MASK32, bool(full & (1 << 32))
-    if amount == 32:
-        return 0, bool(value & 1)
-    return 0, False
-
-
-def _shift_lsr(value, amount):
-    if amount == 0:
-        return value, None
-    if amount < 32:
-        return (value >> amount) & MASK32, bool((value >> (amount - 1)) & 1)
-    if amount == 32:
-        return 0, bool(value >> 31)
-    return 0, False
-
-
-def _shift_asr(value, amount):
-    if amount == 0:
-        return value, None
-    sign = bool(value & 0x80000000)
-    if amount < 32:
-        result = value >> amount
-        if sign:
-            result |= (MASK32 << (32 - amount)) & MASK32
-        return result & MASK32, bool((value >> (amount - 1)) & 1)
-    return (MASK32 if sign else 0), sign
-
-
-def _shift_ror(value, amount):
-    if amount == 0:
-        return value, None
-    m = amount % 32
-    if m == 0:
-        return value, bool(value >> 31)
-    result = ((value >> m) | (value << (32 - m))) & MASK32
-    return result, bool(result >> 31)
-
-
-def _apply_shift(sim, ins, shifter, amount):
-    # immediate forms shift rm into rd; register forms shift rd in place
-    f = ins.fields
-    value = sim._rget(f["rm"]) if "imm" in f else sim._rget(f["rd"])
-    result, carry = shifter(value, amount)
-    sim._rset(f["rd"], result)
-    sim._set_nz(result)
-    if carry is not None:
-        sim.state.c = carry
-
-
-def _h_lsls_imm(sim, ins):
-    _apply_shift(sim, ins, _shift_lsl, ins.fields["imm"])
-
-
-def _h_lsrs_imm(sim, ins):
-    _apply_shift(sim, ins, _shift_lsr, ins.fields["imm"])
-
-
-def _h_asrs_imm(sim, ins):
-    _apply_shift(sim, ins, _shift_asr, ins.fields["imm"])
-
-
-def _h_lsls_reg(sim, ins):
-    _apply_shift(sim, ins, _shift_lsl, sim._rget(ins.fields["rm"]) & 0xFF)
-
-
-def _h_lsrs_reg(sim, ins):
-    _apply_shift(sim, ins, _shift_lsr, sim._rget(ins.fields["rm"]) & 0xFF)
-
-
-def _h_asrs_reg(sim, ins):
-    _apply_shift(sim, ins, _shift_asr, sim._rget(ins.fields["rm"]) & 0xFF)
-
-
-def _h_rors(sim, ins):
-    _apply_shift(sim, ins, _shift_ror, sim._rget(ins.fields["rm"]) & 0xFF)
-
-
-def _arith(sim, rd, a, b, carry_in, writeback=True):
-    result, c, v = _add_with_carry(a, b, carry_in)
-    if writeback:
-        sim._rset(rd, result)
-    sim._set_nz(result)
-    sim.state.c = c
-    sim.state.v = v
-
-
-def _h_adds_reg(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rn"]), sim._rget(f["rm"]), 0)
-
-
-def _h_subs_reg(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rn"]), ~sim._rget(f["rm"]), 1)
-
-
-def _h_adds_imm3(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rn"]), f["imm"], 0)
-
-
-def _h_subs_imm3(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rn"]), ~f["imm"], 1)
-
-
-def _h_adds_imm8(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rd"]), f["imm"], 0)
-
-
-def _h_subs_imm8(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rd"]), ~f["imm"], 1)
-
-
-def _h_cmp_imm(sim, ins):
-    f = ins.fields
-    _arith(sim, 0, sim._rget(f["rd"]), ~f["imm"], 1, writeback=False)
-
-
-def _h_cmp_reg(sim, ins):
-    f = ins.fields
-    _arith(sim, 0, sim._rget(f["rd"]), ~sim._rget(f["rm"]), 1, writeback=False)
-
-
-def _h_cmn(sim, ins):
-    f = ins.fields
-    _arith(sim, 0, sim._rget(f["rd"]), sim._rget(f["rm"]), 0, writeback=False)
-
-
-def _h_adcs(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rd"]), sim._rget(f["rm"]),
-           1 if sim.state.c else 0)
-
-
-def _h_sbcs(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], sim._rget(f["rd"]), ~sim._rget(f["rm"]),
-           1 if sim.state.c else 0)
-
-
-def _h_rsbs(sim, ins):
-    f = ins.fields
-    _arith(sim, f["rd"], ~sim._rget(f["rm"]), 0, 1)
-
-
-def _logic(sim, ins, fn, writeback=True):
-    f = ins.fields
-    result = fn(sim._rget(f["rd"]), sim._rget(f["rm"])) & MASK32
-    if writeback:
-        sim._rset(f["rd"], result)
-    sim._set_nz(result)
-
-
-def _h_ands(sim, ins):
-    _logic(sim, ins, lambda a, b: a & b)
-
-
-def _h_eors(sim, ins):
-    _logic(sim, ins, lambda a, b: a ^ b)
-
-
-def _h_orrs(sim, ins):
-    _logic(sim, ins, lambda a, b: a | b)
-
-
-def _h_bics(sim, ins):
-    _logic(sim, ins, lambda a, b: a & ~b)
-
-
-def _h_mvns(sim, ins):
-    _logic(sim, ins, lambda a, b: ~b)
-
-
-def _h_tst(sim, ins):
-    _logic(sim, ins, lambda a, b: a & b, writeback=False)
-
-
-def _h_muls(sim, ins):
-    f = ins.fields
-    result = (sim._rget(f["rd"]) * sim._rget(f["rm"])) & MASK32
-    sim._rset(f["rd"], result)
-    sim._set_nz(result)
-
-
 def _h_adr(sim, ins):
     sim._rset(ins.fields["rd"], ins.fields["lit_addr"])
 
@@ -708,24 +603,6 @@ def _h_add_sp_imm7(sim, ins):
 
 def _h_sub_sp_imm7(sim, ins):
     sim._rset(13, sim._rget(13) - ins.fields["imm"])
-
-
-def _h_sxth(sim, ins):
-    v = sim._rget(ins.fields["rm"]) & 0xFFFF
-    sim._rset(ins.fields["rd"], v - 0x10000 if v & 0x8000 else v)
-
-
-def _h_sxtb(sim, ins):
-    v = sim._rget(ins.fields["rm"]) & 0xFF
-    sim._rset(ins.fields["rd"], v - 0x100 if v & 0x80 else v)
-
-
-def _h_uxth(sim, ins):
-    sim._rset(ins.fields["rd"], sim._rget(ins.fields["rm"]) & 0xFFFF)
-
-
-def _h_uxtb(sim, ins):
-    sim._rset(ins.fields["rd"], sim._rget(ins.fields["rm"]) & 0xFF)
 
 
 def _h_rev(sim, ins):
@@ -743,7 +620,7 @@ def _h_rev16(sim, ins):
 def _h_revsh(sim, ins):
     v = sim._rget(ins.fields["rm"])
     half = ((v & 0xFF) << 8) | ((v >> 8) & 0xFF)
-    sim._rset(ins.fields["rd"], half - 0x10000 if half & 0x8000 else half)
+    sim._rset(ins.fields["rd"], _extend_bits(half, 16, True))
 
 
 def _h_hint(sim, ins):
@@ -768,8 +645,8 @@ def _h_load(sim, ins):
     offset = f["imm"] if "imm" in f else sim._rget(f["rm"])
     size = f["size"]
     v = sim._read(sim._rget(f["rn"]) + offset, size)
-    if "signed" in f and v >> (8 * size - 1):
-        v -= 1 << (8 * size)
+    if "signed" in f:
+        v = _extend_bits(v, 8 * size, True)
     sim._rset(f["rt"], v)
 
 
@@ -877,21 +754,32 @@ def _h_blx(sim, ins):
 
 
 HANDLERS = {
-    "MOVS_IMM": _h_movs_imm, "MOVS_REG": _h_movs_reg, "MOV_HI": _h_mov_hi,
-    "ADD_HI": _h_add_hi, "CMP_HI": _h_cmp_hi,
-    "LSLS_IMM": _h_lsls_imm, "LSRS_IMM": _h_lsrs_imm, "ASRS_IMM": _h_asrs_imm,
-    "LSLS_REG": _h_lsls_reg, "LSRS_REG": _h_lsrs_reg, "ASRS_REG": _h_asrs_reg,
-    "RORS": _h_rors,
-    "ADDS_REG": _h_adds_reg, "SUBS_REG": _h_subs_reg,
-    "ADDS_IMM3": _h_adds_imm3, "SUBS_IMM3": _h_subs_imm3,
-    "ADDS_IMM8": _h_adds_imm8, "SUBS_IMM8": _h_subs_imm8,
-    "CMP_IMM": _h_cmp_imm, "CMP_REG": _h_cmp_reg, "CMN": _h_cmn,
-    "ADCS": _h_adcs, "SBCS": _h_sbcs, "RSBS": _h_rsbs,
-    "ANDS": _h_ands, "EORS": _h_eors, "ORRS": _h_orrs, "BICS": _h_bics,
-    "MVNS": _h_mvns, "TST": _h_tst, "MULS": _h_muls,
+    # _addsub(first operand's field, subtract?, carry-in from C?, write rd?)
+    "ADDS_REG": _addsub("rn"), "ADDS_IMM3": _addsub("rn"),
+    "ADDS_IMM8": _addsub("rd"),
+    "SUBS_REG": _addsub("rn", True), "SUBS_IMM3": _addsub("rn", True),
+    "SUBS_IMM8": _addsub("rd", True),
+    "ADCS": _addsub("rd", carry=True), "SBCS": _addsub("rd", True, True),
+    "RSBS": _addsub(None, True),
+    "CMP_IMM": _addsub("rd", True, write=False),
+    "CMP_REG": _addsub("rd", True, write=False),
+    "CMP_HI": _addsub("rd", True, write=False),
+    "CMN": _addsub("rd", write=False),
+    # _logical(result from rd and the second operand, write rd?)
+    "MOVS_IMM": _logical(lambda a, b: b), "MOVS_REG": _logical(lambda a, b: b),
+    "ANDS": _logical(operator.and_), "EORS": _logical(operator.xor),
+    "ORRS": _logical(operator.or_), "BICS": _logical(lambda a, b: a & ~b),
+    "MVNS": _logical(lambda a, b: ~b), "TST": _logical(operator.and_, False),
+    "MULS": _logical(operator.mul),
+    "LSLS_IMM": _shift(_shift_lsl), "LSRS_IMM": _shift(_shift_lsr),
+    "ASRS_IMM": _shift(_shift_asr), "LSLS_REG": _shift(_shift_lsl),
+    "LSRS_REG": _shift(_shift_lsr), "ASRS_REG": _shift(_shift_asr),
+    "RORS": _shift(_shift_ror),
+    "SXTB": _extend(8, True), "SXTH": _extend(16, True),
+    "UXTB": _extend(8, False), "UXTH": _extend(16, False),
+    "MOV_HI": _h_mov_hi, "ADD_HI": _h_add_hi,
     "ADR": _h_adr, "ADD_SP_IMM8": _h_add_sp_imm8,
     "ADD_SP_IMM7": _h_add_sp_imm7, "SUB_SP_IMM7": _h_sub_sp_imm7,
-    "SXTH": _h_sxth, "SXTB": _h_sxtb, "UXTH": _h_uxth, "UXTB": _h_uxtb,
     "REV": _h_rev, "REV16": _h_rev16, "REVSH": _h_revsh,
     "HINT": _h_hint, "BKPT": _h_bkpt,
     "LDR_LIT": _h_ldr_lit,

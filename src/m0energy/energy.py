@@ -116,7 +116,7 @@ def compare_configs(results, models=None):
     """Rank configurations by predicted energy.
 
     `results` maps HardwareConfig -> (counters, cycles) from one simulation
-    per configuration.  Returns rows (config, energy_nj, time_us) sorted by
+    per timing class.  Returns rows (config, energy_nj, time_us) sorted by
     energy, ties broken by time and then by built-in table order.
     """
     by_config = {m.config: m for m in (models or builtin_models())}

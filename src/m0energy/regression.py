@@ -38,6 +38,9 @@ class RegressionDataset:
             raise DatasetError("counter matrix must be n x 6")
         if self.energies.shape != (self.counts.shape[0],):
             raise DatasetError("need one energy per counter row")
+        if not (np.isfinite(self.counts).all()
+                and np.isfinite(self.energies).all()):
+            raise DatasetError("counters and energies must be finite")
         if np.any(self.counts < 0):
             raise DatasetError("counters must be non-negative")
         if np.any(self.energies <= 0):
@@ -80,9 +83,10 @@ class CVResult:
 
 def load_dataset(path, name=None):
     """Read a `c1,..,c6,energy_nj` CSV; errors carry the offending line.
-    Latin-1 decodes any byte, so a binary file is reported as bad CSV."""
-    counts = []
-    energies = []
+    Latin-1 decodes any byte, so a binary file is reported as bad CSV, and
+    nan or inf (which float() accepts) is rejected like a non-number."""
+    rows = []
+    lines = []
     with open(path, newline="", encoding="latin-1") as fh:
         reader = csv.reader(fh)
         try:
@@ -101,12 +105,16 @@ def load_dataset(path, name=None):
                 values = [float(x) for x in row]
             except ValueError:
                 raise DatasetError("%s: line %d: non-numeric value" % (path, lineno)) from None
-            counts.append(values[:6])
-            energies.append(values[6])
-    if not counts:
+            rows.append(values)
+            lines.append(lineno)
+    if not rows:
         raise DatasetError("%s: no data rows" % path)
-    return RegressionDataset(np.array(counts), np.array(energies),
-                             name or str(path))
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DatasetError("%s: line %d: non-finite value"
+                           % (path, lines[int(np.argmin(finite))]))
+    return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
 
 
 def save_dataset(path, dataset):

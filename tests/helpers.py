@@ -243,9 +243,6 @@ class ReferenceStepper:
     def _rset(self, i, value):
         self.state.regs[i] = value & MASK32
 
-    def _set_nz(self, result):
-        self.state.n, self.state.z = bool(result >> 31), result == 0
-
     def _read(self, addr, size):
         value, stall, region = self.mem.read(addr & MASK32, size)
         self.accesses.append(("r", region, stall))

@@ -431,6 +431,22 @@ def test_fit_binary_dataset_is_a_fit_error(tmp_path, capsys):
     assert err.startswith("fit error: ") and "line 2" in err
 
 
+@pytest.mark.parametrize("column,value", [(2, "nan"), (6, "inf")])
+def test_fit_non_finite_value_is_a_fit_error(tmp_path, capsys, column, value):
+    ds = synth_dataset(seed=3, n=40, noise=0.01)
+    path = tmp_path / "data.csv"
+    save_dataset(path, ds)
+    lines = path.read_text().splitlines()
+    row = lines[30].split(",")
+    row[column] = value
+    lines[30] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["fit", str(path), "--kfold", "5"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("fit error: ") and "line 31: non-finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 def test_fit_unwritable_emit_model_fails_before_fitting(tmp_path, capsys,
                                                         monkeypatch, where):

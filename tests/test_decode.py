@@ -10,6 +10,7 @@ import random
 import pytest
 
 from m0energy import Assembler, decode, UndefinedInstructionError
+from m0energy.cpu import HANDLERS
 from m0energy.decode import control_flow, is_wide
 
 # (halfword, expected text at addr 0x08000000)
@@ -199,6 +200,26 @@ def test_sweep_all_halfwords_decode_or_reject():
             assert 0 <= v <= 0xFFFFFFFF
     # the Thumb-1 space is dense; sanity-check we decode a large share
     assert decoded > 40000
+
+
+# tried after every 32-bit prefix: missing, BL's and other 32-bit encodings
+SECOND_HALFWORDS = (None, 0x0000, 0x8F4F, 0xD000, 0xE800, 0xF800, 0xFFFF)
+
+
+def test_decoded_ops_and_handler_rows_match():
+    """Every halfword, and each 32-bit prefix with the second halfwords
+    above, decodes to an op that has a cpu.HANDLERS row or raises
+    UndefinedInstructionError (anything else fails the test), and every
+    HANDLERS row is some encoding's op."""
+    ops = set()
+    for hw in range(0x10000):
+        for hw2 in SECOND_HALFWORDS if is_wide(hw) else (None,):
+            try:
+                ops.add(decode(hw, hw2, 0x08000100).op)
+            except UndefinedInstructionError:
+                pass
+    assert sorted(ops - set(HANDLERS)) == []
+    assert sorted(set(HANDLERS) - ops) == []
 
 
 def test_decode_deterministic():

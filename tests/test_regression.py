@@ -203,6 +203,18 @@ def test_dataset_rejects_nonpositive_energy():
         RegressionDataset(np.ones((5, 6)), np.array([1.0, 2.0, 0.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("where", ["counts", "energies"])
+def test_dataset_rejects_non_finite_values(where):
+    ds = synth_dataset(seed=4, n=20)
+    counts, energies = ds.counts.copy(), ds.energies.copy()
+    if where == "counts":
+        counts[5, 2] = np.nan
+    else:
+        energies[7] = np.inf
+    with pytest.raises(DatasetError, match="finite"):
+        RegressionDataset(counts, energies)
+
+
 def test_dataset_rejects_negative_counts():
     counts = np.ones((5, 6))
     counts[0, 0] = -1
@@ -236,6 +248,20 @@ def test_csv_non_numeric_names_line(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_dataset(path)
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["1,2,nan,4,5,6,7.5", "1,2,3,4,5,6,inf",
+                                 "1,2,3,4,5,6,-inf", "1,2,3,4,5,1e400,7.5"])
+def test_csv_non_finite_value_names_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("c1,c2,c3,c4,c5,c6,energy_nj\n"
+                    "1,2,3,4,5,6,7.5\n"
+                    "\n"
+                    + row + "\n"
+                    "1,2,3,4,5,6,7.5\n")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert "line 4: non-finite value" in str(err.value)
 
 
 def test_csv_header_required(tmp_path):
