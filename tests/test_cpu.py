@@ -31,14 +31,52 @@ def single_op_sim(emit, ws=0, prefetch=False, timing=None):
                      timing=timing)
 
 
-def exec_once(sim, r0=0, r1=0, c=False, n=False, z=False, v=False):
+def set_inputs(sim, r0, r1, c, n, z, v):
     s = sim.state
     s.regs[0] = r0
     s.regs[1] = r1
     s.regs[15] = 0x08000008
     s.halted = False
+    s.cycle_count = 0
     s.c, s.n, s.z, s.v = c, n, z, v
-    return sim.step()
+
+
+def run_first_block(sim):
+    """Run the instruction at 0x08000008 through Simulator.run() as part of a
+    Flash block that the cycle budget does not cut.  A terminator is a block
+    of its own, and a budget of one cycle stops the run right after it;
+    anything else runs on through the BKPT that follows it.  Returns the
+    summary and whether that BKPT ran."""
+    mem = sim.mem
+    hw1 = mem.read_code(0x08000008)
+    hw2 = mem.read_code(0x0800000A) if is_wide(hw1) else None
+    if decode(hw1, hw2, 0x08000008).is_terminator():
+        return sim.run(max_cycles=1), False
+    return sim.run(), True
+
+
+def exec_once(sim, r0=0, r1=0, c=False, n=False, z=False, v=False):
+    """Execute the instruction at 0x08000008 from the given r0, r1 and flags,
+    once inside a block through Simulator.run() and once through step(), and
+    require both to end with the same registers, flags and counter events;
+    returns the StepResult, so a caller's oracle checks both runs."""
+    set_inputs(sim, r0, r1, c, n, z, v)
+    before = sim.counters.as_vector()
+    _summary, bkpt_ran = run_first_block(sim)
+    s = sim.state
+    ran = list(s.regs), (s.n, s.z, s.c, s.v)
+    ran_events = [x - y for x, y in zip(sim.counters.as_vector(), before)]
+    set_inputs(sim, r0, r1, c, n, z, v)
+    before = sim.counters.as_vector()
+    step = sim.step()
+    stepped = list(s.regs), (s.n, s.z, s.c, s.v)
+    step_events = [x - y for x, y in zip(sim.counters.as_vector(), before)]
+    if bkpt_ran:  # the run went on through the BKPT after the instruction
+        stepped[0][15] += 2
+        step_events[0] += 1
+    assert ran == stepped
+    assert ran_events == step_events
+    return step
 
 
 # -- reset -------------------------------------------------------------------
@@ -269,6 +307,42 @@ def test_load_store_address_width_and_extension(emitter, seed):
                                    int(not is_load), int(region == "flash")))
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("emitter", sorted(LOAD_STORE_ROWS))
+def test_load_store_rows_in_a_block(emitter, seed):
+    """The same rows, run inside a Flash block through Simulator.run()."""
+    mode, size, is_load, signed = LOAD_STORE_ROWS[emitter]
+    sim, rt, addr = load_store_case(emitter, seed)
+    stepped, _rt, _addr = load_store_case(emitter, seed)
+    stepped.step()
+    regs = list(sim.state.regs)
+    ram = bytes(sim.mem.ram)
+    summary, bkpt_ran = run_first_block(sim)
+    assert bkpt_ran and summary.exit_reason == "halt"
+    expected_regs = list(regs)
+    expected_regs[15] = regs[15] + 4
+    if is_load:
+        if mode == "lit":
+            value = LIT_VALUE
+        else:
+            value = int.from_bytes(ram[addr - RAM:addr - RAM + size], "little")
+            if signed and value >> (8 * size - 1):
+                value = (value - (1 << (8 * size))) & MASK32
+        expected_regs[rt] = value
+        assert bytes(sim.mem.ram) == ram
+    else:
+        written = (regs[rt] & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        off = addr - RAM
+        assert bytes(sim.mem.ram) == ram[:off] + written + ram[off + size:]
+    assert sim.state.regs == expected_regs
+    region = "flash" if mode == "lit" else "ram"
+    assert summary.counters.as_vector() == (
+        2, 0, 0, int(is_load and region == "ram"), int(not is_load),
+        int(region == "flash"))
+    # step() and the block agree on the cycles of the access
+    assert summary.cycle_count == stepped.state.cycle_count + 1
+
+
 def test_load_store_rows_cover_every_load_and_store_op():
     ops = set()
     for emitter in LOAD_STORE_ROWS:
@@ -467,6 +541,25 @@ def test_data_processing_and_branch_semantics(emitter, seed):
     assert step.data_accesses == []
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("emitter", sorted(SEMANTIC_ROWS))
+def test_data_processing_and_branch_semantics_in_a_block(emitter, seed):
+    """The same rows, run inside a Flash block through Simulator.run()."""
+    sim, expected, flags = semantic_case(emitter, seed)
+    ram = bytes(sim.mem.ram)
+    summary, bkpt_ran = run_first_block(sim)
+    branched = expected[15] != CODE + 2
+    if bkpt_ran:
+        expected[15] += 2
+    s = sim.state
+    assert s.regs == expected
+    assert (s.n, s.z, s.c, s.v) == flags
+    assert bytes(sim.mem.ram) == ram
+    assert s.halted == (bkpt_ran or emitter == "bkpt")
+    assert summary.counters.as_vector() == (1 + bkpt_ran, 0, int(branched),
+                                            0, 0, 0)
+
+
 # name -> whether the condition passes, as the ARM ARM states it
 COND_ORACLE = {
     "eq": lambda n, z, c, v: z,
@@ -580,6 +673,24 @@ def test_block_transfer_registers_memory_and_accesses(emitter, seed):
     loads = emitter in ("pop", "ldm")
     assert (c.c4, c.c5, c.c6) == ((len(accesses), 0, 0) if loads
                                   else (0, len(accesses), 0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("emitter", BLOCK_TRANSFER_ROWS)
+def test_block_transfer_rows_in_a_block(emitter, seed):
+    """The same rows, run inside a Flash block through Simulator.run()."""
+    sim, expected, ram, accesses, taken = block_transfer_case(emitter, seed)
+    summary, bkpt_ran = run_first_block(sim)
+    assert bkpt_ran == (not taken)
+    if bkpt_ran:
+        expected[15] += 2
+    assert sim.state.regs == expected
+    assert bytes(sim.mem.ram) == ram
+    loads = emitter in ("pop", "ldm")
+    words = len(accesses)
+    assert summary.counters.as_vector() == (
+        1 + bkpt_ran, 0, int(taken), words if loads else 0,
+        0 if loads else words, 0)
 
 
 def test_push_pop_roundtrip_and_sp():

@@ -121,6 +121,263 @@ def random_program(seed, flash_base=0x08000000):
     return a.image()
 
 
+# Every public Assembler method that emits code; the layout methods (label,
+# raw, word, image) are not emitters.
+EMITTERS = sorted(name for name in vars(Assembler) if not name.startswith("_")
+                  and name not in ("label", "raw", "word", "image"))
+LONG_BLOCKS = 3
+FAULTS = ["unmapped", "misaligned", "write-to-flash", "ldm-part-way", "udf"]
+
+
+class LongBlockProgram:
+    """Seeded straight-line blocks of 30 to 45 instructions drawn from every
+    Assembler emitter, each ended by a different kind of branch, with one
+    planted fault at a random position.
+
+    Registers: r0-r3 hold data; r4 is scratch for addresses and offsets; r5
+    points at the debug port, r6 at a table of words in Flash (loads through
+    it stall on data at one wait state), r7 at RAM; r8-r12 take MOV/ADD to a
+    high register.  Each block adds 8 to sp and takes it back.
+    `used` names the emitters called and `sizes` counts the instructions of
+    each long block.  Without `planted` the program halts."""
+
+    def __init__(self, seed, flash_base=0x08000000, planted=True):
+        self.rng = rng = random.Random("long-%d" % seed)
+        self.a = Assembler(flash_base=flash_base)
+        self.used = set()
+        self.sizes = []
+        self.trampolines = []
+        self.fault = FAULTS[seed % len(FAULTS)]
+        self.emit("ldr_lit", 7, "ram")
+        self.emit("ldr_lit", 5, "debug")
+        self.emit("adr", 6, "table")
+        for r in range(4):
+            self.emit("movs", r, rng.randrange(256))
+        fault_block = rng.randrange(LONG_BLOCKS) if planted else None
+        for k in range(LONG_BLOCKS):
+            self.long_block(k, rng.randrange(30) if k == fault_block else None)
+        self.emit("bkpt", rng.randrange(256))
+        self.tail()
+
+    def emit(self, name, *args):
+        self.used.add(name)
+        getattr(self.a, name)(*args)
+        return 1
+
+    def long_block(self, k, fault_at):
+        rng, emit = self.rng, self.emit
+        count = emit("sub_sp", 8)
+        pushed = []
+        target = rng.randint(30, 45)
+        while count < target:
+            if fault_at is not None and count >= fault_at:
+                count += self.planted_fault()
+                fault_at = None
+            elif pushed and rng.random() < 0.3:
+                count += emit("pop", sorted(rng.sample(range(4), pushed.pop())))
+            elif rng.random() < 0.08:
+                regs = sorted(rng.sample(range(4), rng.randint(1, 3)))
+                lr = rng.random() < 0.3
+                count += emit("push", regs, lr)
+                pushed.append(len(regs) + lr)
+            else:
+                count += self.straight_line()
+        for n in pushed:
+            count += emit("pop", list(range(n)))
+        count += emit("add_sp", 8)
+        self.sizes.append(count + self.terminator(k))
+        self.a.label("block%d" % (k + 1))
+
+    def straight_line(self):
+        """One instruction, or an address set-up and the access using it."""
+        rng, emit = self.rng, self.emit
+        d, m = rng.randrange(4), rng.randrange(8)
+        kind = rng.choice(["dp", "dp", "dp", "imm", "shift", "unary", "hi",
+                           "load", "load", "store", "sp", "transfer", "lit",
+                           "debug"])
+        if kind == "dp":
+            return emit(rng.choice([
+                "ands", "eors", "lsls_reg", "lsrs_reg", "asrs_reg", "adcs",
+                "sbcs", "rors", "tst", "rsbs", "cmp_reg", "cmn", "orrs",
+                "muls", "bics", "mvns", "movs_reg"]), d, m)
+        if kind == "imm":
+            name = rng.choice(["adds_reg", "subs_reg", "adds_imm3",
+                               "subs_imm3", "adds_imm8", "subs_imm8",
+                               "cmp_imm", "movs", "nop"])
+            if name.endswith("reg"):
+                return emit(name, d, m, rng.randrange(8))
+            if name.endswith("imm3"):
+                return emit(name, d, m, rng.randrange(8))
+            return emit(name) if name == "nop" else emit(name, d,
+                                                          rng.randrange(256))
+        if kind == "shift":
+            name = rng.choice(["lsls_imm", "lsrs_imm", "asrs_imm"])
+            return emit(name, d, m, rng.randint(1, 31) if name == "lsls_imm"
+                        else rng.randrange(32))
+        if kind == "unary":
+            return emit(rng.choice(["sxth", "sxtb", "uxth", "uxtb", "rev",
+                                    "rev16", "revsh"]), d, m)
+        if kind == "hi":
+            name = rng.choice(["mov_hi", "add_hi", "cmp_hi"])
+            rd = rng.choice([d, rng.randint(8, 12)])
+            return emit(name, rd, rng.choice([m, rng.randint(8, 15)]))
+        if kind == "load":
+            size = rng.choice([1, 2, 4])
+            base = rng.choice([6, 7])        # Flash table or RAM
+            offset = size * rng.randrange(16)
+            if rng.random() < 0.5:
+                name = {4: "ldr_imm", 2: "ldrh_imm", 1: "ldrb_imm"}[size]
+                return emit(name, d, base, offset)
+            name = rng.choice({4: ["ldr_reg"], 2: ["ldrh_reg", "ldrsh_reg"],
+                               1: ["ldrb_reg", "ldrsb_reg"]}[size])
+            return emit("movs", 4, offset) + emit(name, d, base, 4)
+        if kind == "store":
+            size = rng.choice([1, 2, 4])
+            offset = size * rng.randrange(16)
+            if rng.random() < 0.5:
+                name = {4: "str_imm", 2: "strh_imm", 1: "strb_imm"}[size]
+                return emit(name, m, 7, offset)
+            name = {4: "str_reg", 2: "strh_reg", 1: "strb_reg"}[size]
+            return emit("movs", 4, offset) + emit(name, m, 7, 4)
+        if kind == "sp":
+            name = rng.choice(["str_sp", "ldr_sp", "add_sp_imm8"])
+            if name == "str_sp":
+                return emit(name, m, 4 * rng.randrange(2))
+            return emit(name, d, 4 * rng.randrange(2))
+        if kind == "transfer":
+            regs = sorted(rng.sample(range(4), rng.randint(1, 4)))
+            if rng.random() < 0.5:
+                return emit("movs_reg", 4, 7) + emit("stm", 4, regs)
+            if rng.random() < 0.3:
+                regs.append(4)               # the base is loaded, no writeback
+            return emit("movs_reg", 4, rng.choice([6, 7])) + emit("ldm", 4, regs)
+        if kind == "lit":
+            return emit(rng.choice(["ldr_lit", "adr"]), d,
+                        "lit%d" % rng.randrange(4))
+        if rng.random() < 0.5:           # a byte to the debug port
+            return emit("strb_imm", m, 5, 0)
+        return emit("movs", 4, 0) + emit("strb_reg", m, 5, 4)
+
+    def planted_fault(self):
+        emit = self.emit
+        if self.fault == "unmapped":
+            return emit("ldr_lit", 4, "unmapped") + emit("ldr_imm", 0, 4, 0)
+        if self.fault == "misaligned":
+            return emit("adds_imm3", 4, 7, 2) + emit("str_imm", 1, 4, 0)
+        if self.fault == "write-to-flash":
+            return emit("strh_imm", 2, 6, 2)
+        if self.fault == "ldm-part-way":  # the last RAM word, then unmapped
+            return emit("ldr_lit", 4, "ram_end") + emit("ldm", 4, [0, 1, 2])
+        return emit("udf")
+
+    def terminator(self, k):
+        """Instructions that end long block k; control reaches block k+1."""
+        rng, emit, nxt = self.rng, self.emit, "block%d" % (k + 1)
+        kind = ["b", "bcond", "bl", "blx", "bx", "mov_pc", "add_pc"][
+            (k + rng.randrange(7)) % 7]
+        if kind == "b":
+            return emit("b", nxt)
+        if kind == "bcond":
+            name = rng.choice(["beq", "bne", "b"])
+            if name == "b":
+                return emit("b", nxt, rng.choice(
+                    ["cs", "cc", "mi", "pl", "vs", "vc", "hi", "ls", "ge",
+                     "lt", "gt", "le"]))
+            return emit(name, nxt)
+        if kind == "bl":
+            return emit("bl", rng.choice(["return_bx", "return_pop"]))
+        if kind == "blx":
+            return (emit("adr", 3, "return_bx") + emit("adds_imm8", 3, 1)
+                    + emit("blx", 3))
+        if kind in ("bx", "mov_pc"):
+            self.trampolines.append(nxt)
+            count = emit("adr", 3, "to_" + nxt) + emit("adds_imm8", 3, 1)
+            return count + (emit("bx", 3) if kind == "bx"
+                            else emit("mov_hi", 15, 3))
+        # ADD pc, r3 with r3 = 0 skips the halfword after the ADD
+        count = emit("movs", 3, 0) + emit("add_hi", 15, 3)
+        self.a.raw(0xDE00)                     # skipped: UDF
+        return count
+
+    def tail(self):
+        a, rng = self.a, self.rng
+        a.word(0xE7FEE7FE, label="pad0")       # aligns the functions
+        a.label("return_bx")
+        self.emit("eors", 0, 1)
+        self.emit("bx", 14)
+        a.word(0xE7FEE7FE, label="pad1")
+        a.label("return_pop")
+        self.emit("push", [1], True)
+        self.emit("adds_imm8", 1, 3)
+        self.emit("pop", [1], True)
+        for nxt in self.trampolines:           # word-aligned, for ADR
+            a.word(0xE7FEE7FE)
+            a.label("to_" + nxt)
+            a.b(nxt)
+        for name, value in (("ram", 0x20000100), ("debug", 0x40000000),
+                            ("unmapped", 0x30000000), ("ram_end", 0x20001FFC)):
+            a.word(value, label=name)
+        for k in range(4):
+            a.word(rng.getrandbits(32), label="lit%d" % k)
+        a.word(rng.getrandbits(32), label="table")
+        for _ in range(63):
+            a.word(rng.getrandbits(32))
+
+    def image(self):
+        return self.a.image()
+
+
+LONG_SEEDS = range(20)
+
+
+def test_long_block_programs_use_every_emitter():
+    used = set()
+    for seed in LONG_SEEDS:
+        program = LongBlockProgram(seed)
+        used |= program.used
+        assert len(program.sizes) == LONG_BLOCKS
+        assert min(program.sizes) >= 30
+    assert sorted(used) == EMITTERS
+
+
+@pytest.mark.parametrize("planted", [True, False], ids=["fault", "halt"])
+@pytest.mark.parametrize("flash_base", [0x08000000, 0], ids=["flash", "alias"])
+@pytest.mark.parametrize("seed", LONG_SEEDS)
+@pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
+def test_long_block_programs_match_reference(seed, ws, prefetch, _key,
+                                             flash_base, planted):
+    image = LongBlockProgram(seed, flash_base, planted).image()
+    summary = assert_same_run(image, ws, prefetch)
+    assert summary.exit_reason.startswith("fault: ") == planted
+    assert summary.exit_reason == "halt" or planted
+
+
+@pytest.mark.parametrize("flash_base", [0x08000000, 0], ids=["flash", "alias"])
+@pytest.mark.parametrize("seed,planted", [(seed, True) for seed in range(5)]
+                         + [(seed, False) for seed in range(3)])
+@pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
+def test_long_block_every_budget_cut_matches_reference(seed, planted, ws,
+                                                       prefetch, _key,
+                                                       flash_base):
+    """Every cut, then a resume.  One reference stepper advances from cut to
+    cut: a run to budget b+1 continues the run to budget b."""
+    image = LongBlockProgram(seed, flash_base, planted).image()
+    end = ReferenceStepper(image, wait_states=ws, prefetch=prefetch)
+    end_reason = end.run()
+    end_state = machine_state(end)
+    ref = ReferenceStepper(image, wait_states=ws, prefetch=prefetch)
+    reason = "cycle-budget"
+    for budget in range(end.state.cycle_count + 2):
+        if reason == "cycle-budget":
+            reason = ref.run(budget)
+        sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+        assert sim.run(max_cycles=budget).exit_reason == reason, budget
+        assert machine_state(sim) == machine_state(ref), budget
+        assert sim.run().exit_reason == end_reason
+        assert machine_state(sim) == end_state, budget
+    assert reason == end_reason
+
+
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
 def test_kernels_match_reference(name, ws, prefetch, _key):
