@@ -107,11 +107,20 @@ def _scalar_text(v):
     return str(v)
 
 
-def _emit(report, fmt):
-    if fmt == "text":
-        print("\n".join(render_text(report)))
-    else:
-        print(to_json(report))
+def _emit(report, fmt, command, code=0):
+    """Print the report and return the exit code `code`, or 1 with a
+    message when stdout cannot be written."""
+    try:
+        print("\n".join(render_text(report)) if fmt == "text"
+              else to_json(report))
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit
+        sys.stdout = open(os.devnull, "w")
+        print("%s error: cannot write report: %s" % (command, exc),
+              file=sys.stderr)
+        return 1
+    return code
 
 
 # -- shared report pieces -------------------------------------------------
@@ -231,9 +240,9 @@ def _run(args, parser, data):
         comparison = [{"config": c.label(), "energy_nj": e, "time_us": t}
                       for c, e, t in compare_configs(results,
                                                      model_file_models)]
-        _emit({"image": _image_info(args.image, data), "runs": reports,
-               "comparison": comparison}, args.format)
-        return 0 if ok else 1
+        return _emit({"image": _image_info(args.image, data), "runs": reports,
+                      "comparison": comparison}, args.format, "run",
+                     0 if ok else 1)
 
     config = _config_from_args(args, parser)
     if model_file_models is not None and not any(
@@ -246,13 +255,17 @@ def _run(args, parser, data):
         except OSError as exc:
             parser.error("cannot write trace: %s" % exc)
     try:
-        sim, summary = _simulate(data, config, args, trace_fh)
-    finally:
-        if trace_fh:
-            trace_fh.close()
-    _emit(_run_report(args.image, data, config, sim, summary,
-                      model_file_models), args.format)
-    return 0 if summary.exit_reason == "halt" else 1
+        try:
+            sim, summary = _simulate(data, config, args, trace_fh)
+        finally:
+            if trace_fh:
+                trace_fh.close()
+    except OSError as exc:
+        print("run error: cannot write trace: %s" % exc, file=sys.stderr)
+        return 1
+    return _emit(_run_report(args.image, data, config, sim, summary,
+                             model_file_models), args.format, "run",
+                 0 if summary.exit_reason == "halt" else 1)
 
 
 # -- analyze ------------------------------------------------------------------
@@ -302,8 +315,7 @@ def cmd_analyze(args, parser):
         "entry": "0x%08x" % (entry & ~1),
         "blocks": [_block_dict(b) for b in graph.sorted_blocks()],
     }
-    _emit(report, args.format)
-    return 0
+    return _emit(report, args.format, "analysis")
 
 
 # -- fit ---------------------------------------------------------------------
@@ -342,8 +354,7 @@ def cmd_fit(args, parser):
         except OSError as exc:
             parser.error("cannot write model: %s" % exc)
         report["model_file"] = args.emit_model
-    _emit(report, args.format)
-    return 0
+    return _emit(report, args.format, "fit")
 
 
 # -- argument plumbing ------------------------------------------------------

@@ -19,34 +19,56 @@ Base cycle costs before memory stalls (data-driven, override via the
 
 Fetch and Flash data stalls from the memory system are added on top.
 
-Data processing is four handler families, and each `HANDLERS` row binds one
-to an op's operands: `_addsub` (the one place add, subtract and compare set
-N, Z, C and V), `_logical`, `_shift` and `_extend`.  `_extend_bits` is the
-one sign/zero-extension rule, shared by loads, SXT*/UXT* and REVSH.
+Every op's semantics are written once, as a source template in `TEMPLATES`:
+Python statements over the registers r0..r14 and the flags n, z, c, v as
+locals, with the instruction's operands filled in as constants (a read of pc
+is the instruction's address plus 4).  A branch assigns the local `pc`; a
+data access is a `READ(address, size)` or `WRITE(address, size, value)`
+line.  Shared fragments keep each rule in one place: `_addsub` is the one
+place add, subtract and compare set N, Z, C and V, `_SHIFTERS` states each
+shift's carry once, and `_extend` is the one sign/zero-extension rule.
 
 Execution runs on a translation cache, in the manner of QEMU's translation
 blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is decoded once, up to and including its
-terminator (`decode.control_flow`, the one block-end rule), into
-entries that carry the handler, the instruction, its base cycles with the
-timing class fixed at decode time (so `timing` is read once, at
-translation), and the Flash words whose fetch can stall.  Inside a block
-every fetch is sequential, so the word the fetch unit holds is known at
-translation time: `FetchUnit.stall_for` is called only when a fetch leaves
-the held word or follows a taken branch, and never at zero wait states,
-where no fetch stalls.  c1, c2 and the histogram are tallied once per
-executed block, c3 and the fetch stalls per instruction, in locals that
-are folded into the counters when `run` or `step` returns; c4..c6 and the
-Flash data stalls are counted where the access happens.  Only Flash is
-cached: it cannot be written, so its translations never go stale.  RAM
-code may modify itself, so each RAM instruction is fetched and decoded
-afresh every time it runs.
+terminator (`decode.control_flow`, the one block-end rule), into entries
+that carry the instruction, its base cycles with the timing class fixed at
+decode time, and the Flash words whose fetch can stall.  The first time the
+block runs, its templates are generated into one Python function and
+compiled (after QEMU's TCG): registers and flags stay in locals, a pc read
+is a constant, base cycles are summed where nothing can observe them, and a
+RAM access is one bounds and alignment compare and a slice of `mem.ram`.
+Every other access goes through `MemorySystem.read`/`write`, so faults and
+their messages are the memory system's; a literal load from Flash is folded
+to a constant, because Flash cannot be written.  Compiled functions are
+cached by their source text, so the simulators of a `--sweep` share them.
 
-An instruction commits on completion: one that faults adds no counter
-event and no cycles.  A single data access raises before it counts; block
-transfers (PUSH/POP/LDM/STM) roll back the events of the words they did
-transfer.  Register and memory writes made before the fault are not
-undone.  `StepResult` records are built only for `step()` and `on_step`.
+A block runs compiled only when the cycle budget cannot cut it: `now` plus
+its worst case before the last instruction (taken-branch base cycles, plus
+the wait states of each Flash word a fetch or a data read could touch) is
+still below the budget.  Otherwise, and for `step()`, `on_step` and code in
+RAM, it runs one instruction at a time through `HANDLERS`, the
+one-instruction functions generated from the same templates, which reach
+memory only through `_read`/`_write` (so `--trace` sees every access).
+The budget is checked before every instruction there, so every cut lands
+where a one-instruction-at-a-time run would put it.
+
+Inside a block every fetch is sequential, so the word the fetch unit holds
+is known at translation time: `FetchUnit.stall_for` is called only when a
+fetch leaves the held word or follows a taken branch, and never at zero
+wait states, where no fetch stalls.  c1, c2 and the histogram are counted
+per block entry and folded into the counters when `run` or `step` returns;
+c3..c6 and the stalls are counted as they happen.  Only Flash is cached: it
+cannot be written, so its translations never go stale.  RAM code may
+modify itself, so each RAM instruction is fetched and decoded afresh every
+time it runs.
+
+An instruction commits on completion: one that faults adds no counter event
+and no cycles, and pc is left at its address.  A single data access raises
+before it counts; a block transfer (PUSH/POP/LDM/STM) counts its words only
+when all of them are done.  Register and memory writes made before the
+fault are not undone.  `StepResult` records are built only for `step()`
+and `on_step`.
 
 BX, BLX and POP into pc are interworking branches: bit 0 of the target is
 the Thumb bit.  A clear bit would select ARM state, which ARMv6-M lacks, so
@@ -59,13 +81,14 @@ A simulator instance is single-threaded; distinct instances are
 independent.
 """
 
-import operator
+import re
 from dataclasses import dataclass, field
 
 from . import decode as dec
 from .counters import EventCounters
 from .errors import InvalidStateFault, M0EnergyError
-from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, MemorySystem)
+from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, RAM_BASE,
+                     MemorySystem)
 
 MASK32 = 0xFFFFFFFF
 
@@ -137,6 +160,344 @@ class RunSummary:
     steps: int = 0
 
 
+# -- templates: the one statement of each op's semantics ----------------------
+
+def _nz(x):
+    return "n = %s > 0x7FFFFFFF\nz = %s == 0" % (x, x)
+
+
+def _addsub(first, second, subtract=False, carry=False, write=True):
+    """ADDS, SUBS, ADCS, SBCS, RSBS, CMP and CMN: first + second (inverted
+    for a subtraction) + carry-in, the carry-in being C when `carry`, else 1
+    for a subtraction and 0 for an addition; `write` stores the result in
+    rd.  The one place N, Z, C and V are computed."""
+    x = "{rd}" if write else "_x"
+    cin = " + c" if carry else " + 1" if subtract else ""
+    return "\n".join([
+        "_a = " + first,
+        "_b = " + second + (" ^ 0xFFFFFFFF" if subtract else ""),
+        "_t = _a + _b" + cin,
+        x + " = _t & 0xFFFFFFFF",
+        _nz(x),
+        "c = _t > 0xFFFFFFFF",
+        "v = (_a ^ %s) & (_b ^ %s) > 0x7FFFFFFF" % (x, x)])
+
+
+def _logical(expr, write=True):
+    """MOVS, ANDS, EORS, ORRS, BICS, MVNS, TST and MULS: N and Z from the
+    result; C and V are kept."""
+    x = "{rd}" if write else "_x"
+    return "%s = %s\n%s" % (x, expr, _nz(x))
+
+
+# Each shift of %(v)s by %(s)s, an amount from 1 up, into rd, with C the
+# last bit shifted out (ROR: bit 31 of the result).
+_SHIFTERS = {
+    "lsl": "_v = %(v)s << %(s)s\nc = _v >> 32 & 1 == 1\n"
+           "{rd} = _v & 0xFFFFFFFF",
+    "lsr": "c = %(v)s >> (%(s)s - 1) & 1 == 1\n{rd} = %(v)s >> %(s)s",
+    "asr": "_v = %(v)s - (%(v)s >> 31 << 32)\n"
+           "c = _v >> (%(s)s - 1) & 1 == 1\n{rd} = _v >> %(s)s & 0xFFFFFFFF",
+    "ror": "{rd} = %(v)s >> (%(s)s & 31) | %(v)s << (32 - (%(s)s & 31)) "
+           "& 0xFFFFFFFF\nc = {rd} > 0x7FFFFFFF",
+}
+
+
+def _shift(kind, register=False):
+    """LSLS, LSRS and ASRS by `imm` shift rm into rd; the register forms
+    and RORS shift rd in place by the low byte of rm, and an amount of 0
+    keeps C.  N and Z come from the result."""
+    if not register:
+        body = _SHIFTERS[kind] % {"v": "{rm}", "s": "{imm}"}
+    else:
+        body = "_s = {rm} & 255\nif _s:\n    " + (
+            _SHIFTERS[kind] % {"v": "{rd}", "s": "_s"}).replace("\n", "\n    ")
+    return body + "\n" + _nz("{rd}")
+
+
+def _extend(value, bits, signed=True):
+    """The low `bits` of value, sign-extended when `signed`, as 32 bits: the
+    one extension rule, for loads, SXT*/UXT* and REVSH."""
+    mask = (1 << bits) - 1
+    if not signed:
+        return "%s & %#x" % (value, mask)
+    sign = 1 << (bits - 1)
+    return "((%s & %#x ^ %#x) - %#x) & 0xFFFFFFFF" % (value, mask, sign, sign)
+
+
+def _load(offset, size, signed=False):
+    """Register, immediate and SP-relative loads: `rn` plus `offset`."""
+    src = "{rt} = READ({rn} + %s, %d)" % (offset, size)
+    if signed:
+        src += "\n{rt} = " + _extend("{rt}", 8 * size)
+    return src
+
+
+def _store(offset, size):
+    """The low `size` bytes of rt to `rn` plus `offset`."""
+    return "WRITE({rn} + %s, %d, {rt})" % (offset, size)
+
+
+# The condition of each BCOND cond field, over the flags.
+_CONDITIONS = ("z", "not z", "c", "not c", "n", "not n", "v", "not v",
+               "c and not z", "not c or z", "n == v", "n != v",
+               "not z and n == v", "z or n != v")
+
+# Template per form (`_form`): a source string, or for a register-list op a
+# (head, word, tail) triple whose word repeats for each listed register
+# ({reg}, {off} bytes into the transfer; {bytes} is the whole transfer).
+# An interworking branch assigns pc the target with bit 0 flipped: a target
+# with the Thumb bit clear leaves pc odd, which raises INVSTATE before the
+# next instruction executes.
+TEMPLATES = {
+    "ADDS_REG": _addsub("{rn}", "{rm}"),
+    "ADDS_IMM3": _addsub("{rn}", "{imm}"),
+    "ADDS_IMM8": _addsub("{rd}", "{imm}"),
+    "SUBS_REG": _addsub("{rn}", "{rm}", True),
+    "SUBS_IMM3": _addsub("{rn}", "{imm}", True),
+    "SUBS_IMM8": _addsub("{rd}", "{imm}", True),
+    "ADCS": _addsub("{rd}", "{rm}", carry=True),
+    "SBCS": _addsub("{rd}", "{rm}", True, True),
+    "RSBS": _addsub("0", "{rm}", True),
+    "CMP_IMM": _addsub("{rd}", "{imm}", True, write=False),
+    "CMP_REG": _addsub("{rd}", "{rm}", True, write=False),
+    "CMP_HI": _addsub("{rd}", "{rm}", True, write=False),
+    "CMN": _addsub("{rd}", "{rm}", write=False),
+    "MOVS_IMM": _logical("{imm}"),
+    "MOVS_REG": _logical("{rm}"),
+    "ANDS": _logical("{rd} & {rm}"),
+    "EORS": _logical("{rd} ^ {rm}"),
+    "ORRS": _logical("{rd} | {rm}"),
+    "BICS": _logical("{rd} & ~{rm}"),
+    "MVNS": _logical("{rm} ^ 0xFFFFFFFF"),
+    "TST": _logical("{rd} & {rm}", write=False),
+    "MULS": _logical("{rd} * {rm} & 0xFFFFFFFF"),
+    "LSLS_IMM": _shift("lsl"),
+    "LSRS_IMM": _shift("lsr"),
+    "ASRS_IMM": _shift("asr"),
+    "LSLS_REG": _shift("lsl", True),
+    "LSRS_REG": _shift("lsr", True),
+    "ASRS_REG": _shift("asr", True),
+    "RORS": _shift("ror", True),
+    "SXTB": "{rd} = " + _extend("{rm}", 8),
+    "SXTH": "{rd} = " + _extend("{rm}", 16),
+    "UXTB": "{rd} = " + _extend("{rm}", 8, False),
+    "UXTH": "{rd} = " + _extend("{rm}", 16, False),
+    "REV": "{rd} = {rm} >> 24 | {rm} >> 8 & 0xFF00 | {rm} << 8 & 0xFF0000 "
+           "| {rm} << 24 & 0xFF000000",
+    "REV16": "{rd} = {rm} << 8 & 0xFF00FF00 | {rm} >> 8 & 0xFF00FF",
+    "REVSH": "{rd} = " + _extend("({rm} << 8 & 0xFF00 | {rm} >> 8 & 0xFF)",
+                                 16),
+    "MOV_HI": "{rd} = {rm}",
+    "MOV_HI pc": "pc = {rm} & 0xFFFFFFFE",
+    "ADD_HI": "{rd} = ({rd} + {rm}) & 0xFFFFFFFF",
+    "ADD_HI pc": "pc = ({rd} + {rm}) & 0xFFFFFFFE",
+    "ADR": "{rd} = {lit_addr}",
+    "ADD_SP_IMM8": "{rd} = (r13 + {imm}) & 0xFFFFFFFF",
+    "ADD_SP_IMM7": "r13 = (r13 + {imm}) & 0xFFFFFFFF",
+    "SUB_SP_IMM7": "r13 = (r13 - {imm}) & 0xFFFFFFFF",
+    "HINT": "",
+    "BKPT": "S.halted = True",
+    "LDR_LIT": "{rt} = READ({lit_addr}, 4)",
+    "LDR_REG": _load("{rm}", 4),
+    "LDRH_REG": _load("{rm}", 2),
+    "LDRB_REG": _load("{rm}", 1),
+    "LDRSB_REG": _load("{rm}", 1, True),
+    "LDRSH_REG": _load("{rm}", 2, True),
+    "LDR_IMM": _load("{imm}", 4),
+    "LDRH_IMM": _load("{imm}", 2),
+    "LDRB_IMM": _load("{imm}", 1),
+    "LDR_SP": _load("{imm}", 4),
+    "STR_REG": _store("{rm}", 4),
+    "STRH_REG": _store("{rm}", 2),
+    "STRB_REG": _store("{rm}", 1),
+    "STR_IMM": _store("{imm}", 4),
+    "STRH_IMM": _store("{imm}", 2),
+    "STRB_IMM": _store("{imm}", 1),
+    "STR_SP": _store("{imm}", 4),
+    "PUSH": ("r13 = (r13 - {bytes}) & 0xFFFFFFFF",
+             "WRITE(r13 + {off}, 4, {reg})", ""),
+    "POP": ("", "{reg} = READ(r13 + {off}, 4)",
+            "r13 = (r13 + {bytes}) & 0xFFFFFFFF"),
+    "POP pc": ("", "{reg} = READ(r13 + {off}, 4)",
+               "r13 = (r13 + {bytes}) & 0xFFFFFFFF\npc ^= 1"),
+    "LDM": ("_p = {rn}", "{reg} = READ(_p + {off}, 4)",
+            "{rn} = (_p + {bytes}) & 0xFFFFFFFF"),
+    "LDM base": ("_p = {rn}", "{reg} = READ(_p + {off}, 4)", ""),
+    "STM": ("_p = {rn}", "WRITE(_p + {off}, 4, {reg})",
+            "{rn} = (_p + {bytes}) & 0xFFFFFFFF"),
+    "BCOND": "if {cond}:\n    pc = {target}",
+    "B": "pc = {target}",
+    "BL": "r14 = {next} | 1\npc = {target}",
+    "BX": "pc = {rm} ^ 1",
+    "BLX": "_v = {rm}\nr14 = {next} | 1\npc = _v ^ 1",
+}
+
+
+def _form(ins):
+    """The TEMPLATES key of `ins`: its op, or for a MOV/ADD into pc, a POP
+    into pc or an LDM that loads its base register, the op and that form."""
+    op, f = ins.op, ins.fields
+    if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15 or op == "POP" and f["pc"]:
+        return op + " pc"
+    if op == "LDM" and not f["wback"]:
+        return "LDM base"
+    return op
+
+
+_SOURCES = {}  # (address, encoding) -> _source(ins)
+
+
+def _source(ins):
+    """(lines, names, accesses, branches) of `ins`: its template's lines with
+    the operands filled in, the registers and flags they use, how many
+    READ/WRITE lines they hold and whether they assign pc."""
+    key = ins.addr, ins.raw
+    cached = _SOURCES.get(key)
+    if cached is not None:
+        return cached
+    f = ins.fields
+    operands = {"next": "%#x" % (ins.addr + ins.size)}
+    for name, value in f.items():
+        if name in ("rd", "rn", "rm", "rt"):
+            operands[name] = ("%#x" % (ins.addr + 4) if value == 15
+                              else "r%d" % value)
+        elif name == "cond":
+            operands[name] = _CONDITIONS[value]
+        elif name in ("imm", "lit_addr", "target"):
+            operands[name] = "%#x" % value
+    template = TEMPLATES[_form(ins)]
+    if isinstance(template, str):
+        lines = template.format_map(operands).splitlines()
+    else:
+        head, word, tail = template
+        regs = f["regs"] + ([15] if f.get("pc") else [])
+        operands["bytes"] = "%#x" % (4 * len(regs))
+        lines = (head.format_map(operands).splitlines()
+                 + [word.format(reg="pc" if r == 15 else "r%d" % r,
+                                off="%#x" % (4 * i), **operands)
+                    for i, r in enumerate(regs)]
+                 + tail.format_map(operands).splitlines())
+    code = "\n".join(lines)
+    names = set(re.findall(r"\b(r\d+|[nzcv])\b", code))
+    cached = _SOURCES[key] = (
+        lines, names, code.count("READ(") + code.count("WRITE("),
+        re.search(r"^\s*pc \^?=", code, re.M) is not None)
+    return cached
+
+
+# -- code generation ------------------------------------------------------------
+
+_READ = re.compile(r"(\s*)(\w+) = READ\((.+), (\d)\)$")
+_WRITE = re.compile(r"(\s*)WRITE\((.+), (\d), (\w+)\)$")
+_CODE = {}      # generated source text -> compiled function
+_STEPS = {}     # (address, encoding) -> one-instruction function
+_ACCESSES = {}  # (line, RAM size, in a transfer) -> _access lines
+
+
+def _compile(source):
+    fn = _CODE.get(source)
+    if fn is None:
+        namespace = {"_fb": int.from_bytes}
+        exec(compile(source, "<m0energy>", "exec"), namespace)
+        fn = _CODE[source] = namespace["fn"]
+    return fn
+
+
+def _function(signature, prologue, body, names, epilogue):
+    """A function that loads the registers and flags in `names` into
+    locals, runs `body`, and stores them back even when it raises."""
+    used = sorted(names, key=lambda x: "nzcv".find(x) if len(x) == 1
+                  else int(x[1:]) - 16)
+    load = ["%s = %s" % (x, "S." + x if len(x) == 1 else "R[%s]" % x[1:])
+            for x in used]
+    store = ["%s = %s" % (x.split(" = ")[1], x.split(" = ")[0]) for x in load]
+    lines = (["def fn(%s):" % signature]
+             + ["    " + line for line in prologue + load + ["try:"]]
+             + ["        " + line for line in body or ["pass"]]
+             + ["    finally:"]
+             + ["        " + line for line in store + epilogue[0] or ["pass"]]
+             + ["    " + line for line in epilogue[1]])
+    return "\n".join(lines) + "\n"
+
+
+def _handler(sim, ins):
+    """Every op's HANDLERS entry: runs `ins` through the one-instruction
+    function generated from its template on first use.  It reaches memory
+    only through `sim._read` and `sim._write`, assigns `sim.state.regs[15]`
+    when it branches, and returns whether it did."""
+    key = ins.addr, ins.raw
+    fn = _STEPS.get(key)
+    if fn is None:
+        lines, names, _accesses, _branches = _source(ins)
+        body = [line.replace("READ(", "sim._read(").replace("WRITE(",
+                                                            "sim._write(")
+                for line in lines]
+        fn = _STEPS[key] = _compile(_function(
+            "sim, ins", ["S = sim.state", "R = S.regs", "pc = None"], body,
+            names, ([], ["if pc is None:", "    return False", "R[15] = pc",
+                         "return True"])))
+    return fn(sim, ins)
+
+
+HANDLERS = dict.fromkeys((form.split()[0] for form in TEMPLATES), _handler)
+
+
+def _access(line, mem, words):
+    """Block code for a template line: a READ or WRITE line becomes the RAM
+    fast path inline and the rest through `MemorySystem.read`/`write`.  A
+    single access counts its event where it happens; the `words` of a block
+    transfer count in `_f` (those not in RAM) and `_fw` (their stalls),
+    folded in on completion."""
+    match = _READ.match(line) or _WRITE.match(line)
+    if match is None:
+        return [line]
+    indent = match.group(1)
+    if match.re is _READ:
+        _, target, addr, size = match.groups()
+        if addr.startswith("0x"):
+            try:  # a literal: a constant if in Flash, which is never written
+                value, stall, region = mem.read(int(addr, 16), int(size))
+            except M0EnergyError:
+                region = None
+            if region == "flash":
+                return [indent + s for s in ("%s = %#x" % (target, value),
+                                             "c6 += 1", "t += %d" % stall)
+                        if s != "t += 0"]
+    key = line, mem.ram_size, words
+    cached = _ACCESSES.get(key)
+    if cached is not None:
+        return cached
+    if match.re is _WRITE:
+        _, addr, size, value = match.groups()
+    size = int(size)
+    span = "ram[_o:_o + %d]" % size
+    check = "if 0 <= _o <= %d%s:" % (mem.ram_size - size, " and not _o & %d"
+                                     % (size - 1) if size > 1 else "")
+    slow = "(%s) & 0xFFFFFFFF, %d" % (addr, size)
+    if match.re is _READ:
+        fast = "ram[_o]" if size == 1 else "_fb(%s, 'little')" % span
+        lines = ["_o = %s - %#x" % (addr, RAM_BASE), check,
+                 "    %s = %s" % (target, fast)]
+        lines += [] if words else ["    c4 += 1"]
+        lines += ["else:", "    %s, _w, _g = read(%s)" % (target, slow)]
+        lines += (["    if _g != 'ram':", "        _f += 1", "        _fw += _w"]
+                  if words else
+                  ["    if _g == 'ram':", "        c4 += 1", "    else:",
+                   "        c6 += 1", "        t += _w"])
+    else:
+        fast = ("ram[_o] = %s & 0xFF" % value if size == 1 else
+                "%s = (%s & %#x).to_bytes(%d, 'little')"
+                % (span, value, (1 << 8 * size) - 1, size))
+        lines = ["_o = %s - %#x" % (addr, RAM_BASE), check, "    " + fast]
+        lines += ([f"elif write({slow}, {value})[1] != 'ram':", "    _f += 1"]
+                  if words else
+                  ["    c5 += 1", f"elif write({slow}, {value})[1] == 'ram':",
+                   "    c5 += 1"])
+    cached = _ACCESSES[key] = [indent + line for line in lines]
+    return cached
+
+
 class _Block:
     """Straight-line code decoded once.
 
@@ -144,21 +505,21 @@ class _Block:
     address, base cycles if not taken, base cycles if taken, Flash words
     fetched with a possible stall, index in the block).  `word` is the
     Flash word of the first fetch, checked against the fetch unit on entry
-    (None when no fetch can stall); `end` is the fall-through pc.  `mix`
-    and `muls` are what one full execution adds to the histogram and c2.
+    (None when no fetch can stall); `end` is the fall-through pc.  `worst`
+    is the most cycles the block can take before its last instruction,
+    after the entry stall (None for RAM code, which is never compiled);
+    `code` is its compiled function, and `runs` counts its compiled runs
+    not yet folded into the counters.
     """
-    __slots__ = ("entries", "word", "end", "mix", "muls")
+    __slots__ = ("entries", "word", "end", "worst", "code", "runs")
 
-    def __init__(self, entries, word, end):
+    def __init__(self, entries, word, end, worst):
         self.entries = entries
         self.word = word
         self.end = end
-        mix = {}
-        for entry in entries:
-            mnemonic = entry[1].mnemonic
-            mix[mnemonic] = mix.get(mnemonic, 0) + 1
-        self.mix = tuple(mix.items())
-        self.muls = mix.get("MULS", 0)
+        self.worst = worst
+        self.code = None
+        self.runs = 0
 
 
 class _StepDone(Exception):
@@ -179,34 +540,12 @@ def _timing_class(ins, t):
     return n, n
 
 
-def _cond_passed(cond, s):
-    if cond == 0:
-        return s.z
-    if cond == 1:
-        return not s.z
-    if cond == 2:
-        return s.c
-    if cond == 3:
-        return not s.c
-    if cond == 4:
-        return s.n
-    if cond == 5:
-        return not s.n
-    if cond == 6:
-        return s.v
-    if cond == 7:
-        return not s.v
-    if cond == 8:
-        return s.c and not s.z
-    if cond == 9:
-        return not s.c or s.z
-    if cond == 10:
-        return s.n == s.v
-    if cond == 11:
-        return s.n != s.v
-    if cond == 12:
-        return not s.z and s.n == s.v
-    return s.z or s.n != s.v  # LE
+def _data_words(ins):
+    """How many data words `ins` reads, each of which could be in Flash."""
+    f = ins.fields
+    if ins.op in ("POP", "LDM"):
+        return len(f["regs"]) + bool(f.get("pc"))
+    return 1 if ins.op in dec.LOAD_OPS else 0
 
 
 class Simulator:
@@ -241,17 +580,7 @@ class Simulator:
         self.mem.debug_output.clear()
         self._sequential = False
 
-    # -- register helpers ---------------------------------------------------
-
-    def _rget(self, i):
-        if i == 15:
-            return (self.state.regs[15] + 4) & MASK32
-        return self.state.regs[i]
-
-    def _rset(self, i, value):
-        self.state.regs[i] = value & MASK32
-
-    # -- memory helpers: count c4..c6 and Flash data stalls in place ----------
+    # -- memory helpers for HANDLERS: count c4..c6 and Flash data stalls --------
 
     def _read(self, addr, size):
         addr &= MASK32
@@ -275,9 +604,6 @@ class Simulator:
         if self._accesses is not None:
             self._accesses.append((addr, size, "w", region))
 
-    def _branch(self, target):
-        self.state.pc = target
-
     # -- translation ----------------------------------------------------------
 
     def _translate(self, pc):
@@ -293,10 +619,11 @@ class Simulator:
             raise InvalidStateFault(pc ^ 1)
         mem = self.mem
         kind = mem.region(pc)
-        stalls = mem.wait_states != 0 and kind != "ram"
+        ws = mem.wait_states if kind != "ram" else 0
         held = None          # Flash word held after the previous fetch
         first_word = None
         entries = []
+        worst = 0
         addr = pc
         while True:
             if entries and mem.region(addr) != kind:
@@ -310,7 +637,7 @@ class Simulator:
                     break
                 raise
             words = []
-            if stalls:
+            if ws:
                 for half in range(addr, addr + ins.size, 2):
                     word = mem.fetch_word(half)
                     if word != held:
@@ -319,15 +646,93 @@ class Simulator:
                 if not entries:
                     first_word = words.pop(0)
             base, base_taken = _timing_class(ins, self.timing)
+            if entries:  # the worst case before the last instruction
+                worst += entries[-1][4] + ws * (len(entries[-1][5])
+                                                + _data_words(entries[-1][1]))
             entries.append((HANDLERS[ins.op], ins, addr, base, base_taken,
                             tuple(words), len(entries)))
             addr += ins.size
             if ins.is_terminator() or kind == "ram":
                 break
-        block = _Block(entries, first_word, addr)
-        if kind != "ram":
-            self._blocks[pc] = block
+        if kind == "ram":
+            return _Block(entries, None, addr, None)
+        block = self._blocks[pc] = _Block(entries, first_word, addr, worst)
         return block
+
+    def _compile(self, block):
+        """Generate and compile `block`'s function, fn(S, R, C, ram, read,
+        write, F, t, st) over the state, its registers, the counters, the
+        RAM, `MemorySystem.read`/`write` and the fetch unit: it runs the
+        block from cycle t with entry stall st, folds its events into the
+        state and counters, sets pc and returns whether the block's branch
+        was taken."""
+        mem = self.mem
+        fetch_unit = mem.fetch_unit
+        body = []
+        names = set()
+        pending = 0   # base cycles not yet added to t
+        last = len(block.entries) - 1
+        for _h, ins, addr, base, base_taken, words, k in block.entries:
+            lines, used, accesses, branches = _source(ins)
+            names |= used
+            stalls = words or (k == 0 and block.word is not None)
+            branches = branches and k == last
+            body.append("# %08x  %s" % (addr, ins.text))
+            if (stalls or accesses) and pending:
+                body.append("t += %d" % pending)
+                pending = 0
+            if stalls:
+                body.append("stall = st" if k == 0 and block.word is not None
+                            else "stall = 0")
+                for word in words:
+                    body += fetch_unit.block_fetch_source(word)
+            if accesses:  # a fault leaves pc here
+                body.append("R[15] = %#x" % addr)
+            if accesses > 1:
+                body.append("_f = _fw = 0")
+            if branches:
+                body.append("pc = None")
+            for line in lines:
+                body += _access(line, mem, accesses > 1)
+            if accesses > 1 and any("READ(" in line for line in lines):
+                body += ["c4 += %d - _f" % accesses, "c6 += _f", "t += _fw"]
+            elif accesses > 1:
+                body.append("c5 += %d - _f" % accesses)
+            elapsed = " + stall" if stalls else ""
+            if stalls:
+                body.append("fs += stall")
+            if k < last:
+                if stalls:
+                    body.append("t += %d%s" % (pending + base, elapsed))
+                    pending = 0
+                else:
+                    pending += base
+            elif branches:
+                body += ["if pc is None:",
+                         "    pc = %#x" % block.end,
+                         "    tk = False",
+                         "    t += %d%s" % (pending + base, elapsed),
+                         "else:",
+                         "    tk = True",
+                         "    t += %d%s" % (pending + base_taken, elapsed)]
+            else:
+                body += ["pc = %#x" % block.end, "tk = False",
+                         "t += %d%s" % (pending + base, elapsed)]
+        counts = [name for name in ("c4", "c5", "c6", "fs")
+                  if any(line.lstrip().startswith(name + " +=")
+                         for line in body)]
+        prologue = ["%s = 0" % name for name in counts]
+        epilogue = ["S.cycle_count = t"] + [
+            "C.%s += %s" % ("fetch_stall_cycles" if name == "fs" else name,
+                            name) for name in counts]
+        if any(entry[5] for entry in block.entries):
+            load, store = fetch_unit.block_state_source()
+            prologue += load
+            epilogue += store
+        block.code = _compile(_function(
+            "S, R, C, ram, read, write, F, t, st", prologue, body, names,
+            (epilogue, ["R[15] = pc", "return tk"])))
+        return block.code
 
     # -- execution --------------------------------------------------------------
 
@@ -368,12 +773,14 @@ class Simulator:
         s = self.state
         regs = s.regs
         blocks = self._blocks
-        fetch_unit = self.mem.fetch_unit
+        mem = self.mem
+        fetch_unit = mem.fetch_unit
         stall_for = fetch_unit.stall_for
-        histogram = self.counters.histogram
+        c = self.counters
+        args = (s, regs, c, mem.ram, mem.read, mem.write, fetch_unit)
         sequential = self._sequential
         start_cycles = s.cycle_count
-        executed = muls = taken_count = fetch_stalls = 0
+        taken_count = 0
         if on_step is not None:
             self._accesses = []
         try:
@@ -392,6 +799,18 @@ class Simulator:
                     stall = stall_for(word, now, sequential)
                 sequential = True  # no taken branch inside a block
                 entries = block.entries
+                if (on_step is None and block.worst is not None
+                        and now + stall + block.worst < max_cycles):
+                    try:
+                        taken = (block.code or self._compile(block))(
+                            *args, now, stall)
+                    except M0EnergyError:
+                        self._tally([e for e in entries if e[2] < regs[15]])
+                        raise
+                    block.runs += 1
+                    taken_count += taken
+                    sequential = not taken
+                    continue
                 try:
                     for handler, ins, addr, base, base_taken, words, i in entries:
                         regs[15] = addr
@@ -401,19 +820,25 @@ class Simulator:
                             return "cycle-budget"
                         for word in words:
                             stall += stall_for(word, now + stall, True)
-                        taken = handler(self, ins)
+                        saved = c.c4, c.c5, c.c6
+                        try:
+                            taken = handler(self, ins)
+                        except M0EnergyError:
+                            c.c4, c.c5, c.c6 = saved
+                            s.cycle_count = now
+                            raise
                         if taken:
                             taken_count += 1
                             s.cycle_count += base_taken + stall
                         else:
                             s.cycle_count += base + stall
-                        fetch_stalls += stall
+                        c.fetch_stall_cycles += stall
                         if on_step is not None:
                             if not taken:
                                 regs[15] = addr + ins.size
                             sequential = not taken
                             result = StepResult(ins, s.cycle_count - now,
-                                                bool(taken), self._accesses,
+                                                taken, self._accesses,
                                                 s.halted, stall)
                             self._accesses = []
                             on_step(result)
@@ -424,367 +849,27 @@ class Simulator:
                 except _StepDone:
                     self._tally(entries[:i + 1])
                     raise
-                executed += len(entries)
-                muls += block.muls
-                for mnemonic, count in block.mix:
-                    histogram[mnemonic] = histogram.get(mnemonic, 0) + count
+                self._tally(entries)
                 if not taken:
                     regs[15] = block.end
                 sequential = not taken
         finally:
-            c = self.counters
-            c.c1 += executed - muls
-            c.c2 += muls
+            for block in blocks.values():
+                if block.runs:
+                    self._tally(block.entries, block.runs)
+                    block.runs = 0
             c.c3 += taken_count
-            c.fetch_stall_cycles += fetch_stalls
             c.total_cycles += s.cycle_count - start_cycles
             self._sequential = sequential
             self._accesses = None
 
-    def _tally(self, entries):
-        """Fold the completed part of a block into c1, c2 and the histogram."""
+    def _tally(self, entries, times=1):
+        """Fold `times` runs of these entries into c1, c2 and the histogram."""
         c = self.counters
         for entry in entries:
             ins = entry[1]
             if ins.op == "MULS":
-                c.c2 += 1
+                c.c2 += times
             else:
-                c.c1 += 1
-            c.histogram[ins.mnemonic] = c.histogram.get(ins.mnemonic, 0) + 1
-
-
-# -- instruction handlers -----------------------------------------------
-# Each takes (sim, ins) and returns truthy when a branch was taken.
-
-def _addsub(first, subtract=False, carry=False, write=True):
-    """ADDS, SUBS, ADCS, SBCS, RSBS, CMP and CMN: first + second (inverted
-    for a subtraction) + carry-in.  `first` is the first operand's field, or
-    None for RSBS's zero; the second is `imm` when the encoding has one, else
-    `rm`.  The carry-in is the C flag when `carry`, else 1 for a subtraction
-    and 0 for an addition; `write` stores the result in rd."""
-    def handler(sim, ins):
-        f = ins.fields
-        a = sim._rget(f[first]) if first else 0
-        b = f["imm"] if "imm" in f else sim._rget(f["rm"])
-        if subtract:
-            b ^= MASK32
-        s = sim.state
-        total = a + b + (s.c if carry else subtract)
-        result = total & MASK32
-        if write:
-            s.regs[f["rd"]] = result
-        s.n = result > 0x7FFFFFFF
-        s.z = result == 0
-        s.c = total > MASK32
-        s.v = bool(~(a ^ b) & (a ^ result) & 0x80000000)
-    return handler
-
-
-def _logical(fn, write=True):
-    """MOVS, ANDS, EORS, ORRS, BICS, MVNS, TST and MULS: fn(rd, second), the
-    second operand being `imm` when the encoding has one, else `rm` (all
-    low registers).  N and Z come from the result; C and V are kept."""
-    def handler(sim, ins):
-        f = ins.fields
-        s = sim.state
-        regs = s.regs
-        result = fn(regs[f["rd"]],
-                    f["imm"] if "imm" in f else regs[f["rm"]]) & MASK32
-        if write:
-            regs[f["rd"]] = result
-        s.n = result > 0x7FFFFFFF
-        s.z = result == 0
-    return handler
-
-
-def _shift_lsl(value, amount):
-    if amount < 32:
-        full = value << amount
-        return full & MASK32, bool(full & (1 << 32))
-    if amount == 32:
-        return 0, bool(value & 1)
-    return 0, False
-
-
-def _shift_lsr(value, amount):
-    if amount < 32:
-        return (value >> amount) & MASK32, bool((value >> (amount - 1)) & 1)
-    if amount == 32:
-        return 0, bool(value >> 31)
-    return 0, False
-
-
-def _shift_asr(value, amount):
-    sign = bool(value & 0x80000000)
-    if amount < 32:
-        result = value >> amount
-        if sign:
-            result |= (MASK32 << (32 - amount)) & MASK32
-        return result & MASK32, bool((value >> (amount - 1)) & 1)
-    return (MASK32 if sign else 0), sign
-
-
-def _shift_ror(value, amount):
-    m = amount % 32
-    if m == 0:
-        return value, bool(value >> 31)
-    result = ((value >> m) | (value << (32 - m))) & MASK32
-    return result, bool(result >> 31)
-
-
-def _shift(shifter):
-    """LSLS, LSRS and ASRS by `imm` shift rm into rd; the register forms
-    and RORS shift rd in place by the low byte of rm.  N and Z come from
-    the result; C is the last bit `shifter` shifts out, kept when the
-    amount is 0 (the shifters see amounts of 1 and up)."""
-    def handler(sim, ins):
-        f = ins.fields
-        s = sim.state
-        regs = s.regs
-        if "imm" in f:
-            value, amount = regs[f["rm"]], f["imm"]
-        else:
-            value, amount = regs[f["rd"]], regs[f["rm"]] & 0xFF
-        if amount:
-            value, s.c = shifter(value, amount)
-        regs[f["rd"]] = value
-        s.n = value > 0x7FFFFFFF
-        s.z = value == 0
-    return handler
-
-
-def _extend_bits(value, bits, signed):
-    """The low `bits` of value, sign-extended when `signed`, as 32 bits: the
-    one extension rule, for loads, SXT*/UXT* and REVSH."""
-    value &= (1 << bits) - 1
-    if signed and value >> (bits - 1):
-        value |= MASK32 ^ ((1 << bits) - 1)
-    return value
-
-
-def _extend(bits, signed):
-    """SXTB, SXTH, UXTB and UXTH: rd = the low `bits` of rm, extended."""
-    def handler(sim, ins):
-        f = ins.fields
-        regs = sim.state.regs
-        regs[f["rd"]] = _extend_bits(regs[f["rm"]], bits, signed)
-    return handler
-
-
-def _h_mov_hi(sim, ins):
-    f = ins.fields
-    v = sim._rget(f["rm"])
-    if f["rd"] == 15:
-        sim._branch(v & ~1)
-        return True
-    sim._rset(f["rd"], v)
-
-
-def _h_add_hi(sim, ins):
-    f = ins.fields
-    v = (sim._rget(f["rd"]) + sim._rget(f["rm"])) & MASK32
-    if f["rd"] == 15:
-        sim._branch(v & ~1)
-        return True
-    sim._rset(f["rd"], v)
-
-
-def _h_adr(sim, ins):
-    sim._rset(ins.fields["rd"], ins.fields["lit_addr"])
-
-
-def _h_add_sp_imm8(sim, ins):
-    sim._rset(ins.fields["rd"], sim._rget(13) + ins.fields["imm"])
-
-
-def _h_add_sp_imm7(sim, ins):
-    sim._rset(13, sim._rget(13) + ins.fields["imm"])
-
-
-def _h_sub_sp_imm7(sim, ins):
-    sim._rset(13, sim._rget(13) - ins.fields["imm"])
-
-
-def _h_rev(sim, ins):
-    v = sim._rget(ins.fields["rm"])
-    out = int.from_bytes(v.to_bytes(4, "little"), "big")
-    sim._rset(ins.fields["rd"], out)
-
-
-def _h_rev16(sim, ins):
-    v = sim._rget(ins.fields["rm"])
-    out = ((v & 0x00FF00FF) << 8) | ((v & 0xFF00FF00) >> 8)
-    sim._rset(ins.fields["rd"], out)
-
-
-def _h_revsh(sim, ins):
-    v = sim._rget(ins.fields["rm"])
-    half = ((v & 0xFF) << 8) | ((v >> 8) & 0xFF)
-    sim._rset(ins.fields["rd"], _extend_bits(half, 16, True))
-
-
-def _h_hint(sim, ins):
-    pass
-
-
-def _h_bkpt(sim, ins):
-    sim.state.halted = True
-
-
-# loads and stores
-
-def _h_ldr_lit(sim, ins):
-    f = ins.fields
-    sim._rset(f["rt"], sim._read(f["lit_addr"], 4))
-
-
-def _h_load(sim, ins):
-    """Register, immediate and SP-relative loads: `rn` plus `imm` or `rm`,
-    `size` bytes, sign-extended when the op is signed."""
-    f = ins.fields
-    offset = f["imm"] if "imm" in f else sim._rget(f["rm"])
-    size = f["size"]
-    v = sim._read(sim._rget(f["rn"]) + offset, size)
-    if "signed" in f:
-        v = _extend_bits(v, 8 * size, True)
-    sim._rset(f["rt"], v)
-
-
-def _h_store(sim, ins):
-    """Register, immediate and SP-relative stores of the low `size` bytes."""
-    f = ins.fields
-    offset = f["imm"] if "imm" in f else sim._rget(f["rm"])
-    sim._write(sim._rget(f["rn"]) + offset, f["size"], sim._rget(f["rt"]))
-
-
-def _commit_on_completion(transfer):
-    """A block transfer that faults part-way rolls back the counter events
-    and Flash stalls of the words it did transfer."""
-    def handler(sim, ins):
-        c, s = sim.counters, sim.state
-        saved = c.c4, c.c5, c.c6, s.cycle_count
-        try:
-            return transfer(sim, ins)
-        except M0EnergyError:
-            c.c4, c.c5, c.c6, s.cycle_count = saved
-            raise
-    return handler
-
-
-@_commit_on_completion
-def _h_push(sim, ins):
-    regs = ins.fields["regs"]
-    addr = (sim._rget(13) - 4 * len(regs)) & MASK32
-    sim._rset(13, addr)
-    for i, r in enumerate(regs):
-        sim._write(addr + 4 * i, 4, sim._rget(r))
-
-
-@_commit_on_completion
-def _h_pop(sim, ins):
-    f = ins.fields
-    regs = list(f["regs"])
-    count = len(regs) + (1 if f["pc"] else 0)
-    addr = sim._rget(13)
-    for i, r in enumerate(regs):
-        sim._rset(r, sim._read(addr + 4 * i, 4))
-    target = None
-    if f["pc"]:
-        target = sim._read(addr + 4 * len(regs), 4)
-    sim._rset(13, addr + 4 * count)
-    if target is not None:
-        _bx_write_pc(sim, target)
-        return True
-
-
-@_commit_on_completion
-def _h_ldm(sim, ins):
-    f = ins.fields
-    base = sim._rget(f["rn"])
-    for i, r in enumerate(f["regs"]):
-        sim._rset(r, sim._read(base + 4 * i, 4))
-    if f["wback"]:
-        sim._rset(f["rn"], base + 4 * len(f["regs"]))
-
-
-@_commit_on_completion
-def _h_stm(sim, ins):
-    f = ins.fields
-    base = sim._rget(f["rn"])
-    for i, r in enumerate(f["regs"]):
-        sim._write(base + 4 * i, 4, sim._rget(r))
-    sim._rset(f["rn"], base + 4 * len(f["regs"]))
-
-
-# control flow
-
-def _bx_write_pc(sim, target):
-    """Interworking branch: a target with bit 0 clear leaves pc odd, which
-    raises the INVSTATE fault before the next instruction executes."""
-    sim.state.regs[15] = (target & MASK32) ^ 1
-
-
-def _h_bcond(sim, ins):
-    if _cond_passed(ins.fields["cond"], sim.state):
-        sim._branch(ins.fields["target"])
-        return True
-
-
-def _h_b(sim, ins):
-    sim._branch(ins.fields["target"])
-    return True
-
-
-def _h_bl(sim, ins):
-    sim._rset(14, (ins.addr + 4) | 1)
-    sim._branch(ins.fields["target"])
-    return True
-
-
-def _h_bx(sim, ins):
-    _bx_write_pc(sim, sim._rget(ins.fields["rm"]))
-    return True
-
-
-def _h_blx(sim, ins):
-    target = sim._rget(ins.fields["rm"])
-    sim._rset(14, (ins.addr + 2) | 1)
-    _bx_write_pc(sim, target)
-    return True
-
-
-HANDLERS = {
-    # _addsub(first operand's field, subtract?, carry-in from C?, write rd?)
-    "ADDS_REG": _addsub("rn"), "ADDS_IMM3": _addsub("rn"),
-    "ADDS_IMM8": _addsub("rd"),
-    "SUBS_REG": _addsub("rn", True), "SUBS_IMM3": _addsub("rn", True),
-    "SUBS_IMM8": _addsub("rd", True),
-    "ADCS": _addsub("rd", carry=True), "SBCS": _addsub("rd", True, True),
-    "RSBS": _addsub(None, True),
-    "CMP_IMM": _addsub("rd", True, write=False),
-    "CMP_REG": _addsub("rd", True, write=False),
-    "CMP_HI": _addsub("rd", True, write=False),
-    "CMN": _addsub("rd", write=False),
-    # _logical(result from rd and the second operand, write rd?)
-    "MOVS_IMM": _logical(lambda a, b: b), "MOVS_REG": _logical(lambda a, b: b),
-    "ANDS": _logical(operator.and_), "EORS": _logical(operator.xor),
-    "ORRS": _logical(operator.or_), "BICS": _logical(lambda a, b: a & ~b),
-    "MVNS": _logical(lambda a, b: ~b), "TST": _logical(operator.and_, False),
-    "MULS": _logical(operator.mul),
-    "LSLS_IMM": _shift(_shift_lsl), "LSRS_IMM": _shift(_shift_lsr),
-    "ASRS_IMM": _shift(_shift_asr), "LSLS_REG": _shift(_shift_lsl),
-    "LSRS_REG": _shift(_shift_lsr), "ASRS_REG": _shift(_shift_asr),
-    "RORS": _shift(_shift_ror),
-    "SXTB": _extend(8, True), "SXTH": _extend(16, True),
-    "UXTB": _extend(8, False), "UXTH": _extend(16, False),
-    "MOV_HI": _h_mov_hi, "ADD_HI": _h_add_hi,
-    "ADR": _h_adr, "ADD_SP_IMM8": _h_add_sp_imm8,
-    "ADD_SP_IMM7": _h_add_sp_imm7, "SUB_SP_IMM7": _h_sub_sp_imm7,
-    "REV": _h_rev, "REV16": _h_rev16, "REVSH": _h_revsh,
-    "HINT": _h_hint, "BKPT": _h_bkpt,
-    "LDR_LIT": _h_ldr_lit,
-    **dict.fromkeys(dec.LOAD_OPS - {"LDR_LIT"}, _h_load),
-    **dict.fromkeys(dec.STORE_OPS, _h_store),
-    "PUSH": _h_push, "POP": _h_pop, "LDM": _h_ldm, "STM": _h_stm,
-    "BCOND": _h_bcond, "B": _h_b, "BL": _h_bl, "BX": _h_bx, "BLX": _h_blx,
-}
+                c.c1 += times
+            c.histogram[ins.mnemonic] = c.histogram.get(ins.mnemonic, 0) + times

@@ -83,6 +83,29 @@ class FetchUnit:
                 self.next_ready_at = now + stall + self.wait_states
         return stall
 
+    def block_fetch_source(self, word_addr):
+        """Python source for the case of stall_for that a translated block
+        runs inline: a sequential fetch of `word_addr`, the word after the
+        one held.  With prefetch that is the read-ahead word, which stalls
+        for the rest of its fill; without, it is a miss.  The code adds the
+        stall to the local `stall`, the fetch happening at cycle
+        `t + stall`, and keeps the unit's state in the locals of
+        `block_state_source`."""
+        if not self.prefetch_enabled:
+            return ["held = %#x" % word_addr, "stall += %d" % self.wait_states]
+        return ["held = %#x" % word_addr, "if ready - t > stall:",
+                "    stall = ready - t",
+                "ready = t + stall + %d" % self.wait_states]
+
+    def block_state_source(self):
+        """(load, store): source lines that move the state `block_fetch_source`
+        keeps in locals between the fetch unit `F` and those locals."""
+        if not self.prefetch_enabled:
+            return ["held = F.current_word"], ["F.current_word = held"]
+        return (["held = F.current_word", "ready = F.next_ready_at"],
+                ["F.current_word = held", "F.next_word = held + 4",
+                 "F.next_ready_at = ready"])
+
 
 class MemorySystem:
     """Flat memory image plus the Flash fetch timing model."""
@@ -143,14 +166,6 @@ class MemorySystem:
     def fetch_word(self, addr):
         """The Flash word (offset) the fetch unit reads for a halfword at addr."""
         return self._flash_offset(addr) & ~3
-
-    def fetch(self, addr, now, sequential=True):
-        """Fetch the instruction halfword at addr; returns (value, stall)."""
-        value = self.read_code(addr)
-        if self.region(addr) == "ram":
-            return value, 0
-        return value, self.fetch_unit.stall_for(self.fetch_word(addr), now,
-                                                sequential)
 
     def read(self, addr, size):
         """Data read; returns (value, stall, region) with alias -> flash."""

@@ -218,11 +218,21 @@ def run_kernel(name, wait_states=0, prefetch=False, collect_steps=False):
 
 # -- independent oracles ------------------------------------------------------
 
+def fetch(mem, addr, now, sequential=True):
+    """Fetch the instruction halfword at addr through mem's fetch unit, as
+    the core sees it; returns (value, stall).  RAM fetches never stall."""
+    value = mem.read_code(addr)
+    if mem.region(addr) == "ram":
+        return value, 0
+    return value, mem.fetch_unit.stall_for(mem.fetch_word(addr), now,
+                                           sequential)
+
+
 class ReferenceStepper:
     """The documented model executed one instruction at a time, as an oracle
     for the simulator's engine.
 
-    Every halfword is fetched through MemorySystem.fetch and decoded on
+    Every halfword is fetched through `fetch` above and decoded on
     every step, cycles are summed from the README timing table, and counters
     come from each completed step's access list.  Only the instruction
     semantics (cpu.HANDLERS) are shared with the simulator, including the
@@ -237,12 +247,6 @@ class ReferenceStepper:
         self.counters = EventCounters()
         self.sequential = False
 
-    def _rget(self, i):
-        return (self.state.regs[15] + 4) & MASK32 if i == 15 else self.state.regs[i]
-
-    def _rset(self, i, value):
-        self.state.regs[i] = value & MASK32
-
     def _read(self, addr, size):
         value, stall, region = self.mem.read(addr & MASK32, size)
         self.accesses.append(("r", region, stall))
@@ -252,18 +256,15 @@ class ReferenceStepper:
         stall, region = self.mem.write(addr & MASK32, size, value)
         self.accesses.append(("w", region, stall))
 
-    def _branch(self, target):
-        self.state.pc = target
-
     def step(self):
         s, c = self.state, self.counters
         addr, now = s.pc, s.cycle_count
         if addr & 1:
             raise InvalidStateFault(addr ^ 1)
-        hw1, fetch_stall = self.mem.fetch(addr, now, self.sequential)
+        hw1, fetch_stall = fetch(self.mem, addr, now, self.sequential)
         hw2 = None
         if is_wide(hw1):
-            hw2, more = self.mem.fetch(addr + 2, now + fetch_stall, True)
+            hw2, more = fetch(self.mem, addr + 2, now + fetch_stall, True)
             fetch_stall += more
         ins = decode(hw1, hw2, addr)
         self.accesses = []

@@ -511,6 +511,64 @@ def test_run_unwritable_trace_is_usage_error(tmp_path, capsys):
     assert "cannot write trace" in capsys.readouterr().err
 
 
+class FullDevice:
+    """A writer that fails as a full disk does, after `room` writes; with
+    `fail_close` its close fails too, flushing what it buffered."""
+
+    def __init__(self, room=0, fail_close=False):
+        self.room = room
+        self.fail_close = fail_close
+        self.closed = False
+
+    def _full(self):
+        raise OSError(28, "No space left on device")
+
+    def write(self, text):
+        if self.room == 0:
+            self._full()
+        self.room -= 1
+        return len(text)
+
+    def flush(self):
+        if self.room == 0:
+            self._full()
+
+    def close(self):
+        self.closed = True
+        if self.fail_close:
+            self._full()
+
+
+@pytest.mark.parametrize("room,fail_close", [(0, False), (5, False),
+                                             (10 ** 6, True)],
+                         ids=["first-line", "part-way", "on-close"])
+def test_run_trace_write_failure_is_a_run_error(tmp_path, capsys, monkeypatch,
+                                                room, fail_close):
+    image = write_kernel(tmp_path, "pushpop_loop")
+    trace = FullDevice(room, fail_close)
+    monkeypatch.setattr(cli, "open", lambda path, mode: trace if path == "full"
+                        else open(path, mode), raising=False)
+    code, out, err = run_cli(["run", image, "--trace", "full"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("run error: cannot write trace: [Errno 28] No space left "
+                   "on device\n")
+    assert trace.closed
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--sweep"],
+                                  ["run", "--format", "text"], ["analyze"]],
+                         ids=["run", "sweep", "text", "analyze"])
+def test_report_write_failure_is_an_error(tmp_path, capsys, monkeypatch, argv):
+    image = write_kernel(tmp_path, "loop5")
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    code = main(argv + [image])
+    assert code == 1
+    command = "analysis" if argv == ["analyze"] else "run"
+    assert capsys.readouterr().err == (
+        "%s error: cannot write report: [Errno 28] No space left on "
+        "device\n" % command)
+
+
 def test_run_negative_max_cycles_is_usage_error(tmp_path, capsys):
     image = write_kernel(tmp_path, "loop5")
     with pytest.raises(SystemExit) as err:
