@@ -14,7 +14,8 @@ both, and `comparison` ranks only the configurations the file covers.
 
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
-Exit codes: 0 completed halt, 1 fault or analysis/fit failure, 2 usage.
+Exit codes: 0 completed halt, 1 fault, analysis/fit failure or a trace or
+report that cannot be written, 2 usage.
 """
 
 import argparse

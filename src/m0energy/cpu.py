@@ -21,54 +21,40 @@ Fetch and Flash data stalls from the memory system are added on top.
 
 Every op's semantics are written once, as a source template in `TEMPLATES`:
 Python statements over the registers r0..r14 and the flags n, z, c, v as
-locals, with the instruction's operands filled in as constants (a read of pc
-is the instruction's address plus 4).  A branch assigns the local `pc`; a
-data access is a `READ(address, size)` or `WRITE(address, size, value)`
-line.  Shared fragments keep each rule in one place: `_addsub` is the one
-place add, subtract and compare set N, Z, C and V, `_SHIFTERS` states each
-shift's carry once, and `_extend` is the one sign/zero-extension rule.
+locals, the operands filled in as constants (a read of pc is the address
+plus 4).  A branch assigns `pc`; a data access is a READ or WRITE line.
+`_addsub` is the one place N, Z, C and V are computed, `_SHIFTERS` states
+each shift's carry, and `_extend` is the one sign/zero-extension rule.
 
 Execution runs on a translation cache, in the manner of QEMU's translation
 blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is decoded once, up to and including its
-terminator (`decode.control_flow`, the one block-end rule), into entries
-that carry the instruction, its base cycles with the timing class fixed at
-decode time, and the Flash words whose fetch can stall.  The first time the
-block runs, its templates are generated into one Python function and
-compiled (after QEMU's TCG): registers and flags stay in locals, a pc read
-is a constant, base cycles are summed where nothing can observe them, and a
-RAM access is one bounds and alignment compare and a slice of `mem.ram`.
-Every other access goes through `MemorySystem.read`/`write`, so faults and
-their messages are the memory system's; a literal load from Flash is folded
-to a constant, because Flash cannot be written.  Compiled functions are
-cached by their source text, so the simulators of a `--sweep` share them.
+terminator (`decode.control_flow`, the one block-end rule), with each
+instruction's base cycles (the timing class fixed at decode time) and the
+Flash words whose fetch can stall.  When the block first runs, its templates
+are generated into one Python function (after QEMU's TCG): registers and
+flags live in locals, a RAM access is a bounds and alignment compare and a
+slice of `mem.ram`, every other access goes through `MemorySystem.read` and
+`write` (which raise the faults), a literal load from Flash is a constant,
+and the fetch unit's in-block rule is inlined from `FetchUnit`.  Compiled
+functions are cached by source text, so the simulators of a sweep share
+them.
 
 A block runs compiled only when the cycle budget cannot cut it: `now` plus
-its worst case before the last instruction (taken-branch base cycles, plus
-the wait states of each Flash word a fetch or a data read could touch) is
-still below the budget.  Otherwise, and for `step()`, `on_step` and code in
-RAM, it runs one instruction at a time through `HANDLERS`, the
-one-instruction functions generated from the same templates, which reach
-memory only through `_read`/`_write` (so `--trace` sees every access).
-The budget is checked before every instruction there, so every cut lands
-where a one-instruction-at-a-time run would put it.
-
-Inside a block every fetch is sequential, so the word the fetch unit holds
-is known at translation time: `FetchUnit.stall_for` is called only when a
-fetch leaves the held word or follows a taken branch, and never at zero
-wait states, where no fetch stalls.  c1, c2 and the histogram are counted
-per block entry and folded into the counters when `run` or `step` returns;
-c3..c6 and the stalls are counted as they happen.  Only Flash is cached: it
-cannot be written, so its translations never go stale.  RAM code may
-modify itself, so each RAM instruction is fetched and decoded afresh every
-time it runs.
+its worst case before the last instruction (taken-branch base cycles plus
+the wait states of every Flash word a fetch or data read could touch) is
+below the budget.  Otherwise, and for `step()`, `on_step` and RAM code, it
+runs one instruction at a time through `HANDLERS`: one-instruction functions
+generated from the same templates, which reach memory through `_read` and
+`_write`, with the budget checked before every instruction.  RAM code may
+modify itself, so each RAM instruction is fetched and decoded afresh.
+c1, c2 and the histogram are counted per block run and folded into the
+counters when `run` or `step` returns.
 
 An instruction commits on completion: one that faults adds no counter event
-and no cycles, and pc is left at its address.  A single data access raises
-before it counts; a block transfer (PUSH/POP/LDM/STM) counts its words only
-when all of them are done.  Register and memory writes made before the
-fault are not undone.  `StepResult` records are built only for `step()`
-and `on_step`.
+and no cycles and leaves pc at its address; a block transfer counts its
+words only when all are done.  Register and memory writes made before the
+fault are not undone.
 
 BX, BLX and POP into pc are interworking branches: bit 0 of the target is
 the Thumb bit.  A clear bit would select ARM state, which ARMv6-M lacks, so
@@ -225,19 +211,6 @@ def _extend(value, bits, signed=True):
     return "((%s & %#x ^ %#x) - %#x) & 0xFFFFFFFF" % (value, mask, sign, sign)
 
 
-def _load(offset, size, signed=False):
-    """Register, immediate and SP-relative loads: `rn` plus `offset`."""
-    src = "{rt} = READ({rn} + %s, %d)" % (offset, size)
-    if signed:
-        src += "\n{rt} = " + _extend("{rt}", 8 * size)
-    return src
-
-
-def _store(offset, size):
-    """The low `size` bytes of rt to `rn` plus `offset`."""
-    return "WRITE({rn} + %s, %d, {rt})" % (offset, size)
-
-
 # The condition of each BCOND cond field, over the flags.
 _CONDITIONS = ("z", "not z", "c", "not c", "n", "not n", "v", "not v",
                "c and not z", "not c or z", "n == v", "n != v",
@@ -299,22 +272,11 @@ TEMPLATES = {
     "HINT": "",
     "BKPT": "S.halted = True",
     "LDR_LIT": "{rt} = READ({lit_addr}, 4)",
-    "LDR_REG": _load("{rm}", 4),
-    "LDRH_REG": _load("{rm}", 2),
-    "LDRB_REG": _load("{rm}", 1),
-    "LDRSB_REG": _load("{rm}", 1, True),
-    "LDRSH_REG": _load("{rm}", 2, True),
-    "LDR_IMM": _load("{imm}", 4),
-    "LDRH_IMM": _load("{imm}", 2),
-    "LDRB_IMM": _load("{imm}", 1),
-    "LDR_SP": _load("{imm}", 4),
-    "STR_REG": _store("{rm}", 4),
-    "STRH_REG": _store("{rm}", 2),
-    "STRB_REG": _store("{rm}", 1),
-    "STR_IMM": _store("{imm}", 4),
-    "STRH_IMM": _store("{imm}", 2),
-    "STRB_IMM": _store("{imm}", 1),
-    "STR_SP": _store("{imm}", 4),
+    # register, immediate and SP-relative: rn plus imm or rm, size bytes
+    "LOAD": "{rt} = READ({rn} + {offset}, {size})",
+    "LDRSB_REG": "{rt} = READ({rn} + {rm}, 1)\n{rt} = " + _extend("{rt}", 8),
+    "LDRSH_REG": "{rt} = READ({rn} + {rm}, 2)\n{rt} = " + _extend("{rt}", 16),
+    "STORE": "WRITE({rn} + {offset}, {size}, {rt})",
     "PUSH": ("r13 = (r13 - {bytes}) & 0xFFFFFFFF",
              "WRITE(r13 + {off}, 4, {reg})", ""),
     "POP": ("", "{reg} = READ(r13 + {off}, 4)",
@@ -335,13 +297,16 @@ TEMPLATES = {
 
 
 def _form(ins):
-    """The TEMPLATES key of `ins`: its op, or for a MOV/ADD into pc, a POP
-    into pc or an LDM that loads its base register, the op and that form."""
+    """The TEMPLATES key of `ins`: its op; LOAD or STORE for a load or store
+    that does not sign-extend; or for a MOV/ADD into pc, a POP into pc or an
+    LDM that loads its base register, the op and that form."""
     op, f = ins.op, ins.fields
     if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15 or op == "POP" and f["pc"]:
         return op + " pc"
     if op == "LDM" and not f["wback"]:
         return "LDM base"
+    if "size" in f and "signed" not in f:
+        return "LOAD" if op in dec.LOAD_OPS else "STORE"
     return op
 
 
@@ -349,9 +314,9 @@ _SOURCES = {}  # (address, encoding) -> _source(ins)
 
 
 def _source(ins):
-    """(lines, names, accesses, branches) of `ins`: its template's lines with
-    the operands filled in, the registers and flags they use, how many
-    READ/WRITE lines they hold and whether they assign pc."""
+    """(lines, names, reads, writes, branches) of `ins`: its template's
+    lines with the operands filled in, the registers and flags they use,
+    their READ and WRITE lines and whether they assign pc."""
     key = ins.addr, ins.raw
     cached = _SOURCES.get(key)
     if cached is not None:
@@ -366,6 +331,9 @@ def _source(ins):
             operands[name] = _CONDITIONS[value]
         elif name in ("imm", "lit_addr", "target"):
             operands[name] = "%#x" % value
+        elif name == "size":
+            operands[name] = "%d" % value
+    operands["offset"] = operands.get("imm") or operands.get("rm")
     template = TEMPLATES[_form(ins)]
     if isinstance(template, str):
         lines = template.format_map(operands).splitlines()
@@ -379,9 +347,9 @@ def _source(ins):
                     for i, r in enumerate(regs)]
                  + tail.format_map(operands).splitlines())
     code = "\n".join(lines)
-    names = set(re.findall(r"\b(r\d+|[nzcv])\b", code))
     cached = _SOURCES[key] = (
-        lines, names, code.count("READ(") + code.count("WRITE("),
+        lines, set(re.findall(r"\b(r\d+|[nzcv])\b", code)),
+        code.count("READ("), code.count("WRITE("),
         re.search(r"^\s*pc \^?=", code, re.M) is not None)
     return cached
 
@@ -392,7 +360,6 @@ _READ = re.compile(r"(\s*)(\w+) = READ\((.+), (\d)\)$")
 _WRITE = re.compile(r"(\s*)WRITE\((.+), (\d), (\w+)\)$")
 _CODE = {}      # generated source text -> compiled function
 _STEPS = {}     # (address, encoding) -> one-instruction function
-_ACCESSES = {}  # (line, RAM size, in a transfer) -> _access lines
 
 
 def _compile(source):
@@ -407,11 +374,12 @@ def _compile(source):
 def _function(signature, prologue, body, names, epilogue):
     """A function that loads the registers and flags in `names` into
     locals, runs `body`, and stores them back even when it raises."""
-    used = sorted(names, key=lambda x: "nzcv".find(x) if len(x) == 1
-                  else int(x[1:]) - 16)
-    load = ["%s = %s" % (x, "S." + x if len(x) == 1 else "R[%s]" % x[1:])
-            for x in used]
-    store = ["%s = %s" % (x.split(" = ")[1], x.split(" = ")[0]) for x in load]
+    regs = sorted(int(x[1:]) for x in names if x[0] == "r")
+    flags = [x for x in "nzcv" if x in names]
+    load = (["r%d = R[%d]" % (r, r) for r in regs]
+            + ["%s = S.%s" % (x, x) for x in flags])
+    store = (["R[%d] = r%d" % (r, r) for r in regs]
+             + ["S.%s = %s" % (x, x) for x in flags])
     lines = (["def fn(%s):" % signature]
              + ["    " + line for line in prologue + load + ["try:"]]
              + ["        " + line for line in body or ["pass"]]
@@ -429,7 +397,7 @@ def _handler(sim, ins):
     key = ins.addr, ins.raw
     fn = _STEPS.get(key)
     if fn is None:
-        lines, names, _accesses, _branches = _source(ins)
+        lines, names = _source(ins)[:2]
         body = [line.replace("READ(", "sim._read(").replace("WRITE(",
                                                             "sim._write(")
                 for line in lines]
@@ -440,21 +408,23 @@ def _handler(sim, ins):
     return fn(sim, ins)
 
 
-HANDLERS = dict.fromkeys((form.split()[0] for form in TEMPLATES), _handler)
+HANDLERS = dict.fromkeys(sorted(
+    {form.split()[0] for form in TEMPLATES} - {"LOAD", "STORE"}
+    | dec.LOAD_OPS | dec.STORE_OPS), _handler)
 
 
 def _access(line, mem, words):
     """Block code for a template line: a READ or WRITE line becomes the RAM
-    fast path inline and the rest through `MemorySystem.read`/`write`.  A
-    single access counts its event where it happens; the `words` of a block
-    transfer count in `_f` (those not in RAM) and `_fw` (their stalls),
-    folded in on completion."""
+    fast path inline and the rest through `MemorySystem.read`/`write`, which
+    raise the faults; what they complete is a Flash read or a debug-port
+    write.  A single access counts its event where it happens; the `words`
+    of a block transfer count in `_f` (Flash reads) and `_fw` (their
+    stalls), folded in on completion."""
     match = _READ.match(line) or _WRITE.match(line)
     if match is None:
         return [line]
-    indent = match.group(1)
     if match.re is _READ:
-        _, target, addr, size = match.groups()
+        indent, target, addr, size = match.groups()
         if addr.startswith("0x"):
             try:  # a literal: a constant if in Flash, which is never written
                 value, stall, region = mem.read(int(addr, 16), int(size))
@@ -464,38 +434,29 @@ def _access(line, mem, words):
                 return [indent + s for s in ("%s = %#x" % (target, value),
                                              "c6 += 1", "t += %d" % stall)
                         if s != "t += 0"]
-    key = line, mem.ram_size, words
-    cached = _ACCESSES.get(key)
-    if cached is not None:
-        return cached
-    if match.re is _WRITE:
-        _, addr, size, value = match.groups()
-    size = int(size)
-    span = "ram[_o:_o + %d]" % size
-    check = "if 0 <= _o <= %d%s:" % (mem.ram_size - size, " and not _o & %d"
-                                     % (size - 1) if size > 1 else "")
-    slow = "(%s) & 0xFFFFFFFF, %d" % (addr, size)
-    if match.re is _READ:
-        fast = "ram[_o]" if size == 1 else "_fb(%s, 'little')" % span
-        lines = ["_o = %s - %#x" % (addr, RAM_BASE), check,
-                 "    %s = %s" % (target, fast)]
-        lines += [] if words else ["    c4 += 1"]
-        lines += ["else:", "    %s, _w, _g = read(%s)" % (target, slow)]
-        lines += (["    if _g != 'ram':", "        _f += 1", "        _fw += _w"]
-                  if words else
-                  ["    if _g == 'ram':", "        c4 += 1", "    else:",
-                   "        c6 += 1", "        t += _w"])
     else:
-        fast = ("ram[_o] = %s & 0xFF" % value if size == 1 else
-                "%s = (%s & %#x).to_bytes(%d, 'little')"
-                % (span, value, (1 << 8 * size) - 1, size))
-        lines = ["_o = %s - %#x" % (addr, RAM_BASE), check, "    " + fast]
-        lines += ([f"elif write({slow}, {value})[1] != 'ram':", "    _f += 1"]
-                  if words else
-                  ["    c5 += 1", f"elif write({slow}, {value})[1] == 'ram':",
-                   "    c5 += 1"])
-    cached = _ACCESSES[key] = [indent + line for line in lines]
-    return cached
+        indent, addr, size, value = match.groups()
+    size = int(size)
+    span = "ram[_o]" if size == 1 else "ram[_o:_o + %d]" % size
+    where = "_o + %#x & 0xFFFFFFFF, %d" % (RAM_BASE, size)
+    if match.re is _READ:
+        fast = "%s = %s" % (target, span if size == 1
+                            else "_fb(%s, 'little')" % span)
+        count = "c4 += 1"
+        slow = ["%s, _w, _g = read(%s)" % (target, where)] + (
+            ["_f += 1", "_fw += _w"] if words else ["c6 += 1", "t += _w"])
+    else:
+        fast = "%s = %s" % (span, "%s & 0xFF" % value if size == 1 else
+                            "(%s & %#x).to_bytes(%d, 'little')"
+                            % (value, (1 << 8 * size) - 1, size))
+        count = "c5 += 1"
+        slow = ["write(%s, %s)" % (where, value)]
+    lines = (["_o = %s - %#x & 0xFFFFFFFF" % (addr, RAM_BASE),
+              "if _o <= %d%s:" % (mem.ram_size - size, " and not _o & %d"
+                                  % (size - 1) if size > 1 else ""),
+              "    " + fast] + ([] if words else ["    " + count])
+             + ["else:"] + ["    " + line for line in slow])
+    return [indent + line for line in lines]
 
 
 class _Block:
@@ -538,14 +499,6 @@ def _timing_class(ins, t):
         return t["pc_branch"], t["pc_branch"]
     n = t[_TIMING_KEYS.get(op, "dp")]
     return n, n
-
-
-def _data_words(ins):
-    """How many data words `ins` reads, each of which could be in Flash."""
-    f = ins.fields
-    if ins.op in ("POP", "LDM"):
-        return len(f["regs"]) + bool(f.get("pc"))
-    return 1 if ins.op in dec.LOAD_OPS else 0
 
 
 class Simulator:
@@ -648,7 +601,7 @@ class Simulator:
             base, base_taken = _timing_class(ins, self.timing)
             if entries:  # the worst case before the last instruction
                 worst += entries[-1][4] + ws * (len(entries[-1][5])
-                                                + _data_words(entries[-1][1]))
+                                                + _source(entries[-1][1])[2])
             entries.append((HANDLERS[ins.op], ins, addr, base, base_taken,
                             tuple(words), len(entries)))
             addr += ins.size
@@ -670,57 +623,43 @@ class Simulator:
         fetch_unit = mem.fetch_unit
         body = []
         names = set()
-        pending = 0   # base cycles not yet added to t
-        last = len(block.entries) - 1
+        counts = set()
         for _h, ins, addr, base, base_taken, words, k in block.entries:
-            lines, used, accesses, branches = _source(ins)
+            lines, used, reads, writes, branches = _source(ins)
             names |= used
-            stalls = words or (k == 0 and block.word is not None)
-            branches = branches and k == last
+            counts |= {"c4", "c6"} if reads else set()
+            counts |= {"c5"} if writes else set()
             body.append("# %08x  %s" % (addr, ins.text))
-            if (stalls or accesses) and pending:
-                body.append("t += %d" % pending)
-                pending = 0
+            stalls = block.word is not None and (k == 0 or words)
             if stalls:
-                body.append("stall = st" if k == 0 and block.word is not None
-                            else "stall = 0")
+                counts.add("fs")
+                body.append("stall = st" if k == 0 else "stall = 0")
                 for word in words:
                     body += fetch_unit.block_fetch_source(word)
-            if accesses:  # a fault leaves pc here
+            if reads or writes:  # a fault leaves pc here
                 body.append("R[15] = %#x" % addr)
-            if accesses > 1:
+            if reads > 1:  # a POP or LDM counts its Flash words in _f, _fw
                 body.append("_f = _fw = 0")
             if branches:
                 body.append("pc = None")
             for line in lines:
-                body += _access(line, mem, accesses > 1)
-            if accesses > 1 and any("READ(" in line for line in lines):
-                body += ["c4 += %d - _f" % accesses, "c6 += _f", "t += _fw"]
-            elif accesses > 1:
-                body.append("c5 += %d - _f" % accesses)
-            elapsed = " + stall" if stalls else ""
+                body += _access(line, mem, reads + writes > 1)
+            if reads > 1:
+                body += ["c4 += %d - _f" % reads, "c6 += _f", "t += _fw"]
+            elif writes > 1:
+                body.append("c5 += %d" % writes)
             if stalls:
                 body.append("fs += stall")
-            if k < last:
-                if stalls:
-                    body.append("t += %d%s" % (pending + base, elapsed))
-                    pending = 0
-                else:
-                    pending += base
-            elif branches:
-                body += ["if pc is None:",
-                         "    pc = %#x" % block.end,
-                         "    tk = False",
-                         "    t += %d%s" % (pending + base, elapsed),
-                         "else:",
-                         "    tk = True",
-                         "    t += %d%s" % (pending + base_taken, elapsed)]
-            else:
-                body += ["pc = %#x" % block.end, "tk = False",
-                         "t += %d%s" % (pending + base, elapsed)]
-        counts = [name for name in ("c4", "c5", "c6", "fs")
-                  if any(line.lstrip().startswith(name + " +=")
-                         for line in body)]
+            elapsed = " + stall" if stalls else ""
+            if branches:
+                body += ["tk = pc is not None", "if not tk:",
+                         "    pc = %#x" % block.end]
+                if base_taken != base:
+                    elapsed += " + (%d if tk else 0)" % (base_taken - base)
+            body.append("t += %d%s" % (base, elapsed))
+        if not branches:
+            body += ["pc = %#x" % block.end, "tk = False"]
+        counts = sorted(counts)
         prologue = ["%s = 0" % name for name in counts]
         epilogue = ["S.cycle_count = t"] + [
             "C.%s += %s" % ("fetch_stall_cycles" if name == "fs" else name,
