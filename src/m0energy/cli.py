@@ -116,8 +116,7 @@ def _emit(report, fmt, command, code=0):
               else to_json(report))
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes stdout again at exit
-        sys.stdout = open(os.devnull, "w")
+        sys.stdout = None  # so the interpreter does not flush it again
         print("%s error: cannot write report: %s" % (command, exc),
               file=sys.stderr)
         return 1
