@@ -313,44 +313,50 @@ def _form(ins):
 _SOURCES = {}  # (address, encoding) -> _source(ins)
 
 
-def _source(ins):
-    """(lines, names, reads, writes, branches) of `ins`: its template's
-    lines with the operands filled in, the registers and flags they use,
-    their READ and WRITE lines and whether they assign pc."""
-    key = ins.addr, ins.raw
-    cached = _SOURCES.get(key)
-    if cached is not None:
-        return cached
+def _render(ins, generic=False):
+    """`ins`'s template lines with registers as the locals r0..r14 and the
+    other operands as constants; when `generic`, as `R[f["rd"]]` and
+    `f["imm"]`, for every instruction of its `_handler` form."""
     f = ins.fields
-    operands = {"next": "%#x" % (ins.addr + ins.size)}
+    operands = {"next": "(ins.addr + %d)" % ins.size if generic
+                else "%#x" % (ins.addr + ins.size)}
     for name, value in f.items():
         if name in ("rd", "rn", "rm", "rt"):
-            operands[name] = ("%#x" % (ins.addr + 4) if value == 15
-                              else "r%d" % value)
+            operands[name] = ('R[f["%s"]]' % name if generic else "%#x"
+                              % (ins.addr + 4) if value == 15 else "r%d" % value)
         elif name == "cond":
             operands[name] = _CONDITIONS[value]
         elif name in ("imm", "lit_addr", "target"):
-            operands[name] = "%#x" % value
+            operands[name] = 'f["%s"]' % name if generic else "%#x" % value
         elif name == "size":
             operands[name] = "%d" % value
     operands["offset"] = operands.get("imm") or operands.get("rm")
     template = TEMPLATES[_form(ins)]
     if isinstance(template, str):
-        lines = template.format_map(operands).splitlines()
-    else:
-        head, word, tail = template
-        regs = f["regs"] + ([15] if f.get("pc") else [])
-        operands["bytes"] = "%#x" % (4 * len(regs))
-        lines = (head.format_map(operands).splitlines()
-                 + [word.format(reg="pc" if r == 15 else "r%d" % r,
-                                off="%#x" % (4 * i), **operands)
-                    for i, r in enumerate(regs)]
-                 + tail.format_map(operands).splitlines())
-    code = "\n".join(lines)
-    cached = _SOURCES[key] = (
-        lines, set(re.findall(r"\b(r\d+|[nzcv])\b", code)),
-        code.count("READ("), code.count("WRITE("),
-        re.search(r"^\s*pc \^?=", code, re.M) is not None)
+        return template.format_map(operands).splitlines()
+    head, word, tail = template
+    regs = f["regs"] + ([15] if f.get("pc") else [])
+    operands["bytes"] = "%#x" % (4 * len(regs))
+    return (head.format_map(operands).splitlines()
+            + [word.format(reg="pc" if r == 15 else "r%d" % r,
+                           off="%#x" % (4 * i), **operands)
+               for i, r in enumerate(regs)]
+            + tail.format_map(operands).splitlines())
+
+
+def _source(ins):
+    """(lines, names, reads, writes, branches) of `ins`: its rendered lines,
+    the registers and flags they use, their READ and WRITE lines and
+    whether they assign pc."""
+    key = ins.addr, ins.raw
+    cached = _SOURCES.get(key)
+    if cached is None:
+        lines = _render(ins)
+        code = "\n".join(lines)
+        cached = _SOURCES[key] = (
+            lines, set(re.findall(r"\b(r\d+|[nzcv])\b", code)),
+            code.count("READ("), code.count("WRITE("),
+            re.search(r"^\s*pc \^?=", code, re.M) is not None)
     return cached
 
 
@@ -359,7 +365,7 @@ def _source(ins):
 _READ = re.compile(r"(\s*)(\w+) = READ\((.+), (\d)\)$")
 _WRITE = re.compile(r"(\s*)WRITE\((.+), (\d), (\w+)\)$")
 _CODE = {}      # generated source text -> compiled function
-_STEPS = {}     # (address, encoding) -> one-instruction function
+_STEPS = {}     # form, or (address, encoding) -> one-instruction function
 
 
 def _compile(source):
@@ -390,21 +396,27 @@ def _function(signature, prologue, body, names, epilogue):
 
 
 def _handler(sim, ins):
-    """Every op's HANDLERS entry: runs `ins` through the one-instruction
-    function generated from its template on first use.  It reaches memory
-    only through `sim._read` and `sim._write`, assigns `sim.state.regs[15]`
-    when it branches, and returns whether it did."""
-    key = ins.addr, ins.raw
-    fn = _STEPS.get(key)
+    """Every op's HANDLERS entry: runs `ins` through the function generated
+    from its template on first use, one per form (op, condition, register
+    list, size).  It reaches memory only through `sim._read`/`_write`, sets
+    `sim.state.regs[15]` when it branches, and returns whether it did."""
+    fn = _STEPS.get((ins.addr, ins.raw))
     if fn is None:
-        lines, names = _source(ins)[:2]
-        body = [line.replace("READ(", "sim._read(").replace("WRITE(",
-                                                            "sim._write(")
-                for line in lines]
-        fn = _STEPS[key] = _compile(_function(
-            "sim, ins", ["S = sim.state", "R = S.regs", "pc = None"], body,
-            names, ([], ["if pc is None:", "    return False", "R[15] = pc",
-                         "return True"])))
+        f = ins.fields
+        form = (_form(ins), f.get("cond"), tuple(f.get("regs", ())),
+                f.get("size"), "imm" in f)
+        fn = _STEPS.get(form)
+        if fn is None:
+            body = [re.sub(r"\br(\d+)\b", r"R[\1]", line).replace(
+                "READ(", "sim._read(").replace("WRITE(", "sim._write(")
+                for line in _render(ins, generic=True)]
+            fn = _STEPS[form] = _compile(_function(
+                "sim, ins", ["S = sim.state", "R = S.regs", "f = ins.fields",
+                             "pc = None", "R[15] = ins.addr + 4  # pc reads"],
+                body, set(re.findall(r"\b[nzcv]\b", "\n".join(body))),
+                (["R[15] = ins.addr"], ["if pc is None:", "    return False",
+                                        "R[15] = pc", "return True"])))
+        _STEPS[ins.addr, ins.raw] = fn
     return fn(sim, ins)
 
 
@@ -460,18 +472,13 @@ def _access(line, mem, words):
 
 
 class _Block:
-    """Straight-line code decoded once.
-
-    `entries` holds one tuple per instruction: (handler, instruction,
-    address, base cycles if not taken, base cycles if taken, Flash words
-    fetched with a possible stall, index in the block).  `word` is the
-    Flash word of the first fetch, checked against the fetch unit on entry
-    (None when no fetch can stall); `end` is the fall-through pc.  `worst`
-    is the most cycles the block can take before its last instruction,
-    after the entry stall (None for RAM code, which is never compiled);
-    `code` is its compiled function, and `runs` counts its compiled runs
-    not yet folded into the counters.
-    """
+    """Straight-line code decoded once.  `entries` holds one tuple per
+    instruction: (handler, instruction, address, base cycles if not taken,
+    if taken, Flash words fetched with a possible stall, index).  `word` is
+    the Flash word of the first fetch (None when no fetch can stall); `end`
+    is the fall-through pc; `worst` the most cycles before the last
+    instruction after the entry stall (None for RAM code, never compiled);
+    `code` the compiled function; `runs` its runs not yet counted."""
     __slots__ = ("entries", "word", "end", "worst", "code", "runs")
 
     def __init__(self, entries, word, end, worst):
@@ -632,7 +639,7 @@ class Simulator:
             body.append("# %08x  %s" % (addr, ins.text))
             stalls = block.word is not None and (k == 0 or words)
             if stalls:
-                counts.add("fs")
+                counts.add("fetch_stall_cycles")
                 body.append("stall = st" if k == 0 else "stall = 0")
                 for word in words:
                     body += fetch_unit.block_fetch_source(word)
@@ -649,7 +656,7 @@ class Simulator:
             elif writes > 1:
                 body.append("c5 += %d" % writes)
             if stalls:
-                body.append("fs += stall")
+                body.append("fetch_stall_cycles += stall")
             elapsed = " + stall" if stalls else ""
             if branches:
                 body += ["tk = pc is not None", "if not tk:",
@@ -661,9 +668,8 @@ class Simulator:
             body += ["pc = %#x" % block.end, "tk = False"]
         counts = sorted(counts)
         prologue = ["%s = 0" % name for name in counts]
-        epilogue = ["S.cycle_count = t"] + [
-            "C.%s += %s" % ("fetch_stall_cycles" if name == "fs" else name,
-                            name) for name in counts]
+        epilogue = ["S.cycle_count = t"] + ["C.%s += %s" % (name, name)
+                                            for name in counts]
         if any(entry[5] for entry in block.entries):
             load, store = fetch_unit.block_state_source()
             prologue += load

@@ -84,13 +84,11 @@ class FetchUnit:
         return stall
 
     def block_fetch_source(self, word_addr):
-        """Python source for the case of stall_for that a translated block
-        runs inline: a sequential fetch of `word_addr`, the word after the
-        one held.  With prefetch that is the read-ahead word, which stalls
-        for the rest of its fill; without, it is a miss.  The code adds the
-        stall to the local `stall`, the fetch happening at cycle
-        `t + stall`, and keeps the unit's state in the locals of
-        `block_state_source`."""
+        """Source for the case of stall_for a translated block runs inline:
+        a sequential fetch of `word_addr`, the word after the one held (the
+        read-ahead word with prefetch, else a miss), at cycle `t + stall`.
+        It adds to the local `stall` and keeps the unit's state in the
+        locals of `block_state_source`."""
         if not self.prefetch_enabled:
             return ["held = %#x" % word_addr, "stall += %d" % self.wait_states]
         return ["held = %#x" % word_addr, "if ready - t > stall:",
