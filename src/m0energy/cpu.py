@@ -31,25 +31,25 @@ blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is decoded once, up to and including its
 terminator (`decode.control_flow`, the one block-end rule), with each
 instruction's base cycles (the timing class fixed at decode time) and the
-Flash words whose fetch can stall.  When the block first runs, its templates
-are generated into one Python function (after QEMU's TCG): registers and
-flags live in locals, a RAM access is a bounds and alignment compare and a
-slice of `mem.ram`, every other access goes through `MemorySystem.read` and
-`write` (which raise the faults), a literal load from Flash is a constant,
-and the fetch unit's in-block rule is inlined from `FetchUnit`.  Compiled
-functions are cached by source text, so the simulators of a sweep share
-them.
+Flash words whose fetch can stall.  A block runs one instruction at a time,
+through per-form functions generated from the templates (`_step`, reaching
+memory through `_read` and `_write`), until it has run COMPILE_AFTER times,
+which pays back the compile.  Then it is generated into one function (after
+QEMU's TCG): registers and flags live in locals, a RAM access is a bounds
+and alignment compare and a slice of `mem.ram`, every other access goes
+through `MemorySystem.read` and `write` (which raise the faults), a Flash
+literal load is a constant, and the fetch unit's in-block rule is inlined
+from `FetchUnit`.  Compiled functions are shared by source text while a
+simulator holds them, so the simulators of a sweep share them.
 
-A block runs compiled only when the cycle budget cannot cut it: `now` plus
+A compiled block runs only when the cycle budget cannot cut it: `now` plus
 its worst case before the last instruction (taken-branch base cycles plus
 the wait states of every Flash word a fetch or data read could touch) is
-below the budget.  Otherwise, and for `step()`, `on_step` and RAM code, it
-runs one instruction at a time through `HANDLERS`: one-instruction functions
-generated from the same templates, which reach memory through `_read` and
-`_write`, with the budget checked before every instruction.  RAM code may
-modify itself, so each RAM instruction is fetched and decoded afresh.
-c1, c2 and the histogram are counted per block run and folded into the
-counters when `run` or `step` returns.
+below the budget; otherwise it runs one instruction at a time, the budget
+checked before each.  `step()`, `on_step` and RAM code never use or make
+compiled code; each RAM instruction is fetched and decoded afresh, as RAM
+code may modify itself.  c1, c2 and the histogram are counted per block run
+and folded into the counters when `run` or `step` returns.
 
 An instruction commits on completion: one that faults adds no counter event
 and no cycles and leaves pc at its address; a block transfer counts its
@@ -68,6 +68,7 @@ independent.
 """
 
 import re
+import weakref
 from dataclasses import dataclass, field
 
 from . import decode as dec
@@ -77,6 +78,8 @@ from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, RAM_BASE,
                      MemorySystem)
 
 MASK32 = 0xFFFFFFFF
+
+COMPILE_AFTER = 64  # runs of a Flash block before it is compiled
 
 DEFAULT_TIMING = {
     "dp": 1,
@@ -310,13 +313,10 @@ def _form(ins):
     return op
 
 
-_SOURCES = {}  # (address, encoding) -> _source(ins)
-
-
 def _render(ins, generic=False):
     """`ins`'s template lines with registers as the locals r0..r14 and the
     other operands as constants; when `generic`, as `R[f["rd"]]` and
-    `f["imm"]`, for every instruction of its `_handler` form."""
+    `f["imm"]`, for every instruction of its `_step` form."""
     f = ins.fields
     operands = {"next": "(ins.addr + %d)" % ins.size if generic
                 else "%#x" % (ins.addr + ins.size)}
@@ -348,30 +348,25 @@ def _source(ins):
     """(lines, names, reads, writes, branches) of `ins`: its rendered lines,
     the registers and flags they use, their READ and WRITE lines and
     whether they assign pc."""
-    key = ins.addr, ins.raw
-    cached = _SOURCES.get(key)
-    if cached is None:
-        lines = _render(ins)
-        code = "\n".join(lines)
-        cached = _SOURCES[key] = (
-            lines, set(re.findall(r"\b(r\d+|[nzcv])\b", code)),
+    lines = _render(ins)
+    code = "\n".join(lines)
+    return (lines, set(re.findall(r"\b(r\d+|[nzcv])\b", code)),
             code.count("READ("), code.count("WRITE("),
             re.search(r"^\s*pc \^?=", code, re.M) is not None)
-    return cached
 
 
 # -- code generation ------------------------------------------------------------
 
 _READ = re.compile(r"(\s*)(\w+) = READ\((.+), (\d)\)$")
 _WRITE = re.compile(r"(\s*)WRITE\((.+), (\d), (\w+)\)$")
-_CODE = {}      # generated source text -> compiled function
-_STEPS = {}     # form, or (address, encoding) -> one-instruction function
+_CODE = weakref.WeakValueDictionary()  # generated source -> function
+_STEPS = {}     # form -> one-instruction function
 
 
 def _compile(source):
     fn = _CODE.get(source)
     if fn is None:
-        namespace = {"_fb": int.from_bytes}
+        namespace = {"_fb": int.from_bytes, "M0EnergyError": M0EnergyError}
         exec(compile(source, "<m0energy>", "exec"), namespace)
         fn = _CODE[source] = namespace["fn"]
     return fn
@@ -395,34 +390,40 @@ def _function(signature, prologue, body, names, epilogue):
     return "\n".join(lines) + "\n"
 
 
-def _handler(sim, ins):
-    """Every op's HANDLERS entry: runs `ins` through the function generated
-    from its template on first use, one per form (op, condition, register
-    list, size).  It reaches memory only through `sim._read`/`_write`, sets
-    `sim.state.regs[15]` when it branches, and returns whether it did."""
-    fn = _STEPS.get((ins.addr, ins.raw))
+def _step(ins):
+    """fn(sim, ins) for `ins`'s form (op, condition, register list, size),
+    generated from its template on first use: registers from the state,
+    operands from `ins.fields`, memory only through `sim._read`/`_write`.
+    It sets pc when it branches and returns whether it did; a block transfer
+    that faults part-way rolls back its words' events and stalls."""
+    f = ins.fields
+    form = (_form(ins), f.get("cond"), tuple(f.get("regs", ())), f.get("size"),
+            "imm" in f)
+    fn = _STEPS.get(form)
     if fn is None:
-        f = ins.fields
-        form = (_form(ins), f.get("cond"), tuple(f.get("regs", ())),
-                f.get("size"), "imm" in f)
-        fn = _STEPS.get(form)
-        if fn is None:
-            body = [re.sub(r"\br(\d+)\b", r"R[\1]", line).replace(
-                "READ(", "sim._read(").replace("WRITE(", "sim._write(")
-                for line in _render(ins, generic=True)]
-            fn = _STEPS[form] = _compile(_function(
-                "sim, ins", ["S = sim.state", "R = S.regs", "f = ins.fields",
-                             "pc = None", "R[15] = ins.addr + 4  # pc reads"],
-                body, set(re.findall(r"\b[nzcv]\b", "\n".join(body))),
-                (["R[15] = ins.addr"], ["if pc is None:", "    return False",
-                                        "R[15] = pc", "return True"])))
-        _STEPS[ins.addr, ins.raw] = fn
-    return fn(sim, ins)
+        body = [re.sub(r"\br(\d+)\b", r"R[\1]", line).replace(
+            "READ(", "sim._read(").replace("WRITE(", "sim._write(")
+            for line in _render(ins, generic=True)]
+        names = set(re.findall(r"\b[nzcv]\b", "\n".join(body)))
+        prologue = ["S = sim.state", "R = S.regs", "f = ins.fields",
+                    "pc = None", "R[15] = ins.addr + 4  # pc reads"]
+        if sum(line.count("sim._") for line in body) > 1:
+            saved = "C.c4, C.c5, C.c6, S.cycle_count"
+            prologue += ["C = sim.counters", "_k = " + saved]
+            body = (["try:"] + ["    " + line for line in body]
+                    + ["except M0EnergyError:", "    %s = _k" % saved,
+                       "    raise"])
+        fn = _STEPS[form] = _compile(_function(
+            "sim, ins", prologue, body, names,
+            (["R[15] = ins.addr"], ["if pc is None:", "    return False",
+                                    "R[15] = pc", "return True"])))
+    return fn
 
 
+# op -> handler(sim, ins), which runs `ins` through `_step(ins)`
 HANDLERS = dict.fromkeys(sorted(
     {form.split()[0] for form in TEMPLATES} - {"LOAD", "STORE"}
-    | dec.LOAD_OPS | dec.STORE_OPS), _handler)
+    | dec.LOAD_OPS | dec.STORE_OPS), lambda sim, ins: _step(ins)(sim, ins))
 
 
 def _access(line, mem, words):
@@ -473,20 +474,21 @@ def _access(line, mem, words):
 
 class _Block:
     """Straight-line code decoded once.  `entries` holds one tuple per
-    instruction: (handler, instruction, address, base cycles if not taken,
-    if taken, Flash words fetched with a possible stall, index).  `word` is
-    the Flash word of the first fetch (None when no fetch can stall); `end`
-    is the fall-through pc; `worst` the most cycles before the last
-    instruction after the entry stall (None for RAM code, never compiled);
-    `code` the compiled function; `runs` its runs not yet counted."""
-    __slots__ = ("entries", "word", "end", "worst", "code", "runs")
+    instruction: (its `_step` function, instruction, address, base cycles
+    if not taken, if taken, Flash words fetched with a possible stall,
+    index).  `word` is the Flash word of the first fetch (None when no fetch
+    can stall); `end` the fall-through pc; `heat` its runs before it is
+    compiled (None for RAM code, never compiled); `code` the compiled
+    function; `worst` its budget worst case; `runs` its uncounted runs."""
+    __slots__ = ("entries", "word", "end", "heat", "code", "worst", "runs")
 
-    def __init__(self, entries, word, end, worst):
+    def __init__(self, entries, word, end, heat):
         self.entries = entries
         self.word = word
         self.end = end
-        self.worst = worst
+        self.heat = heat
         self.code = None
+        self.worst = None
         self.runs = 0
 
 
@@ -583,7 +585,6 @@ class Simulator:
         held = None          # Flash word held after the previous fetch
         first_word = None
         entries = []
-        worst = 0
         addr = pc
         while True:
             if entries and mem.region(addr) != kind:
@@ -606,17 +607,14 @@ class Simulator:
                 if not entries:
                     first_word = words.pop(0)
             base, base_taken = _timing_class(ins, self.timing)
-            if entries:  # the worst case before the last instruction
-                worst += entries[-1][4] + ws * (len(entries[-1][5])
-                                                + _source(entries[-1][1])[2])
-            entries.append((HANDLERS[ins.op], ins, addr, base, base_taken,
+            entries.append((_step(ins), ins, addr, base, base_taken,
                             tuple(words), len(entries)))
             addr += ins.size
             if ins.is_terminator() or kind == "ram":
                 break
         if kind == "ram":
             return _Block(entries, None, addr, None)
-        block = self._blocks[pc] = _Block(entries, first_word, addr, worst)
+        block = self._blocks[pc] = _Block(entries, first_word, addr, 0)
         return block
 
     def _compile(self, block):
@@ -625,14 +623,17 @@ class Simulator:
         RAM, `MemorySystem.read`/`write` and the fetch unit: it runs the
         block from cycle t with entry stall st, folds its events into the
         state and counters, sets pc and returns whether the block's branch
-        was taken."""
+        was taken.  Sets `block.worst`, the most cycles before the last
+        instruction after the entry stall."""
         mem = self.mem
         fetch_unit = mem.fetch_unit
         body = []
         names = set()
         counts = set()
-        for _h, ins, addr, base, base_taken, words, k in block.entries:
+        costs = []
+        for _s, ins, addr, base, base_taken, words, k in block.entries:
             lines, used, reads, writes, branches = _source(ins)
+            costs.append(base_taken + mem.wait_states * (len(words) + reads))
             names |= used
             counts |= {"c4", "c6"} if reads else set()
             counts |= {"c5"} if writes else set()
@@ -674,6 +675,7 @@ class Simulator:
             load, store = fetch_unit.block_state_source()
             prologue += load
             epilogue += store
+        block.worst = sum(costs[:-1])
         block.code = _compile(_function(
             "S, R, C, ram, read, write, F, t, st", prologue, body, names,
             (epilogue, ["R[15] = pc", "return tk"])))
@@ -725,7 +727,8 @@ class Simulator:
         args = (s, regs, c, mem.ram, mem.read, mem.write, fetch_unit)
         sequential = self._sequential
         start_cycles = s.cycle_count
-        taken_count = 0
+        taken_count = fetch_stalls = 0
+        ran = []  # Flash blocks whose `runs` are to be folded in
         if on_step is not None:
             self._accesses = []
         try:
@@ -744,66 +747,68 @@ class Simulator:
                     stall = stall_for(word, now, sequential)
                 sequential = True  # no taken branch inside a block
                 entries = block.entries
-                if (on_step is None and block.worst is not None
+                code = block.code
+                if code is None and on_step is None and block.heat is not None:
+                    block.heat += 1
+                    if block.heat > COMPILE_AFTER:
+                        code = self._compile(block)
+                if (code is not None and on_step is None
                         and now + stall + block.worst < max_cycles):
                     try:
-                        taken = (block.code or self._compile(block))(
-                            *args, now, stall)
+                        taken = code(*args, now, stall)
                     except M0EnergyError:
                         self._tally([e for e in entries if e[2] < regs[15]])
                         raise
-                    block.runs += 1
                     taken_count += taken
-                    sequential = not taken
-                    continue
-                try:
-                    for handler, ins, addr, base, base_taken, words, i in entries:
-                        regs[15] = addr
-                        now = s.cycle_count
-                        if now >= max_cycles:
-                            self._tally(entries[:i])
-                            return "cycle-budget"
-                        for word in words:
-                            stall += stall_for(word, now + stall, True)
-                        saved = c.c4, c.c5, c.c6
-                        try:
-                            taken = handler(self, ins)
-                        except M0EnergyError:
-                            c.c4, c.c5, c.c6 = saved
-                            s.cycle_count = now
-                            raise
-                        if taken:
-                            taken_count += 1
-                            s.cycle_count += base_taken + stall
-                        else:
-                            s.cycle_count += base + stall
-                        c.fetch_stall_cycles += stall
-                        if on_step is not None:
-                            if not taken:
-                                regs[15] = addr + ins.size
-                            sequential = not taken
-                            result = StepResult(ins, s.cycle_count - now,
-                                                taken, self._accesses,
-                                                s.halted, stall)
-                            self._accesses = []
-                            on_step(result)
-                        stall = 0
-                except M0EnergyError:
-                    self._tally(entries[:i])  # the faulting one commits nothing
-                    raise
-                except _StepDone:
-                    self._tally(entries[:i + 1])
-                    raise
-                self._tally(entries)
-                if not taken:
-                    regs[15] = block.end
+                else:
+                    try:
+                        for step, ins, addr, base, base_taken, words, i in entries:
+                            regs[15] = addr
+                            now = s.cycle_count
+                            if now >= max_cycles:
+                                self._tally(entries[:i])
+                                return "cycle-budget"
+                            for word in words:
+                                stall += stall_for(word, now + stall, True)
+                            taken = step(self, ins)
+                            if taken:
+                                taken_count += 1
+                                s.cycle_count += base_taken + stall
+                            else:
+                                s.cycle_count += base + stall
+                            fetch_stalls += stall
+                            if on_step is not None:
+                                if not taken:
+                                    regs[15] = addr + ins.size
+                                sequential = not taken
+                                result = StepResult(ins, s.cycle_count - now,
+                                                    taken, self._accesses,
+                                                    s.halted, stall)
+                                self._accesses = []
+                                on_step(result)
+                            stall = 0
+                    except M0EnergyError:
+                        self._tally(entries[:i])  # the faulting one: nothing
+                        raise
+                    except _StepDone:
+                        self._tally(entries[:i + 1])
+                        raise
+                    if not taken:
+                        regs[15] = block.end
                 sequential = not taken
+                if block.heat is None:  # RAM code, decoded afresh each time
+                    self._tally(entries)
+                elif block.runs:
+                    block.runs += 1
+                else:
+                    block.runs = 1
+                    ran.append(block)
         finally:
-            for block in blocks.values():
-                if block.runs:
-                    self._tally(block.entries, block.runs)
-                    block.runs = 0
+            for block in ran:
+                self._tally(block.entries, block.runs)
+                block.runs = 0
             c.c3 += taken_count
+            c.fetch_stall_cycles += fetch_stalls
             c.total_cycles += s.cycle_count - start_cycles
             self._sequential = sequential
             self._accesses = None

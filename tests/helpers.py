@@ -8,8 +8,11 @@ prefetch-on figures, where given, come from tracing the read-ahead buffer
 by hand.  Counter expectations are hand counts over the executed path.
 """
 
+import contextlib
+
 import numpy as np
 
+from m0energy import cpu
 from m0energy import (Assembler, CpuState, EventCounters, InvalidStateFault,
                       M0EnergyError, MemorySystem, RegressionDataset,
                       Simulator)
@@ -214,6 +217,19 @@ def run_kernel(name, wait_states=0, prefetch=False, collect_steps=False):
     summary = sim.run(max_cycles=10 ** 6,
                       on_step=steps.append if collect_steps else None)
     return sim, summary, steps
+
+
+@contextlib.contextmanager
+def compile_at_first_run():
+    """Let the engine compile each Flash block on its first run instead of
+    after `cpu.COMPILE_AFTER` runs one instruction at a time, so that a
+    single run reaches the compiled code."""
+    saved = cpu.COMPILE_AFTER
+    cpu.COMPILE_AFTER = 0
+    try:
+        yield
+    finally:
+        cpu.COMPILE_AFTER = saved
 
 
 # -- independent oracles ------------------------------------------------------

@@ -12,8 +12,9 @@ import zlib
 import pytest
 
 import helpers
-from helpers import (KERNELS, TIMING_CONFIGS, kernel_image,
-                     oracle_add_flags, oracle_sub_flags, run_kernel)
+from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
+                     kernel_image, oracle_add_flags, oracle_sub_flags,
+                     run_kernel)
 from m0energy import (Assembler, BadEntryError, MalformedImageError,
                       M0EnergyError, Simulator)
 from m0energy.cpu import HANDLERS
@@ -43,16 +44,17 @@ def set_inputs(sim, r0, r1, c, n, z, v):
 
 def run_first_block(sim):
     """Run the instruction at 0x08000008 through Simulator.run() as part of a
-    Flash block that the cycle budget does not cut.  A terminator is a block
-    of its own, and a budget of one cycle stops the run right after it;
-    anything else runs on through the BKPT that follows it.  Returns the
-    summary and whether that BKPT ran."""
+    compiled Flash block that the cycle budget does not cut.  A terminator
+    is a block of its own, and a budget of one cycle stops the run right
+    after it; anything else runs on through the BKPT that follows it.
+    Returns the summary and whether that BKPT ran."""
     mem = sim.mem
     hw1 = mem.read_code(0x08000008)
     hw2 = mem.read_code(0x0800000A) if is_wide(hw1) else None
-    if decode(hw1, hw2, 0x08000008).is_terminator():
-        return sim.run(max_cycles=1), False
-    return sim.run(), True
+    with compile_at_first_run():
+        if decode(hw1, hw2, 0x08000008).is_terminator():
+            return sim.run(max_cycles=1), False
+        return sim.run(), True
 
 
 def exec_once(sim, r0=0, r1=0, c=False, n=False, z=False, v=False):

@@ -11,18 +11,28 @@ class (`memory.timing_class`), which must behave identically: `run --sweep`
 simulates each class once.
 """
 
+import contextlib
+import itertools
 import random
 
 import pytest
 
 from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
-                     ReferenceStepper, dynamic_block_path, invstate_image,
-                     invstate_reason, kernel_image, machine_state)
+                     ReferenceStepper, compile_at_first_run,
+                     dynamic_block_path, invstate_image, invstate_reason,
+                     kernel_image, machine_state)
 from m0energy import (Assembler, MemorySystem, Simulator, builtin_models,
                       extract_cfg, path_energy)
+from m0energy.cpu import COMPILE_AFTER
 from m0energy.memory import timing_class
 
 RANDOM_SEEDS = range(24)
+
+# Every differential run is made twice: with each Flash block compiled on
+# its first run, and with the engine's own threshold (`cpu.COMPILE_AFTER`),
+# under which a block that runs only a few times stays on the
+# one-instruction path.
+ENGINES = (compile_at_first_run, contextlib.nullcontext)
 
 
 def both(image, ws, prefetch):
@@ -46,23 +56,31 @@ def assert_class_mates_match(sim, summary, image, ws, prefetch, max_cycles):
 
 
 def assert_same_run(image, ws, prefetch, max_cycles=10 ** 6):
-    sim, ref = both(image, ws, prefetch)
-    summary = sim.run(max_cycles=max_cycles)
-    assert summary.exit_reason == ref.run(max_cycles=max_cycles)
-    assert machine_state(sim) == machine_state(ref)
-    assert summary.steps == sum(ref.counters.histogram.values())
-    assert_class_mates_match(sim, summary, image, ws, prefetch, max_cycles)
+    summaries = []
+    for engine in ENGINES:
+        with engine():
+            sim, ref = both(image, ws, prefetch)
+            summary = sim.run(max_cycles=max_cycles)
+            assert summary.exit_reason == ref.run(max_cycles=max_cycles)
+            assert machine_state(sim) == machine_state(ref)
+            assert summary.steps == sum(ref.counters.histogram.values())
+            assert_class_mates_match(sim, summary, image, ws, prefetch,
+                                     max_cycles)
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
     return summary
 
 
-def random_program(seed, flash_base=0x08000000):
+def random_program(seed, flash_base=0x08000000, iterations=None):
     """A seeded loop over ALU ops, MULS, RAM and Flash loads, stores,
     PUSH/POP, forward branches and calls; it always halts.  With
-    flash_base=0 it runs from the boot alias of Flash."""
+    flash_base=0 it runs from the boot alias of Flash.  The loop runs a
+    seeded 1 to 6 times unless `iterations` (at most 255) is given."""
     rng = random.Random(seed)
     a = Assembler(flash_base=flash_base)
     a.ldr_lit(7, "ram")
-    a.movs(6, rng.randint(1, 6))
+    loops = rng.randint(1, 6)
+    a.movs(6, iterations or loops)
     for r in range(6):
         a.movs(r, rng.randint(0, 255))
     a.label("loop")
@@ -361,7 +379,9 @@ def test_long_block_every_budget_cut_matches_reference(seed, planted,
                                                        flash_base, ws,
                                                        prefetch, _key):
     """Every cut, then a resume.  One reference stepper advances from cut to
-    cut: a run to budget b+1 continues the run to budget b."""
+    cut: a run to budget b+1 continues the run to budget b.  Every block
+    is compiled on its first run, so the cuts check the compiled blocks'
+    budget rule."""
     image = LongBlockProgram(seed, flash_base, planted).image()
     end = ReferenceStepper(image, wait_states=ws, prefetch=prefetch)
     end_reason = end.run()
@@ -372,9 +392,10 @@ def test_long_block_every_budget_cut_matches_reference(seed, planted,
         if reason == "cycle-budget":
             reason = ref.run(budget)
         sim = Simulator(image, wait_states=ws, prefetch=prefetch)
-        assert sim.run(max_cycles=budget).exit_reason == reason, budget
-        assert machine_state(sim) == machine_state(ref), budget
-        assert sim.run().exit_reason == end_reason
+        with compile_at_first_run():
+            assert sim.run(max_cycles=budget).exit_reason == reason, budget
+            assert machine_state(sim) == machine_state(ref), budget
+            assert sim.run().exit_reason == end_reason
         assert machine_state(sim) == end_state, budget
     assert reason == end_reason
 
@@ -446,15 +467,60 @@ def test_random_programs_static_counts_match_dynamic(seed, flash_base):
 @pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
 def test_every_budget_cut_matches_reference(image, ws, prefetch, _key):
     total = Simulator(image, wait_states=ws, prefetch=prefetch).run().cycle_count
-    for budget in range(min(total, 400) + 1):
-        sim, ref = both(image, ws, prefetch)
-        summary = sim.run(max_cycles=budget)
-        assert summary.exit_reason == ref.run(budget)
+    for budget, engine in itertools.product(range(min(total, 400) + 1),
+                                            ENGINES):
+        with engine():
+            sim, ref = both(image, ws, prefetch)
+            summary = sim.run(max_cycles=budget)
+            assert summary.exit_reason == ref.run(budget)
+            assert machine_state(sim) == machine_state(ref), budget
+            assert_class_mates_match(sim, summary, image, ws, prefetch,
+                                     budget)
+            # resuming after the cut keeps the fetch buffer and branch state
+            assert sim.run().exit_reason == ref.run() == "halt"
+            assert machine_state(sim) == machine_state(ref), budget
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
+def test_blocks_turning_hot_mid_run_match_reference(seed, ws, prefetch, _key):
+    """A loop run more than COMPILE_AFTER times switches its blocks to
+    compiled code part-way through the run.  The whole run, and seeded cuts
+    spread over it, each resumed to the end, match the reference."""
+    image = random_program(seed, iterations=COMPILE_AFTER + 4)
+    summary = assert_same_run(image, ws, prefetch)
+    sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+    assert sim.run() == summary
+    assert any(block.code for block in sim._blocks.values())
+    end = machine_state(sim)
+    ref = ReferenceStepper(image, wait_states=ws, prefetch=prefetch)
+    for budget in sorted(random.Random(seed).sample(
+            range(summary.cycle_count), 12)):
+        sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+        assert sim.run(max_cycles=budget).exit_reason == ref.run(budget)
         assert machine_state(sim) == machine_state(ref), budget
-        assert_class_mates_match(sim, summary, image, ws, prefetch, budget)
-        # resuming after the cut keeps the fetch buffer and branch state
-        assert sim.run().exit_reason == ref.run() == "halt"
-        assert machine_state(sim) == machine_state(ref), budget
+        assert sim.run().exit_reason == "halt"
+        assert machine_state(sim) == end, budget
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_block_compiles_on_the_run_after_compile_after(extra):
+    """The loop block is entered by its back edge only, once per iteration
+    after the first: COMPILE_AFTER entries run one instruction at a time,
+    and the next one compiles it.  A run with on_step never compiles."""
+    a = Assembler()
+    a.movs(0, COMPILE_AFTER + 1 + extra)
+    a.label("loop")  # 0x0800000A, after the vector table and the MOVS
+    a.subs_imm8(0, 1)
+    a.bne("loop")
+    a.bkpt()
+    sim = Simulator(a.image())
+    assert sim.run().exit_reason == "halt"
+    assert (sim._blocks[0x0800000A].code is not None) == bool(extra)
+    traced = Simulator(a.image())
+    assert traced.run(on_step=lambda step: None).exit_reason == "halt"
+    assert traced.counters == sim.counters
+    assert not any(block.code for block in traced._blocks.values())
 
 
 @pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
