@@ -1,7 +1,9 @@
 """End-to-end CLI tests (in-process main with captured stdout)."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -600,3 +602,133 @@ def test_cli_import_does_not_load_numpy():
     # the regression names still resolve from the package, on first use
     from m0energy import fit, regression
     assert fit is regression.fit
+
+
+# -- golden report bytes ------------------------------------------------------
+# The sha256 of each report on seeded inputs.  Any change to the JSON writer,
+# the text renderer or a report builder that moves one byte fails here.
+
+DEBUG_BYTES = b'"\\\n\x1f\xe9'  # quote, backslash, controls, non-ASCII
+
+
+def golden_image(seed):
+    """A seeded program: a loop of random ALU, MULS, SP-relative and
+    register-indirect RAM accesses with a call, Flash literal loads, then
+    debug-port output that needs every kind of string escape."""
+    rng = random.Random(seed)
+    a = Assembler()
+    a.sub_sp(16)
+    a.ldr_lit(7, "debug")
+    a.ldr_lit(6, "ram")
+    a.movs(5, rng.randint(3, 9))
+    a.label("loop")
+    for _ in range(rng.randint(4, 10)):
+        kind = rng.choice(["dp", "mul", "ldr_sp", "str_sp", "ram"])
+        r = rng.randint(0, 3)
+        if kind == "dp":
+            a.adds_reg(r, r, rng.randint(0, 4))
+        elif kind == "mul":
+            a.muls(r, rng.randint(0, 4))
+        elif kind == "ldr_sp":
+            a.ldr_sp(r, 4 * rng.randint(0, 3))
+        elif kind == "str_sp":
+            a.str_sp(r, 4 * rng.randint(0, 3))
+        else:
+            a.str_imm(r, 6, 4 * rng.randint(0, 7))
+            a.ldr_imm(r, 6, 4 * rng.randint(0, 7))
+    a.bl("func")
+    a.subs_imm8(5, 1)
+    a.bne("loop")
+    text = DEBUG_BYTES + bytes(rng.randint(0x20, 0x7E) for _ in range(4))
+    for byte in text:
+        a.movs(0, byte)
+        a.strb_imm(0, 7)
+    a.bkpt()
+    a.label("func")
+    a.push([4], True)
+    a.movs(4, rng.randint(0, 255))
+    a.eors(0, 4)
+    a.pop([4], True)
+    a.word(0x40000000, label="debug")
+    a.word(0x20000100, label="ram")
+    return a.image()
+
+
+GOLDEN_SHA256 = {
+    ("analyze", 1): "8f2b3edee3a4ab43bffed397d99bf00a5b525aa061154c64dc37ffa58b964dca",
+    ("analyze", 2): "df5ecc45f554cc1b21c79c21bf4b1416552a32912d779b6e7e4ec9f24912e9bf",
+    ("analyze-text", 1): "ededc09b4f50600cb01f8df8efdd50c45dc0ad4021e1eb6e0044194f5a9ce319",
+    ("analyze-text", 2): "b329039c4be6496af6d297fd2fba1b15ebd0e98c8fbb976566423a4ec93dc52c",
+    ("run", 1): "fb6950ca9f752ed1d4b0fbc5d2189a6cc75a2f0e93229d9b2662cd412bc9701b",
+    ("run", 2): "3f8b32677880b20598b9968de34138f1dd967199362b4791fc48e31e8a28d2cc",
+    ("sweep", 1): "4798d3fbc5a4f2e50ee594cfa11ebcdae843f4b917854e71d531ae36f9c9f3d0",
+    ("sweep", 2): "7fbba337a961d36e5db139b096756b9b5f341415c3f5c949626daad85e64bb34",
+    ("fit", 1): "054b730ca173db622c83e01527d19aa32e1fb377d25cc55915b209e934c4d783",
+    ("fit", 2): "b5f1258f412f254c9fd245a5ee3b5e6173ad9ec0c62a9e70597bf4ff3fa3c959",
+}
+
+
+def golden_argv(command, seed, tmp_path):
+    if command == "fit":
+        save_dataset(tmp_path / "data.csv", synth_dataset(seed=seed, n=120))
+        return ["fit", "data.csv", "--kfold", "5", "--seed", str(seed)]
+    (tmp_path / "prog.bin").write_bytes(golden_image(seed))
+    return {"analyze": ["analyze", "prog.bin"],
+            "analyze-text": ["analyze", "prog.bin", "--format", "text"],
+            "run": ["run", "prog.bin", "--freq", "24", "--prefetch", "on",
+                    "--waitstates", "1"],
+            "sweep": ["run", "prog.bin", "--sweep"]}[command]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("command", ["analyze", "analyze-text", "run",
+                                     "sweep", "fit"])
+def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, seed):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(golden_argv(command, seed, tmp_path), capsys)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_SHA256[command, seed]
+
+
+class Real(float):
+    """A float subclass, as numpy.float64 is."""
+
+
+@pytest.mark.parametrize("obj,text", [
+    ('say "hi"', r'"say \"hi\""'),
+    ("a\\b", r'"a\\b"'),
+    ("a\nb", r'"a\u000ab"'),
+    ("\x1f", r'"\u001f"'),
+    ("\x7f caf\xe9 \u2264", '"\x7f caf\xe9 \u2264"'),
+    (float("nan"), "null"),
+    (float("inf"), "null"),
+    (float("-inf"), "null"),
+    (True, "true"),
+    (False, "false"),
+    (1, "1"),
+    (None, "null"),
+    (2.5, "2.500000"),
+    (Real(1 / 3), "0.333333"),
+    ((1, "x"), '[\n  1,\n  "x"\n]'),
+    ({}, "{}"),
+    ([], "[]"),
+    ((), "[]"),
+    ({1: None, None: 2, 2.5: "t"},
+     '{\n  "1": null,\n  "None": 2,\n  "2.5": "t"\n}'),
+    ({"a": [1, {"b": -0.5, "c": []}], "d": {}},
+     '{\n  "a": [\n    1,\n    {\n      "b": -0.500000,\n'
+     '      "c": []\n    }\n  ],\n  "d": {}\n}'),
+], ids=["quote", "backslash", "newline", "unit-separator", "non-ascii",
+        "nan", "inf", "-inf", "true", "false", "int", "none", "float",
+        "float-subclass", "tuple", "empty-dict", "empty-list", "empty-tuple",
+        "non-str-keys", "nested"])
+def test_to_json_rows(obj, text):
+    assert cli.to_json(obj) == text
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, b"x", object(), [1, {"k": 1j}]],
+                         ids=["set", "bytes", "object", "nested-complex"])
+def test_to_json_rejects_unsupported_types(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli.to_json(obj)
