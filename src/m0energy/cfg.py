@@ -114,10 +114,8 @@ def extract_cfg(mem, entry):
         if addr in decoded:
             continue
         try:
-            hw1, _, _ = mem.read(addr, 2)
-            hw2 = None
-            if dec.is_wide(hw1):
-                hw2, _, _ = mem.read(addr + 2, 2)
+            hw1 = mem.read_code(addr)
+            hw2 = mem.read_code(addr + 2) if dec.is_wide(hw1) else None
             ins = dec.decode(hw1, hw2, addr)
         except M0EnergyError as exc:
             raise AnalysisError(addr, "undecodable code (%s)" % exc) from None
@@ -215,8 +213,7 @@ def _accumulate(blocks, edges, model):
     return point, loads, stores
 
 
-def _interval(point, loads, stores, model):
-    b4, b5, b6 = model.beta[3], model.beta[4], model.beta[5]
+def _interval(point, loads, stores, b4, b5, b6):
     if loads == 0 and stores == 0:
         return point
     lo = point + loads * min(b4, b6)
@@ -224,10 +221,20 @@ def _interval(point, loads, stores, model):
     return EnergyInterval(lo, hi)
 
 
+def block_energies(block, models):
+    """Energy of one block body (taken-edge cost excluded) under each of
+    `models`, from one read of its counts."""
+    c = block.static_counts
+    c1, c2, c4, c5, c6 = c.c1, c.c2, c.c4_known, c.c5_known, c.c6_known
+    loads, stores = c.unresolved_loads, c.unresolved_stores
+    return [_interval(b1 * c1 + b2 * c2 + b4 * c4 + b5 * c5 + b6 * c6,
+                      loads, stores, b4, b5, b6)
+            for b1, b2, _, b4, b5, b6 in (m.beta for m in models)]
+
+
 def block_energy(block, model):
     """Energy of one block body (taken-edge cost excluded)."""
-    point, loads, stores = _accumulate([block], [], model)
-    return _interval(point, loads, stores, model)
+    return block_energies(block, [model])[0]
 
 
 def path_energy(blocks, edges, model):
@@ -257,4 +264,4 @@ def path_energy(blocks, edges, model):
                             % ("taken" if taken else "fallthrough",
                                blocks[i].start, nxt))
     point, loads, stores = _accumulate(blocks, edges, model)
-    return _interval(point, loads, stores, model)
+    return _interval(point, loads, stores, *model.beta[3:])

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
 
 from . import cfg as cfgmod
@@ -31,7 +32,8 @@ from .energy import (HardwareConfig, builtin_configs, builtin_model,
                      save_models, EnergyModel)
 from .errors import (AnalysisError, BadEntryError, DatasetError,
                      InvalidConfigError, M0EnergyError, MalformedImageError)
-from .memory import DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, timing_class
+from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, MemorySystem,
+                     timing_class)
 
 MAX_CYCLES_DEFAULT = 10 ** 9
 
@@ -40,41 +42,50 @@ MAX_CYCLES_DEFAULT = 10 ** 9
 
 def to_json(obj, indent=0):
     """JSON with floats fixed at 6 decimals and stable field order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return "null"
-        return "%.6f" % obj
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ["%s%s: %s" % (inner, to_json(str(k)), to_json(v, indent + 1))
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + to_json(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return (_WRITERS.get(type(obj)) or _writer_for(obj))(obj, indent)
+
+
+def _writer_for(obj):
+    """The writer for a subclass of a written type, checked in this order."""
+    for base in (bool, int, float, str, dict, list, tuple):
+        if isinstance(obj, base):
+            return _WRITERS[base]
     raise TypeError("cannot serialize %r" % type(obj))
+
+
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_ESCAPES = {'"': '\\"', "\\": "\\\\", **{chr(i): "\\u%04x" % i for i in range(32)}}
+
+
+def _json_str(obj, indent=0):
+    if _NEEDS_ESCAPE.search(obj) is None:
+        return '"' + obj + '"'
+    return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], obj) + '"'
+
+
+def _json_dict(obj, indent):
+    pad = "  " * indent
+    get, indent = _WRITERS.get, indent + 1
+    items = [_json_str(str(k)) + ": " + (get(type(v)) or _writer_for(v))(v, indent)
+             for k, v in obj.items()]
+    return ("{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}"
+            if items else "{}")
+
+
+def _json_list(obj, indent):
+    pad = "  " * indent
+    get, indent = _WRITERS.get, indent + 1
+    items = [(get(type(v)) or _writer_for(v))(v, indent) for v in obj]
+    return ("[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
+            if items else "[]")
+
+
+_WRITERS = {
+    type(None): lambda obj, indent: "null",
+    bool: lambda obj, indent: "true" if obj else "false",
+    int: lambda obj, indent: str(obj),
+    float: lambda obj, indent: "%.6f" % obj if math.isfinite(obj) else "null",
+    str: _json_str, dict: _json_dict, list: _json_list, tuple: _json_list}
 
 
 def render_text(obj, indent=0):
@@ -280,14 +291,10 @@ def _counts_dict(counts):
             "unresolved_stores": counts.unresolved_stores}
 
 
-def _block_dict(block):
-    energies = {}
-    for model in builtin_models():
-        value = cfgmod.block_energy(block, model)
-        if isinstance(value, cfgmod.EnergyInterval):
-            energies[model.config.label()] = {"lo": value.lo, "hi": value.hi}
-        else:
-            energies[model.config.label()] = value
+def _block_dict(block, models, labels):
+    energies = {label: {"lo": v.lo, "hi": v.hi}
+                if isinstance(v, cfgmod.EnergyInterval) else v
+                for label, v in zip(labels, cfgmod.block_energies(block, models))}
     return {
         "start": "0x%08x" % block.start,
         "end": "0x%08x" % block.end,
@@ -301,7 +308,6 @@ def _block_dict(block):
 
 def cmd_analyze(args, parser):
     data = _read_image(args.image, parser)
-    from .memory import MemorySystem
     try:
         mem = MemorySystem(data, flash_size=args.flash_size,
                            ram_size=args.ram_size)
@@ -310,10 +316,13 @@ def cmd_analyze(args, parser):
     except (AnalysisError, M0EnergyError) as exc:
         print("analysis error: %s" % exc, file=sys.stderr)
         return 1
+    models = builtin_models()
+    labels = [m.config.label() for m in models]
     report = {
         "image": _image_info(args.image, data),
         "entry": "0x%08x" % (entry & ~1),
-        "blocks": [_block_dict(b) for b in graph.sorted_blocks()],
+        "blocks": [_block_dict(b, models, labels)
+                   for b in graph.sorted_blocks()],
     }
     return _emit(report, args.format, "analysis")
 

@@ -69,21 +69,25 @@ class EnergyModel:
             raise InvalidConfigError("model needs exactly 6 coefficients")
 
 
+# config -> model, in table order; built once, as the models are frozen
+_BUILTIN = {m.config: m for m in (
+    EnergyModel(HardwareConfig(*cfg), beta, "builtin", mape, resd)
+    for cfg, beta, mape, resd in _BUILTIN_TABLE)}
+
+
 def builtin_models():
-    """The ten published models, in table order."""
-    return [EnergyModel(HardwareConfig(*cfg), beta, "builtin", mape, resd)
-            for cfg, beta, mape, resd in _BUILTIN_TABLE]
+    """The ten published models, in table order, as a new list."""
+    return list(_BUILTIN.values())
 
 
 def builtin_configs():
-    return [HardwareConfig(*cfg) for cfg, _, _, _ in _BUILTIN_TABLE]
+    return list(_BUILTIN)
 
 
 def builtin_model(config):
-    for model in builtin_models():
-        if model.config == config:
-            return model
-    raise InvalidConfigError("no built-in model for %s" % (config,))
+    if config not in _BUILTIN:
+        raise InvalidConfigError("no built-in model for %s" % (config,))
+    return _BUILTIN[config]
 
 
 def _counter_vector(counters):
@@ -119,8 +123,8 @@ def compare_configs(results, models=None):
     per timing class.  Returns rows (config, energy_nj, time_us) sorted by
     energy, ties broken by time and then by built-in table order.
     """
-    by_config = {m.config: m for m in (models or builtin_models())}
-    order = {HardwareConfig(*cfg): i for i, (cfg, _, _, _) in enumerate(_BUILTIN_TABLE)}
+    by_config = {m.config: m for m in models} if models else _BUILTIN
+    order = {config: i for i, config in enumerate(_BUILTIN)}
     rows = []
     for config, (counters, cycles) in results.items():
         model = by_config.get(config)

@@ -7,7 +7,7 @@ from helpers import (KERNELS, dynamic_block_path, kernel_image, run_kernel,
 from m0energy import (AnalysisError, Assembler, EnergyInterval, HardwareConfig,
                       MemorySystem, PathError, Simulator, builtin_model,
                       builtin_models, estimate, extract_cfg, path_energy)
-from m0energy.cfg import block_energy
+from m0energy.cfg import block_energies, block_energy
 
 MODEL = builtin_model(HardwareConfig(20, False, 0))
 
@@ -150,6 +150,18 @@ def test_path_energy_single_block_equals_estimate():
     assert value == pytest.approx(
         estimate(block.static_counts.as_vector(), MODEL), rel=1e-12)
     assert block_energy(block, MODEL) == value
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_block_energies_equal_one_block_paths(name):
+    """One read of a block's counts gives, for each model, exactly the
+    energy of the one-block path: same value, same float operations."""
+    graph, _ = graph_for(name)
+    models = builtin_models()
+    for block in graph.sorted_blocks():
+        values = block_energies(block, models)
+        assert values == [path_energy([block], [], m) for m in models]
+        assert values == [block_energy(block, m) for m in models]
 
 
 def test_path_energy_loop_matches_dynamic_oracle():

@@ -359,6 +359,19 @@ def test_analyze_error_exits_one(tmp_path, capsys):
     assert "0x0800000c" in err
 
 
+def test_analyze_branch_to_unmapped_address_exits_one(tmp_path, capsys):
+    a = Assembler()
+    a.bl(0x08020000)  # past the end of the default 64 KiB Flash
+    a.bkpt()
+    path = tmp_path / "unmapped.bin"
+    path.write_bytes(a.image())
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("analysis error: ")
+    assert "0x08020000" in err and "unmapped fetch" in err
+    assert "Traceback" not in err
+
+
 def test_fit_noiseless_csv_recovers_table_row(tmp_path, capsys):
     ds = synth_dataset(seed=0, n=40, noise=0.0)
     csv_path = tmp_path / "data.csv"

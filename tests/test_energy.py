@@ -37,6 +37,18 @@ def test_builtin_lookup_by_config():
     assert model.beta[5] == 1.250446
 
 
+def test_builtin_models_returns_a_new_list_each_call():
+    first = builtin_models()
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    first[1] = None
+    assert builtin_models() == expected
+    assert builtin_configs() == [m.config for m in expected]
+    for model in expected:
+        assert builtin_model(model.config) is model
+
+
 def test_invalid_config_rejected():
     with pytest.raises(InvalidConfigError):
         HardwareConfig(48, False, 0)  # 48 MHz needs a wait state
