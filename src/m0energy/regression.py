@@ -14,6 +14,7 @@ most one, and scores each fold with a model fitted on the other k-1.
 """
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,15 +85,71 @@ class CVResult:
 def load_dataset(path, name=None):
     """Read a `c1,..,c6,energy_nj` CSV; errors carry the offending line.
     Latin-1 decodes any byte, so a binary file is reported as bad CSV, and
-    nan or inf (which float() accepts) is rejected like a non-number."""
-    rows = []
-    lines = []
+    nan or inf (which float() accepts) is rejected like a non-number.
+
+    The body of a file with the plain header is parsed by one numpy call.
+    Any file that parse refuses goes to `_scan`, which holds the format
+    rules and names the line at fault."""
     with open(path, newline="", encoding="latin-1") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("%s: empty file" % path) from None
+        header = fh.readline()
+        body = fh.read()
+    data = None
+    if header.rstrip("\r\n") == ",".join(CSV_HEADER):
+        data = _parse_body(body)
+    if data is None:
+        data = _scan(path, io.StringIO(header + body, newline=""))
+    return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+
+
+# numpy strips these around a number; float() rejects them
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_body(body):
+    """The data rows as an (n, 7) array, or None where `_scan` must decide.
+
+    np.loadtxt converts with the same PyOS_string_to_double as float(), so
+    the values keep their bits.  It is handed only bodies on which csv and
+    float() would agree with it: no field past the csv size limit, no
+    character numpy alone takes for space, and some text (an empty body
+    makes numpy warn).  Quotes, whitespace-only lines and `1_0` make it
+    raise ValueError."""
+    if (not body.strip() or any(c in body for c in _NUMPY_ONLY_SPACE)
+            or not _lines_within(body, csv.field_size_limit())):
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",",
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != 7 or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _lines_within(text, limit):
+    """True when no newline-separated line of text is longer than limit."""
+    pos = 0
+    while len(text) - pos > limit:
+        end = text.rfind("\n", pos, pos + limit + 1)
+        if end < 0:
+            return False
+        pos = end + 1
+    return True
+
+
+def _scan(path, lines):
+    """The format rules, applied one csv record at a time: the (n, 7) data,
+    or a DatasetError where "line N" is the N-th record, the header's 1."""
+    rows = []
+    linenos = []
+    reader = csv.reader(lines)
+    lineno = 0  # the last record read
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError("%s: empty file" % path)
+        lineno = 1
         if [h.strip() for h in header] != CSV_HEADER:
             raise DatasetError("%s: header must be %s" % (path, ",".join(CSV_HEADER)))
         for lineno, row in enumerate(reader, start=2):
@@ -106,15 +163,17 @@ def load_dataset(path, name=None):
             except ValueError:
                 raise DatasetError("%s: line %d: non-numeric value" % (path, lineno)) from None
             rows.append(values)
-            lines.append(lineno)
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise DatasetError("%s: line %d: %s" % (path, lineno + 1, exc)) from None
     if not rows:
         raise DatasetError("%s: no data rows" % path)
     data = np.array(rows)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise DatasetError("%s: line %d: non-finite value"
-                           % (path, lines[int(np.argmin(finite))]))
-    return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+                           % (path, linenos[int(np.argmin(finite))]))
+    return data
 
 
 def save_dataset(path, dataset):
@@ -206,11 +265,13 @@ def kfold_cv(dataset, k=10, seed=0):
     A fold with constant actual values (always the case for leave-one-out)
     has no defined R^2 and is scored nan, which propagates to the mean.
     """
-    folds = fold_indices(len(dataset), k, seed)
-    all_idx = np.arange(len(dataset))
+    n = len(dataset)
+    folds = fold_indices(n, k, seed)
     scores = []
     for i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=False)
+        keep = np.ones(n, dtype=bool)
+        keep[test_idx] = False
+        train_idx = np.flatnonzero(keep)  # the sorted complement of the fold
         model = fit(dataset.subset(train_idx))
         pred = dataset.counts[test_idx] @ np.array(model.beta)
         actual = dataset.energies[test_idx]

@@ -9,13 +9,15 @@ by hand.  Counter expectations are hand counts over the executed path.
 """
 
 import contextlib
+import csv
 
 import numpy as np
 
 from m0energy import cpu
-from m0energy import (Assembler, CpuState, EventCounters, InvalidStateFault,
-                      M0EnergyError, MemorySystem, RegressionDataset,
-                      Simulator)
+from m0energy import (Assembler, CpuState, DatasetError, EventCounters,
+                      InvalidStateFault, M0EnergyError, MemorySystem,
+                      RegressionDataset, Simulator, fit, fold_indices, mape,
+                      r2)
 from m0energy.cpu import HANDLERS
 from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
 
@@ -407,6 +409,58 @@ def sum_static_counts(blocks, edges):
         total = [a + b for a, b in zip(total, vec)]
     total[2] += sum(1 for taken in edges if taken)
     return tuple(total)
+
+
+def reference_load_dataset(path, name=None):
+    """The dataset loader as first written, frozen as an oracle: one
+    csv.reader pass and float() per field.  It still lets csv.Error (a
+    field past csv.field_size_limit) escape."""
+    header_names = ["c1", "c2", "c3", "c4", "c5", "c6", "energy_nj"]
+    rows = []
+    lines = []
+    with open(path, newline="", encoding="latin-1") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError("%s: empty file" % path) from None
+        if [h.strip() for h in header] != header_names:
+            raise DatasetError("%s: header must be %s" % (path, ",".join(header_names)))
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 7:
+                raise DatasetError("%s: line %d: expected 7 fields, got %d"
+                                   % (path, lineno, len(row)))
+            try:
+                values = [float(x) for x in row]
+            except ValueError:
+                raise DatasetError("%s: line %d: non-numeric value" % (path, lineno)) from None
+            rows.append(values)
+            lines.append(lineno)
+    if not rows:
+        raise DatasetError("%s: no data rows" % path)
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DatasetError("%s: line %d: non-finite value"
+                           % (path, lines[int(np.argmin(finite))]))
+    return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+
+
+def reference_kfold_scores(dataset, k, seed):
+    """Per-fold (r2, mape) with each training set built by np.setdiff1d,
+    as k-fold cross-validation was first written."""
+    all_idx = np.arange(len(dataset))
+    scores = []
+    for test_idx in fold_indices(len(dataset), k, seed):
+        model = fit(dataset.subset(np.setdiff1d(all_idx, test_idx)))
+        pred = dataset.counts[test_idx] @ np.array(model.beta)
+        actual = dataset.energies[test_idx]
+        ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))
+        scores.append((r2(pred, actual) if ss_tot > 0 else float("nan"),
+                       mape(pred, actual)))
+    return scores
 
 
 def dot_oracle(beta, counts):

@@ -462,6 +462,20 @@ def test_fit_non_finite_value_is_a_fit_error(tmp_path, capsys, column, value):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("field", ["1" + "0" * 200_000, "1." + "0" * 200_000])
+def test_fit_oversized_field_is_a_fit_error(tmp_path, capsys, field):
+    ds = synth_dataset(seed=3, n=40, noise=0.01)
+    path = tmp_path / "data.csv"
+    save_dataset(path, ds)
+    lines = path.read_text().splitlines()
+    lines[4] = field + lines[4][lines[4].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["fit", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == ("fit error: %s: line 5: field larger than field limit "
+                   "(131072)\n" % path)
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 def test_fit_unwritable_emit_model_fails_before_fitting(tmp_path, capsys,
                                                         monkeypatch, where):

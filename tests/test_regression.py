@@ -1,12 +1,18 @@
 """Fitting and metric tests with hand-computed and Monte-Carlo oracles."""
 
+import csv
+import random
+import zlib
+
 import numpy as np
 import pytest
 
-from helpers import BETA_20_OFF_0, synth_dataset
+from helpers import (BETA_20_OFF_0, reference_kfold_scores,
+                     reference_load_dataset, synth_dataset)
 from m0energy import (DatasetError, DegenerateDesignError, RegressionDataset,
                       fit, fold_indices, kfold_cv, load_dataset, mape, r2,
                       resd, save_dataset)
+from m0energy import regression
 
 
 # -- metrics ---------------------------------------------------------------
@@ -189,6 +195,24 @@ def test_kfold_leave_one_out_runs():
     assert sorted(np.concatenate(folds)) == list(range(12))
 
 
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n,k,seed", [(100, 10, 0), (103, 10, 5), (57, 4, 11),
+                                      (40, 7, 2), (12, 12, 0), (9, 9, 3)])
+def test_kfold_matches_setdiff1d_reference(n, k, seed):
+    ds = synth_dataset(seed=20 + seed, n=n, noise=0.03)
+    result = kfold_cv(ds, k=k, seed=seed)
+    want = reference_kfold_scores(ds, k, seed)
+    assert [f.fold for f in result.folds] == list(range(k))
+    assert bits([(f.r2, f.mape) for f in result.folds]) == bits(want)
+    r2s = np.array([w[0] for w in want])
+    assert bits([result.mean_r2, result.sd_r2]) == \
+        bits([np.mean(r2s), np.std(r2s)])
+    assert np.isnan(result.mean_r2) == (k == n)  # leave-one-out has no R^2
+
+
 # -- dataset construction and IO ------------------------------------------------
 
 def test_dataset_rejects_all_zero_row():
@@ -268,4 +292,148 @@ def test_csv_header_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DatasetError):
+        load_dataset(path)
+
+
+# -- the loader against the frozen reference ------------------------------------
+
+_ODD_FIELDS = ["1_0", "1e400", "nan", "-inf", "0x10", "", " 5 ", "\t6", "7\x0c",
+               "\x1c3", "3\x1f", "\xa01", "1\x85", '"7"', '" 8"', '"1,2"',
+               '"1\n2"', '"3', "\x00", "1\x00", "\xe9", "-0", "1e-400", "+.5",
+               "5.", "Infinity", "-1", "0", "1.5e+2"]
+_ODD_LINES = ["", " ", " \t", "\x0c", "\x1c", "\x00", ",", "\xff\xfe",
+              "#1,2,3,4,5,6,7", '""']
+_HEADERS = [" c1, c2 ,c3,c4,c5,c6, energy_nj", "c1,c2,c3,c4,c5,c6",
+            '"c1",c2,c3,c4,c5,c6,energy_nj', "c1,c2,c3,c4,c5,c6,energy_nj,"]
+
+
+def _count(rng):
+    return rng.choice(["%d" % rng.randrange(1, 10 ** 6),
+                       "%.3f" % rng.uniform(0, 1e5), "%e" % rng.uniform(1, 1e6),
+                       repr(rng.uniform(0, 1e4)), "0"])
+
+
+def _energy(rng):
+    return rng.choice(["%.6f" % rng.uniform(1, 1e6), repr(rng.uniform(0.1, 1e3)),
+                       "%g" % rng.uniform(1, 1e5), "%d" % rng.randrange(1, 10 ** 7)])
+
+
+def corpus_csv(case):
+    """A small CSV, mostly valid, seeded by crc32 of the case number.  Some
+    files carry odd fields, odd lines, short or long rows, other headers
+    and mixed line ends."""
+    rng = random.Random(zlib.crc32(b"dataset %d" % case))
+    odd = rng.random() < 0.6
+    header = "c1,c2,c3,c4,c5,c6,energy_nj"
+    if odd and rng.random() < 0.2:
+        header = rng.choice(_HEADERS)
+    lines = [header]
+    for _ in range(rng.randrange(0, 12)):
+        row = [_count(rng) for _ in range(6)] + [_energy(rng)]
+        if odd and rng.random() < 0.2:
+            kind = rng.randrange(5)
+            if kind < 2:
+                row[rng.randrange(7)] = rng.choice(_ODD_FIELDS)
+            elif kind == 2:
+                row.append(rng.choice(["", "1"]))
+            elif kind == 3:
+                del row[rng.randrange(7)]
+            else:
+                lines.append(rng.choice(_ODD_LINES))
+        lines.append(",".join(row))
+    eol = rng.choice(["\n", "\r\n", "\r"])
+    text = ""
+    for line in lines:
+        text += line + (rng.choice(["\n", "\r\n", "\r"])
+                        if odd and rng.random() < 0.1 else eol)
+    if rng.random() < 0.2:
+        text = text[:-len(eol)]
+    return text.encode("latin-1")
+
+
+def load_outcome(loader, path):
+    try:
+        ds = loader(path)
+    except DatasetError as exc:
+        return ("error", str(exc))
+    return ("data", bits(ds.counts), bits(ds.energies), ds.name)
+
+
+CORPUS = range(300)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", CORPUS)
+def test_load_dataset_matches_reference(tmp_path, case):
+    path = tmp_path / "data.csv"
+    path.write_bytes(corpus_csv(case))
+    assert load_outcome(load_dataset, path) == \
+        load_outcome(reference_load_dataset, path)
+
+
+def test_corpus_reaches_numpy_parse_and_scan(tmp_path, monkeypatch):
+    scanned = []
+    scan = regression._scan
+
+    def counting_scan(path, lines):
+        scanned.append(path)
+        return scan(path, lines)
+
+    monkeypatch.setattr(regression, "_scan", counting_scan)
+    loaded = 0
+    for case in CORPUS:
+        path = tmp_path / ("%d.csv" % case)
+        path.write_bytes(corpus_csv(case))
+        loaded += load_outcome(load_dataset, path)[0] == "data"
+    parsed = len(CORPUS) - len(scanned)
+    assert parsed >= 60 and len(scanned) >= 60
+    assert loaded > parsed  # some files only the scan accepts
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_valid_dataset_never_reaches_the_scan(tmp_path, monkeypatch, eol):
+    def no_scan(path, lines):
+        raise AssertionError("scanned %s" % path)
+
+    monkeypatch.setattr(regression, "_scan", no_scan)
+    ds = synth_dataset(seed=12, n=50, noise=0.03)
+    path = tmp_path / "data.csv"
+    save_dataset(path, ds)
+    text = path.read_text().replace("\r\n", "\n").replace("\n", eol)
+    path.write_bytes((text + eol).encode("latin-1"))  # and a blank line
+    back = load_dataset(path)
+    assert bits(back.counts) == bits(ds.counts)
+    assert bits(back.energies) == bits(ds.energies)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_csv_field_size_limit_names_line(tmp_path, extra):
+    limit = csv.field_size_limit()
+    field = "1." + "0" * (limit - 2 + extra)  # finite, so numpy would take it
+    path = tmp_path / "data.csv"
+    rows = ["1,2,3,4,5,6,7.5"] * 4
+    rows[2] = field + ",2,3,4,5,6,7.5"
+    path.write_text("c1,c2,c3,c4,c5,c6,energy_nj\n" + "\n".join(rows) + "\n")
+    if extra:
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(err.value) == ("%s: line 4: field larger than field limit "
+                                  "(%d)" % (path, limit))
+    else:
+        assert load_outcome(load_dataset, path) == \
+            load_outcome(reference_load_dataset, path)
+
+
+@pytest.mark.parametrize("text,within", [
+    ("", True), ("abcd", True), ("abcde", False), ("abcd\n", True),
+    ("abcde\n", False), ("ab\nabcd\nabcd", True), ("abcd\nabcde", False),
+    ("abc\r\nab", True), ("abcd\r\nab", False), ("\n" * 9, True)])
+def test_lines_within_limit(text, within):
+    assert regression._lines_within(text, 4) == within
+
+
+def test_csv_oversized_header_names_line_1(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("c" * (csv.field_size_limit() + 1) + "\n1,2,3,4,5,6,7\n")
+    with pytest.raises(DatasetError, match=r"line 1: field larger"):
         load_dataset(path)
