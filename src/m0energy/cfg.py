@@ -227,6 +227,9 @@ def block_energies(block, models):
     c = block.static_counts
     c1, c2, c4, c5, c6 = c.c1, c.c2, c.c4_known, c.c5_known, c.c6_known
     loads, stores = c.unresolved_loads, c.unresolved_stores
+    if not (loads or stores):
+        return [b1 * c1 + b2 * c2 + b4 * c4 + b5 * c5 + b6 * c6
+                for b1, b2, _, b4, b5, b6 in (m.beta for m in models)]
     return [_interval(b1 * c1 + b2 * c2 + b4 * c4 + b5 * c5 + b6 * c6,
                       loads, stores, b4, b5, b6)
             for b1, b2, _, b4, b5, b6 in (m.beta for m in models)]

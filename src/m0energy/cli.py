@@ -63,11 +63,35 @@ def _json_str(obj, indent=0):
     return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], obj) + '"'
 
 
+# exact-str key -> its encoded '"key": ' prefix.  A report repeats a few
+# dozen keys; a str subclass may render differently, so it is never cached.
+_KEY_PREFIXES = {}
+
+
 def _json_dict(obj, indent):
     pad = "  " * indent
     get, indent = _WRITERS.get, indent + 1
-    items = [_json_str(str(k)) + ": " + (get(type(v)) or _writer_for(v))(v, indent)
-             for k, v in obj.items()]
+    prefixes, search, isfinite = _KEY_PREFIXES, _NEEDS_ESCAPE.search, math.isfinite
+    items = []
+    append = items.append
+    for k, v in obj.items():
+        if type(k) is str:
+            key = prefixes.get(k)
+            if key is None:
+                key = _json_str(k) + ": "
+                if len(prefixes) < 4096:  # bounds a long-lived process
+                    prefixes[k] = key
+        else:
+            key = _json_str(str(k)) + ": "
+        t = type(v)
+        if t is str:
+            append(key + ('"' + v + '"' if search(v) is None else _json_str(v)))
+        elif t is float:
+            append(key + ("%.6f" % v if isfinite(v) else "null"))
+        elif t is int:
+            append(key + str(v))
+        else:
+            append(key + (get(t) or _writer_for(v))(v, indent))
     return ("{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}"
             if items else "{}")
 
@@ -75,7 +99,19 @@ def _json_dict(obj, indent):
 def _json_list(obj, indent):
     pad = "  " * indent
     get, indent = _WRITERS.get, indent + 1
-    items = [(get(type(v)) or _writer_for(v))(v, indent) for v in obj]
+    search, isfinite = _NEEDS_ESCAPE.search, math.isfinite
+    items = []
+    append = items.append
+    for v in obj:
+        t = type(v)
+        if t is str:
+            append('"' + v + '"' if search(v) is None else _json_str(v))
+        elif t is float:
+            append("%.6f" % v if isfinite(v) else "null")
+        elif t is int:
+            append(str(v))
+        else:
+            append((get(t) or _writer_for(v))(v, indent))
     return ("[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
             if items else "[]")
 

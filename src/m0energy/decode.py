@@ -7,7 +7,9 @@ every other 32-bit encoding raise UndefinedInstructionError.
 Each decoded instruction carries an internal `op` id used for execution
 dispatch, a display mnemonic, an operand dict, and a pre-rendered text form.
 Branch targets and literal-pool addresses are resolved at decode time (they
-only depend on the instruction address).
+only depend on the instruction address).  Every other encoding decodes the
+same at any address, so `decode` keeps its result per halfword and hands
+each caller a new Instruction with its own `fields` dict.
 
 `control_flow` is the one rule for which instructions end a basic block
 and where control goes next; the simulator and the static CFG both use it.
@@ -46,15 +48,18 @@ EDGE_CALL = "call"
 EDGE_RETURN = "return"
 
 
+_REG_NAMES = tuple("r%d" % i for i in range(13)) + ("sp", "lr", "pc")
+
+
 def reg_name(i):
-    return {13: "sp", 14: "lr", 15: "pc"}.get(i, "r%d" % i)
+    return _REG_NAMES[i]
 
 
 def reglist_text(regs):
     return "{%s}" % ", ".join(reg_name(r) for r in regs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     addr: int
     op: str                 # internal id, e.g. "ADDS_REG"
@@ -108,8 +113,28 @@ def _sign_extend(value, bits):
     return value
 
 
+_new_instruction = object.__new__
+(_set_addr, _set_op, _set_mnemonic, _set_width, _set_raw, _set_fields,
+ _set_text) = (getattr(Instruction, name).__set__ for name in (
+    "addr", "op", "mnemonic", "width", "raw", "fields", "text"))
+
+
 def _ins(addr, op, mnemonic, raw, fields, text, width=16):
-    return Instruction(addr, op, mnemonic, width, raw, fields, text)
+    # Skips the dataclass __init__, which pays an object.__setattr__ per field.
+    ins = _new_instruction(Instruction)
+    _set_addr(ins, addr)
+    _set_op(ins, op)
+    _set_mnemonic(ins, mnemonic)
+    _set_width(ins, width)
+    _set_raw(ins, raw)
+    _set_fields(ins, fields)
+    _set_text(ins, text)
+    return ins
+
+
+# Ops whose decode depends on the instruction's address.
+_ADDRESSED_OPS = frozenset(["B", "BCOND", "BL", "LDR_LIT", "ADR"])
+_MEMO = {}  # halfword -> (op, mnemonic, fields, text) of any other op
 
 
 def decode(hw1, hw2=None, addr=0):
@@ -121,7 +146,18 @@ def decode(hw1, hw2=None, addr=0):
     if addr & 1:
         raise UndefinedInstructionError(addr, hw1, "misaligned decode")
     hw = hw1 & 0xFFFF
+    known = _MEMO.get(hw)
+    if known is not None:
+        op, mnemonic, fields, text = known
+        return _ins(addr, op, mnemonic, hw, fields.copy(), text)
+    ins = _decode(hw, hw2, addr)
+    if ins.op not in _ADDRESSED_OPS:
+        _MEMO[hw] = (ins.op, ins.mnemonic, ins.fields.copy(), ins.text)
+    return ins
 
+
+def _decode(hw, hw2, addr):
+    """decode() without the memo, for an even `addr` and a 16-bit `hw`."""
     if is_wide(hw):
         return _decode_wide(hw, hw2, addr)
 
@@ -373,6 +409,6 @@ def _decode_wide(hw1, hw2, addr):
         imm = (s << 24) | (i1 << 23) | (i2 << 22) | (imm10 << 12) | (imm11 << 1)
         imm = _sign_extend(imm, 25)
         target = (addr + 4 + imm) & 0xFFFFFFFF
-        return Instruction(addr, "BL", "BL", 32, raw, {"target": target},
-                           "BL 0x%08x" % target)
+        return _ins(addr, "BL", "BL", raw, {"target": target},
+                    "BL 0x%08x" % target, width=32)
     raise UndefinedInstructionError(addr, hw1, "unsupported 32-bit encoding")

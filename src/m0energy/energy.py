@@ -85,9 +85,10 @@ def builtin_configs():
 
 
 def builtin_model(config):
-    if config not in _BUILTIN:
-        raise InvalidConfigError("no built-in model for %s" % (config,))
-    return _BUILTIN[config]
+    try:
+        return _BUILTIN[config]
+    except (KeyError, TypeError):  # TypeError: an unhashable config
+        raise InvalidConfigError("no built-in model for %s" % (config,)) from None
 
 
 def _counter_vector(counters):

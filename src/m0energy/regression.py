@@ -42,12 +42,9 @@ class RegressionDataset:
         if not (np.isfinite(self.counts).all()
                 and np.isfinite(self.energies).all()):
             raise DatasetError("counters and energies must be finite")
-        if np.any(self.counts < 0):
-            raise DatasetError("counters must be non-negative")
-        if np.any(self.energies <= 0):
-            raise DatasetError("energies must be positive")
-        if np.any(~self.counts.any(axis=1)):
-            raise DatasetError("dataset contains an all-zero counter row")
+        fault = _value_fault(self.counts, self.energies)
+        if fault is not None:
+            raise DatasetError(fault[0])
 
     def __len__(self):
         return self.counts.shape[0]
@@ -55,6 +52,20 @@ class RegressionDataset:
     def subset(self, indices):
         return RegressionDataset(self.counts[indices], self.energies[indices],
                                  self.name)
+
+
+def _value_fault(counts, energies):
+    """(message, first row at fault) for the first value rule the rows
+    break, in this order, or None."""
+    for message, broken in (
+            ("counters must be non-negative", lambda: counts < 0),
+            ("energies must be positive", lambda: energies <= 0),
+            ("dataset contains an all-zero counter row",
+             lambda: ~counts.any(axis=1))):
+        bad = broken()  # by row, or by row and column
+        if bad.any():
+            return message, int(np.nonzero(bad)[0][0])
+    return None
 
 
 @dataclass
@@ -89,7 +100,8 @@ def load_dataset(path, name=None):
 
     The body of a file with the plain header is parsed by one numpy call.
     Any file that parse refuses goes to `_scan`, which holds the format
-    rules and names the line at fault."""
+    rules and names the line at fault.  A value rule of RegressionDataset
+    names the line of the first row that breaks it."""
     with open(path, newline="", encoding="latin-1") as fh:
         header = fh.readline()
         body = fh.read()
@@ -97,8 +109,16 @@ def load_dataset(path, name=None):
     if header.rstrip("\r\n") == ",".join(CSV_HEADER):
         data = _parse_body(body)
     if data is None:
-        data = _scan(path, io.StringIO(header + body, newline=""))
-    return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+        data = _scan(path, io.StringIO(header + body, newline=""))[0]
+    try:
+        return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+    except DatasetError:
+        fault = _value_fault(data[:, :6], data[:, 6])
+        if fault is None:
+            raise
+    # Only a failing file pays for the line numbers.
+    lines = _scan(path, io.StringIO(header + body, newline=""))[1]
+    raise DatasetError("%s: line %d: %s" % (path, lines[fault[1]], fault[0]))
 
 
 # numpy strips these around a number; float() rejects them
@@ -139,8 +159,9 @@ def _lines_within(text, limit):
 
 
 def _scan(path, lines):
-    """The format rules, applied one csv record at a time: the (n, 7) data,
-    or a DatasetError where "line N" is the N-th record, the header's 1."""
+    """The format rules, applied one csv record at a time: the (n, 7) data
+    and the line of each row, or a DatasetError where "line N" is the N-th
+    record, the header's 1."""
     rows = []
     linenos = []
     reader = csv.reader(lines)
@@ -173,7 +194,7 @@ def _scan(path, lines):
     if not finite.all():
         raise DatasetError("%s: line %d: non-finite value"
                            % (path, linenos[int(np.argmin(finite))]))
-    return data
+    return data, linenos
 
 
 def save_dataset(path, dataset):

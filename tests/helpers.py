@@ -10,6 +10,8 @@ by hand.  Counter expectations are hand counts over the executed path.
 
 import contextlib
 import csv
+import math
+import re
 
 import numpy as np
 
@@ -446,6 +448,58 @@ def reference_load_dataset(path, name=None):
         raise DatasetError("%s: line %d: non-finite value"
                            % (path, lines[int(np.argmin(finite))]))
     return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+
+
+def reference_to_json(obj, indent=0):
+    """The JSON writer as it stood before dict keys and scalars were
+    written inline, frozen as an oracle: dispatch on type(obj), with the
+    isinstance order as the fallback for subclasses."""
+    return (_REF_WRITERS.get(type(obj)) or _ref_writer_for(obj))(obj, indent)
+
+
+def _ref_writer_for(obj):
+    for base in (bool, int, float, str, dict, list, tuple):
+        if isinstance(obj, base):
+            return _REF_WRITERS[base]
+    raise TypeError("cannot serialize %r" % type(obj))
+
+
+_REF_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_REF_ESCAPES = {'"': '\\"', "\\": "\\\\",
+                **{chr(i): "\\u%04x" % i for i in range(32)}}
+
+
+def _ref_json_str(obj, indent=0):
+    if _REF_NEEDS_ESCAPE.search(obj) is None:
+        return '"' + obj + '"'
+    return '"' + _REF_NEEDS_ESCAPE.sub(lambda m: _REF_ESCAPES[m.group()], obj) + '"'
+
+
+def _ref_json_dict(obj, indent):
+    pad = "  " * indent
+    get, indent = _REF_WRITERS.get, indent + 1
+    items = [_ref_json_str(str(k)) + ": "
+             + (get(type(v)) or _ref_writer_for(v))(v, indent)
+             for k, v in obj.items()]
+    return ("{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}"
+            if items else "{}")
+
+
+def _ref_json_list(obj, indent):
+    pad = "  " * indent
+    get, indent = _REF_WRITERS.get, indent + 1
+    items = [(get(type(v)) or _ref_writer_for(v))(v, indent) for v in obj]
+    return ("[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
+            if items else "[]")
+
+
+_REF_WRITERS = {
+    type(None): lambda obj, indent: "null",
+    bool: lambda obj, indent: "true" if obj else "false",
+    int: lambda obj, indent: str(obj),
+    float: lambda obj, indent: "%.6f" % obj if math.isfinite(obj) else "null",
+    str: _ref_json_str, dict: _ref_json_dict, list: _ref_json_list,
+    tuple: _ref_json_list}
 
 
 def reference_kfold_scores(dataset, k, seed):

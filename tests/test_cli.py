@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -13,7 +14,7 @@ import m0energy
 
 from helpers import (INTERWORKING_BRANCHES, KERNELS, invstate_image,
                      invstate_reason, kernel_image, recount_from_trace_file,
-                     run_kernel, synth_dataset)
+                     reference_to_json, run_kernel, synth_dataset)
 from m0energy import (Assembler, EnergyModel, HardwareConfig, builtin_model,
                       builtin_models, estimate, load_models, save_dataset,
                       save_models)
@@ -462,6 +463,27 @@ def test_fit_non_finite_value_is_a_fit_error(tmp_path, capsys, column, value):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("1,2,-3,4,5,6,7.5", "counters must be non-negative"),
+    ("1,2,3,4,5,6,0", "energies must be positive"),
+    ("0,0,0,0,0,0,7.5", "dataset contains an all-zero counter row"),
+], ids=["negative-count", "zero-energy", "all-zero-row"])
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "scanned"])
+def test_fit_value_rule_names_the_line(tmp_path, capsys, row, message, plain):
+    ds = synth_dataset(seed=3, n=40, noise=0.01)
+    path = tmp_path / "data.csv"
+    save_dataset(path, ds)
+    lines = path.read_text().splitlines()
+    lines[17] = row
+    lines.insert(9, "" if plain else " ")  # a blank line, or one only the scan takes
+    if not plain:
+        lines[0] = " c1,c2,c3,c4,c5,c6,energy_nj"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["fit", str(path), "--kfold", "5"], capsys)
+    assert code == 1 and out == ""
+    assert err == "fit error: %s: line 19: %s\n" % (path, message)
+
+
 @pytest.mark.parametrize("field", ["1" + "0" * 200_000, "1." + "0" * 200_000])
 def test_fit_oversized_field_is_a_fit_error(tmp_path, capsys, field):
     ds = synth_dataset(seed=3, n=40, noise=0.01)
@@ -752,6 +774,80 @@ class Real(float):
         "non-str-keys", "nested"])
 def test_to_json_rows(obj, text):
     assert cli.to_json(obj) == text
+
+
+class Text(str):
+    """A str subclass with its own __str__, which a key is written by."""
+
+    def __str__(self):
+        return "text:" + str.__str__(self)
+
+
+class Word(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+_ORACLE_CHARS = ['"', "\\", "a", "Z", " ", "\x7f", "\xe9", "\u2264", "\U0001f600",
+                 *map(chr, range(32))]
+_ORACLE_KEYS = [1, True, 1.0, None, Text("k"), Word("k"), "k", "lo", "hi",
+                "energy_nj", 'q"', "\x00"]
+
+
+def _oracle_text(rng):
+    return "".join(rng.choice(_ORACLE_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _oracle_value(rng, depth):
+    """A seeded JSON-able value: nested containers of every written type
+    and of subclasses of them."""
+    kind = rng.randrange(16 if depth < 4 else 10)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2 ** 31, -(10 ** 30), Count(5), True])
+    if kind in (2, 3):
+        return rng.choice([rng.uniform(-1e6, 1e6), rng.uniform(-1, 1) * 1e-9,
+                           1e300, -0.0, 0.5, float("nan"), float("inf"),
+                           float("-inf"), Real(rng.uniform(-10, 10))])
+    if kind in (4, 5, 6):
+        text = _oracle_text(rng)
+        return rng.choice([text, text, Text(text), Word(text)])
+    if kind in (7, 8, 9):
+        return "".join(map(chr, range(32))) if kind == 9 else "0x%08x" % kind
+    size = rng.randrange(5)
+    items = [_oracle_value(rng, depth + 1) for _ in range(size)]
+    if kind in (10, 11):
+        return rng.choice([list, tuple, Items])(items)
+    keys = [rng.choice(_ORACLE_KEYS + [_oracle_text(rng)]) for _ in range(size)]
+    return rng.choice([dict, dict, Table])(zip(keys, items))
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_to_json_matches_the_reference_writer(chunk):
+    for case in range(chunk * 100, chunk * 100 + 100):
+        value = _oracle_value(random.Random(zlib.crc32(b"json %d" % case)), 0)
+        assert cli.to_json(value) == reference_to_json(value), case
+        assert cli.to_json(value, 2) == reference_to_json(value, 2), case
+
+
+def test_to_json_writes_each_key_type_as_the_reference():
+    value = {"k": 1, Text("t"): 2, Word("j"): 3, 1: 4, 1.5: 5, None: 6}
+    for _ in range(2):  # the second time with the exact-str keys cached
+        assert cli.to_json([value, {"k": [value]}]) == \
+            reference_to_json([value, {"k": [value]}])
+    assert '"text:k": 2' in cli.to_json({Text("k"): 2})
 
 
 @pytest.mark.parametrize("obj", [{1, 2}, b"x", object(), [1, {"k": 1j}]],

@@ -5,13 +5,18 @@ hand (field extraction double-checked against a reference disassembly of
 the same words) and frozen here.
 """
 
+import dataclasses
+import importlib
 import random
+import zlib
 
 import pytest
 
 from m0energy import Assembler, decode, UndefinedInstructionError
 from m0energy.cpu import HANDLERS
 from m0energy.decode import control_flow, is_wide
+
+decode_module = importlib.import_module("m0energy.decode")
 
 # (halfword, expected text at addr 0x08000000)
 EXPECTED_16BIT = [
@@ -226,6 +231,55 @@ def test_decode_deterministic():
     a = decode(0x2001, None, 0x08000000)
     b = decode(0x2001, None, 0x08000000)
     assert a == b
+
+
+def _outcome(decoder, hw1, hw2, addr):
+    try:
+        return decoder(hw1, hw2, addr)
+    except UndefinedInstructionError as exc:
+        return (type(exc), str(exc))
+
+
+def test_memo_matches_memo_free_decoder(monkeypatch):
+    """Every halfword, and each 32-bit prefix with a seeded sample of second
+    halfwords, at two addresses: from a cleared memo (misses, then hits at
+    the second address) and from a warm one, each result equals the
+    memo-free decoder's, with a fields dict of its own."""
+    monkeypatch.setattr(decode_module, "_MEMO", {})
+    rng = random.Random(zlib.crc32(b"decode memo"))
+    cases = []
+    for hw in range(0x10000):
+        if is_wide(hw):
+            cases.extend((hw, rng.randrange(0x10000)) for _ in range(3))
+        else:
+            cases.append((hw, None))
+    last_fields = {}
+    for _ in ("cold", "warm"):
+        for addr in (0x08000100, 0x2000_1FFE):
+            for case in cases:
+                got = _outcome(decode, *case, addr)
+                want = _outcome(decode_module._decode, *case, addr)
+                assert got == want
+                if isinstance(got, tuple):
+                    continue
+                assert got.text == want.text and repr(got) == repr(want)
+                assert got.fields is not last_fields.get(case)
+                last_fields[case] = got.fields
+                got.fields["clobbered"] = True  # must not reach the memo
+    assert len(decode_module._MEMO) > 30000
+
+
+def test_memo_hit_is_frozen_and_checks_alignment():
+    first = decode(0xB510, None, 0x08000000)   # PUSH {r4, lr}
+    hit = decode(0xB510, None, 0x08000010)
+    assert hit.addr == 0x08000010 and hit == dataclasses.replace(first, addr=0x08000010)
+    for ins in (first, hit):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ins.addr = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ins.fields = {}
+    with pytest.raises(UndefinedInstructionError, match="misaligned decode"):
+        decode(0xB510, None, 0x08000011)
 
 
 # -- decode(assemble(x)) round trip for every Assembler emitter ---------------

@@ -58,6 +58,14 @@ def test_invalid_config_rejected():
         HardwareConfig(20, False, 2)
 
 
+@pytest.mark.parametrize("config", [[24, True, 1], (24, True, 1), "24-on-1",
+                                    None, {"freq": 24}],
+                         ids=["list", "tuple", "str", "none", "dict"])
+def test_builtin_model_rejects_a_non_config(config):
+    with pytest.raises(InvalidConfigError, match="no built-in model for"):
+        builtin_model(config)
+
+
 def test_config_space_is_exactly_ten():
     valid = []
     for freq in (20, 24, 48):

@@ -362,13 +362,51 @@ def load_outcome(loader, path):
 CORPUS = range(300)
 
 
+# The value rules of RegressionDataset, one row at a time.
+_VALUE_RULES = {
+    "counters must be non-negative": lambda v: any(x < 0 for x in v[:6]),
+    "energies must be positive": lambda v: v[6] <= 0,
+    "dataset contains an all-zero counter row": lambda v: not any(v[:6]),
+}
+
+
+def first_line_breaking(path, message):
+    """The line of the first data record that breaks the value rule."""
+    with open(path, newline="", encoding="latin-1") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if (lineno > 1 and len(row) == 7
+                    and _VALUE_RULES[message]([float(x) for x in row])):
+                return lineno
+    raise AssertionError("no record breaks %r" % message)
+
+
+def expected_outcome(path):
+    """The reference loader's outcome, with the line named for a value rule
+    (the reference reports those without file or line)."""
+    outcome = load_outcome(reference_load_dataset, path)
+    if outcome[0] == "error" and outcome[1] in _VALUE_RULES:
+        return ("error", "%s: line %d: %s"
+                % (path, first_line_breaking(path, outcome[1]), outcome[1]))
+    return outcome
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", CORPUS)
 def test_load_dataset_matches_reference(tmp_path, case):
     path = tmp_path / "data.csv"
     path.write_bytes(corpus_csv(case))
-    assert load_outcome(load_dataset, path) == \
-        load_outcome(reference_load_dataset, path)
+    assert load_outcome(load_dataset, path) == expected_outcome(path)
+
+
+def test_corpus_reaches_value_rules(tmp_path):
+    broken = set()
+    for case in CORPUS:
+        path = tmp_path / ("%d.csv" % case)
+        path.write_bytes(corpus_csv(case))
+        outcome = load_outcome(reference_load_dataset, path)
+        if outcome[0] == "error" and outcome[1] in _VALUE_RULES:
+            broken.add(outcome[1])
+    assert broken == {"counters must be non-negative", "energies must be positive"}
 
 
 def test_corpus_reaches_numpy_parse_and_scan(tmp_path, monkeypatch):
