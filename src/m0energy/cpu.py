@@ -36,11 +36,18 @@ through per-form functions generated from the templates (`_step`, reaching
 memory through `_read` and `_write`), until it has run COMPILE_AFTER times,
 which pays back the compile.  Then it is generated into one function (after
 QEMU's TCG): registers and flags live in locals, a RAM access is a bounds
-and alignment compare and a slice of `mem.ram`, every other access goes
-through `MemorySystem.read` and `write` (which raise the faults), a Flash
-literal load is a constant, and the fetch unit's in-block rule is inlined
-from `FetchUnit`.  Compiled functions are shared by source text while a
-simulator holds them, so the simulators of a sweep share them.
+and alignment compare and an index into a word or halfword view of RAM (a
+slice if `memory.RAM_VIEWS` is false: a big-endian host, or a C int that is
+not 4 bytes), a Flash literal load is a constant, and the fetch unit's
+in-block rule is inlined from `FetchUnit`.  Any other access takes the slow
+path, `MemorySystem.read`/`write`, the one place a fault is raised and so
+the one place pc is stored.  A fault stores the locals, so a write of a
+flag or of the held Flash word is dropped only when another write of it
+comes before any read of it, slow path or the block's end; constant cycle
+and counter increments merge up to the next line that reads them; and an
+instruction with no slow path adds its fetch stalls to the cycles at once.
+Compiled functions, named `block_<pc>` or `step_<form>`, are shared by
+source text while a simulator holds them, as the simulators of a sweep do.
 
 A compiled block runs only when the cycle budget cannot cut it: `now` plus
 its worst case before the last instruction (taken-branch base cycles plus
@@ -170,6 +177,14 @@ def _addsub(first, second, subtract=False, carry=False, write=True):
         _nz(x),
         "c = _t > 0xFFFFFFFF",
         "v = (_a ^ %s) & (_b ^ %s) > 0x7FFFFFFF" % (x, x)])
+
+
+def _collapse(lines):
+    """Rendered `_addsub` lines when C and V are dead: _a, _b and _t folded
+    into one expression for the result, then N and Z."""
+    a, b, total = (line.split(" = ", 1)[1] for line in lines[:3])
+    total = total.replace("_a", a).replace("_b", "(%s)" % b if " " in b else b)
+    return [lines[3].replace("_t", total)] + lines[4:6]
 
 
 def _logical(expr, write=True):
@@ -344,36 +359,29 @@ def _render(ins, generic=False):
             + tail.format_map(operands).splitlines())
 
 
-def _source(ins):
-    """(lines, names, reads, writes, branches) of `ins`: its rendered lines,
-    the registers and flags they use, their READ and WRITE lines and
-    whether they assign pc."""
-    lines = _render(ins)
-    code = "\n".join(lines)
-    return (lines, set(re.findall(r"\b(r\d+|[nzcv])\b", code)),
-            code.count("READ("), code.count("WRITE("),
-            re.search(r"^\s*pc \^?=", code, re.M) is not None)
-
-
 # -- code generation ------------------------------------------------------------
 
 _READ = re.compile(r"(\s*)(\w+) = READ\((.+), (\d)\)$")
 _WRITE = re.compile(r"(\s*)WRITE\((.+), (\d), (\w+)\)$")
+_NAMES = re.compile(r"\b(r\d+|[nzcv])\b")
+_FLAGS = re.compile(r"\b[nzcv]\b")
+_LIVE = ("n", "z", "c", "v", "held")  # names whose dead writes a block drops
+_COUNTS = ("t", "fetch_stall_cycles", "c4", "c5", "c6")  # a block's tallies
 _CODE = weakref.WeakValueDictionary()  # generated source -> function
 _STEPS = {}     # form -> one-instruction function
 
 
-def _compile(source):
+def _compile(name, source):
     fn = _CODE.get(source)
     if fn is None:
         namespace = {"_fb": int.from_bytes, "M0EnergyError": M0EnergyError}
         exec(compile(source, "<m0energy>", "exec"), namespace)
-        fn = _CODE[source] = namespace["fn"]
+        fn = _CODE[source] = namespace[name]
     return fn
 
 
-def _function(signature, prologue, body, names, epilogue):
-    """A function that loads the registers and flags in `names` into
+def _function(name, signature, prologue, body, names, epilogue):
+    """Function `name` that loads the registers and flags in `names` into
     locals, runs `body`, and stores them back even when it raises."""
     regs = sorted(int(x[1:]) for x in names if x[0] == "r")
     flags = [x for x in "nzcv" if x in names]
@@ -381,21 +389,21 @@ def _function(signature, prologue, body, names, epilogue):
             + ["%s = S.%s" % (x, x) for x in flags])
     store = (["R[%d] = r%d" % (r, r) for r in regs]
              + ["S.%s = %s" % (x, x) for x in flags])
-    lines = (["def fn(%s):" % signature]
+    lines = (["def %s(%s):" % (name, signature)]
              + ["    " + line for line in prologue + load + ["try:"]]
              + ["        " + line for line in body or ["pass"]]
              + ["    finally:"]
              + ["        " + line for line in store + epilogue[0] or ["pass"]]
              + ["    " + line for line in epilogue[1]])
-    return "\n".join(lines) + "\n"
+    return _compile(name, "\n".join(lines) + "\n")
 
 
 def _step(ins):
-    """fn(sim, ins) for `ins`'s form (op, condition, register list, size),
-    generated from its template on first use: registers from the state,
-    operands from `ins.fields`, memory only through `sim._read`/`_write`.
-    It sets pc when it branches and returns whether it did; a block transfer
-    that faults part-way rolls back its words' events and stalls."""
+    """step_<form>(sim, ins) for `ins`'s form (op, condition, register
+    list, size), generated from its template on first use: registers from
+    the state, operands from `ins.fields`, memory only through `sim._read`
+    and `_write`.  It sets pc when it branches and returns whether it did;
+    a block transfer that faults part-way rolls back its words' events."""
     f = ins.fields
     form = (_form(ins), f.get("cond"), tuple(f.get("regs", ())), f.get("size"),
             "imm" in f)
@@ -404,7 +412,7 @@ def _step(ins):
         body = [re.sub(r"\br(\d+)\b", r"R[\1]", line).replace(
             "READ(", "sim._read(").replace("WRITE(", "sim._write(")
             for line in _render(ins, generic=True)]
-        names = set(re.findall(r"\b[nzcv]\b", "\n".join(body)))
+        names = set(_FLAGS.findall("\n".join(body)))
         prologue = ["S = sim.state", "R = S.regs", "f = ins.fields",
                     "pc = None", "R[15] = ins.addr + 4  # pc reads"]
         if sum(line.count("sim._") for line in body) > 1:
@@ -413,10 +421,10 @@ def _step(ins):
             body = (["try:"] + ["    " + line for line in body]
                     + ["except M0EnergyError:", "    %s = _k" % saved,
                        "    raise"])
-        fn = _STEPS[form] = _compile(_function(
-            "sim, ins", prologue, body, names,
-            (["R[15] = ins.addr"], ["if pc is None:", "    return False",
-                                    "R[15] = pc", "return True"])))
+        fn = _STEPS[form] = _function(
+            "step_" + re.sub(r"\W", "_", form[0]), "sim, ins", prologue, body,
+            names, (["R[15] = ins.addr"], ["if pc is None:", "    return False",
+                                           "R[15] = pc", "return True"]))
     return fn
 
 
@@ -426,49 +434,49 @@ HANDLERS = dict.fromkeys(sorted(
     | dec.LOAD_OPS | dec.STORE_OPS), lambda sim, ins: _step(ins)(sim, ins))
 
 
-def _access(line, mem, words):
-    """Block code for a template line: a READ or WRITE line becomes the RAM
-    fast path inline and the rest through `MemorySystem.read`/`write`, which
-    raise the faults; what they complete is a Flash read or a debug-port
-    write.  A single access counts its event where it happens; the `words`
-    of a block transfer count in `_f` (Flash reads) and `_fw` (their
-    stalls), folded in on completion."""
-    match = _READ.match(line) or _WRITE.match(line)
-    if match is None:
-        return [line]
+def _literal(ins, mem):
+    """(value, stall) of LDR_LIT's load when it reads Flash, which is never
+    written, so the value is a constant; else None."""
+    try:
+        value, stall, region = mem.read(ins.fields["lit_addr"], 4)
+    except M0EnergyError:
+        return None
+    return (value, stall) if region == "flash" else None
+
+
+def _access(match, mem, words, pc):
+    """Block code for a READ or WRITE template line: the RAM fast path
+    inline, through the memory's views if it has them, else a slice; else
+    the slow path, `MemorySystem.read`/`write`, which raise the faults (so
+    pc is stored first) and complete a Flash read or a debug-port write.  A
+    single access counts its event where it happens; the `words` of a block
+    transfer count in `_f` (Flash reads) and `_fw` (their stalls)."""
     if match.re is _READ:
         indent, target, addr, size = match.groups()
-        if addr.startswith("0x"):
-            try:  # a literal: a constant if in Flash, which is never written
-                value, stall, region = mem.read(int(addr, 16), int(size))
-            except M0EnergyError:
-                region = None
-            if region == "flash":
-                return [indent + s for s in ("%s = %#x" % (target, value),
-                                             "c6 += 1", "t += %d" % stall)
-                        if s != "t += 0"]
     else:
         indent, addr, size, value = match.groups()
     size = int(size)
-    span = "ram[_o]" if size == 1 else "ram[_o:_o + %d]" % size
+    view = ("ram[_o]" if size == 1 else None if mem.ram_words is None
+            else "%s[_o >> %d]" % ("W" if size == 4 else "H", size // 2))
+    span = "ram[_o:_o + %d]" % size
     where = "_o + %#x & 0xFFFFFFFF, %d" % (RAM_BASE, size)
     if match.re is _READ:
-        fast = "%s = %s" % (target, span if size == 1
-                            else "_fb(%s, 'little')" % span)
+        fast = "%s = %s" % (target, view or "_fb(%s, 'little')" % span)
         count = "c4 += 1"
         slow = ["%s, _w, _g = read(%s)" % (target, where)] + (
             ["_f += 1", "_fw += _w"] if words else ["c6 += 1", "t += _w"])
     else:
-        fast = "%s = %s" % (span, "%s & 0xFF" % value if size == 1 else
-                            "(%s & %#x).to_bytes(%d, 'little')"
-                            % (value, (1 << 8 * size) - 1, size))
+        mask = "%s & %#x" % (value, (1 << 8 * size) - 1)
+        fast = ("%s = %s" % (view, mask) if view else
+                "%s = (%s).to_bytes(%d, 'little')" % (span, mask, size))
         count = "c5 += 1"
         slow = ["write(%s, %s)" % (where, value)]
     lines = (["_o = %s - %#x & 0xFFFFFFFF" % (addr, RAM_BASE),
               "if _o <= %d%s:" % (mem.ram_size - size, " and not _o & %d"
                                   % (size - 1) if size > 1 else ""),
               "    " + fast] + ([] if words else ["    " + count])
-             + ["else:"] + ["    " + line for line in slow])
+             + ["else:", "    R[15] = %#x" % pc]
+             + ["    " + line for line in slow])
     return [indent + line for line in lines]
 
 
@@ -618,67 +626,106 @@ class Simulator:
         return block
 
     def _compile(self, block):
-        """Generate and compile `block`'s function, fn(S, R, C, ram, read,
-        write, F, t, st) over the state, its registers, the counters, the
-        RAM, `MemorySystem.read`/`write` and the fetch unit: it runs the
-        block from cycle t with entry stall st, folds its events into the
-        state and counters, sets pc and returns whether the block's branch
-        was taken.  Sets `block.worst`, the most cycles before the last
-        instruction after the entry stall."""
+        """Generate and compile `block`'s function, block_<pc>(S, R, C, ram,
+        W, H, read, write, F, t, st) over the state, its registers, the
+        counters, the RAM and its views, `MemorySystem.read`/`write` and the
+        fetch unit: it runs the block from cycle t with entry stall st,
+        folds its events into the state and counters, sets pc and returns
+        whether the block's branch was taken.  Sets `block.worst`, the most
+        cycles before the last instruction after the entry stall.  The body
+        is written last line first, in one backward pass, which drops the
+        dead writes and merges the increments the module docstring names."""
         mem = self.mem
         fetch_unit = mem.fetch_unit
-        body = []
-        names = set()
-        counts = set()
-        costs = []
-        for _s, ins, addr, base, base_taken, words, k in block.entries:
-            lines, used, reads, writes, branches = _source(ins)
-            costs.append(base_taken + mem.wait_states * (len(words) + reads))
-            names |= used
-            counts |= {"c4", "c6"} if reads else set()
-            counts |= {"c5"} if writes else set()
-            body.append("# %08x  %s" % (addr, ins.text))
-            stalls = block.word is not None and (k == 0 or words)
-            if stalls:
-                counts.add("fetch_stall_cycles")
-                body.append("stall = st" if k == 0 else "stall = 0")
-                for word in words:
-                    body += fetch_unit.block_fetch_source(word)
-            if reads or writes:  # a fault leaves pc here
-                body.append("R[15] = %#x" % addr)
-            if reads > 1:  # a POP or LDM counts its Flash words in _f, _fw
-                body.append("_f = _fw = 0")
-            if branches:
-                body.append("pc = None")
-            for line in lines:
-                body += _access(line, mem, reads + writes > 1)
+        prefetch = fetch_unit.prefetch_enabled
+        # the body, last line first: the end sets pc unless a branch did
+        rev = ["    pc = %#x" % block.end, "if not tk:", "tk = pc is not None"]
+        live = set(_LIVE)                   # read by the block's end
+        adds = dict.fromkeys(_COUNTS, 0)    # increments not yet written
+        names = set()                       # registers and flags used
+
+        def flush(*names):  # the increments after a line that reads them
+            for name in names or _COUNTS:
+                if adds[name]:
+                    rev.append("%s += %d" % (name, adds[name]))
+                    adds[name] = 0
+
+        block.worst = 0
+        for _s, ins, addr, base, base_taken, words, k in reversed(
+                block.entries):
+            lines = _render(ins)
+            code = "\n".join(lines)
+            names.update(_NAMES.findall(code))
+            if not live & {"c", "v"} and lines and lines[0].startswith("_a = "):
+                lines = _collapse(lines)
+            accesses = [_READ.match(line) or _WRITE.match(line)
+                        for line in lines]
+            literal = ins.op == "LDR_LIT" and _literal(ins, mem)
+            reads, writes = code.count("READ("), code.count("WRITE(")
+            first = k == 0 and block.word is not None  # entry stall st
+            folded = not first and (literal or not any(accesses))
+            if k < len(block.entries) - 1:
+                block.worst += base_taken + mem.wait_states * (
+                    len(words) + reads)
+            fetches = [fetch_unit.block_fetch_source(word, folded)
+                       for word in words]
+            stall = first or prefetch and words and not folded
+            if base_taken != base:  # after the template lines, last first
+                rev.append("t += %d if pc is not None else 0"
+                           % (base_taken - base))
+            if stall:
+                rev += ["t += stall", "fetch_stall_cycles += stall"]
             if reads > 1:
-                body += ["c4 += %d - _f" % reads, "c6 += _f", "t += _fw"]
-            elif writes > 1:
-                body.append("c5 += %d" % writes)
-            if stalls:
-                body.append("fetch_stall_cycles += stall")
-            elapsed = " + stall" if stalls else ""
-            if branches:
-                body += ["tk = pc is not None", "if not tk:",
-                         "    pc = %#x" % block.end]
-                if base_taken != base:
-                    elapsed += " + (%d if tk else 0)" % (base_taken - base)
-            body.append("t += %d%s" % (base, elapsed))
-        if not branches:
-            body += ["pc = %#x" % block.end, "tk = False"]
-        counts = sorted(counts)
-        prologue = ["%s = 0" % name for name in counts]
+                rev += ["t += _fw", "c6 += _f", "c4 += %d - _f" % reads]
+            if writes > 1:
+                adds["c5"] += writes
+            wait = sum(w for _lines, w in fetches)
+            adds["fetch_stall_cycles"] += wait
+            adds["t"] += base + wait
+            for line, m in reversed(list(zip(lines, accesses))):
+                if m and literal:
+                    rev.append("%s = %#x" % (m.group(2), literal[0]))
+                    adds["c6"] += 1
+                    adds["t"] += literal[1]
+                elif m:
+                    flush()
+                    live.update(_LIVE)
+                    rev.extend(reversed(_access(m, mem, reads + writes > 1,
+                                                addr)))
+                else:  # an indented write is conditional: it kills nothing
+                    target, _eq, expr = line.partition(" = ")
+                    if target in _LIVE and target not in live:
+                        continue  # a dead store
+                    live.discard(target)
+                    live.update(_FLAGS.findall(expr or line))
+                    rev.append(line)
+            for fetch, _w in reversed(fetches):  # each sets held, then stalls
+                if prefetch:
+                    flush("t")
+                rev.extend(reversed(fetch[1:]))
+                if "held" in live:
+                    rev.append(fetch[0])
+                    live.discard("held")
+            if stall:
+                rev.append("stall = " + ("st" if first else "0"))
+            if reads > 1:
+                rev.append("_f = _fw = 0")
+            rev.append("# %08x  %s" % (addr, ins.text))
+        flush()
+        body = rev[::-1]
+        text = "\n".join(body)
+        counts = [name for name in _COUNTS[1:] if name + " +=" in text]
+        prologue = ["pc = None"] + ["%s = 0" % name for name in counts]
         epilogue = ["S.cycle_count = t"] + ["C.%s += %s" % (name, name)
                                             for name in counts]
         if any(entry[5] for entry in block.entries):
             load, store = fetch_unit.block_state_source()
             prologue += load
             epilogue += store
-        block.worst = sum(costs[:-1])
-        block.code = _compile(_function(
-            "S, R, C, ram, read, write, F, t, st", prologue, body, names,
-            (epilogue, ["R[15] = pc", "return tk"])))
+        block.code = _function(
+            "block_%08x" % block.entries[0][2],
+            "S, R, C, ram, W, H, read, write, F, t, st", prologue, body,
+            names, (epilogue, ["R[15] = pc", "return tk"]))
         return block.code
 
     # -- execution --------------------------------------------------------------
@@ -724,7 +771,8 @@ class Simulator:
         fetch_unit = mem.fetch_unit
         stall_for = fetch_unit.stall_for
         c = self.counters
-        args = (s, regs, c, mem.ram, mem.read, mem.write, fetch_unit)
+        args = (s, regs, c, mem.ram, mem.ram_words, mem.ram_halves,
+                mem.read, mem.write, fetch_unit)
         sequential = self._sequential
         start_cycles = s.cycle_count
         taken_count = fetch_stalls = 0

@@ -36,6 +36,10 @@ DEBUG_ADDR = 0x40000000
 DEFAULT_FLASH_SIZE = 64 * 1024
 DEFAULT_RAM_SIZE = 8 * 1024
 
+# Whether native word and halfword views of RAM read little-endian values
+_PROBE = memoryview(bytes(range(1, 9)))
+RAM_VIEWS = _PROBE.cast("I")[0] == 0x04030201 and _PROBE.cast("H")[0] == 0x201
+
 
 def timing_class(wait_states, prefetch):
     """The (wait_states, prefetch) a run under these settings behaves as.
@@ -83,17 +87,22 @@ class FetchUnit:
                 self.next_ready_at = now + stall + self.wait_states
         return stall
 
-    def block_fetch_source(self, word_addr):
+    def block_fetch_source(self, word_addr, folded):
         """Source for the case of stall_for a translated block runs inline:
         a sequential fetch of `word_addr`, the word after the one held (the
-        read-ahead word with prefetch, else a miss), at cycle `t + stall`.
-        It adds to the local `stall` and keeps the unit's state in the
-        locals of `block_state_source`."""
+        read-ahead word with prefetch, else a miss): (lines, wait).  The
+        first line sets `held`, one of the locals of `block_state_source`;
+        with prefetch the rest add the stall at cycle `t + stall` to `stall`,
+        or if `folded` at cycle t to t and `fetch_stall_cycles`.  Without,
+        the stall is the constant `wait`, for the caller to add."""
+        held, ws = ["held = %#x" % word_addr], self.wait_states
         if not self.prefetch_enabled:
-            return ["held = %#x" % word_addr, "stall += %d" % self.wait_states]
-        return ["held = %#x" % word_addr, "if ready - t > stall:",
-                "    stall = ready - t",
-                "ready = t + stall + %d" % self.wait_states]
+            return held, ws
+        if folded:
+            return held + ["if ready > t:", "    fetch_stall_cycles += ready - t",
+                           "    t = ready", "ready = t + %d" % ws], 0
+        return held + ["if ready - t > stall:", "    stall = ready - t",
+                       "ready = t + stall + %d" % ws], 0
 
     def block_state_source(self):
         """(load, store): source lines that move the state `block_fetch_source`
@@ -124,6 +133,9 @@ class MemorySystem:
         # erased flash reads as 0xFF
         self.flash = bytearray(image) + bytearray(b"\xff" * (flash_size - len(image)))
         self.ram = bytearray(ram_size)
+        # word and halfword views, indexed by offset >> 2 and >> 1
+        self.ram_words, self.ram_halves = (
+            memoryview(self.ram).cast(f) if RAM_VIEWS else None for f in "IH")
         self.fetch_unit = FetchUnit(wait_states, prefetch)
         self.wait_states = wait_states
         self.debug_output = bytearray()

@@ -139,6 +139,20 @@ def k_flash_lit():
     return a
 
 
+def k_lit_alu():
+    """One exact block: two Flash literal loads (c6), MULS (c2), ALU ops."""
+    a = Assembler()
+    a.ldr_lit(0, "lit")
+    a.movs(1, 5)
+    a.adds_reg(2, 0, 1)
+    a.ldr_lit(3, "lit")
+    a.muls(2, 3)
+    a.eors(2, 0)
+    a.bkpt()
+    a.word(0x12345678, label="lit")
+    return a
+
+
 def k_pushpop_loop():
     a = Assembler()
     a.movs(0, 4)
@@ -173,6 +187,10 @@ KERNELS = {
                (5, 0, 2, 1, 1, 0), True),
     "flash_lit": (k_flash_lit, {"ws0": 6, "ws1_off": 10, "ws1_on": None},
                   (4, 0, 0, 0, 0, 2), False),
+    # 9 base cycles; WS=1 adds 2 data stalls and, prefetch off, 4 fetch
+    # stalls (words 0x08, 0x0C, 0x10, 0x14), prefetch on, only the first
+    "lit_alu": (k_lit_alu, {"ws0": 9, "ws1_off": 15, "ws1_on": 12},
+                (6, 1, 0, 0, 0, 2), True),
     "pushpop_loop": (k_pushpop_loop, {"ws0": 32, "ws1_off": 44, "ws1_on": None},
                      (18, 0, 3, 4, 4, 0), True),
 }

@@ -2,8 +2,8 @@
 
 import pytest
 
-from helpers import (KERNELS, dynamic_block_path, kernel_image, run_kernel,
-                     sum_static_counts)
+from helpers import (KERNELS, PUBLISHED_TABLE, dot_oracle, dynamic_block_path,
+                     kernel_image, run_kernel, sum_static_counts)
 from m0energy import (AnalysisError, Assembler, EnergyInterval, HardwareConfig,
                       MemorySystem, PathError, Simulator, builtin_model,
                       builtin_models, estimate, extract_cfg, path_energy)
@@ -162,6 +162,20 @@ def test_block_energies_equal_one_block_paths(name):
         values = block_energies(block, models)
         assert values == [path_energy([block], [], m) for m in models]
         assert values == [block_energy(block, m) for m in models]
+
+
+def test_flash_literal_block_energy_matches_published_models():
+    """The one exact block of `lit_alu` has Flash data reads (c6), a MULS
+    (c2) and ALU ops: its energy under each of the ten published models is
+    the hand count of its events times the printed coefficients."""
+    graph, _ = graph_for("lit_alu")
+    (block,) = graph.sorted_blocks()
+    counts = KERNELS["lit_alu"][2]
+    assert block.static_counts.as_vector() == counts
+    for freq, prefetch, ws, beta, _mape, _resd in PUBLISHED_TABLE:
+        model = builtin_model(HardwareConfig(freq, prefetch, ws))
+        assert block_energies(block, [model])[0] == pytest.approx(
+            dot_oracle([float(b) for b in beta], counts), rel=1e-12)
 
 
 def test_path_energy_loop_matches_dynamic_oracle():

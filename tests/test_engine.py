@@ -5,9 +5,11 @@ Covered: every hand-traced kernel and seeded random programs (loops, RAM
 and Flash loads, stores, PUSH/POP, calls, varying alignment) under every
 timing configuration; every cycle-budget cut, with and without resuming;
 single-stepping; block transfers that fault part-way; interworking branches
-that clear the Thumb bit; and code copied into RAM, run, patched and run
-again.  Every run is also repeated under the other settings of its timing
-class (`memory.timing_class`), which must behave identically: `run --sweep`
+that clear the Thumb bit; code copied into RAM, run, patched and run
+again; and the long-block programs with RAM reached through slices, the
+form for hosts without native little-endian word views.  Every run is also
+repeated under the other settings of its timing class
+(`memory.timing_class`), which must behave identically: `run --sweep`
 simulates each class once.
 """
 
@@ -22,7 +24,7 @@ from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
                      dynamic_block_path, invstate_image, invstate_reason,
                      kernel_image, machine_state)
 from m0energy import (Assembler, MemorySystem, Simulator, builtin_models,
-                      extract_cfg, path_energy)
+                      extract_cfg, memory, path_energy)
 from m0energy.cpu import COMPILE_AFTER
 from m0energy.memory import timing_class
 
@@ -370,6 +372,22 @@ def test_long_block_programs_match_reference(seed, ws, prefetch, _key,
     assert summary.exit_reason == "halt" or planted
 
 
+@pytest.mark.parametrize("planted", [True, False], ids=["fault", "halt"])
+@pytest.mark.parametrize("seed", LONG_SEEDS)
+@pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
+def test_long_block_programs_match_reference_through_ram_slices(
+        seed, ws, prefetch, _key, planted, monkeypatch):
+    """Compiled blocks reach RAM through slices of `mem.ram`, not word
+    views, where `memory.RAM_VIEWS` is false (a big-endian host, or a C int
+    that is not 4 bytes); forced here, that form must match the reference
+    too."""
+    monkeypatch.setattr(memory, "RAM_VIEWS", False)
+    image = LongBlockProgram(seed, planted=planted).image()
+    assert Simulator(image).mem.ram_words is None
+    summary = assert_same_run(image, ws, prefetch)
+    assert summary.exit_reason.startswith("fault: ") == planted
+
+
 @pytest.mark.parametrize("seed,planted,flash_base", [
     (0, True, 0x08000000), (1, True, 0x08000000), (2, True, 0x08000000),
     (3, True, 0x08000000), (0, False, 0x08000000), (1, False, 0x08000000),
@@ -501,6 +519,18 @@ def test_blocks_turning_hot_mid_run_match_reference(seed, ws, prefetch, _key):
         assert machine_state(sim) == machine_state(ref), budget
         assert sim.run().exit_reason == "halt"
         assert machine_state(sim) == end, budget
+
+
+def test_generated_functions_are_named_for_what_they_run():
+    """Profiles and tracebacks name a compiled block by its address and a
+    one-instruction function by its form."""
+    sim = Simulator(kernel_image("loop5"))
+    with compile_at_first_run():
+        assert sim.run().exit_reason == "halt"
+    block = sim._blocks[0x0800000A]  # SUBS r0, #1; BNE loop
+    assert block.code.__name__ == "block_0800000a"
+    assert [entry[0].__name__ for entry in block.entries] == [
+        "step_SUBS_IMM8", "step_BCOND"]
 
 
 @pytest.mark.parametrize("extra", [0, 1])

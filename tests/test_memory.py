@@ -199,9 +199,11 @@ def test_fetch_ws1_prefetch_partial_fill_stalls_remainder():
 @pytest.mark.parametrize("prefetch", [False, True])
 def test_block_fetch_source_is_stall_for_of_the_next_word(prefetch):
     """The in-block fetch that translated blocks run inline agrees with
-    stall_for on the stall and the unit's state, over random timings."""
+    stall_for on the stall and the unit's state, over random timings, in
+    both forms.  The stall is what the lines add to `stall`, or when folded
+    to t and fetch_stall_cycles, plus the constant `wait` the caller adds."""
     rng = random.Random(7)
-    for _ in range(200):
+    for folded in [False, True] * 200:
         mem, inline = make_mem(ws=1, prefetch=prefetch), make_mem(ws=1,
                                                                   prefetch=prefetch)
         unit, copy = mem.fetch_unit, inline.fetch_unit
@@ -215,11 +217,20 @@ def test_block_fetch_source_is_stall_for_of_the_next_word(prefetch):
         for _ in range(rng.randint(1, 6)):
             now += rng.randint(1, 4)       # the instructions in between
             word += 4
-            stall = rng.randrange(2)       # an earlier fetch of the instruction
-            expected = stall + unit.stall_for(word, now + stall, True)
-            local.update(t=now, stall=stall)
-            exec("\n".join(copy.block_fetch_source(word)), {}, local)
-            assert local["stall"] == expected
+            early = rng.randrange(2)       # an earlier fetch of the instruction
+            expected = early + unit.stall_for(word, now + early, True)
+            if folded:
+                local.update(t=now + early, fetch_stall_cycles=0)
+            else:
+                local.update(t=now, stall=early)
+            lines, wait = copy.block_fetch_source(word, folded)
+            exec("\n".join(lines), {}, local)
+            if folded:
+                assert local["t"] - now + wait == expected
+                assert local["fetch_stall_cycles"] + wait == expected - early
+            else:
+                assert local["stall"] + wait == expected
+                assert local["t"] == now
         exec("\n".join(store), {}, local)
         assert ((copy.current_word, copy.next_word, copy.next_ready_at)
                 == (unit.current_word, unit.next_word, unit.next_ready_at))
