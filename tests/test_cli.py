@@ -855,3 +855,69 @@ def test_to_json_writes_each_key_type_as_the_reference():
 def test_to_json_rejects_unsupported_types(obj):
     with pytest.raises(TypeError, match="cannot serialize"):
         cli.to_json(obj)
+
+
+# -- golden trace bytes -------------------------------------------------------
+# The sha256 of the `run --trace` file of every helper kernel under each
+# timing class, and of one run cut by --max-cycles.  A recount of the trace
+# checks its numbers; these pins also hold its formatting.
+
+TRACE_CLASSES = {
+    "ws0": ["--waitstates", "0"],
+    "ws1_off": ["--freq", "48", "--waitstates", "1", "--prefetch", "off"],
+    "ws1_on": ["--freq", "48", "--waitstates", "1", "--prefetch", "on"],
+}
+
+TRACE_CUT = ("pushpop_loop", "ws1_on", 25)  # ends mid-loop, exit code 1
+
+TRACE_SHA256 = {
+    ("straight6", "ws0", None): "f70045d32ab34fff0c1324e6db0d86cf13957e7200c56fec1d65c2fcc1956b47",
+    ("straight6", "ws1_off", None): "3fbb094c764e79cceb079d12b75c471dab08f16e2600dcae7c4fea3dd67b6d85",
+    ("straight6", "ws1_on", None): "9d7d300422cb1b0e39fba9bb8feec068c685d2c64361b09d5662096cda9cecdd",
+    ("alu_mix", "ws0", None): "1dc2b5b4a9ac84213401f922b9476e9b272d5d6dad675e7afff848e708382fd8",
+    ("alu_mix", "ws1_off", None): "61144c621774098e3cafa4ea676d3eb3845fa04e114320ae1c0771ee77856a49",
+    ("alu_mix", "ws1_on", None): "8f337d520cc47a5fb4815a6ab3b7be4774460e4c14c98ba5173882e77f04e5d5",
+    ("muls", "ws0", None): "de3611d00ae40a27abc8888dd858dbff156c51ef52ffb45a39019ae0200734e3",
+    ("muls", "ws1_off", None): "62800b1a07ce52995dc0f826714666a2b8f37d7db7a68e36a34ac39fcff02b9a",
+    ("muls", "ws1_on", None): "c55db9e489b1d549e9875202a23a52a11de45a16f4321366a5e277a77bdd762b",
+    ("ram_rw", "ws0", None): "7de71486c3ba355dc544575ee80a3fcefd9b4be0d64ee9e86238ae9530ba7ab5",
+    ("ram_rw", "ws1_off", None): "8d922fe5fd8db93f9abb1d996231d88a3077e87747b6fb085aa0c942b715ef06",
+    ("ram_rw", "ws1_on", None): "9da4e1f2d7e7f5f170c5683f6e8eab664f269ced413bb60d7079739cc1d60822",
+    ("loop5", "ws0", None): "ee64171faad10e775d2262f92fa77a14001420d48888f8027cfb0254b7bc2b35",
+    ("loop5", "ws1_off", None): "62b3a2db142620e90bc8b21acec84bac86a14700655aad8691718977a16febf5",
+    ("loop5", "ws1_on", None): "7782643f83efc36be4c23d223e04a8493c3f56297ecf5d83ef1e2e788de761dd",
+    ("call_ret", "ws0", None): "80adff40baffeb79a868c0e131949ef3141b48dfef8f53ac8fdbcc0410e051e3",
+    ("call_ret", "ws1_off", None): "6b581401bf6540b309015ab6ce37b153fa6940f8f58d549f8cf489f49888333b",
+    ("call_ret", "ws1_on", None): "e89a29a43315e581d8ebd6696b4ca889d2f91e9973e2f8d3523b5fa12192d804",
+    ("pushpop", "ws0", None): "e8db3bf24b00fda8404cd1581f5904210efd3388de8751a819dacd2b9ed8e0c3",
+    ("pushpop", "ws1_off", None): "04bbad94fe35f0a890c8fc9ac502f4519135dd74bb0900d23e695047801018df",
+    ("pushpop", "ws1_on", None): "c37d631b122ca6da1f44413de38f9d8a26fc8395db4060c1fa5cba720c30e7f9",
+    ("pop_pc", "ws0", None): "8e1593aa0952297e01a4c5b1e82e2028cceae9ee2404adc17c7b6c087d8a7453",
+    ("pop_pc", "ws1_off", None): "65b996a335e3b205250cf0e4a630bb0068156123dcd53eef3fecd3c8da7e1ef4",
+    ("pop_pc", "ws1_on", None): "799a1bddbb4492e287e7f242064fd979bc9ad16cc3192180475bbaa7b74cbdbe",
+    ("flash_lit", "ws0", None): "cb3f5b5176b6a69c304022745c2f2e079518d24e99d5e56675a8b0a25933ab21",
+    ("flash_lit", "ws1_off", None): "6fef0118c2f82191940a3d5d24474f469db81c2e58f82a172b2e63d8affac838",
+    ("flash_lit", "ws1_on", None): "0c474a864b03d69e1857245777554b246661cee4dcea4f8be3c2d5bf14890286",
+    ("lit_alu", "ws0", None): "e905b0d188b7768fecd3243072a4e89af8e767343fbe22e7e3240a5ffb0bf992",
+    ("lit_alu", "ws1_off", None): "b34b1be0eeb34ee9f0e843599095bb83bcef5cd5d740648981fcd13cb9983c0a",
+    ("lit_alu", "ws1_on", None): "a765a00c0ce9f3ed96579d4bcf6b17c839a7e7bdb70681ab0de37852944f3b01",
+    ("pushpop_loop", "ws0", None): "ac4e6e55868ddfd4e0c8bd3a12a98c60e64f0f8d6a4c4ec0eee7c29c4f354dc0",
+    ("pushpop_loop", "ws1_off", None): "6a4e2b7dcb8a1b6d4879303c445c05c48e458d95fa007dfb3b9f8b6d2cb0ac8c",
+    ("pushpop_loop", "ws1_on", None): "0032260123027fa3e4ca1e1a76f333b68da844eb3f192c5773da3dd96ebc8278",
+    ("pushpop_loop", "ws1_on", 25): "b12bf09428c44e3df839ab2f838625921e2d6bd274cd1c129f480fef6c2c7b7d",
+}
+
+
+@pytest.mark.parametrize("kernel,timing,budget", [
+    (kernel, timing, None) for kernel in KERNELS for timing in TRACE_CLASSES
+] + [TRACE_CUT])
+def test_trace_bytes_are_pinned(tmp_path, capsys, kernel, timing, budget):
+    trace = tmp_path / "trace.txt"
+    argv = ["run", write_kernel(tmp_path, kernel), "--trace", str(trace)]
+    argv += TRACE_CLASSES[timing]
+    if budget is not None:
+        argv += ["--max-cycles", str(budget)]
+    code, _out, err = run_cli(argv, capsys)
+    assert (code, err) == (0 if budget is None else 1, "")
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+    assert digest == TRACE_SHA256[kernel, timing, budget]
