@@ -7,14 +7,15 @@ training new models, and static basic-block counter/energy attribution.
 """
 
 from .asm import Assembler
-from .cfg import (BasicBlock, CFG, EnergyInterval, StaticCounts, block_energy,
-                  extract_cfg, path_energy, static_block_counters)
+from .cfg import (BasicBlock, CFG, StaticCounts, block_energy, extract_cfg,
+                  path_energy, static_block_counters)
 from .counters import EventCounters
 from .cpu import CpuState, RunSummary, Simulator, StepResult, DEFAULT_TIMING
 from .decode import Instruction, decode
-from .energy import (EnergyModel, HardwareConfig, builtin_configs,
-                     builtin_model, builtin_models, compare_configs, estimate,
-                     load_models, relative_weights, save_models)
+from .energy import (EnergyInterval, EnergyModel, HardwareConfig,
+                     builtin_configs, builtin_model, builtin_models,
+                     compare_configs, estimate, load_models, relative_weights,
+                     save_models)
 from .errors import (AnalysisError, BadEntryError, DatasetError,
                      DegenerateDesignError, InvalidConfigError, M0EnergyError,
                      InvalidStateFault, MalformedImageError, MemoryFault,

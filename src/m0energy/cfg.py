@@ -21,7 +21,8 @@ edges and end the descent on that path.
 from dataclasses import dataclass, field
 
 from . import decode as dec
-from .decode import EDGE_CALL, EDGE_FALLTHROUGH, EDGE_RETURN, EDGE_TAKEN
+from .decode import EDGE_FALLTHROUGH
+from .energy import EnergyInterval, energies  # EnergyInterval: re-exported
 from .errors import AnalysisError, M0EnergyError, PathError
 
 
@@ -78,25 +79,12 @@ class BasicBlock:
 
 
 @dataclass
-class EnergyInterval:
-    lo: float
-    hi: float
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-
-@dataclass
 class CFG:
     entry: int
     blocks: dict  # start address -> BasicBlock
 
     def sorted_blocks(self):
         return [self.blocks[a] for a in sorted(self.blocks)]
-
-    def block_at(self, addr):
-        return self.blocks[addr]
 
 
 def extract_cfg(mem, entry):
@@ -198,41 +186,17 @@ def static_block_counters(instructions, mem):
     return counts
 
 
-def _accumulate(blocks, edges, model):
-    b1, b2, b3, b4, b5, b6 = model.beta
-    point = 0.0
-    loads = 0
-    stores = 0
-    for block in blocks:
-        c = block.static_counts
-        point += b1 * c.c1 + b2 * c.c2 + b4 * c.c4_known + b5 * c.c5_known \
-            + b6 * c.c6_known
-        loads += c.unresolved_loads
-        stores += c.unresolved_stores
-    point += b3 * sum(1 for taken in edges if taken)
-    return point, loads, stores
-
-
-def _interval(point, loads, stores, b4, b5, b6):
-    if loads == 0 and stores == 0:
-        return point
-    lo = point + loads * min(b4, b6)
-    hi = point + loads * max(b4, b6) + stores * b5
-    return EnergyInterval(lo, hi)
+def _counts(block):
+    """A block body's six counts (c3 is on edges), unresolved loads, stores."""
+    c = block.static_counts
+    return (c.c1, c.c2, 0, c.c4_known, c.c5_known, c.c6_known), \
+        c.unresolved_loads, c.unresolved_stores
 
 
 def block_energies(block, models):
     """Energy of one block body (taken-edge cost excluded) under each of
     `models`, from one read of its counts."""
-    c = block.static_counts
-    c1, c2, c4, c5, c6 = c.c1, c.c2, c.c4_known, c.c5_known, c.c6_known
-    loads, stores = c.unresolved_loads, c.unresolved_stores
-    if not (loads or stores):
-        return [b1 * c1 + b2 * c2 + b4 * c4 + b5 * c5 + b6 * c6
-                for b1, b2, _, b4, b5, b6 in (m.beta for m in models)]
-    return [_interval(b1 * c1 + b2 * c2 + b4 * c4 + b5 * c5 + b6 * c6,
-                      loads, stores, b4, b5, b6)
-            for b1, b2, _, b4, b5, b6 in (m.beta for m in models)]
+    return energies(models, *_counts(block))
 
 
 def block_energy(block, model):
@@ -266,5 +230,7 @@ def path_energy(blocks, edges, model):
             raise PathError("no %s edge from 0x%08x to 0x%08x"
                             % ("taken" if taken else "fallthrough",
                                blocks[i].start, nxt))
-    point, loads, stores = _accumulate(blocks, edges, model)
-    return _interval(point, loads, stores, *model.beta[3:])
+    counts, loads, stores = zip(*map(_counts, blocks))
+    totals = [sum(column) for column in zip(*counts)]
+    totals[2] = sum(1 for taken in edges if taken)
+    return energies([model], totals, sum(loads), sum(stores))[0]

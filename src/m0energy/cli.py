@@ -194,18 +194,9 @@ def _counters_dict(counters):
 
 
 def _trace_line(step):
-    ram_r = ram_w = flash_r = 0
-    for _addr, _size, rw, region in step.data_accesses:
-        if region == "ram":
-            if rw == "r":
-                ram_r += 1
-            else:
-                ram_w += 1
-        elif region == "flash":
-            flash_r += 1
     return "%08X  %-28s cycles=%d taken=%d ram_r=%d ram_w=%d flash_r=%d" % (
         step.instruction.addr, step.instruction.text, step.cycles,
-        1 if step.branch_taken else 0, ram_r, ram_w, flash_r)
+        step.branch_taken, *step.data_events)
 
 
 # -- run --------------------------------------------------------------------
@@ -328,9 +319,9 @@ def _counts_dict(counts):
 
 
 def _block_dict(block, models, labels):
-    energies = {label: {"lo": v.lo, "hi": v.hi}
-                if isinstance(v, cfgmod.EnergyInterval) else v
-                for label, v in zip(labels, cfgmod.block_energies(block, models))}
+    energies = cfgmod.block_energies(block, models)
+    if not block.static_counts.exact:
+        energies = [{"lo": v.lo, "hi": v.hi} for v in energies]
     return {
         "start": "0x%08x" % block.start,
         "end": "0x%08x" % block.end,
@@ -338,7 +329,7 @@ def _block_dict(block, models, labels):
         "counts": _counts_dict(block.static_counts),
         "successors": [{"target": None if t is None else "0x%08x" % t,
                         "kind": kind} for t, kind in block.successors],
-        "energy_nj": energies,
+        "energy_nj": dict(zip(labels, energies)),
     }
 
 

@@ -53,9 +53,11 @@ A compiled block runs only when the cycle budget cannot cut it: `now` plus
 its worst case before the last instruction (taken-branch base cycles plus
 the wait states of every Flash word a fetch or data read could touch) is
 below the budget; otherwise it runs one instruction at a time, the budget
-checked before each.  `step()`, `on_step` and RAM code never use or make
-compiled code; each RAM instruction is fetched and decoded afresh, as RAM
-code may modify itself.  c1, c2 and the histogram are counted per block run
+checked before each.  `step()`, a run to one cycle past now (no timing
+entry is below a cycle), `on_step` and RAM code never use or make compiled
+code; each RAM instruction is fetched and decoded afresh, as RAM code may
+modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read`
+and `_write` counted.  c1, c2 and the histogram are counted per block run
 and folded into the counters when `run` or `step` returns.
 
 An instruction commits on completion: one that faults adds no counter event
@@ -80,7 +82,7 @@ from dataclasses import dataclass, field
 
 from . import decode as dec
 from .counters import EventCounters
-from .errors import InvalidStateFault, M0EnergyError
+from .errors import InvalidConfigError, InvalidStateFault, M0EnergyError
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, RAM_BASE,
                      MemorySystem)
 
@@ -146,6 +148,7 @@ class StepResult:
     data_accesses: list
     halted: bool
     fetch_stall: int = 0
+    data_events: tuple = (0, 0, 0)  # the c4, c5 and c6 the step added
 
 
 @dataclass
@@ -500,10 +503,6 @@ class _Block:
         self.runs = 0
 
 
-class _StepDone(Exception):
-    """Raised from step()'s on_step hook to stop after one instruction."""
-
-
 def _timing_class(ins, t):
     """(base cycles if not taken, if taken), fixed at decode time."""
     op, f = ins.op, ins.fields
@@ -530,6 +529,8 @@ class Simulator:
         self.timing = dict(DEFAULT_TIMING)
         if timing:
             self.timing.update(timing)
+        if min(self.timing.values()) < 1:  # step() relies on it
+            raise InvalidConfigError("every timing entry must be >= 1 cycle")
         self.counters = EventCounters()
         self.state = CpuState()
         self._blocks = {}        # Flash/alias pc -> _Block
@@ -566,11 +567,9 @@ class Simulator:
 
     def _write(self, addr, size, value):
         addr &= MASK32
-        stall, region = self.mem.write(addr, size, value)
+        _stall, region = self.mem.write(addr, size, value)  # never stalls
         if region == "ram":
             self.counters.c5 += 1
-        if stall:
-            self.state.cycle_count += stall
         if self._accesses is not None:
             self._accesses.append((addr, size, "w", region))
 
@@ -731,19 +730,12 @@ class Simulator:
     # -- execution --------------------------------------------------------------
 
     def step(self):
-        """Execute one instruction; returns its StepResult.  Faults raise."""
+        """Execute one instruction; returns its StepResult.  Faults raise.
+        A run to one cycle past now, as no instruction takes 0 cycles."""
         if self.state.halted:
             raise M0EnergyError("cannot step a halted core")
         done = []
-
-        def stop(result):
-            done.append(result)
-            raise _StepDone
-
-        try:
-            self._execute(float("inf"), stop)
-        except _StepDone:
-            pass
+        self._execute(self.state.cycle_count + 1, done.append)
         return done[0]
 
     def run(self, max_cycles=10 ** 9, on_step=None):
@@ -779,6 +771,7 @@ class Simulator:
         ran = []  # Flash blocks whose `runs` are to be folded in
         if on_step is not None:
             self._accesses = []
+            c4, c5, c6 = c.c4, c.c5, c.c6  # the counts before the next step
         try:
             while True:
                 if s.halted:
@@ -829,17 +822,16 @@ class Simulator:
                                 if not taken:
                                     regs[15] = addr + ins.size
                                 sequential = not taken
+                                events = (c.c4 - c4, c.c5 - c5, c.c6 - c6)
+                                c4, c5, c6 = c.c4, c.c5, c.c6
                                 result = StepResult(ins, s.cycle_count - now,
                                                     taken, self._accesses,
-                                                    s.halted, stall)
+                                                    s.halted, stall, events)
                                 self._accesses = []
                                 on_step(result)
                             stall = 0
                     except M0EnergyError:
                         self._tally(entries[:i])  # the faulting one: nothing
-                        raise
-                    except _StepDone:
-                        self._tally(entries[:i + 1])
                         raise
                     if not taken:
                         regs[15] = block.end

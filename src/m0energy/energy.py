@@ -91,22 +91,37 @@ def builtin_model(config):
         raise InvalidConfigError("no built-in model for %s" % (config,)) from None
 
 
-def _counter_vector(counters):
-    if hasattr(counters, "as_vector"):
-        return counters.as_vector()
-    vec = tuple(counters)
-    if len(vec) != 6:
-        raise ValueError("expected 6 counter values, got %d" % len(vec))
-    return vec
-
-
 def estimate(counters, model):
-    """Energy in nJ for a counter vector under a model (plain dot product)."""
-    vec = _counter_vector(counters)
-    total = 0.0
-    for beta, count in zip(model.beta, vec):
-        total += beta * count
-    return total
+    """Energy in nJ for a counter vector under a model (plain dot product,
+    from 0.0, so that a sum of negative zeros reads 0.0)."""
+    if hasattr(counters, "as_vector"):
+        counters = counters.as_vector()
+    return 0.0 + energies([model], counters)[0]
+
+
+@dataclass
+class EnergyInterval:
+    lo: float
+    hi: float
+
+    @property
+    def width(self):
+        return self.hi - self.lo
+
+
+def energies(models, counts, loads=0, stores=0):
+    """E = b1*c1 + ... + b6*c6 over the six `counts` under each of `models`,
+    the one place a model is applied.  With `loads` (each c4 or c6) or
+    `stores` (each c5 or none) of unknown region, each is an EnergyInterval."""
+    c1, c2, c3, c4, c5, c6 = counts
+    betas = [m.beta for m in models]
+    points = [b1 * c1 + b2 * c2 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6
+              for b1, b2, b3, b4, b5, b6 in betas]
+    if not (loads or stores):
+        return points
+    return [EnergyInterval(e + loads * min(b[3], b[5]),
+                           e + loads * max(b[3], b[5]) + stores * b[4])
+            for e, b in zip(points, betas)]
 
 
 def relative_weights(model):

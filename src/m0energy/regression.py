@@ -223,10 +223,10 @@ def fit(dataset):
         raise DatasetError("need at least %d rows for a 6-coefficient fit, got %d"
                            % (MIN_ROWS, n))
     counts = dataset.counts
-    rank = np.linalg.matrix_rank(counts)
+    # lstsq's rank has matrix_rank's cut-off, eps * max(M, N) * s_max
+    beta, _, rank, _ = np.linalg.lstsq(counts, dataset.energies, rcond=None)
     if rank < 6:
         raise DegenerateDesignError(rank, _dependent_columns(counts, rank))
-    beta, _, _, _ = np.linalg.lstsq(counts, dataset.energies, rcond=None)
     pred = counts @ beta
     warnings = ["negative coefficient %s = %.6g" % (COUNTER_NAMES[i], b)
                 for i, b in enumerate(beta) if b < 0]

@@ -2,6 +2,8 @@
 
 import pytest
 
+import m0energy.cfg
+import m0energy.energy
 from helpers import (KERNELS, PUBLISHED_TABLE, dot_oracle, dynamic_block_path,
                      kernel_image, run_kernel, sum_static_counts)
 from m0energy import (AnalysisError, Assembler, EnergyInterval, HardwareConfig,
@@ -196,6 +198,8 @@ def test_path_energy_interval_for_unknown_load():
     block = graph.sorted_blocks()[0]
     value = path_energy([block], [], MODEL)
     assert isinstance(value, EnergyInterval)
+    assert EnergyInterval is m0energy.cfg.EnergyInterval \
+        is m0energy.energy.EnergyInterval  # one class, defined in energy
     b4, b6 = MODEL.beta[3], MODEL.beta[5]
     assert value.width == pytest.approx(abs(b4 - b6), rel=1e-12)
 
@@ -226,7 +230,8 @@ def test_path_energy_rejects_disconnected_path():
 @pytest.mark.parametrize("name", [n for n, info in KERNELS.items() if info[3]])
 def test_static_dynamic_agreement(name):
     """Summed static block counts along the executed path equal the dynamic
-    counters exactly; path energy equals the dynamic estimate."""
+    counters exactly; path energy equals the dynamic estimate, bit for bit,
+    as both apply the model once to the same counts."""
     graph, _ = graph_for(name)
     sim, summary, steps = run_kernel(name, collect_steps=True)
     blocks, edges = dynamic_block_path(graph, steps)
@@ -236,6 +241,7 @@ def test_static_dynamic_agreement(name):
         dynamic_e = estimate(summary.counters, model)
         assert isinstance(static_e, float)
         assert abs(static_e - dynamic_e) <= 1e-9 * max(1.0, abs(dynamic_e))
+        assert static_e == dynamic_e
 
 
 def test_entry_override_analyzes_subroutine_only():

@@ -15,8 +15,8 @@ import helpers
 from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
                      kernel_image, oracle_add_flags, oracle_sub_flags,
                      run_kernel)
-from m0energy import (Assembler, BadEntryError, MalformedImageError,
-                      M0EnergyError, Simulator)
+from m0energy import (Assembler, BadEntryError, InvalidConfigError,
+                      MalformedImageError, M0EnergyError, Simulator)
 from m0energy.cpu import HANDLERS
 from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
 
@@ -165,6 +165,13 @@ def test_muls_timing_override():
     step = exec_once(sim, r0=3, r1=4)
     assert sim.state.regs[0] == 12
     assert step.cycles == 32
+
+
+@pytest.mark.parametrize("key", ["dp", "muls", "branch_taken"])
+def test_timing_override_below_one_cycle_is_rejected(key):
+    # step() runs to one cycle past now, so no instruction may be free
+    with pytest.raises(InvalidConfigError):
+        single_op_sim(lambda a: a.muls(0, 1), timing={key: 0})
 
 
 def test_ldrsb_sign_extends():
@@ -1037,6 +1044,27 @@ def test_kernel_step_accounting(name):
             assert s.instruction.op in BRANCHY_OPS
     # pc stays halfword-aligned throughout; cycle count monotone
     assert sim.state.pc % 2 == 0
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("ws,prefetch,key", TIMING_CONFIGS)
+def test_kernel_step_events(name, ws, prefetch, key):
+    # each step's data_events against a recount of its own accesses; summed
+    # over the run, data_events and fetch_stall against the counters
+    _sim, summary, steps = run_kernel(name, wait_states=ws, prefetch=prefetch,
+                                      collect_steps=True)
+    for step in steps:
+        assert step.data_events == helpers.recount_from_steps([step])[3:]
+    c = summary.counters
+    assert tuple(map(sum, zip(*(s.data_events for s in steps)))) \
+        == (c.c4, c.c5, c.c6)
+    assert sum(s.fetch_stall for s in steps) == c.fetch_stall_cycles
+    sim = Simulator(kernel_image(name), wait_states=ws, prefetch=prefetch)
+    stepped = []
+    while not sim.state.halted:
+        stepped.append(sim.step())
+    assert [(s.data_events, s.fetch_stall) for s in stepped] \
+        == [(s.data_events, s.fetch_stall) for s in steps]
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

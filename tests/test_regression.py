@@ -84,6 +84,25 @@ def test_fit_duplicate_column_is_degenerate():
     assert {"c4", "c5"} <= set(err.value.dependent_columns)
 
 
+@pytest.mark.parametrize("exponent", [-16, -15.5, -15, -14.5, -14, -13.5, -13])
+def test_fit_rank_verdict_matches_matrix_rank(exponent):
+    # c5 is c4 plus noise near the rank cut-off, eps * max(M, N) * s_max;
+    # the fit's degeneracy verdict and rank are matrix_rank's
+    ds = synth_dataset(seed=3, n=30, noise=0.0)
+    counts = ds.counts.copy()
+    noise = np.random.default_rng(0).normal(size=len(ds))
+    counts[:, 4] = counts[:, 3] + 10.0 ** exponent * counts.max() * noise
+    rank = np.linalg.matrix_rank(counts)
+    dataset = RegressionDataset(counts, ds.energies)
+    if rank == 6:
+        assert len(fit(dataset).beta) == 6
+    else:
+        with pytest.raises(DegenerateDesignError) as err:
+            fit(dataset)
+        assert err.value.rank == rank
+        assert {"c4", "c5"} <= set(err.value.dependent_columns)
+
+
 def test_fit_requires_seven_rows():
     ds = synth_dataset(seed=4, n=6, noise=0.0)
     with pytest.raises(DatasetError):
