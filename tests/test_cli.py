@@ -714,6 +714,66 @@ GOLDEN_SHA256 = {
     ("sweep", 2): "7fbba337a961d36e5db139b096756b9b5f341415c3f5c949626daad85e64bb34",
     ("fit", 1): "054b730ca173db622c83e01527d19aa32e1fb377d25cc55915b209e934c4d783",
     ("fit", 2): "b5f1258f412f254c9fd245a5ee3b5e6173ad9ec0c62a9e70597bf4ff3fa3c959",
+    ("analyze", 3):
+        "fab64bebad6bdec81c4ae71931350bcf0f6831daef2c870d12456983278651ea",
+    ("analyze-text", 3):
+        "829c704c92ee6a9263d476b0c55f83dd52aca23f6cffcb2bc03e4cb375a08b84",
+    ("analyze", 4):
+        "c0b00ea19d31ce635c42c5ddbfbff7d3f741f3a198b2be5654617542aa28a94b",
+    ("analyze-text", 4):
+        "acf5197bf0e528a9e8c0fc4ef937b91b0924456602f2692b3885dd90844fe779",
+    ("analyze", 5):
+        "415496ce951d3c10b17c0067c1a009ef00aa43f8706b7b1641152d5ab7b6b814",
+    ("analyze-text", 5):
+        "c69373e1f3863c7c0e45eb3b19e550a7869d35ac0d24692e955737f90b4da521",
+    ("analyze", 6):
+        "4bb191fcb8b0a75aa34baa7c9867e749757f6212d8d7f3aeffc229f232351e7e",
+    ("analyze-text", 6):
+        "3d6bd88649c94c4bef4c5644888348e26c37328976653072a5f2f1c7a54dd77b",
+    ("analyze", "alu_mix"):
+        "b668822ff6e8a6f13806dc01c6769d8cc464651ef7329079e1286f1f6a6bf1f2",
+    ("analyze-text", "alu_mix"):
+        "d33e022f687fa4d8f8216d26d2766afd9a980d0b933beb245d866a21050e0a30",
+    ("analyze", "call_ret"):
+        "6df088bf8e242320d888aff3caa6c4a46d3bdac1c10249a492cae05bac604801",
+    ("analyze-text", "call_ret"):
+        "73092252ed9948e014f799ad69429be8b29bfe8f1ae6cabbeed5111702b0efcc",
+    ("analyze", "flash_lit"):
+        "504adefeb501341f58db86ab9c317f01fa800f67492f163310f85ad964c7e1b6",
+    ("analyze-text", "flash_lit"):
+        "8351348a1f3a453a46012e30798e46c541d817c100d221de65794f5fdbfcdd5f",
+    ("analyze", "lit_alu"):
+        "da95df7555bb3dd23fdabc9f5b12d7ff4000ff7eac0c81a8ec9fee4071fd884d",
+    ("analyze-text", "lit_alu"):
+        "e32820e98c7ca0bf55441e99660861732ca449906361de5505ee950c47dd7108",
+    ("analyze", "loop5"):
+        "80d56b4252094297f719e79bbd59a5c1175dcd5e79ba5eb1a17869e57149b0ea",
+    ("analyze-text", "loop5"):
+        "946e694a7c237b9701ee59bce778cd20d89dbf775f4c257a17b91c1e9c94eeb6",
+    ("analyze", "muls"):
+        "5985e06a3e812baaef091e1b92a2debe938df2afdea3bc3ea55cdf9b580a2c8a",
+    ("analyze-text", "muls"):
+        "f707fad2006093b55e4d4a4cd9a1f053c685fd3d6363fb965c6b966e1dc617dc",
+    ("analyze", "pop_pc"):
+        "6e14282e9d729c6ce112d2d186466291ccf1e05bc8c7f5bae29c4f8199a6b18e",
+    ("analyze-text", "pop_pc"):
+        "a576a59ad071ad0639733ae0a9881bb7c09d54aa3e4a47b0b3ecabdadeec6718",
+    ("analyze", "pushpop"):
+        "92032f04bdaa7df97a49b7ac7387af91650b57de5785bde5819826eb333f874f",
+    ("analyze-text", "pushpop"):
+        "72dacc23ea67461ecbf10a04631b25ce7b1d9b91bb1e57b018b5ddb7f6af39fc",
+    ("analyze", "pushpop_loop"):
+        "80cbe456db8e0850ff276f035e14bc764f4d6426047bd6155df047bf54c025fd",
+    ("analyze-text", "pushpop_loop"):
+        "20d9d7ff5c4b38452730248c334a2154fa3fa96ed1d0561bc137f41d3f4459a6",
+    ("analyze", "ram_rw"):
+        "bf2e629ce97d1b07ce629f94a95893e5a74ee605a4d22340ccda7f734845f4bb",
+    ("analyze-text", "ram_rw"):
+        "e15a0fc32bf5976907355c416e5f0216945eb438bcf903b127e3be94b291d156",
+    ("analyze", "straight6"):
+        "15cd3cab480b9facd75e2677b436560d35f44a543b4e851127728833ebe8ecd7",
+    ("analyze-text", "straight6"):
+        "acca87ef214a2a60ab6f8d19ae1016c3b8a8afda7d44a82a6a8055a07b88d460",
 }
 
 
@@ -721,7 +781,8 @@ def golden_argv(command, seed, tmp_path):
     if command == "fit":
         save_dataset(tmp_path / "data.csv", synth_dataset(seed=seed, n=120))
         return ["fit", "data.csv", "--kfold", "5", "--seed", str(seed)]
-    (tmp_path / "prog.bin").write_bytes(golden_image(seed))
+    (tmp_path / "prog.bin").write_bytes(
+        kernel_image(seed) if isinstance(seed, str) else golden_image(seed))
     return {"analyze": ["analyze", "prog.bin"],
             "analyze-text": ["analyze", "prog.bin", "--format", "text"],
             "run": ["run", "prog.bin", "--freq", "24", "--prefetch", "on",
@@ -729,9 +790,16 @@ def golden_argv(command, seed, tmp_path):
             "sweep": ["run", "prog.bin", "--sweep"]}[command]
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("command", ["analyze", "analyze-text", "run",
-                                     "sweep", "fit"])
+# every report on golden seeds 1 and 2; `analyze` on more seeds and on
+# every helper kernel (named in place of a seed)
+GOLDEN_CASES = [(command, seed) for seed in (1, 2) for command in
+                ("analyze", "analyze-text", "run", "sweep", "fit")] + [
+    (command, seed) for seed in (3, 4, 5, 6, *sorted(KERNELS))
+    for command in ("analyze", "analyze-text")]
+
+
+@pytest.mark.parametrize("command,seed", GOLDEN_CASES,
+                         ids=["%s-%s" % case for case in GOLDEN_CASES])
 def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, seed):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(golden_argv(command, seed, tmp_path), capsys)
