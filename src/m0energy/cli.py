@@ -14,6 +14,10 @@ both, and `comparison` ranks only the configurations the file covers.
 
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
+`analyze` fills each block record's JSON text into templates built once
+per report, and renders a block's counts and energies once per distinct
+count vector; the text format renders the same records from dicts.
+Addresses and sizes in flags must lie in 0..0xFFFFFFFF.
 Exit codes: 0 completed halt, 1 fault, analysis/fit failure or a trace or
 report that cannot be written, 2 usage.
 """
@@ -63,35 +67,16 @@ def _json_str(obj, indent=0):
     return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], obj) + '"'
 
 
-# exact-str key -> its encoded '"key": ' prefix.  A report repeats a few
-# dozen keys; a str subclass may render differently, so it is never cached.
-_KEY_PREFIXES = {}
+def _json_float(obj, indent=0):
+    return "%.6f" % obj if math.isfinite(obj) else "null"
 
 
 def _json_dict(obj, indent):
     pad = "  " * indent
     get, indent = _WRITERS.get, indent + 1
-    prefixes, search, isfinite = _KEY_PREFIXES, _NEEDS_ESCAPE.search, math.isfinite
-    items = []
-    append = items.append
-    for k, v in obj.items():
-        if type(k) is str:
-            key = prefixes.get(k)
-            if key is None:
-                key = _json_str(k) + ": "
-                if len(prefixes) < 4096:  # bounds a long-lived process
-                    prefixes[k] = key
-        else:
-            key = _json_str(str(k)) + ": "
-        t = type(v)
-        if t is str:
-            append(key + ('"' + v + '"' if search(v) is None else _json_str(v)))
-        elif t is float:
-            append(key + ("%.6f" % v if isfinite(v) else "null"))
-        elif t is int:
-            append(key + str(v))
-        else:
-            append(key + (get(t) or _writer_for(v))(v, indent))
+    items = [_json_str(str(k)) + ": "
+             + (get(type(v)) or _writer_for(v))(v, indent)
+             for k, v in obj.items()]
     return ("{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}"
             if items else "{}")
 
@@ -99,29 +84,21 @@ def _json_dict(obj, indent):
 def _json_list(obj, indent):
     pad = "  " * indent
     get, indent = _WRITERS.get, indent + 1
-    search, isfinite = _NEEDS_ESCAPE.search, math.isfinite
-    items = []
-    append = items.append
-    for v in obj:
-        t = type(v)
-        if t is str:
-            append('"' + v + '"' if search(v) is None else _json_str(v))
-        elif t is float:
-            append("%.6f" % v if isfinite(v) else "null")
-        elif t is int:
-            append(str(v))
-        else:
-            append((get(t) or _writer_for(v))(v, indent))
+    items = [(get(type(v)) or _writer_for(v))(v, indent) for v in obj]
     return ("[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
             if items else "[]")
+
+
+class _Raw(str):
+    """JSON text that to_json writes as it is, such as a block record."""
 
 
 _WRITERS = {
     type(None): lambda obj, indent: "null",
     bool: lambda obj, indent: "true" if obj else "false",
     int: lambda obj, indent: str(obj),
-    float: lambda obj, indent: "%.6f" % obj if math.isfinite(obj) else "null",
-    str: _json_str, dict: _json_dict, list: _json_list, tuple: _json_list}
+    float: _json_float, str: _json_str, dict: _json_dict, list: _json_list,
+    tuple: _json_list, _Raw: lambda obj, indent: obj}
 
 
 def render_text(obj, indent=0):
@@ -333,6 +310,43 @@ def _block_dict(block, models, labels):
     }
 
 
+def _block_writer(models, labels):
+    """A function from a block to the text that `to_json` writes for its
+    `_block_dict` as a report's record (at depth 2), filled into templates
+    built here for distinct `labels`.  The counts and energy_nj text depend
+    only on `cfg._counts(block)`, so each distinct key is rendered once."""
+    hole, address = _Raw("%s"), _Raw('"0x%08x"')
+    keys = [label.replace("%", "%%") for label in labels]
+    record = to_json({"start": address, "end": address,
+                      "instructions": hole, "counts": hole,
+                      "successors": hole, "energy_nj": hole}, 2)
+    point = to_json(dict.fromkeys(keys, hole), 3)
+    interval = to_json(dict.fromkeys(keys, {"lo": hole, "hi": hole}), 3)
+    edge = to_json({"target": hole, "kind": hole}, 4)
+    head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
+    memo = {}
+
+    def write(block):
+        key = cfgmod._counts(block)
+        rendered = memo.get(key)
+        if rendered is None:
+            values = cfgmod.block_energies(block, models)
+            energy = (point % tuple(map(_json_float, values))
+                      if block.static_counts.exact else interval % tuple(
+                          _json_float(x) for v in values
+                          for x in (v.lo, v.hi)))
+            rendered = memo[key] = (
+                to_json(_counts_dict(block.static_counts), 3), energy)
+        edges = [edge % ("null" if t is None else '"0x%08x"' % t,
+                         _json_str(kind)) for t, kind in block.successors]
+        return _Raw(record % (
+            block.start, block.end,
+            head + sep.join([_json_str(i.text) for i in block.instructions])
+            + tail, rendered[0],
+            head + sep.join(edges) + tail if edges else "[]", rendered[1]))
+    return write
+
+
 def cmd_analyze(args, parser):
     data = _read_image(args.image, parser)
     try:
@@ -345,11 +359,12 @@ def cmd_analyze(args, parser):
         return 1
     models = builtin_models()
     labels = [m.config.label() for m in models]
+    write = (_block_writer(models, labels) if args.format == "json"
+             else lambda block: _block_dict(block, models, labels))
     report = {
         "image": _image_info(args.image, data),
         "entry": "0x%08x" % (entry & ~1),
-        "blocks": [_block_dict(b, models, labels)
-                   for b in graph.sorted_blocks()],
+        "blocks": [write(b) for b in graph.sorted_blocks()],
     }
     return _emit(report, args.format, "analysis")
 
@@ -411,7 +426,11 @@ def _config_from_args(args, parser):
 
 
 def _hex_int(text):
-    return int(text, 0)
+    value = int(text, 0)
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise argparse.ArgumentTypeError("%s is not a 32-bit address or size"
+                                         % text)
+    return value
 
 
 def _add_config_flags(sub):

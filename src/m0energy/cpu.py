@@ -567,7 +567,7 @@ class Simulator:
 
     def _write(self, addr, size, value):
         addr &= MASK32
-        _stall, region = self.mem.write(addr, size, value)  # never stalls
+        region = self.mem.write(addr, size, value)
         if region == "ram":
             self.counters.c5 += 1
         if self._accesses is not None:

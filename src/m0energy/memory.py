@@ -2,8 +2,8 @@
 
 Memory map:
     0x0000_0000  alias of Flash (boot remap), read/execute only
-    0x0800_0000  Flash (default 64 KiB), read/execute only
-    0x2000_0000  RAM (default 8 KiB)
+    0x0800_0000  Flash (default 64 KiB, at most 0x0800_0000), read/execute only
+    0x2000_0000  RAM (default 8 KiB, at most 0x2000_0000)
     0x4000_0000  debug byte port: 1-byte writes append to captured output
 
 Flash timing is governed by the WaitState count (0 or 1) and the PreFetch
@@ -123,6 +123,12 @@ class MemorySystem:
             raise MalformedImageError(
                 "image is %d bytes; need at least an 8-byte vector table"
                 % len(image))
+        if flash_size > FLASH_BASE - ALIAS_BASE or ram_size > DEBUG_ADDR - RAM_BASE:
+            raise MalformedImageError(  # checked before anything is allocated
+                "the memory map holds at most %#x bytes of flash and %#x of "
+                "RAM, got %#x and %#x" % (FLASH_BASE - ALIAS_BASE,
+                                          DEBUG_ADDR - RAM_BASE, flash_size,
+                                          ram_size))
         if len(image) > flash_size:
             raise MalformedImageError(
                 "image is %d bytes but flash is %d" % (len(image), flash_size))
@@ -190,10 +196,10 @@ class MemorySystem:
         return value, self.wait_states, "flash"
 
     def write(self, addr, size, value):
-        """Data write; returns (stall, region)."""
+        """Data write, which never stalls; returns the region."""
         if addr == DEBUG_ADDR and size == 1:
             self.debug_output.append(value & 0xFF)
-            return 0, "mmio"
+            return "mmio"
         region = self.region(addr)
         if region in ("flash", "alias"):
             raise MemoryFault(addr, "write-to-flash")
@@ -203,7 +209,7 @@ class MemorySystem:
             raise MemoryFault(addr, "misaligned write")
         off = addr - RAM_BASE
         self.ram[off:off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        return 0, "ram"
+        return "ram"
 
     # -- reset support -------------------------------------------------------
 

@@ -291,8 +291,8 @@ class ReferenceStepper:
         return value
 
     def _write(self, addr, size, value):
-        stall, region = self.mem.write(addr & MASK32, size, value)
-        self.accesses.append(("w", region, stall))
+        region = self.mem.write(addr & MASK32, size, value)
+        self.accesses.append(("w", region, 0))
 
     def step(self):
         s, c = self.state, self.counters

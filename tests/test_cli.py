@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +20,8 @@ from helpers import (INTERWORKING_BRANCHES, KERNELS, invstate_image,
 from m0energy import (Assembler, EnergyModel, HardwareConfig, builtin_model,
                       builtin_models, estimate, load_models, save_dataset,
                       save_models)
-from m0energy import cli
+from m0energy import MemorySystem, cli
+from m0energy.cfg import BasicBlock, StaticCounts, extract_cfg
 from m0energy.cli import main
 
 
@@ -628,6 +631,37 @@ def test_run_negative_max_cycles_is_usage_error(tmp_path, capsys):
     assert "--max-cycles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("flags", [
+    ["--entry", "-1"], ["--entry", "0x100000000"],
+    # --ram-size 2 stops a missing range check before Flash is allocated
+    ["--flash-size", "0x100000000", "--ram-size", "2"]],
+    ids=["entry-negative", "entry-33-bit", "flash-size-33-bit"])
+def test_out_of_range_address_or_size_is_usage_error(tmp_path, capsys,
+                                                     command, flags):
+    image = write_kernel(tmp_path, "loop5")
+    with pytest.raises(SystemExit) as err:
+        main([command, image] + flags)
+    assert err.value.code == 2
+    assert "argument %s: %s is not a 32-bit" % tuple(flags[:2]) in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("flags", [
+    # each also breaks the multiple-of-4 rule, so that without the map
+    # check the run still stops before it allocates memory
+    ["--flash-size", "0x08000004", "--ram-size", "2"],
+    ["--ram-size", "0x20000002"]], ids=["flash", "ram"])
+def test_sizes_beyond_the_memory_map_exit_one(tmp_path, capsys, command,
+                                              flags):
+    code, out, err = run_cli([command, write_kernel(tmp_path, "loop5")]
+                             + flags, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith({"run": "run", "analyze": "analysis"}[command]
+                          + " error: the memory map holds at most")
+
+
 def test_run_bad_model_file_is_usage_error(tmp_path, capsys):
     image = write_kernel(tmp_path, "loop5")
     model = tmp_path / "model.csv"
@@ -912,9 +946,8 @@ def test_to_json_matches_the_reference_writer(chunk):
 
 def test_to_json_writes_each_key_type_as_the_reference():
     value = {"k": 1, Text("t"): 2, Word("j"): 3, 1: 4, 1.5: 5, None: 6}
-    for _ in range(2):  # the second time with the exact-str keys cached
-        assert cli.to_json([value, {"k": [value]}]) == \
-            reference_to_json([value, {"k": [value]}])
+    assert cli.to_json([value, {"k": [value]}]) == \
+        reference_to_json([value, {"k": [value]}])
     assert '"text:k": 2' in cli.to_json({Text("k"): 2})
 
 
@@ -923,6 +956,91 @@ def test_to_json_writes_each_key_type_as_the_reference():
 def test_to_json_rejects_unsupported_types(obj):
     with pytest.raises(TypeError, match="cannot serialize"):
         cli.to_json(obj)
+
+
+# -- the analyze block writer -------------------------------------------------
+# `analyze` writes each block record from templates; it must equal the
+# generic writer's text for the block's `_block_dict` at the record's depth.
+
+def assert_block_writer_matches(blocks, models):
+    labels = [m.config.label() for m in models]
+    write = cli._block_writer(models, labels)
+    for block in blocks + blocks:  # the second pass finds every key rendered
+        assert write(block) == cli.to_json(
+            cli._block_dict(block, models, labels), 2), hex(block.start)
+
+
+WRITER_IMAGES = ([("kernel", name) for name in sorted(KERNELS)]
+                 + [("random", seed) for seed in range(24)]
+                 + [("golden", seed) for seed in range(1, 21)])
+
+
+@pytest.mark.parametrize("kind,seed", WRITER_IMAGES,
+                         ids=["%s-%s" % case for case in WRITER_IMAGES])
+def test_block_writer_matches_to_json_of_block_dict(kind, seed):
+    from test_engine import random_program
+    image = {"kernel": kernel_image, "random": random_program,
+             "golden": golden_image}[kind](seed)
+    mem = MemorySystem(image)
+    blocks = extract_cfg(mem, mem.reset_vector()[1]).sorted_blocks()
+    assert_block_writer_matches(blocks, builtin_models())
+
+
+def hand_block(start, counts, texts=("ADDS r0, r0, r1",), successors=()):
+    return BasicBlock(start, start + 2 * len(texts),
+                      [SimpleNamespace(text=text) for text in texts],
+                      counts, list(successors))
+
+
+NON_FINITE_MODELS = [
+    EnergyModel(HardwareConfig(20, False, 0), (math.inf, 1, 1, 1, 1, 1)),
+    EnergyModel(HardwareConfig(24, True, 1), (1, 1, 1, math.nan, 1, 1)),
+    builtin_model(HardwareConfig(48, True, 1))]
+
+
+@pytest.mark.parametrize("models", [builtin_models(), NON_FINITE_MODELS],
+                         ids=["builtin", "non-finite"])
+def test_block_writer_matches_on_hand_built_blocks(models):
+    blocks = [
+        hand_block(0x08000000, StaticCounts(c1=2, c6_known=1),
+                   ['LDR r0, "q" \\ \x00\x1f\n\xe9', "MOVS r1, #1"]),
+        hand_block(0x08000010, StaticCounts(c1=1, c2=1),
+                   successors=[(None, "return")]),
+        hand_block(0x08000020, StaticCounts(c1=3, c4_known=1, c5_known=2,
+                                            unresolved_loads=2,
+                                            unresolved_stores=1),
+                   successors=[(0x08000000, "taken"),
+                               (0x08000024, "fallthrough")]),
+        hand_block(0x08000030, StaticCounts(unresolved_stores=1)),
+    ]
+    assert_block_writer_matches(blocks, models)
+    if models is NON_FINITE_MODELS:  # inf * c and nan * 0 are both null
+        write = cli._block_writer(models, [m.config.label() for m in models])
+        assert write(blocks[0]).count(": null") == 2
+        assert write(blocks[2]).count(": null") == 4
+
+
+def test_block_writer_renders_each_counts_key_once(monkeypatch):
+    rendered = []
+    block_energies = cli.cfgmod.block_energies
+    monkeypatch.setattr(cli.cfgmod, "block_energies", lambda block, models: (
+        rendered.append(block.start) or block_energies(block, models)))
+    first = hand_block(0x08000000, StaticCounts(c1=2, c5_known=1),
+                       successors=[(0x08000010, "taken")])
+    same = hand_block(0x08000010, StaticCounts(c1=2, c5_known=1),
+                      ["MULS r1, r2", "STR r0, [sp]", "BX lr"])
+    loads = hand_block(0x08000020, StaticCounts(c1=2, c5_known=1,
+                                                unresolved_loads=1))
+    stores = hand_block(0x08000030, StaticCounts(c1=2, c5_known=1,
+                                                 unresolved_stores=1))
+    models = builtin_models()
+    write = cli._block_writer(models, [m.config.label() for m in models])
+    texts = [write(block) for block in (first, same, loads, stores, loads)]
+    assert rendered == [first.start, loads.start, stores.start]
+    energy = [text.partition('"counts"')[2].partition('"successors"')[0]
+              + text.partition('"energy_nj"')[2] for text in texts]
+    assert energy[0] == energy[1] and energy[2] == energy[4]
+    assert len(set(energy[:4])) == 3
 
 
 # -- golden trace bytes -------------------------------------------------------

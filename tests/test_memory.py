@@ -25,6 +25,15 @@ def test_image_larger_than_flash():
         MemorySystem(bytes(1024), flash_size=512)
 
 
+@pytest.mark.parametrize("flash_size,ram_size", [
+    (0x0800_0004, 2), (64 * 1024, 0x2000_0002)], ids=["flash", "ram"])
+def test_sizes_beyond_the_memory_map_are_refused(flash_size, ram_size):
+    # each also breaks the multiple-of-4 rule, so that without the map
+    # check the constructor still raises before it allocates memory
+    with pytest.raises(MalformedImageError, match="memory map"):
+        MemorySystem(bytes(1024), flash_size=flash_size, ram_size=ram_size)
+
+
 def test_region_classification():
     mem = make_mem()
     assert mem.region(FLASH_BASE) == "flash"
@@ -37,7 +46,7 @@ def test_region_classification():
 
 def test_ram_read_after_write_word():
     mem = make_mem()
-    mem.write(RAM_BASE, 4, 0xDEADBEEF)
+    assert mem.write(RAM_BASE, 4, 0xDEADBEEF) == "ram"
     value, stall, region = mem.read(RAM_BASE, 4)
     assert (value, stall, region) == (0xDEADBEEF, 0, "ram")
 
@@ -104,8 +113,7 @@ def test_alias_reads_mirror_flash_and_classify_as_flash():
 def test_debug_port_captures_bytes():
     mem = make_mem()
     for b in b"Hi":
-        stall, region = mem.write(DEBUG_ADDR, 1, b)
-        assert stall == 0 and region == "mmio"
+        assert mem.write(DEBUG_ADDR, 1, b) == "mmio"
     assert bytes(mem.debug_output) == b"Hi"
     with pytest.raises(MemoryFault):
         mem.write(DEBUG_ADDR, 4, 0)  # only byte writes are mapped
