@@ -313,15 +313,15 @@ def _block_dict(block, models, labels):
 def _block_writer(models, labels):
     """A function from a block to the text that `to_json` writes for its
     `_block_dict` as a report's record (at depth 2), filled into templates
-    built here for distinct `labels`.  The counts and energy_nj text depend
-    only on `cfg._counts(block)`, so each distinct key is rendered once."""
+    built here for distinct `labels` (config labels, with no "%").  The
+    counts and energy_nj text depend only on `cfg._counts(block)`, so each
+    distinct key is rendered once."""
     hole, address = _Raw("%s"), _Raw('"0x%08x"')
-    keys = [label.replace("%", "%%") for label in labels]
     record = to_json({"start": address, "end": address,
                       "instructions": hole, "counts": hole,
                       "successors": hole, "energy_nj": hole}, 2)
-    point = to_json(dict.fromkeys(keys, hole), 3)
-    interval = to_json(dict.fromkeys(keys, {"lo": hole, "hi": hole}), 3)
+    point = to_json(dict.fromkeys(labels, hole), 3)
+    interval = to_json(dict.fromkeys(labels, {"lo": hole, "hi": hole}), 3)
     edge = to_json({"target": hole, "kind": hole}, 4)
     head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
     memo = {}

@@ -2,8 +2,8 @@
 
 Memory map:
     0x0000_0000  alias of Flash (boot remap), read/execute only
-    0x0800_0000  Flash (default 64 KiB, at most 0x0800_0000), read/execute only
-    0x2000_0000  RAM (default 8 KiB, at most 0x2000_0000)
+    0x0800_0000  Flash (default 64 KiB, at most 128 MiB), read/execute only
+    0x2000_0000  RAM (default 8 KiB, at most 512 MiB)
     0x4000_0000  debug byte port: 1-byte writes append to captured output
 
 Flash timing is governed by the WaitState count (0 or 1) and the PreFetch
