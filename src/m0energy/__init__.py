@@ -4,54 +4,54 @@ Pieces: a cycle-accurate ARMv6-M Thumb simulator that collects the six
 energy-model event counters, the ten published per-configuration energy
 models, zero-intercept regression with k-fold cross-validation for
 training new models, and static basic-block counter/energy attribution.
+
+Each public name is imported from its submodule on first use (PEP 562),
+so a caller loads only the modules it uses.  The package's class keeps
+`decode` the function: a first import of the `decode` submodule would set
+the package attribute of that name to the module.
 """
 
-from .asm import Assembler
-from .cfg import (BasicBlock, CFG, StaticCounts, block_energy, extract_cfg,
-                  path_energy, static_block_counters)
-from .counters import EventCounters
-from .cpu import CpuState, RunSummary, Simulator, StepResult, DEFAULT_TIMING
-from .decode import Instruction, decode
-from .energy import (EnergyInterval, EnergyModel, HardwareConfig,
-                     builtin_configs, builtin_model, builtin_models,
-                     compare_configs, estimate, load_models, relative_weights,
-                     save_models)
-from .errors import (AnalysisError, BadEntryError, DatasetError,
-                     DegenerateDesignError, InvalidConfigError, M0EnergyError,
-                     InvalidStateFault, MalformedImageError, MemoryFault,
-                     PathError, UndefinedInstructionError)
-from .memory import MemorySystem, FetchUnit, DEBUG_ADDR, FLASH_BASE, RAM_BASE
+import sys
+from importlib import import_module
 
-# The regression names load numpy, so they are imported on first use
-# (PEP 562); `run` and `analyze` never pay for numpy.
-_REGRESSION_NAMES = frozenset([
-    "CVResult", "FitResult", "FoldScore", "RegressionDataset", "fit",
-    "fold_indices", "kfold_cv", "load_dataset", "mape", "r2", "resd",
-    "save_dataset",
-])
+# public name -> the submodule that defines it
+_SOURCES = {name: module for module, names in {
+    "asm": "Assembler",
+    "cfg": "BasicBlock CFG StaticCounts block_energy extract_cfg path_energy "
+           "static_block_counters",
+    "counters": "EventCounters",
+    "cpu": "CpuState RunSummary Simulator StepResult DEFAULT_TIMING",
+    "decode": "Instruction decode",
+    "energy": "EnergyInterval EnergyModel HardwareConfig builtin_configs "
+              "builtin_model builtin_models compare_configs estimate "
+              "load_models relative_weights save_models",
+    "errors": "AnalysisError BadEntryError DatasetError DegenerateDesignError "
+              "InvalidConfigError InvalidStateFault M0EnergyError "
+              "MalformedImageError MemoryFault PathError "
+              "UndefinedInstructionError",
+    "memory": "MemorySystem FetchUnit DEBUG_ADDR FLASH_BASE RAM_BASE",
+    "regression": "CVResult FitResult FoldScore RegressionDataset fit "
+                  "fold_indices kfold_cv load_dataset mape r2 resd "
+                  "save_dataset",
+}.items() for name in names.split()}
 
 
 def __getattr__(name):
-    if name in _REGRESSION_NAMES:
-        from . import regression
-        return getattr(regression, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    if name not in _SOURCES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + _SOURCES[name], __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
 
+
+class _Package(type(sys)):
+    def __setattr__(self, name, value):
+        if name != "decode" or not isinstance(value, type(sys)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assembler", "BasicBlock", "CFG", "EnergyInterval", "StaticCounts",
-    "block_energy", "extract_cfg", "path_energy", "static_block_counters",
-    "EventCounters", "CpuState", "RunSummary", "Simulator", "StepResult",
-    "DEFAULT_TIMING", "Instruction", "decode", "EnergyModel",
-    "HardwareConfig", "builtin_configs", "builtin_model", "builtin_models",
-    "compare_configs", "estimate", "load_models", "relative_weights",
-    "save_models", "AnalysisError", "BadEntryError", "DatasetError",
-    "DegenerateDesignError", "InvalidConfigError", "InvalidStateFault",
-    "M0EnergyError", "MalformedImageError", "MemoryFault", "PathError",
-    "UndefinedInstructionError", "MemorySystem", "FetchUnit", "DEBUG_ADDR",
-    "FLASH_BASE", "RAM_BASE", "CVResult", "FitResult", "FoldScore",
-    "RegressionDataset", "fit", "fold_indices", "kfold_cv", "load_dataset",
-    "mape", "r2", "resd", "save_dataset",
-]
+__all__ = [*_SOURCES]

@@ -19,11 +19,13 @@ edges and end the descent on that path.
 """
 
 from dataclasses import dataclass, field
+from importlib import import_module
 
-from . import decode as dec
 from .decode import EDGE_FALLTHROUGH
 from .energy import EnergyInterval, energies  # EnergyInterval: re-exported
 from .errors import AnalysisError, M0EnergyError, PathError
+
+dec = import_module(".decode", __package__)  # the module, not the function
 
 
 @dataclass

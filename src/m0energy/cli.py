@@ -18,22 +18,19 @@ at six decimal places so identical inputs produce byte-identical output.
 per report, and renders a block's counts and energies once per distinct
 count vector; the text format renders the same records from dicts.
 Addresses and sizes in flags must lie in 0..0xFFFFFFFF.
+Each subcommand imports the modules it runs where it runs them: `cpu` to
+simulate, `cfg` in `analyze`, `energy` in `run`, `analyze` and for
+`--emit-model`, `regression` and numpy in `fit`, `hashlib` to hash an image.
 Exit codes: 0 completed halt, 1 fault, analysis/fit failure or a trace or
 report that cannot be written, 2 usage.
 """
 
 import argparse
-import hashlib
 import math
 import os
 import re
 import sys
 
-from . import cfg as cfgmod
-from .cpu import Simulator
-from .energy import (HardwareConfig, builtin_configs, builtin_model,
-                     builtin_models, compare_configs, estimate, load_models,
-                     save_models, EnergyModel)
 from .errors import (AnalysisError, BadEntryError, DatasetError,
                      InvalidConfigError, M0EnergyError, MalformedImageError)
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, MemorySystem,
@@ -150,6 +147,7 @@ def _emit(report, fmt, command, code=0):
 # -- shared report pieces -------------------------------------------------
 
 def _image_info(path, data):
+    import hashlib
     return {"name": os.path.basename(path),
             "sha256": hashlib.sha256(data).hexdigest()}
 
@@ -179,6 +177,7 @@ def _trace_line(step):
 # -- run --------------------------------------------------------------------
 
 def _simulate(data, config, args, trace_fh=None):
+    from .cpu import Simulator
     sim = Simulator(data, wait_states=config.wait_states,
                     prefetch=config.prefetch, flash_size=args.flash_size,
                     ram_size=args.ram_size)
@@ -192,6 +191,7 @@ def _simulate(data, config, args, trace_fh=None):
 
 
 def _energy_entries(config, counters, model_file_models):
+    from .energy import builtin_model, estimate
     if model_file_models is None:
         models = [builtin_model(config)]
     else:
@@ -227,6 +227,7 @@ def cmd_run(args, parser):
 
 
 def _run(args, parser, data):
+    from .energy import builtin_configs, compare_configs, load_models
     model_file_models = None
     if args.model_file:
         try:
@@ -296,7 +297,8 @@ def _counts_dict(counts):
 
 
 def _block_dict(block, models, labels):
-    energies = cfgmod.block_energies(block, models)
+    from .cfg import block_energies
+    energies = block_energies(block, models)
     if not block.static_counts.exact:
         energies = [{"lo": v.lo, "hi": v.hi} for v in energies]
     return {
@@ -316,6 +318,7 @@ def _block_writer(models, labels):
     built here for distinct `labels` (config labels, with no "%").  The
     counts and energy_nj text depend only on `cfg._counts(block)`, so each
     distinct key is rendered once."""
+    from .cfg import _counts, block_energies
     hole, address = _Raw("%s"), _Raw('"0x%08x"')
     record = to_json({"start": address, "end": address,
                       "instructions": hole, "counts": hole,
@@ -327,10 +330,10 @@ def _block_writer(models, labels):
     memo = {}
 
     def write(block):
-        key = cfgmod._counts(block)
+        key = _counts(block)
         rendered = memo.get(key)
         if rendered is None:
-            values = cfgmod.block_energies(block, models)
+            values = block_energies(block, models)
             energy = (point % tuple(map(_json_float, values))
                       if block.static_counts.exact else interval % tuple(
                           _json_float(x) for v in values
@@ -348,12 +351,14 @@ def _block_writer(models, labels):
 
 
 def cmd_analyze(args, parser):
+    from .cfg import extract_cfg
+    from .energy import builtin_models
     data = _read_image(args.image, parser)
     try:
         mem = MemorySystem(data, flash_size=args.flash_size,
                            ram_size=args.ram_size)
         entry = args.entry if args.entry is not None else mem.reset_vector()[1]
-        graph = cfgmod.extract_cfg(mem, entry)
+        graph = extract_cfg(mem, entry)
     except (AnalysisError, M0EnergyError) as exc:
         print("analysis error: %s" % exc, file=sys.stderr)
         return 1
@@ -399,6 +404,7 @@ def cmd_fit(args, parser):
         "model_file": None,
     }
     if args.emit_model:
+        from .energy import EnergyModel, save_models
         try:
             save_models(args.emit_model,
                         [EnergyModel(config, result.beta, provenance="fitted")])
@@ -419,6 +425,7 @@ def _read_image(path, parser):
 
 
 def _config_from_args(args, parser):
+    from .energy import HardwareConfig
     try:
         return HardwareConfig(args.freq, args.prefetch == "on", args.waitstates)
     except InvalidConfigError as exc:
@@ -426,7 +433,11 @@ def _config_from_args(args, parser):
 
 
 def _hex_int(text):
-    value = int(text, 0)
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "%s is not an integer (decimal, or hex with 0x)" % text) from None
     if not 0 <= value <= 0xFFFFFFFF:
         raise argparse.ArgumentTypeError("%s is not a 32-bit address or size"
                                          % text)

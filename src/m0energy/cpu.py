@@ -79,12 +79,14 @@ independent.
 import re
 import weakref
 from dataclasses import dataclass, field
+from importlib import import_module
 
-from . import decode as dec
 from .counters import EventCounters
 from .errors import InvalidConfigError, InvalidStateFault, M0EnergyError
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, RAM_BASE,
                      MemorySystem)
+
+dec = import_module(".decode", __package__)  # the module, not the function
 
 MASK32 = 0xFFFFFFFF
 

@@ -137,7 +137,7 @@ class MemorySystem:
         self.flash_size = flash_size
         self.ram_size = ram_size
         # erased flash reads as 0xFF
-        self.flash = bytearray(image) + bytearray(b"\xff" * (flash_size - len(image)))
+        self.flash = bytearray(image).ljust(flash_size, b"\xff")
         self.ram = bytearray(ram_size)
         # word and halfword views, indexed by offset >> 2 and >> 1
         self.ram_words, self.ram_halves = (

@@ -49,10 +49,6 @@ class RegressionDataset:
     def __len__(self):
         return self.counts.shape[0]
 
-    def subset(self, indices):
-        return RegressionDataset(self.counts[indices], self.energies[indices],
-                                 self.name)
-
 
 def _value_fault(counts, energies):
     """(message, first row at fault) for the first value rule the rows
@@ -216,18 +212,22 @@ def _dependent_columns(counts, rank):
     return cols
 
 
-def fit(dataset):
-    """Zero-intercept least squares over the six counters."""
-    n = len(dataset)
-    if n < MIN_ROWS:
+def _solve(counts, energies):
+    """fit's beta for rows already valid, or the DatasetError ruling it out."""
+    if len(counts) < MIN_ROWS:
         raise DatasetError("need at least %d rows for a 6-coefficient fit, got %d"
-                           % (MIN_ROWS, n))
-    counts = dataset.counts
+                           % (MIN_ROWS, len(counts)))
     # lstsq's rank has matrix_rank's cut-off, eps * max(M, N) * s_max
-    beta, _, rank, _ = np.linalg.lstsq(counts, dataset.energies, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(counts, energies, rcond=None)
     if rank < 6:
         raise DegenerateDesignError(rank, _dependent_columns(counts, rank))
-    pred = counts @ beta
+    return beta
+
+
+def fit(dataset):
+    """Zero-intercept least squares over the six counters."""
+    beta = _solve(dataset.counts, dataset.energies)
+    pred = dataset.counts @ beta
     warnings = ["negative coefficient %s = %.6g" % (COUNTER_NAMES[i], b)
                 for i, b in enumerate(beta) if b < 0]
     return FitResult(tuple(float(b) for b in beta),
@@ -293,8 +293,8 @@ def kfold_cv(dataset, k=10, seed=0):
         keep = np.ones(n, dtype=bool)
         keep[test_idx] = False
         train_idx = np.flatnonzero(keep)  # the sorted complement of the fold
-        model = fit(dataset.subset(train_idx))
-        pred = dataset.counts[test_idx] @ np.array(model.beta)
+        beta = _solve(dataset.counts[train_idx], dataset.energies[train_idx])
+        pred = dataset.counts[test_idx] @ beta
         actual = dataset.energies[test_idx]
         ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))
         fold_r2 = r2(pred, actual) if ss_tot > 0 else float("nan")

@@ -526,7 +526,9 @@ def reference_kfold_scores(dataset, k, seed):
     all_idx = np.arange(len(dataset))
     scores = []
     for test_idx in fold_indices(len(dataset), k, seed):
-        model = fit(dataset.subset(np.setdiff1d(all_idx, test_idx)))
+        train = np.setdiff1d(all_idx, test_idx)
+        model = fit(RegressionDataset(dataset.counts[train],
+                                      dataset.energies[train]))
         pred = dataset.counts[test_idx] @ np.array(model.beta)
         actual = dataset.energies[test_idx]
         ss_tot = float(np.sum((actual - np.mean(actual)) ** 2))

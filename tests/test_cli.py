@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-import m0energy
+import m0energy.cfg
+import m0energy.cpu
 
 from helpers import (INTERWORKING_BRANCHES, KERNELS, invstate_image,
                      invstate_reason, kernel_image, recount_from_trace_file,
@@ -213,13 +214,13 @@ def test_sweep_builds_one_simulator_per_timing_class(tmp_path, capsys,
                                                      monkeypatch):
     built = []
 
-    class CountingSimulator(cli.Simulator):
+    class CountingSimulator(m0energy.cpu.Simulator):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append((self.mem.wait_states,
                           self.mem.fetch_unit.prefetch_enabled))
 
-    monkeypatch.setattr(cli, "Simulator", CountingSimulator)
+    monkeypatch.setattr(m0energy.cpu, "Simulator", CountingSimulator)
     image = write_kernel(tmp_path, "pushpop_loop")
     code, out, _ = run_cli(["run", image, "--sweep"], capsys)
     assert code == 0 and len(json.loads(out)["runs"]) == 10
@@ -648,6 +649,20 @@ def test_out_of_range_address_or_size_is_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("flag", ["--entry", "--flash-size", "--ram-size"])
+@pytest.mark.parametrize("text", ["zz", "0x", "1.5", "08"])
+def test_non_number_address_or_size_is_usage_error(tmp_path, capsys, command,
+                                                   flag, text):
+    image = write_kernel(tmp_path, "loop5")
+    with pytest.raises(SystemExit) as err:
+        main([command, image, flag, text])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message == ("m0energy %s: error: argument %s: %s is not an integer "
+                       "(decimal, or hex with 0x)" % (command, flag, text))
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
 @pytest.mark.parametrize("flags", [
     # each also breaks the multiple-of-4 rule, so that without the map
     # check the run still stops before it allocates memory
@@ -1022,8 +1037,8 @@ def test_block_writer_matches_on_hand_built_blocks(models):
 
 def test_block_writer_renders_each_counts_key_once(monkeypatch):
     rendered = []
-    block_energies = cli.cfgmod.block_energies
-    monkeypatch.setattr(cli.cfgmod, "block_energies", lambda block, models: (
+    block_energies = m0energy.cfg.block_energies
+    monkeypatch.setattr(m0energy.cfg, "block_energies", lambda block, models: (
         rendered.append(block.start) or block_energies(block, models)))
     first = hand_block(0x08000000, StaticCounts(c1=2, c5_known=1),
                        successors=[(0x08000010, "taken")])

@@ -1,0 +1,108 @@
+"""What each subcommand imports, and the package's lazy namespace.
+
+The subcommand checks run the CLI in a fresh interpreter, because this test
+process has long since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import m0energy
+from helpers import kernel_image, synth_dataset
+from m0energy import save_dataset
+
+SRC = os.path.dirname(os.path.dirname(m0energy.__file__))
+
+# Runs `main` on the arguments and prints [exit code, loaded module names].
+MAIN_THEN_MODULES = (
+    "import contextlib, io, json, sys\n"
+    "from m0energy.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n")
+
+
+def fresh_python(code, *args):
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def pkg(*names):
+    return {"m0energy." + name for name in names}
+
+
+@pytest.mark.parametrize("command,loaded,absent", [
+    ("run", pkg("cpu", "energy"),
+     pkg("asm", "cfg", "regression") | {"numpy"}),
+    ("analyze", pkg("cfg", "energy"),
+     pkg("cpu", "asm", "counters", "regression") | {"numpy"}),
+    ("fit", pkg("regression"),
+     pkg("cpu", "cfg", "asm", "counters", "decode", "energy")),
+])
+def test_subcommand_imports_only_what_it_runs(tmp_path, command, loaded,
+                                              absent):
+    if command == "fit":
+        path = tmp_path / "data.csv"
+        save_dataset(path, synth_dataset(seed=5, n=30))
+    else:
+        path = tmp_path / "loop5.bin"
+        path.write_bytes(kernel_image("loop5"))
+    code, modules = json.loads(fresh_python(MAIN_THEN_MODULES, command,
+                                            str(path)))
+    assert code == 0
+    assert loaded <= set(modules)
+    assert not absent & set(modules)
+
+
+def test_fit_loads_energy_only_to_emit_a_model(tmp_path):
+    path = tmp_path / "data.csv"
+    save_dataset(path, synth_dataset(seed=5, n=30))
+    code, modules = json.loads(fresh_python(
+        MAIN_THEN_MODULES, "fit", str(path), "--emit-model",
+        str(tmp_path / "model.csv")))
+    assert code == 0
+    assert "m0energy.energy" in modules
+    assert not pkg("cpu", "cfg", "asm", "counters", "decode") & set(modules)
+
+
+@pytest.mark.parametrize("imports", [
+    "import m0energy.cpu, m0energy.cfg",
+    "import m0energy.cfg, m0energy.cpu",
+    "import m0energy.decode",
+    "from m0energy.decode import decode",
+    "import m0energy.cli",
+])
+def test_package_decode_stays_the_function(imports):
+    out = fresh_python(
+        "import sys\n"
+        "%s\n"
+        "import m0energy.cfg, m0energy.cpu\n"
+        "from m0energy import decode\n"
+        "module = sys.modules['m0energy.decode']\n"
+        "print(callable(decode), decode is module.decode,\n"
+        "      m0energy.cpu.dec is module, m0energy.cfg.dec is module)\n"
+        % imports)
+    assert out.split() == ["True"] * 4
+
+
+def test_package_import_loads_no_submodule():
+    out = fresh_python("import sys, m0energy\n"
+                       "print([m for m in sys.modules if '.' in m\n"
+                       "       and m.startswith('m0energy')])")
+    assert out.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    for name in m0energy.__all__:
+        module = "m0energy." + m0energy._SOURCES[name]
+        assert getattr(m0energy, name) is getattr(sys.modules[module], name)
+    assert len(set(m0energy.__all__)) == len(m0energy.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        m0energy.nonexistent

@@ -1,6 +1,7 @@
 """Address-space and Flash-timing tests."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,21 @@ def test_sizes_beyond_the_memory_map_are_refused(flash_size, ram_size):
     # check the constructor still raises before it allocates memory
     with pytest.raises(MalformedImageError, match="memory map"):
         MemorySystem(bytes(1024), flash_size=flash_size, ram_size=ram_size)
+
+
+def test_flash_is_built_in_one_buffer():
+    flash_size = 16 * 1024 * 1024
+    image = bytes(range(256)) * 4
+    tracemalloc.start()
+    try:
+        mem = MemorySystem(image, flash_size=flash_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * flash_size
+    assert len(mem.flash) == flash_size and isinstance(mem.flash, bytearray)
+    assert mem.flash[:len(image)] == image
+    assert mem.flash[len(image):] == b"\xff" * (flash_size - len(image))
 
 
 def test_region_classification():
