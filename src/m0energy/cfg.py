@@ -154,8 +154,6 @@ def _close_block(blocks, instructions, mem, edges):
 
 def static_block_counters(instructions, mem):
     """Statically predicted counter vector for a straight-line run."""
-    if hasattr(instructions, "instructions"):  # accept a BasicBlock too
-        instructions = instructions.instructions
     counts = StaticCounts()
     for ins in instructions:
         op = ins.op

@@ -33,19 +33,21 @@ terminator (`decode.control_flow`, the one block-end rule), with each
 instruction's base cycles (the timing class fixed at decode time) and the
 Flash words whose fetch can stall.  A block runs one instruction at a time,
 through per-form functions generated from the templates (`_step`, reaching
-memory through `_read` and `_write`), until it has run COMPILE_AFTER times,
-which pays back the compile.  Then it is generated into one function (after
-QEMU's TCG): registers and flags live in locals, a RAM access is a bounds
-and alignment compare and an index into a word or halfword view of RAM (a
-slice if `memory.RAM_VIEWS` is false: a big-endian host, or a C int that is
-not 4 bytes), a Flash literal load is a constant, and the fetch unit's
-in-block rule is inlined from `FetchUnit`.  Any other access takes the slow
-path, `MemorySystem.read`/`write`, the one place a fault is raised and so
-the one place pc is stored.  A fault stores the locals, so a write of a
-flag or of the held Flash word is dropped only when another write of it
-comes before any read of it, slow path or the block's end; constant cycle
-and counter increments merge up to the next line that reads them; and an
-instruction with no slow path adds its fetch stalls to the cycles at once.
+memory through `_read` and `_write` and setting pc themselves), until it
+has run COMPILE_AFTER times, which pays back the compile.  Then it is
+generated into one function (after QEMU's TCG): registers and flags live
+in locals, a RAM access is a bounds and alignment compare and an index
+into a word or halfword view of RAM (a slice if `memory.RAM_VIEWS` is
+false: a big-endian host, or a C int that is not 4 bytes), a Flash literal
+load is a constant, and the fetch unit's in-block rule is inlined from
+`FetchUnit`.  Any other access takes the slow path,
+`MemorySystem.read`/`write`, the one place a fault is raised and so the one
+place pc is stored.  A fault stores the locals, so a write of a flag or of
+the held Flash word is dropped only when another write of it comes before
+any read of it, slow path or the block's end, and a flag is loaded only
+when it can be read before it is written; constant cycle and counter
+increments merge up to the next line that reads them; and an instruction
+with no slow path adds its fetch stalls to the cycles at once.
 Compiled functions, named `block_<pc>` or `step_<form>`, are shared by
 source text while a simulator holds them, as the simulators of a sweep do.
 
@@ -147,7 +149,6 @@ class StepResult:
     instruction: dec.Instruction
     cycles: int
     branch_taken: bool
-    data_accesses: list
     halted: bool
     fetch_stall: int = 0
     data_events: tuple = (0, 0, 0)  # the c4, c5 and c6 the step added
@@ -407,8 +408,9 @@ def _step(ins):
     """step_<form>(sim, ins) for `ins`'s form (op, condition, register
     list, size), generated from its template on first use: registers from
     the state, operands from `ins.fields`, memory only through `sim._read`
-    and `_write`.  It sets pc when it branches and returns whether it did;
-    a block transfer that faults part-way rolls back its words' events."""
+    and `_write`.  It sets pc (the next instruction, the branch target, or
+    its own address if it faults) and returns whether it branched; a block
+    transfer that faults part-way rolls back its words' events."""
     f = ins.fields
     form = (_form(ins), f.get("cond"), tuple(f.get("regs", ())), f.get("size"),
             "imm" in f)
@@ -428,15 +430,10 @@ def _step(ins):
                        "    raise"])
         fn = _STEPS[form] = _function(
             "step_" + re.sub(r"\W", "_", form[0]), "sim, ins", prologue, body,
-            names, (["R[15] = ins.addr"], ["if pc is None:", "    return False",
-                                           "R[15] = pc", "return True"]))
+            names, (["R[15] = ins.addr"], [
+                "R[15] = ins.addr + %d if pc is None else pc" % ins.size,
+                "return pc is not None"]))
     return fn
-
-
-# op -> handler(sim, ins), which runs `ins` through `_step(ins)`
-HANDLERS = dict.fromkeys(sorted(
-    {form.split()[0] for form in TEMPLATES} - {"LOAD", "STORE"}
-    | dec.LOAD_OPS | dec.STORE_OPS), lambda sim, ins: _step(ins)(sim, ins))
 
 
 def _literal(ins, mem):
@@ -487,12 +484,12 @@ def _access(match, mem, words, pc):
 
 class _Block:
     """Straight-line code decoded once.  `entries` holds one tuple per
-    instruction: (its `_step` function, instruction, address, base cycles
-    if not taken, if taken, Flash words fetched with a possible stall,
-    index).  `word` is the Flash word of the first fetch (None when no fetch
-    can stall); `end` the fall-through pc; `heat` its runs before it is
-    compiled (None for RAM code, never compiled); `code` the compiled
-    function; `worst` its budget worst case; `runs` its uncounted runs."""
+    instruction: (its `_step` function, instruction, base cycles if not
+    taken, if taken, Flash words fetched with a possible stall, index).
+    `word` is the Flash word of the first fetch (None when no fetch can
+    stall); `end` the fall-through pc; `heat` its runs before it is compiled
+    (None for RAM code, never compiled); `code` the compiled function;
+    `worst` its budget worst case; `runs` its uncounted runs."""
     __slots__ = ("entries", "word", "end", "heat", "code", "worst", "runs")
 
     def __init__(self, entries, word, end, heat):
@@ -537,43 +534,34 @@ class Simulator:
         self.state = CpuState()
         self._blocks = {}        # Flash/alias pc -> _Block
         self._sequential = False
-        self._accesses = None    # per-step access log, only while tracing
         self.reset()
 
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self):
         """Load SP and PC from the vector table; zero flags and counters."""
-        sp, pc = self.mem.reset_vector()
         self.state = CpuState()
-        self.state.regs[13] = sp
-        self.state.regs[15] = pc
+        self.state.regs[13], self.state.regs[15] = self.mem.reset_vector()
         self.counters.reset()
         self.mem.fetch_unit.flush()
         self.mem.debug_output.clear()
         self._sequential = False
 
-    # -- memory helpers for HANDLERS: count c4..c6 and Flash data stalls --------
+    # -- memory helpers for step functions: count c4..c6 and Flash data stalls
 
     def _read(self, addr, size):
-        addr &= MASK32
-        value, stall, region = self.mem.read(addr, size)
+        value, stall, region = self.mem.read(addr & MASK32, size)
         if region == "ram":
             self.counters.c4 += 1
         else:
             self.counters.c6 += 1
             self.state.cycle_count += stall
-        if self._accesses is not None:
-            self._accesses.append((addr, size, "r", region))
         return value
 
     def _write(self, addr, size, value):
-        addr &= MASK32
-        region = self.mem.write(addr, size, value)
+        region = self.mem.write(addr & MASK32, size, value)
         if region == "ram":
             self.counters.c5 += 1
-        if self._accesses is not None:
-            self._accesses.append((addr, size, "w", region))
 
     # -- translation ----------------------------------------------------------
 
@@ -616,8 +604,8 @@ class Simulator:
                 if not entries:
                     first_word = words.pop(0)
             base, base_taken = _timing_class(ins, self.timing)
-            entries.append((_step(ins), ins, addr, base, base_taken,
-                            tuple(words), len(entries)))
+            entries.append((_step(ins), ins, base, base_taken, tuple(words),
+                            len(entries)))
             addr += ins.size
             if ins.is_terminator() or kind == "ram":
                 break
@@ -652,8 +640,7 @@ class Simulator:
                     adds[name] = 0
 
         block.worst = 0
-        for _s, ins, addr, base, base_taken, words, k in reversed(
-                block.entries):
+        for _s, ins, base, base_taken, words, k in reversed(block.entries):
             lines = _render(ins)
             code = "\n".join(lines)
             names.update(_NAMES.findall(code))
@@ -692,7 +679,7 @@ class Simulator:
                     flush()
                     live.update(_LIVE)
                     rev.extend(reversed(_access(m, mem, reads + writes > 1,
-                                                addr)))
+                                                ins.addr)))
                 else:  # an indented write is conditional: it kills nothing
                     target, _eq, expr = line.partition(" = ")
                     if target in _LIVE and target not in live:
@@ -711,7 +698,7 @@ class Simulator:
                 rev.append("stall = " + ("st" if first else "0"))
             if reads > 1:
                 rev.append("_f = _fw = 0")
-            rev.append("# %08x  %s" % (addr, ins.text))
+            rev.append("# %08x  %s" % (ins.addr, ins.text))
         flush()
         body = rev[::-1]
         text = "\n".join(body)
@@ -719,14 +706,17 @@ class Simulator:
         prologue = ["pc = None"] + ["%s = 0" % name for name in counts]
         epilogue = ["S.cycle_count = t"] + ["C.%s += %s" % (name, name)
                                             for name in counts]
-        if any(entry[5] for entry in block.entries):
+        if any(entry[4] for entry in block.entries):
             load, store = fetch_unit.block_state_source()
             prologue += load
             epilogue += store
+        # dead at entry: written before any slow path or the end, so not loaded
+        dead = [x for x in "nzcv" if x in names and x not in live]
+        epilogue += ["S.%s = %s" % (x, x) for x in dead]
         block.code = _function(
-            "block_%08x" % block.entries[0][2],
+            "block_%08x" % block.entries[0][1].addr,
             "S, R, C, ram, W, H, read, write, F, t, st", prologue, body,
-            names, (epilogue, ["R[15] = pc", "return tk"]))
+            names.difference(dead), (epilogue, ["R[15] = pc", "return tk"]))
         return block.code
 
     # -- execution --------------------------------------------------------------
@@ -771,9 +761,7 @@ class Simulator:
         start_cycles = s.cycle_count
         taken_count = fetch_stalls = 0
         ran = []  # Flash blocks whose `runs` are to be folded in
-        if on_step is not None:
-            self._accesses = []
-            c4, c5, c6 = c.c4, c.c5, c.c6  # the counts before the next step
+        c4, c5, c6 = c.c4, c.c5, c.c6  # the counts before the next step
         try:
             while True:
                 if s.halted:
@@ -800,13 +788,13 @@ class Simulator:
                     try:
                         taken = code(*args, now, stall)
                     except M0EnergyError:
-                        self._tally([e for e in entries if e[2] < regs[15]])
+                        self._tally([e for e in entries
+                                     if e[1].addr < regs[15]])
                         raise
                     taken_count += taken
                 else:
                     try:
-                        for step, ins, addr, base, base_taken, words, i in entries:
-                            regs[15] = addr
+                        for step, ins, base, base_taken, words, i in entries:
                             now = s.cycle_count
                             if now >= max_cycles:
                                 self._tally(entries[:i])
@@ -814,29 +802,21 @@ class Simulator:
                             for word in words:
                                 stall += stall_for(word, now + stall, True)
                             taken = step(self, ins)
-                            if taken:
-                                taken_count += 1
-                                s.cycle_count += base_taken + stall
-                            else:
-                                s.cycle_count += base + stall
+                            taken_count += taken
+                            s.cycle_count += stall + (
+                                base_taken if taken else base)
                             fetch_stalls += stall
                             if on_step is not None:
-                                if not taken:
-                                    regs[15] = addr + ins.size
                                 sequential = not taken
                                 events = (c.c4 - c4, c.c5 - c5, c.c6 - c6)
                                 c4, c5, c6 = c.c4, c.c5, c.c6
-                                result = StepResult(ins, s.cycle_count - now,
-                                                    taken, self._accesses,
-                                                    s.halted, stall, events)
-                                self._accesses = []
-                                on_step(result)
+                                on_step(StepResult(ins, s.cycle_count - now,
+                                                   taken, s.halted, stall,
+                                                   events))
                             stall = 0
                     except M0EnergyError:
                         self._tally(entries[:i])  # the faulting one: nothing
                         raise
-                    if not taken:
-                        regs[15] = block.end
                 sequential = not taken
                 if block.heat is None:  # RAM code, decoded afresh each time
                     self._tally(entries)
@@ -853,7 +833,6 @@ class Simulator:
             c.fetch_stall_cycles += fetch_stalls
             c.total_cycles += s.cycle_count - start_cycles
             self._sequential = sequential
-            self._accesses = None
 
     def _tally(self, entries, times=1):
         """Fold `times` runs of these entries into c1, c2 and the histogram."""

@@ -10,6 +10,7 @@ by hand.  Counter expectations are hand counts over the executed path.
 
 import contextlib
 import csv
+import functools
 import math
 import re
 
@@ -18,9 +19,8 @@ import numpy as np
 from m0energy import cpu
 from m0energy import (Assembler, CpuState, DatasetError, EventCounters,
                       InvalidStateFault, M0EnergyError, MemorySystem,
-                      RegressionDataset, Simulator, fit, fold_indices, mape,
-                      r2)
-from m0energy.cpu import HANDLERS
+                      RegressionDataset, Simulator,
+                      UndefinedInstructionError, fit, fold_indices, mape, r2)
 from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
 
 MASK32 = 0xFFFFFFFF
@@ -228,6 +228,27 @@ def invstate_reason(target):
     return "fault: INVSTATE: branch to 0x%08x with the Thumb bit clear" % target
 
 
+# tried after every 32-bit prefix: missing, BL's and other 32-bit encodings
+SECOND_HALFWORDS = (None, 0x0000, 0x8F4F, 0xD000, 0xE800, 0xF800, 0xFFFF)
+
+
+@functools.lru_cache(maxsize=None)
+def decoded_forms():
+    """{(op, cpu._form(ins))} over every instruction the decoder accepts:
+    each halfword, and each 32-bit prefix with the second halfwords above.
+    Only UndefinedInstructionError may reject an encoding; any other
+    exception escapes."""
+    forms = set()
+    for hw in range(0x10000):
+        for hw2 in SECOND_HALFWORDS if is_wide(hw) else (None,):
+            try:
+                ins = decode(hw, hw2, 0x08000100)
+            except UndefinedInstructionError:
+                continue
+            forms.add((ins.op, cpu._form(ins)))
+    return frozenset(forms)
+
+
 def kernel_image(name):
     return KERNELS[name][0]().image()
 
@@ -272,9 +293,12 @@ class ReferenceStepper:
 
     Every halfword is fetched through `fetch` above and decoded on
     every step, cycles are summed from the README timing table, and counters
-    come from each completed step's access list.  Only the instruction
-    semantics (cpu.HANDLERS) are shared with the simulator, including the
-    odd pc an interworking branch leaves when it clears the Thumb bit.
+    come from each completed step's own access list, `accesses`, which
+    `_read` and `_write` here keep as (r or w, region, stall).  pc moves to
+    the next instruction here unless the step branched.  Only the
+    instruction semantics are shared with the simulator: `step` runs the
+    engine's one-instruction function, `cpu._step(ins)`, including the odd
+    pc an interworking branch leaves when it clears the Thumb bit.
     """
 
     def __init__(self, image, wait_states=0, prefetch=False):
@@ -295,6 +319,7 @@ class ReferenceStepper:
         self.accesses.append(("w", region, 0))
 
     def step(self):
+        """Execute one instruction and return it.  Faults raise."""
         s, c = self.state, self.counters
         addr, now = s.pc, s.cycle_count
         if addr & 1:
@@ -306,7 +331,7 @@ class ReferenceStepper:
             fetch_stall += more
         ins = decode(hw1, hw2, addr)
         self.accesses = []
-        taken = bool(HANDLERS[ins.op](self, ins))
+        taken = bool(cpu._step(ins)(self, ins))
         op, f = ins.op, ins.fields
         if op in ("PUSH", "POP", "LDM", "STM"):
             base = 1 + len(self.accesses)
@@ -335,6 +360,7 @@ class ReferenceStepper:
         c.fetch_stall_cycles += fetch_stall
         c.total_cycles = s.cycle_count
         c.histogram[ins.mnemonic] = c.histogram.get(ins.mnemonic, 0) + 1
+        return ins
 
     def run(self, max_cycles=10 ** 6):
         while not self.state.halted:
@@ -358,9 +384,26 @@ def machine_state(sim):
             "output": bytes(sim.mem.debug_output)}
 
 
-def recount_from_steps(steps):
-    """Re-derive the six counters from a step trace, independently of
-    EventCounters (keyed off the rendered text and raw access records)."""
+def reference_data_events(steps, image, wait_states=0, prefetch=False):
+    """The (c4, c5, c6) of each step of a simulator's run from reset on
+    `image`, counted from the accesses of a ReferenceStepper run in
+    lock-step, never from the simulator.  The reference must execute the
+    same instruction at each step."""
+    ref = ReferenceStepper(image, wait_states=wait_states, prefetch=prefetch)
+    events = []
+    for step in steps:
+        assert ref.step().addr == step.instruction.addr
+        kinds = [(rw, region) for rw, region, _stall in ref.accesses]
+        events.append((kinds.count(("r", "ram")), kinds.count(("w", "ram")),
+                       kinds.count(("r", "flash"))))
+    return events
+
+
+def recount_from_steps(steps, image, wait_states=0, prefetch=False):
+    """Re-derive the six counters of a run from reset on `image` from its
+    step trace, independently of EventCounters: c1..c3 keyed off the
+    rendered text and `branch_taken`, c4..c6 from
+    `reference_data_events`."""
     c = [0] * 6
     for step in steps:
         mnemonic = step.instruction.text.split()[0]
@@ -370,13 +413,9 @@ def recount_from_steps(steps):
             c[0] += 1
         if step.branch_taken:
             c[2] += 1
-        for _addr, _size, rw, region in step.data_accesses:
-            if region == "ram" and rw == "r":
-                c[3] += 1
-            elif region == "ram":
-                c[4] += 1
-            elif region == "flash":
-                c[5] += 1
+    for events in reference_data_events(steps, image, wait_states, prefetch):
+        for k, n in enumerate(events):
+            c[3 + k] += n
     return tuple(c)
 
 

@@ -127,7 +127,8 @@ def test_criterion_6_counter_oracle_equivalence():
                                                prefetch=prefetch,
                                                collect_steps=True)
                 c = summary.counters
-                assert c.as_vector() == recount_from_steps(steps), name
+                assert c.as_vector() == recount_from_steps(
+                    steps, kernel_image(name), ws, prefetch), name
                 assert c.c1 + c.c2 == len(steps), name
                 assert c.c3 <= c.c1, name
 

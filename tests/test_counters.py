@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import KERNELS, recount_from_steps, run_kernel
+from helpers import KERNELS, kernel_image, recount_from_steps, run_kernel
 from m0energy import Assembler, EventCounters, Simulator
 
 
@@ -80,7 +80,8 @@ def test_reset_zeroes_everything():
 def test_counters_equal_trace_recount(name, ws, prefetch):
     sim, summary, steps = run_kernel(name, wait_states=ws, prefetch=prefetch,
                                      collect_steps=True)
-    assert summary.counters.as_vector() == recount_from_steps(steps)
+    assert summary.counters.as_vector() == recount_from_steps(
+        steps, kernel_image(name), ws, prefetch)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

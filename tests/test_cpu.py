@@ -17,7 +17,6 @@ from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
                      run_kernel)
 from m0energy import (Assembler, BadEntryError, InvalidConfigError,
                       MalformedImageError, M0EnergyError, Simulator)
-from m0energy.cpu import HANDLERS
 from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
 
 MASK32 = 0xFFFFFFFF
@@ -206,10 +205,11 @@ def test_ldrsh_and_extends():
 
 
 # -- loads and stores: every op, one row per Assembler emitter ---------------
-# The reference stepper shares cpu.HANDLERS, so the engine-vs-reference tests
-# cannot see a wrong address, width or extension in the load/store handlers.
-# These rows can: each expectation is computed here from the emitter's
-# operands, the registers and the RAM bytes, never from decoded fields.
+# The reference stepper runs the engine's own step functions (`cpu._step`),
+# so the engine-vs-reference tests cannot see a wrong address, width or
+# extension in the load/store templates.  These rows can: each expectation
+# is computed here from the emitter's operands, the registers and the RAM
+# bytes, never from decoded fields.
 
 RAM = 0x20000000
 LIT_VALUE = 0x8BADF00D
@@ -291,8 +291,9 @@ def test_load_store_address_width_and_extension(emitter, seed):
     ram = bytes(sim.mem.ram)
     step = sim.step()
     region = "flash" if mode == "lit" else "ram"
-    assert step.data_accesses == [(addr, size, "r" if is_load else "w",
-                                   region)]
+    events = (int(is_load and region == "ram"), int(not is_load),
+              int(region == "flash"))
+    assert step.data_events == events
     expected_regs = list(regs)
     expected_regs[15] = regs[15] + 2
     if is_load:
@@ -312,8 +313,7 @@ def test_load_store_address_width_and_extension(emitter, seed):
         assert bytes(sim.mem.ram) == ram[:off] + written + ram[off + size:]
     assert sim.state.regs == expected_regs
     c = sim.counters
-    assert (c.c4, c.c5, c.c6) == ((int(is_load and region == "ram"),
-                                   int(not is_load), int(region == "flash")))
+    assert (c.c4, c.c5, c.c6) == events
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -547,7 +547,7 @@ def test_data_processing_and_branch_semantics(emitter, seed):
     assert (s.n, s.z, s.c, s.v) == flags
     assert step.branch_taken == (expected[15] != CODE + 2)
     assert step.halted == (emitter == "bkpt")
-    assert step.data_accesses == []
+    assert step.data_events == (0, 0, 0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -676,12 +676,11 @@ def test_block_transfer_registers_memory_and_accesses(emitter, seed):
     step = sim.step()
     assert sim.state.regs == expected
     assert bytes(sim.mem.ram) == ram
-    assert step.data_accesses == accesses
     assert step.branch_taken == taken
     c = sim.counters
     loads = emitter in ("pop", "ldm")
-    assert (c.c4, c.c5, c.c6) == ((len(accesses), 0, 0) if loads
-                                  else (0, len(accesses), 0))
+    events = (len(accesses), 0, 0) if loads else (0, len(accesses), 0)
+    assert step.data_events == (c.c4, c.c5, c.c6) == events
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -990,8 +989,8 @@ def first_op(emit):
 
 
 def test_every_handler_has_an_independent_semantic_check():
-    """Each op in cpu.HANDLERS is run by a row or sweep in this file whose
-    expectation is computed without the shared handlers."""
+    """Each op the decoder produces is run by a row or sweep in this file
+    whose expectation is computed without the shared templates."""
     emitters = [movs_reg_emit]
     emitters += [emit for _name, emit, _oracle in ARITH_FLAG_CASES]
     emitters += [emit for _name, emit, _fn in LOGIC_FLAG_CASES]
@@ -1007,7 +1006,7 @@ def test_every_handler_has_an_independent_semantic_check():
         ops.add(block_transfer_case(emitter, 0)[0].step().instruction.op)
     for emitter in LOAD_STORE_ROWS:
         ops.add(load_store_case(emitter, 0)[0].step().instruction.op)
-    assert ops == set(HANDLERS)
+    assert ops == {op for op, _form in helpers.decoded_forms()}
 
 
 # -- kernel cycle table (hand-traced timing) ----------------------------------
@@ -1049,12 +1048,13 @@ def test_kernel_step_accounting(name):
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("ws,prefetch,key", TIMING_CONFIGS)
 def test_kernel_step_events(name, ws, prefetch, key):
-    # each step's data_events against a recount of its own accesses; summed
-    # over the run, data_events and fetch_stall against the counters
+    # each step's data_events against a recount of the reference stepper's
+    # accesses at the same step; summed over the run, data_events and
+    # fetch_stall against the counters
     _sim, summary, steps = run_kernel(name, wait_states=ws, prefetch=prefetch,
                                       collect_steps=True)
-    for step in steps:
-        assert step.data_events == helpers.recount_from_steps([step])[3:]
+    assert [step.data_events for step in steps] == \
+        helpers.reference_data_events(steps, kernel_image(name), ws, prefetch)
     c = summary.counters
     assert tuple(map(sum, zip(*(s.data_events for s in steps)))) \
         == (c.c4, c.c5, c.c6)

@@ -12,8 +12,8 @@ import zlib
 
 import pytest
 
-from m0energy import Assembler, decode, UndefinedInstructionError
-from m0energy.cpu import HANDLERS
+import helpers
+from m0energy import Assembler, cpu, decode, UndefinedInstructionError
 from m0energy.decode import control_flow, is_wide
 
 decode_module = importlib.import_module("m0energy.decode")
@@ -207,24 +207,15 @@ def test_sweep_all_halfwords_decode_or_reject():
     assert decoded > 40000
 
 
-# tried after every 32-bit prefix: missing, BL's and other 32-bit encodings
-SECOND_HALFWORDS = (None, 0x0000, 0x8F4F, 0xD000, 0xE800, 0xF800, 0xFFFF)
-
-
 def test_decoded_ops_and_handler_rows_match():
-    """Every halfword, and each 32-bit prefix with the second halfwords
-    above, decodes to an op that has a cpu.HANDLERS row or raises
-    UndefinedInstructionError (anything else fails the test), and every
-    HANDLERS row is some encoding's op."""
-    ops = set()
-    for hw in range(0x10000):
-        for hw2 in SECOND_HALFWORDS if is_wide(hw) else (None,):
-            try:
-                ops.add(decode(hw, hw2, 0x08000100).op)
-            except UndefinedInstructionError:
-                pass
-    assert sorted(ops - set(HANDLERS)) == []
-    assert sorted(set(HANDLERS) - ops) == []
+    """Every halfword, and each 32-bit prefix with
+    `helpers.SECOND_HALFWORDS`, decodes to an instruction whose form
+    (`cpu._form`) has a cpu.TEMPLATES row, or raises
+    UndefinedInstructionError (anything else fails the test); and every
+    TEMPLATES row is some encoding's form."""
+    forms = {form for _op, form in helpers.decoded_forms()}
+    assert sorted(forms - set(cpu.TEMPLATES)) == []
+    assert sorted(set(cpu.TEMPLATES) - forms) == []
 
 
 def test_decode_deterministic():

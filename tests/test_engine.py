@@ -4,13 +4,13 @@ reference stepper in helpers.py, which fetches and decodes every step.
 Covered: every hand-traced kernel and seeded random programs (loops, RAM
 and Flash loads, stores, PUSH/POP, calls, varying alignment) under every
 timing configuration; every cycle-budget cut, with and without resuming;
-single-stepping; block transfers that fault part-way; interworking branches
-that clear the Thumb bit; code copied into RAM, run, patched and run
-again; and the long-block programs with RAM reached through slices, the
-form for hosts without native little-endian word views.  Every run is also
-repeated under the other settings of its timing class
-(`memory.timing_class`), which must behave identically: `run --sweep`
-simulates each class once.
+single-stepping; pc after each traced step and after a fault; block
+transfers that fault part-way; interworking branches that clear the Thumb
+bit; code copied into RAM, run, patched and run again; and the long-block
+programs with RAM reached through slices, the form for hosts without
+native little-endian word views.  Every run is also repeated under the
+other settings of its timing class (`memory.timing_class`), which must
+behave identically: `run --sweep` simulates each class once.
 """
 
 import contextlib
@@ -23,8 +23,8 @@ from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
                      ReferenceStepper, compile_at_first_run,
                      dynamic_block_path, invstate_image, invstate_reason,
                      kernel_image, machine_state)
-from m0energy import (Assembler, MemorySystem, Simulator, builtin_models,
-                      extract_cfg, memory, path_energy)
+from m0energy import (Assembler, M0EnergyError, MemorySystem, Simulator,
+                      builtin_models, cpu, extract_cfg, memory, path_energy)
 from m0energy.cpu import COMPILE_AFTER
 from m0energy.memory import timing_class
 
@@ -399,17 +399,20 @@ def test_long_block_every_budget_cut_matches_reference(seed, planted,
     """Every cut, then a resume.  One reference stepper advances from cut to
     cut: a run to budget b+1 continues the run to budget b.  Every block
     is compiled on its first run, so the cuts check the compiled blocks'
-    budget rule."""
+    budget rule.  One simulator, reset and its RAM zeroed before each cut,
+    makes every cut: it translates and compiles the blocks once."""
     image = LongBlockProgram(seed, flash_base, planted).image()
     end = ReferenceStepper(image, wait_states=ws, prefetch=prefetch)
     end_reason = end.run()
     end_state = machine_state(end)
     ref = ReferenceStepper(image, wait_states=ws, prefetch=prefetch)
     reason = "cycle-budget"
+    sim = Simulator(image, wait_states=ws, prefetch=prefetch)
     for budget in range(end.state.cycle_count + 2):
         if reason == "cycle-budget":
             reason = ref.run(budget)
-        sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+        sim.reset()
+        sim.mem.ram[:] = bytes(len(sim.mem.ram))
         with compile_at_first_run():
             assert sim.run(max_cycles=budget).exit_reason == reason, budget
             assert machine_state(sim) == machine_state(ref), budget
@@ -521,6 +524,40 @@ def test_blocks_turning_hot_mid_run_match_reference(seed, ws, prefetch, _key):
         assert machine_state(sim) == end, budget
 
 
+def test_compiled_blocks_load_only_flags_read_before_written():
+    """A block's function loads a flag from the state only when the block
+    can read it before writing it: a leaf that sets every flag first (LDR
+    literal, ADDS, BX lr) loads none, one whose ADCS reads C loads C alone.
+    Both store all four flags, and the run matches the reference."""
+    a = Assembler()
+    a.bl("leaf")
+    a.bl("carry")
+    a.bkpt()
+    a.label("leaf")
+    a.ldr_lit(0, "lit")
+    a.adds_imm3(0, 0, 1)
+    a.bx(14)
+    a.label("carry")
+    a.adcs(0, 1)
+    a.bx(14)
+    a.word(0x7FFFFFFF, label="lit")
+    image = a.image()
+    assert_same_run(image, 1, False)
+    sim = Simulator(image, wait_states=1)
+    with compile_at_first_run():
+        assert sim.run().exit_reason == "halt"
+    flags = {}  # first op -> (flags loaded, flags stored)
+    for block in sim._blocks.values():
+        source = next(text for text, fn in cpu._CODE.items()
+                      if fn is block.code).splitlines()
+        flags[block.entries[0][1].op] = (
+            "".join(x for x in "nzcv" if "    %s = S.%s" % (x, x) in source),
+            "".join(x for x in "nzcv" if "        S.%s = %s" % (x, x)
+                    in source))
+    assert flags == {"BL": ("", ""), "LDR_LIT": ("", "nzcv"),
+                     "ADCS": ("c", "nzcv"), "BKPT": ("", "")}
+
+
 def test_generated_functions_are_named_for_what_they_run():
     """Profiles and tracebacks name a compiled block by its address and a
     one-instruction function by its form."""
@@ -575,6 +612,44 @@ def test_on_step_results_match_reference_steps():
         ref.step()
         assert result.cycles == ref.state.cycle_count - before
     assert ref.state.halted and machine_state(sim) == machine_state(ref)
+
+
+TIMING_CLASSES = [(0, False), (1, False), (1, True)]
+PC_RULE_IMAGES = dict(
+    [(name, kernel_image(name)) for name in KERNELS]
+    + [("random%d" % seed, random_program(seed)) for seed in RANDOM_SEEDS]
+    + [("long%d-%s" % (seed, FAULTS[seed]), LongBlockProgram(seed).image())
+       for seed in range(len(FAULTS))]
+    + [("invstate-" + name, invstate_image(emit))
+       for name, emit in INTERWORKING_BRANCHES.items()])
+
+
+@pytest.mark.parametrize("ws,prefetch", TIMING_CLASSES)
+@pytest.mark.parametrize("name", sorted(PC_RULE_IMAGES))
+def test_pc_after_each_traced_step_matches_reference(name, ws, prefetch):
+    """Each step function leaves pc where the next instruction is fetched:
+    seen from on_step, pc after each step is the reference stepper's after
+    the same step (the next instruction, or the branch target).  A faulting
+    step leaves pc at the faulting instruction, the reference's pc before
+    the step that raises."""
+    image = PC_RULE_IMAGES[name]
+    sim, ref = both(image, ws, prefetch)
+
+    def check(step):
+        assert step.instruction.addr == ref.state.pc
+        ref.step()
+        assert sim.state.pc == ref.state.pc, hex(step.instruction.addr)
+
+    reason = sim.run(on_step=check).exit_reason
+    if reason == "halt":
+        assert ref.state.halted
+    else:
+        faulting = ref.state.pc
+        with pytest.raises(M0EnergyError) as fault:
+            ref.step()
+        assert reason == "fault: %s" % fault.value
+        assert sim.state.pc == faulting
+    assert machine_state(sim) == machine_state(ref)
 
 
 def transfer_fault_image(emit_transfer, base):
