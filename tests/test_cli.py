@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import zlib
@@ -375,6 +376,78 @@ def test_analyze_branch_to_unmapped_address_exits_one(tmp_path, capsys):
     assert err.startswith("analysis error: ")
     assert "0x08020000" in err and "unmapped fetch" in err
     assert "Traceback" not in err
+
+
+# -- decoding at an address: Flash, the boot alias, RAM, the last halfword ---
+
+@pytest.mark.parametrize("name", sorted(KERNELS) + [1, 2])
+def test_analyze_from_the_alias_matches_flash_shifted(tmp_path, capsys, name):
+    image = kernel_image(name) if isinstance(name, str) else golden_image(name)
+    path = tmp_path / "prog.bin"
+    path.write_bytes(image)
+    entry = MemorySystem(image).reset_vector()[1]
+    reports = [run_cli(["analyze", str(path), "--entry", hex(at)], capsys)
+               for at in (entry, entry - 0x08000000)]
+    assert [(code, err) for code, _, err in reports] == [(0, "")] * 2
+    flash, alias = (out for _, out, _ in reports)
+    # every address of the Flash report, in fields and in branch texts
+    assert alias == re.sub(r"0x08([0-9a-f]{6})", r"0x00\1", flash)
+    assert alias != flash
+
+
+# A 12-byte Flash: the vector table (entry 0x08000008), MOVS r0, #1 and, in
+# Flash's last halfword, the first half of a BL.
+BL_AT_FLASH_END = ((0x20002000).to_bytes(4, "little")
+                   + (0x08000009).to_bytes(4, "little")
+                   + bytes([0x01, 0x20, 0x00, 0xF0]))
+
+
+@pytest.mark.parametrize("entry,fault", [
+    ([], "unmapped fetch at 0x0800000c) at 0x0800000a"),
+    (["--entry", "0x00000008"], "unmapped fetch at 0x0000000c) at 0x0000000a")],
+    ids=["flash", "alias"])
+def test_analyze_bl_prefix_in_the_last_halfword(tmp_path, capsys, entry,
+                                                fault):
+    path = tmp_path / "end.bin"
+    path.write_bytes(BL_AT_FLASH_END)
+    code, out, err = run_cli(["analyze", str(path), "--flash-size", "12"]
+                             + entry, capsys)
+    assert (code, out) == (1, "")
+    assert err == "analysis error: undecodable code (%s\n" % fault
+
+
+def test_analyze_entry_in_ram_reads_code_until_the_end_of_ram(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "end.bin"
+    path.write_bytes(BL_AT_FLASH_END)
+    fetched = []
+    read_code = MemorySystem.read_code
+    monkeypatch.setattr(MemorySystem, "read_code", lambda mem, addr: (
+        fetched.append(addr) or read_code(mem, addr)))
+    # zeroed RAM decodes as MOVS r0, r0 up to its end
+    code, out, err = run_cli(["analyze", str(path), "--flash-size", "12",
+                              "--entry", "0x20000000", "--ram-size", "16"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == ("analysis error: undecodable code (unmapped fetch at "
+                   "0x20000010) at 0x20000010\n")
+    assert fetched == list(range(0x20000000, 0x20000012, 2))
+
+
+@pytest.mark.parametrize("timing", [[], ["--waitstates", "1"],
+                                    ["--waitstates", "1", "--prefetch", "on"]],
+                         ids=["ws0", "ws1_off", "ws1_on"])
+def test_run_faults_on_a_bl_prefix_in_the_last_halfword(tmp_path, capsys,
+                                                        timing):
+    path = tmp_path / "end.bin"
+    path.write_bytes(BL_AT_FLASH_END)
+    code, out, err = run_cli(["run", str(path), "--flash-size", "12"]
+                             + timing, capsys)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["exit_reason"] == "fault: unmapped fetch at 0x0800000c"
+    assert report["result_r0"] == 1
+    assert report["counters"]["histogram"] == {"MOVS": 1}
 
 
 def test_fit_noiseless_csv_recovers_table_row(tmp_path, capsys):
