@@ -95,73 +95,71 @@ def extract_cfg(mem, entry):
     if mem.region(entry) is None:
         raise AnalysisError(entry, "entry outside executable memory")
 
-    decoded = {}
+    decoded = {}  # address -> instruction
+    ends = {}  # address -> the address after its instruction
     flows = {}  # terminator address -> its control_flow edges
     leaders = {entry}
     work = [entry]
     while work:
         addr = work.pop()
-        if addr in decoded:
-            continue
-        try:
-            hw1 = mem.read_code(addr)
-            hw2 = mem.read_code(addr + 2) if dec.is_wide(hw1) else None
-            ins = dec.decode(hw1, hw2, addr)
-        except M0EnergyError as exc:
-            raise AnalysisError(addr, "undecodable code (%s)" % exc) from None
-        decoded[addr] = ins
-        edges = dec.control_flow(ins)
-        if edges is None:
-            work.append(addr + ins.size)
-            continue
-        flows[addr] = edges
-        for target, _kind in edges:
-            if target is not None:
-                leaders.add(target)
-                work.append(target)
+        while addr not in decoded:  # one straight-line run
+            try:
+                ins = dec.decode_at(mem, addr)
+            except M0EnergyError as exc:
+                raise AnalysisError(addr, "undecodable code (%s)" % exc) from None
+            decoded[addr] = ins
+            ends[addr] = after = addr + (ins.width >> 3)
+            if ins.op in dec.BLOCK_END_OPS:
+                edges = dec.control_flow(ins)
+                if edges is not None:
+                    flows[addr] = edges
+                    for target, _kind in edges:
+                        if target is not None:
+                            leaders.add(target)
+                            work.append(target)
+                    break
+            addr = after
 
-    addrs = sorted(decoded)
-    for prev, cur in zip(addrs, addrs[1:]):
-        if cur < prev + decoded[prev].size:
-            raise AnalysisError(cur, "overlapping instruction decode")
-
-    blocks = {}
-    current = []
-    for addr in addrs:
-        ins = decoded[addr]
-        if current:
-            contiguous = addr == current[-1].addr + current[-1].size
-            if addr in leaders or not contiguous:
-                _close_block(blocks, current, mem,
-                             [(addr, EDGE_FALLTHROUGH)] if contiguous else [])
-                current = []
-        current.append(ins)
+    blocks, run = {}, []  # run: the open block's instructions
+    end = None  # the address after the last instruction seen
+    for addr in sorted(decoded):
+        if end is not None and addr < end:
+            raise AnalysisError(addr, "overlapping instruction decode")
+        if run and (addr in leaders or addr != end):
+            _close_block(blocks, run, end, mem,
+                         [(addr, EDGE_FALLTHROUGH)] if addr == end else [])
+            run = []
+        run.append(decoded[addr])
+        end = ends[addr]
         if addr in flows:
-            _close_block(blocks, current, mem, flows[addr])
-            current = []
-    if current:
-        _close_block(blocks, current, mem, [])
+            _close_block(blocks, run, end, mem, flows[addr])
+            run = []
+    if run:
+        _close_block(blocks, run, end, mem, [])
     return CFG(entry, blocks)
 
 
-def _close_block(blocks, instructions, mem, edges):
-    last = instructions[-1]
-    block = BasicBlock(instructions[0].addr, last.addr + last.size,
-                       list(instructions),
-                       static_block_counters(instructions, mem), edges)
-    blocks[block.start] = block
+def _close_block(blocks, instructions, end, mem, edges):
+    start = instructions[0].addr
+    blocks[start] = BasicBlock(start, end, instructions,
+                               static_block_counters(instructions, mem), edges)
+
+
+# The ops that count as more or other than one c1 event
+_COUNTED_OPS = dec.LOAD_OPS | dec.STORE_OPS | {"MULS", "PUSH", "POP", "LDM", "STM"}
 
 
 def static_block_counters(instructions, mem):
     """Statically predicted counter vector for a straight-line run."""
-    counts = StaticCounts()
+    counts = StaticCounts(c1=len(instructions))
     for ins in instructions:
         op = ins.op
+        if op not in _COUNTED_OPS:
+            continue
         if op == "MULS":
+            counts.c1 -= 1
             counts.c2 += 1
-        else:
-            counts.c1 += 1
-        if op == "LDR_LIT":
+        elif op == "LDR_LIT":
             region = mem.region(ins.fields["lit_addr"])
             if region == "ram":
                 counts.c4_known += 1

@@ -26,6 +26,8 @@ report that cannot be written, 2 usage.
 """
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import re
@@ -130,11 +132,14 @@ def _scalar_text(v):
 
 
 def _emit(report, fmt, command, code=0):
-    """Print the report and return the exit code `code`, or 1 with a
-    message when stdout cannot be written."""
+    """Print the report (a dict, or texts to write in turn) and return the
+    exit code `code`, or 1 with a message when stdout cannot be written."""
+    if isinstance(report, dict):
+        report = ("\n".join(render_text(report)) if fmt == "text"
+                  else to_json(report), "\n")
     try:
-        print("\n".join(render_text(report)) if fmt == "text"
-              else to_json(report))
+        for text in report:
+            sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         sys.stdout = None  # so the interpreter does not flush it again
@@ -317,7 +322,7 @@ def _block_writer(models, labels):
     `_block_dict` as a report's record (at depth 2), filled into templates
     built here for distinct `labels` (config labels, with no "%").  The
     counts and energy_nj text depend only on `cfg._counts(block)`, so each
-    distinct key is rendered once."""
+    distinct key is rendered once, as each edge kind is."""
     from .cfg import _counts, block_energies
     hole, address = _Raw("%s"), _Raw('"0x%08x"')
     record = to_json({"start": address, "end": address,
@@ -326,6 +331,7 @@ def _block_writer(models, labels):
     point = to_json(dict.fromkeys(labels, hole), 3)
     interval = to_json(dict.fromkeys(labels, {"lo": hole, "hi": hole}), 3)
     edge = to_json({"target": hole, "kind": hole}, 4)
+    kind_text = functools.cache(_json_str)  # of each edge kind
     head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
     memo = {}
 
@@ -341,12 +347,14 @@ def _block_writer(models, labels):
             rendered = memo[key] = (
                 to_json(_counts_dict(block.static_counts), 3), energy)
         edges = [edge % ("null" if t is None else '"0x%08x"' % t,
-                         _json_str(kind)) for t, kind in block.successors]
-        return _Raw(record % (
-            block.start, block.end,
-            head + sep.join([_json_str(i.text) for i in block.instructions])
-            + tail, rendered[0],
-            head + sep.join(edges) + tail if edges else "[]", rendered[1]))
+                         kind_text(kind)) for t, kind in block.successors]
+        texts = [i.text for i in block.instructions]  # one escape search
+        texts = ('"' + ('"' + sep + '"').join(texts) + '"'
+                 if _NEEDS_ESCAPE.search("".join(texts)) is None
+                 else sep.join(map(_json_str, texts)))
+        return record % (
+            block.start, block.end, head + texts + tail, rendered[0],
+            head + sep.join(edges) + tail if edges else "[]", rendered[1])
     return write
 
 
@@ -364,14 +372,19 @@ def cmd_analyze(args, parser):
         return 1
     models = builtin_models()
     labels = [m.config.label() for m in models]
-    write = (_block_writer(models, labels) if args.format == "json"
-             else lambda block: _block_dict(block, models, labels))
-    report = {
-        "image": _image_info(args.image, data),
-        "entry": "0x%08x" % (entry & ~1),
-        "blocks": [write(b) for b in graph.sorted_blocks()],
-    }
-    return _emit(report, args.format, "analysis")
+    report = {"image": _image_info(args.image, data),
+              "entry": "0x%08x" % (entry & ~1), "blocks": [_Raw("\0")] * 2}
+    blocks = graph.sorted_blocks()
+    if args.format == "text":
+        report["blocks"] = [_block_dict(b, models, labels) for b in blocks]
+        return _emit(report, "text", "analysis")
+    # JSON goes out a record at a time, into the text around the two holes:
+    # NULs, which to_json writes escaped in any string
+    head, sep, tail = to_json(report).split("\0")
+    write = _block_writer(models, labels)
+    return _emit(itertools.chain(
+        [head + write(blocks[0])], (sep + write(b) for b in blocks[1:]),
+        [tail + "\n"]), "json", "analysis")
 
 
 # -- fit ---------------------------------------------------------------------

@@ -487,15 +487,14 @@ class _Block:
     instruction: (its `_step` function, instruction, base cycles if not
     taken, if taken, Flash words fetched with a possible stall, index).
     `word` is the Flash word of the first fetch (None when no fetch can
-    stall); `end` the fall-through pc; `heat` its runs before it is compiled
-    (None for RAM code, never compiled); `code` the compiled function;
-    `worst` its budget worst case; `runs` its uncounted runs."""
-    __slots__ = ("entries", "word", "end", "heat", "code", "worst", "runs")
+    stall); `heat` its runs before it is compiled (None for RAM code, never
+    compiled); `code` the compiled function; `worst` its budget worst case;
+    `runs` its uncounted runs."""
+    __slots__ = ("entries", "word", "heat", "code", "worst", "runs")
 
-    def __init__(self, entries, word, end, heat):
+    def __init__(self, entries, word, heat):
         self.entries = entries
         self.word = word
-        self.end = end
         self.heat = heat
         self.code = None
         self.worst = None
@@ -587,9 +586,7 @@ class Simulator:
             if entries and mem.region(addr) != kind:
                 break
             try:
-                hw1 = mem.read_code(addr)
-                hw2 = mem.read_code(addr + 2) if dec.is_wide(hw1) else None
-                ins = dec.decode(hw1, hw2, addr)
+                ins = dec.decode_at(mem, addr)
             except M0EnergyError:
                 if entries:
                     break
@@ -610,8 +607,8 @@ class Simulator:
             if ins.is_terminator() or kind == "ram":
                 break
         if kind == "ram":
-            return _Block(entries, None, addr, None)
-        block = self._blocks[pc] = _Block(entries, first_word, addr, 0)
+            return _Block(entries, None, None)
+        block = self._blocks[pc] = _Block(entries, first_word, 0)
         return block
 
     def _compile(self, block):
@@ -628,7 +625,9 @@ class Simulator:
         fetch_unit = mem.fetch_unit
         prefetch = fetch_unit.prefetch_enabled
         # the body, last line first: the end sets pc unless a branch did
-        rev = ["    pc = %#x" % block.end, "if not tk:", "tk = pc is not None"]
+        last = block.entries[-1][1]
+        rev = ["    pc = %#x" % (last.addr + last.size), "if not tk:",
+               "tk = pc is not None"]
         live = set(_LIVE)                   # read by the block's end
         adds = dict.fromkeys(_COUNTS, 0)    # increments not yet written
         names = set()                       # registers and flags used

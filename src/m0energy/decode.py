@@ -18,6 +18,7 @@ and where control goes next; the simulator and the static CFG both use it.
 from dataclasses import dataclass, field
 
 from .errors import UndefinedInstructionError
+from .memory import FLASH_BASE
 
 COND_NAMES = ["EQ", "NE", "CS", "CC", "MI", "PL", "VS", "VC",
               "HI", "LS", "GE", "LT", "GT", "LE"]
@@ -78,6 +79,10 @@ class Instruction:
         return control_flow(self) is not None
 
 
+# The ops `control_flow` can end a block with; every other op falls through.
+BLOCK_END_OPS = frozenset("B BCOND BL BLX BX POP MOV_HI ADD_HI BKPT".split())
+
+
 def control_flow(ins):
     """Edges [(target or None, kind)] out of a block `ins` ends, or None when
     it falls through.  None marks a target known only at run time; BKPT
@@ -105,6 +110,19 @@ def control_flow(ins):
 def is_wide(hw):
     """True when hw is the first halfword of a 32-bit encoding."""
     return (hw & 0xF800) in (0xE800, 0xF000, 0xF800)
+
+
+def decode_at(mem, addr):
+    """The instruction at `addr` of MemorySystem `mem`, from its Flash
+    halfword view but at Flash's last halfword; there and at any other
+    address through `read_code`, which raises the fetch faults."""
+    halves = mem.flash_halves
+    i = (addr - FLASH_BASE) >> 1
+    if halves is not None and 0 <= i < len(halves) - 1 and not addr & 1:
+        hw1 = halves[i]
+        return decode(hw1, halves[i + 1] if is_wide(hw1) else None, addr)
+    hw1 = mem.read_code(addr)
+    return decode(hw1, mem.read_code(addr + 2) if is_wide(hw1) else None, addr)
 
 
 def _sign_extend(value, bits):

@@ -36,7 +36,7 @@ DEBUG_ADDR = 0x40000000
 DEFAULT_FLASH_SIZE = 64 * 1024
 DEFAULT_RAM_SIZE = 8 * 1024
 
-# Whether native word and halfword views of RAM read little-endian values
+# Whether native word and halfword views of memory read little-endian values
 _PROBE = memoryview(bytes(range(1, 9)))
 RAM_VIEWS = _PROBE.cast("I")[0] == 0x04030201 and _PROBE.cast("H")[0] == 0x201
 
@@ -142,6 +142,7 @@ class MemorySystem:
         # word and halfword views, indexed by offset >> 2 and >> 1
         self.ram_words, self.ram_halves = (
             memoryview(self.ram).cast(f) if RAM_VIEWS else None for f in "IH")
+        self.flash_halves = memoryview(self.flash).cast("H") if RAM_VIEWS else None
         self.fetch_unit = FetchUnit(wait_states, prefetch)
         self.wait_states = wait_states
         self.debug_output = bytearray()

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from types import SimpleNamespace
 
@@ -695,6 +696,73 @@ def test_report_write_failure_is_an_error(tmp_path, capsys, monkeypatch, argv):
     assert capsys.readouterr().err == (
         "%s error: cannot write report: [Errno 28] No space left on "
         "device\n" % command)
+
+
+class Discard:
+    """A stdout that drops what it is given and counts its characters."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def branch_chain(blocks):
+    """`blocks` blocks of four instructions, each with a register-indirect
+    load and ending in a conditional branch to the next, then a BKPT."""
+    a = Assembler()
+    for i in range(blocks):
+        a.label("b%d" % i)
+        a.movs(0, i & 0xFF)
+        a.adds_reg(1, 0, 1)
+        a.ldr_imm(2, 1)
+        a.bne("b%d" % (i + 1))
+    a.label("b%d" % blocks)
+    a.bkpt()
+    return a.image()
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_never_holds_its_json_report(tmp_path, monkeypatch):
+    path = tmp_path / "chain.bin"
+    path.write_bytes(branch_chain(300))
+    argv = ["analyze", str(path)]
+    monkeypatch.setattr(sys, "stdout", Discard())
+    assert main(argv) == 0  # fills the decode and import caches
+    size = sys.stdout.size
+    assert size > 300 * 1000
+    mem = MemorySystem(path.read_bytes())
+    graph_peak = traced_peak(lambda: extract_cfg(mem, mem.reset_vector()[1]))
+    assert traced_peak(lambda: main(argv)) - graph_peak < size
+    assert sys.stdout.size == 2 * size
+
+
+@pytest.mark.parametrize("room", [1, 5, 21])
+def test_analyze_write_failure_part_way_is_an_error(tmp_path, capsys,
+                                                    monkeypatch, room):
+    """The report goes out a record at a time (21 blocks, 22 writes), so
+    a full device can fail it after the first write, mid-list or at the
+    last one."""
+    path = tmp_path / "chain.bin"
+    path.write_bytes(branch_chain(20))
+    monkeypatch.setattr(sys, "stdout", FullDevice(room))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "analysis error: cannot write report: [Errno 28] No space left on "
+        "device\n")
 
 
 def test_run_negative_max_cycles_is_usage_error(tmp_path, capsys):

@@ -495,3 +495,52 @@ def test_decode_of_assembled_emitter_round_trips(emitter):
 def test_udf_emitter_decodes_as_undefined():
     with pytest.raises(UndefinedInstructionError):
         assemble_one("udf", (), 0)
+
+
+def test_block_end_ops_hold_every_op_that_ends_a_block():
+    ends = set()
+    for hw in range(0x10000):
+        for hw2 in helpers.SECOND_HALFWORDS if is_wide(hw) else (None,):
+            try:
+                ins = decode(hw, hw2, 0x08000100)
+            except UndefinedInstructionError:
+                continue
+            if control_flow(ins) is not None:
+                ends.add(ins.op)
+    assert ends == decode_module.BLOCK_END_OPS
+
+
+def reference_decode_at(mem, addr):
+    """The instruction at addr through read_code only, or the fault."""
+    try:
+        hw1 = mem.read_code(addr)
+        hw2 = mem.read_code(addr + 2) if is_wide(hw1) else None
+        return decode(hw1, hw2, addr)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("views", [True, False], ids=["views", "no-views"])
+@pytest.mark.parametrize("seed", range(4))
+def test_decode_at_matches_read_code_everywhere(monkeypatch, views, seed):
+    """Every halfword address of a small Flash, its alias and RAM, with
+    their ends, odd addresses and unmapped ones, on images dense in BL
+    prefixes; also where halfword views are off (a big-endian host)."""
+    monkeypatch.setattr(importlib.import_module("m0energy.memory"),
+                        "RAM_VIEWS", views)
+    rng = random.Random(seed)
+    halves = [rng.choice([rng.randrange(0x10000), 0xF000 | rng.randrange(0x800),
+                          0xF800 | rng.randrange(0x800)]) for _ in range(30)]
+    image = b"".join(h.to_bytes(2, "little") for h in halves)
+    mem = helpers.MemorySystem(image[:56 + 4 * seed],
+                               flash_size=56 + 4 * seed + 8, ram_size=16)
+    mem.ram[:] = image[:16]
+    assert (mem.flash_halves is not None) == views
+    addrs = [base + off for base in (0, 0x08000000, 0x20000000)
+             for off in range(-4, len(mem.flash) + 5)]
+    for addr in addrs + [0x40000000, 0xFFFFFFFE]:
+        try:
+            got = decode_module.decode_at(mem, addr)
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == reference_decode_at(mem, addr), hex(addr)
