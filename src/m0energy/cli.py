@@ -15,8 +15,9 @@ both, and `comparison` ranks only the configurations the file covers.
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
 `analyze` fills each block record's JSON text into templates built once
-per report, and renders a block's counts and energies once per distinct
-count vector; the text format renders the same records from dicts.
+per report, renders a block's counts and energies once per distinct count
+vector and writes each record as it is filled; the text format renders
+the same records from dicts.
 Addresses and sizes in flags must lie in 0..0xFFFFFFFF.
 Each subcommand imports the modules it runs where it runs them: `cpu` to
 simulate, `cfg` in `analyze`, `energy` in `run`, `analyze` and for
@@ -89,7 +90,7 @@ def _json_list(obj, indent):
 
 
 class _Raw(str):
-    """JSON text that to_json writes as it is, such as a block record."""
+    """JSON text that to_json writes as it is, such as a template's hole."""
 
 
 _WRITERS = {
