@@ -13,7 +13,8 @@ import zlib
 import pytest
 
 import helpers
-from m0energy import Assembler, cpu, decode, UndefinedInstructionError
+from m0energy import (Assembler, M0EnergyError, MemorySystem, cpu, decode,
+                      UndefinedInstructionError)
 from m0energy.decode import control_flow, is_wide
 
 decode_module = importlib.import_module("m0energy.decode")
@@ -511,12 +512,13 @@ def test_block_end_ops_hold_every_op_that_ends_a_block():
 
 
 def reference_decode_at(mem, addr):
-    """The instruction at addr through read_code only, or the fault."""
+    """The instruction at addr through read_code only, or the fault's
+    type and message."""
     try:
         hw1 = mem.read_code(addr)
         hw2 = mem.read_code(addr + 2) if is_wide(hw1) else None
         return decode(hw1, hw2, addr)
-    except Exception as exc:  # compared by type and message
+    except M0EnergyError as exc:
         return type(exc), str(exc)
 
 
@@ -532,8 +534,8 @@ def test_decode_at_matches_read_code_everywhere(monkeypatch, views, seed):
     halves = [rng.choice([rng.randrange(0x10000), 0xF000 | rng.randrange(0x800),
                           0xF800 | rng.randrange(0x800)]) for _ in range(30)]
     image = b"".join(h.to_bytes(2, "little") for h in halves)
-    mem = helpers.MemorySystem(image[:56 + 4 * seed],
-                               flash_size=56 + 4 * seed + 8, ram_size=16)
+    mem = MemorySystem(image[:56 + 4 * seed], flash_size=56 + 4 * seed + 8,
+                       ram_size=16)
     mem.ram[:] = image[:16]
     assert (mem.flash_halves is not None) == views
     addrs = [base + off for base in (0, 0x08000000, 0x20000000)
@@ -541,6 +543,6 @@ def test_decode_at_matches_read_code_everywhere(monkeypatch, views, seed):
     for addr in addrs + [0x40000000, 0xFFFFFFFE]:
         try:
             got = decode_module.decode_at(mem, addr)
-        except Exception as exc:
+        except M0EnergyError as exc:
             got = type(exc), str(exc)
         assert got == reference_decode_at(mem, addr), hex(addr)
