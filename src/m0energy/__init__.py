@@ -20,8 +20,8 @@ _SOURCES = {name: module for module, names in {
     "cfg": "BasicBlock CFG StaticCounts block_energy extract_cfg path_energy "
            "static_block_counters",
     "counters": "EventCounters",
-    "cpu": "CpuState RunSummary Simulator StepResult DEFAULT_TIMING",
-    "decode": "Instruction decode",
+    "cpu": "CpuState RunSummary Simulator StepResult",
+    "decode": "Instruction decode DEFAULT_TIMING",
     "energy": "EnergyInterval EnergyModel HardwareConfig builtin_configs "
               "builtin_model builtin_models compare_configs estimate "
               "load_models relative_weights save_models",

@@ -1,24 +1,5 @@
 """Cortex-M0 core: architectural state, instruction execution, timing.
 
-Base cycle costs before memory stalls (data-driven, override via the
-`timing` argument):
-
-    data processing            1
-    MULS                       1   (single-cycle multiplier; set "muls": 32
-                                    for the slow multiplier variant)
-    load/store                 2
-    LDM/STM/PUSH/POP           1 + N   (N = words transferred; POP into pc
-                                        uses the same 1 + N)
-    branch taken               3
-    branch not taken           1
-    BL                         4
-    BX / BLX                   3
-    MOV/ADD with pc target     3
-    BKPT                       1   (counts as an executed instruction,
-                                    then halts)
-
-Fetch and Flash data stalls from the memory system are added on top.
-
 Every op's semantics are written once, as a source template in `TEMPLATES`:
 Python statements over the registers r0..r14 and the flags n, z, c, v as
 locals, the operands filled in as constants (a read of pc is the address
@@ -30,37 +11,40 @@ Execution runs on a translation cache, in the manner of QEMU's translation
 blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is decoded once, up to and including its
 terminator (`decode.control_flow`, the one block-end rule), with each
-instruction's base cycles (the timing class fixed at decode time) and the
-Flash words whose fetch can stall.  A block runs one instruction at a time,
-through per-form functions generated from the templates (`_step`, reaching
-memory through `_read` and `_write` and setting pc themselves), until it
-has run COMPILE_AFTER times, which pays back the compile.  Then it is
-generated into one function (after QEMU's TCG): registers and flags live
-in locals, a RAM access is a bounds and alignment compare and an index
-into a word or halfword view of RAM (a slice if `memory.RAM_VIEWS` is
-false: a big-endian host, or a C int that is not 4 bytes), a Flash literal
-load is a constant, and the fetch unit's in-block rule is inlined from
-`FetchUnit`.  Any other access takes the slow path,
+instruction's base cycles (`decode.base_cycles`, under the simulator's
+`timing`) and the Flash words whose fetch can stall.  A block runs one
+instruction at a time, through per-form functions generated from the
+templates (`_step`, reaching memory through `_read` and `_write` and
+setting pc themselves), until it has run COMPILE_AFTER times, which pays
+back the compile.  Then it is generated into one function (after QEMU's
+TCG): registers and flags live in locals, a RAM access is a bounds and
+alignment compare and an index into a word or halfword view of RAM (a slice
+if `memory.RAM_VIEWS` is false: a big-endian host, or a C int that is not 4
+bytes), a Flash literal load is a constant, and the fetch unit's in-block
+rule is inlined from `FetchUnit`.  Any other access takes the slow path,
 `MemorySystem.read`/`write`, the one place a fault is raised and so the one
 place pc is stored.  A fault stores the locals, so a write of a flag or of
 the held Flash word is dropped only when another write of it comes before
 any read of it, slow path or the block's end, and a flag is loaded only
 when it can be read before it is written; constant cycle and counter
 increments merge up to the next line that reads them; and an instruction
-with no slow path adds its fetch stalls to the cycles at once.
-Compiled functions, named `block_<pc>` or `step_<form>`, are shared by
-source text while a simulator holds them, as the simulators of a sweep do.
+with no slow path adds its fetch stalls to the cycles at once.  Compiled
+functions, named `block_<pc>` or `step_<form>`, are shared by source text
+while a simulator holds them, as the simulators of a sweep do.
 
 A compiled block runs only when the cycle budget cannot cut it: `now` plus
 its worst case before the last instruction (taken-branch base cycles plus
 the wait states of every Flash word a fetch or data read could touch) is
 below the budget; otherwise it runs one instruction at a time, the budget
-checked before each.  `step()`, a run to one cycle past now (no timing
-entry is below a cycle), `on_step` and RAM code never use or make compiled
-code; each RAM instruction is fetched and decoded afresh, as RAM code may
-modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read`
-and `_write` counted.  c1, c2 and the histogram are counted per block run
-and folded into the counters when `run` or `step` returns.
+checked before each.  A step or compiled block that returns taken flushes
+the fetch unit at once (`FetchUnit.flush`), before `on_step` sees it, so a
+block's entry calls `stall_for` only when its first word is not the one
+held.  `step()`, a run to one cycle past now (no timing entry is below a
+cycle), `on_step` and RAM code never use or make compiled code; each RAM
+instruction is fetched and decoded afresh, as RAM code may modify itself.
+A step's `data_events` are the c4, c5 and c6 that `_read` and `_write`
+counted.  c1, c2 and the histogram are counted per block run and folded
+into the counters when `run` or `step` returns.
 
 An instruction commits on completion: one that faults adds no counter event
 and no cycles and leaves pc at its address; a block transfer counts its
@@ -93,29 +77,6 @@ dec = import_module(".decode", __package__)  # the module, not the function
 MASK32 = 0xFFFFFFFF
 
 COMPILE_AFTER = 64  # runs of a Flash block before it is compiled
-
-DEFAULT_TIMING = {
-    "dp": 1,
-    "load": 2,
-    "store": 2,
-    "block_base": 1,
-    "branch_taken": 3,
-    "branch_not_taken": 1,
-    "bl": 4,
-    "bx": 3,
-    "blx": 3,
-    "muls": 1,
-    "pc_branch": 3,
-    "bkpt": 1,
-}
-
-# op -> DEFAULT_TIMING key; ops not listed are data processing ("dp").
-# Block transfers, BCOND and MOV/ADD into pc are classified in _timing_class.
-_TIMING_KEYS = dict.fromkeys(dec.LOAD_OPS, "load")
-_TIMING_KEYS.update(dict.fromkeys(dec.STORE_OPS, "store"))
-_TIMING_KEYS.update({"B": "branch_taken", "BL": "bl", "BX": "bx",
-                     "BLX": "blx", "MULS": "muls", "BKPT": "bkpt"})
-
 
 @dataclass
 class CpuState:
@@ -501,20 +462,6 @@ class _Block:
         self.runs = 0
 
 
-def _timing_class(ins, t):
-    """(base cycles if not taken, if taken), fixed at decode time."""
-    op, f = ins.op, ins.fields
-    if op in ("PUSH", "POP", "LDM", "STM"):
-        n = t["block_base"] + len(f["regs"]) + (1 if f.get("pc") else 0)
-        return n, n
-    if op == "BCOND":
-        return t["branch_not_taken"], t["branch_taken"]
-    if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15:
-        return t["pc_branch"], t["pc_branch"]
-    n = t[_TIMING_KEYS.get(op, "dp")]
-    return n, n
-
-
 class Simulator:
     """One simulated core plus its memory and event counters."""
 
@@ -524,15 +471,17 @@ class Simulator:
         self.mem = MemorySystem(image, flash_size=flash_size,
                                 ram_size=ram_size, wait_states=wait_states,
                                 prefetch=prefetch)
-        self.timing = dict(DEFAULT_TIMING)
-        if timing:
-            self.timing.update(timing)
-        if min(self.timing.values()) < 1:  # step() relies on it
-            raise InvalidConfigError("every timing entry must be >= 1 cycle")
+        self.timing = dict(dec.DEFAULT_TIMING)
+        for key, cycles in (timing or {}).items():  # step() needs >= 1 each
+            if key not in self.timing:
+                raise InvalidConfigError("unknown timing entry %r" % (key,))
+            if type(cycles) is not int or cycles < 1:
+                raise InvalidConfigError("timing entry %r must be an int >= 1,"
+                                         " got %r" % (key, cycles))
+            self.timing[key] = cycles
         self.counters = EventCounters()
         self.state = CpuState()
         self._blocks = {}        # Flash/alias pc -> _Block
-        self._sequential = False
         self.reset()
 
     # -- lifecycle ----------------------------------------------------------
@@ -544,7 +493,6 @@ class Simulator:
         self.counters.reset()
         self.mem.fetch_unit.flush()
         self.mem.debug_output.clear()
-        self._sequential = False
 
     # -- memory helpers for step functions: count c4..c6 and Flash data stalls
 
@@ -600,7 +548,7 @@ class Simulator:
                         held = word
                 if not entries:
                     first_word = words.pop(0)
-            base, base_taken = _timing_class(ins, self.timing)
+            base, base_taken = dec.base_cycles(ins, self.timing)
             entries.append((_step(ins), ins, base, base_taken, tuple(words),
                             len(entries)))
             addr += ins.size
@@ -752,11 +700,10 @@ class Simulator:
         blocks = self._blocks
         mem = self.mem
         fetch_unit = mem.fetch_unit
-        stall_for = fetch_unit.stall_for
+        stall_for, flush = fetch_unit.stall_for, fetch_unit.flush
         c = self.counters
         args = (s, regs, c, mem.ram, mem.ram_words, mem.ram_halves,
                 mem.read, mem.write, fetch_unit)
-        sequential = self._sequential
         start_cycles = s.cycle_count
         taken_count = fetch_stalls = 0
         ran = []  # Flash blocks whose `runs` are to be folded in
@@ -772,10 +719,8 @@ class Simulator:
                 block = blocks.get(pc) or self._translate(pc)
                 stall = 0
                 word = block.word
-                if word is not None and (not sequential
-                                         or word != fetch_unit.current_word):
-                    stall = stall_for(word, now, sequential)
-                sequential = True  # no taken branch inside a block
+                if word is not None and word != fetch_unit.current_word:
+                    stall = stall_for(word, now)
                 entries = block.entries
                 code = block.code
                 if code is None and on_step is None and block.heat is not None:
@@ -790,6 +735,8 @@ class Simulator:
                         self._tally([e for e in entries
                                      if e[1].addr < regs[15]])
                         raise
+                    if taken:
+                        flush()
                     taken_count += taken
                 else:
                     try:
@@ -799,14 +746,15 @@ class Simulator:
                                 self._tally(entries[:i])
                                 return "cycle-budget"
                             for word in words:
-                                stall += stall_for(word, now + stall, True)
+                                stall += stall_for(word, now + stall)
                             taken = step(self, ins)
+                            if taken:
+                                flush()
                             taken_count += taken
                             s.cycle_count += stall + (
                                 base_taken if taken else base)
                             fetch_stalls += stall
                             if on_step is not None:
-                                sequential = not taken
                                 events = (c.c4 - c4, c.c5 - c5, c.c6 - c6)
                                 c4, c5, c6 = c.c4, c.c5, c.c6
                                 on_step(StepResult(ins, s.cycle_count - now,
@@ -816,7 +764,6 @@ class Simulator:
                     except M0EnergyError:
                         self._tally(entries[:i])  # the faulting one: nothing
                         raise
-                sequential = not taken
                 if block.heat is None:  # RAM code, decoded afresh each time
                     self._tally(entries)
                 elif block.runs:
@@ -831,7 +778,6 @@ class Simulator:
             c.c3 += taken_count
             c.fetch_stall_cycles += fetch_stalls
             c.total_cycles += s.cycle_count - start_cycles
-            self._sequential = sequential
 
     def _tally(self, entries, times=1):
         """Fold `times` runs of these entries into c1, c2 and the histogram."""

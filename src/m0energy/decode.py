@@ -13,6 +13,22 @@ each caller a new Instruction with its own `fields` dict.
 
 `control_flow` is the one rule for which instructions end a basic block
 and where control goes next; the simulator and the static CFG both use it.
+
+`base_cycles` is the one rule for an instruction's cycles before memory
+stalls, which are added on top.  Its table is `DEFAULT_TIMING`, whose
+entries the simulator's `timing` argument overrides:
+
+    dp                  1   data processing
+    muls                1   MULS (32 for the slow multiplier)
+    load, store         2   loads and stores
+    block_base          1   LDM/STM/PUSH/POP take it + N, N the words
+                            transferred (POP's pc counts)
+    branch_taken        3   B, and BCOND when taken
+    branch_not_taken    1   BCOND when not taken
+    bl                  4   BL
+    bx, blx             3   BX, BLX
+    pc_branch           3   MOV/ADD into pc
+    bkpt                1   BKPT (it counts as executed, then halts)
 """
 
 from dataclasses import dataclass, field
@@ -105,6 +121,43 @@ def control_flow(ins):
     if op == "BKPT":
         return []
     return None
+
+
+DEFAULT_TIMING = {
+    "dp": 1,
+    "load": 2,
+    "store": 2,
+    "block_base": 1,
+    "branch_taken": 3,
+    "branch_not_taken": 1,
+    "bl": 4,
+    "bx": 3,
+    "blx": 3,
+    "muls": 1,
+    "pc_branch": 3,
+    "bkpt": 1,
+}
+
+# op -> DEFAULT_TIMING key; ops not listed are data processing ("dp").
+# Block transfers, BCOND and MOV/ADD into pc are classified in base_cycles.
+_TIMING_KEYS = dict.fromkeys(LOAD_OPS, "load")
+_TIMING_KEYS.update(dict.fromkeys(STORE_OPS, "store"))
+_TIMING_KEYS.update({"B": "branch_taken", "BL": "bl", "BX": "bx",
+                     "BLX": "blx", "MULS": "muls", "BKPT": "bkpt"})
+
+
+def base_cycles(ins, timing=DEFAULT_TIMING):
+    """(base cycles if not taken, if taken) of `ins` under `timing`."""
+    op, f = ins.op, ins.fields
+    if op in ("PUSH", "POP", "LDM", "STM"):
+        n = timing["block_base"] + len(f["regs"]) + (1 if f.get("pc") else 0)
+        return n, n
+    if op == "BCOND":
+        return timing["branch_not_taken"], timing["branch_taken"]
+    if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15:
+        return timing["pc_branch"], timing["pc_branch"]
+    n = timing[_TIMING_KEYS.get(op, "dp")]
+    return n, n
 
 
 def is_wide(hw):

@@ -15,9 +15,9 @@ buffer.  The model, chosen so every timing figure is reproducible by hand:
   * A sequential fetch that advances into the read-ahead word costs the
     remaining fill time (the background fill completes WaitState cycles
     after the fetch that triggered it; execution overlaps the fill).
-  * Any other fetch costs WaitState stall cycles.  A non-sequential fetch
-    (the cycle after a taken branch) flushes the buffer first, so branch
-    targets always pay the full WaitState penalty.
+  * Any other fetch costs WaitState stall cycles.  A taken branch flushes
+    the buffer as it completes (`FetchUnit.flush`), so its target pays the
+    full WaitState penalty, even inside the word held at the branch.
   * Data reads from Flash stall the core by WaitState cycles and do not
     disturb the fetch buffer.  RAM never stalls.
 
@@ -64,13 +64,12 @@ class FetchUnit:
         self.next_ready_at = 0
 
     def flush(self):
+        """Empty the buffer, as a taken branch completes and on reset."""
         self.current_word = None
         self.next_word = None
 
-    def stall_for(self, word_addr, now, sequential):
+    def stall_for(self, word_addr, now):
         """Stall cycles for fetching from `word_addr` at cycle `now`."""
-        if not sequential:
-            self.flush()
         if word_addr == self.current_word:
             stall = 0
         elif self.prefetch_enabled and word_addr == self.next_word:

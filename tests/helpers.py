@@ -279,12 +279,15 @@ def compile_at_first_run():
 
 def fetch(mem, addr, now, sequential=True):
     """Fetch the instruction halfword at addr through mem's fetch unit, as
-    the core sees it; returns (value, stall).  RAM fetches never stall."""
+    the core sees it; returns (value, stall).  A non-sequential Flash fetch
+    (the first after reset or a taken branch) flushes the unit first.  RAM
+    fetches never stall."""
     value = mem.read_code(addr)
     if mem.region(addr) == "ram":
         return value, 0
-    return value, mem.fetch_unit.stall_for(mem.fetch_word(addr), now,
-                                           sequential)
+    if not sequential:
+        mem.fetch_unit.flush()
+    return value, mem.fetch_unit.stall_for(mem.fetch_word(addr), now)
 
 
 class ReferenceStepper:

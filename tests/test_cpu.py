@@ -169,8 +169,21 @@ def test_muls_timing_override():
 @pytest.mark.parametrize("key", ["dp", "muls", "branch_taken"])
 def test_timing_override_below_one_cycle_is_rejected(key):
     # step() runs to one cycle past now, so no instruction may be free
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="'%s'" % key):
         single_op_sim(lambda a: a.muls(0, 1), timing={key: 0})
+
+
+def test_timing_override_with_an_unknown_key_is_rejected():
+    # a misspelt key used to be ignored: MULS and BKPT then ran in 2 cycles
+    with pytest.raises(InvalidConfigError, match="unknown timing entry 'mul'"):
+        single_op_sim(lambda a: a.muls(0, 1), timing={"mul": 32})
+
+
+@pytest.mark.parametrize("cycles", [2.5, "3", True, None])
+def test_timing_override_that_is_not_an_int_is_rejected(cycles):
+    # 2.5 used to give fractional cycles, "3" a TypeError mid-translation
+    with pytest.raises(InvalidConfigError, match="'muls' must be an int"):
+        single_op_sim(lambda a: a.muls(0, 1), timing={"muls": cycles})
 
 
 def test_ldrsb_sign_extends():

@@ -219,6 +219,60 @@ def test_decoded_ops_and_handler_rows_match():
     assert sorted(set(cpu.TEMPLATES) - forms) == []
 
 
+# README's base-cycle table ("Timing model"), keyed as `timing` overrides
+# are, and its condition suffixes; written here, not read from decode.
+README_TIMING = {"dp": 1, "muls": 1, "load": 2, "store": 2, "block_base": 1,
+                 "branch_taken": 3, "branch_not_taken": 1, "bl": 4, "bx": 3,
+                 "blx": 3, "pc_branch": 3, "bkpt": 1}
+CONDITIONS = "EQ NE CS CC MI PL VS VC HI LS GE LT GT LE".split()
+
+
+def readme_base_cycles(ins, t):
+    """(not taken, taken) of `ins` under table `t` by README's rules, from
+    its mnemonic and text: a register list costs block_base plus one per
+    listed register (POP's pc included), BCOND is not taken or taken, and
+    MOV/ADD into pc is pc_branch."""
+    mnemonic, text = ins.mnemonic, ins.text
+    if mnemonic in ("PUSH", "POP", "LDM", "STM"):
+        cycles = t["block_base"] + text[text.index("{"):].count(",") + 1
+        return cycles, cycles
+    if mnemonic[0] == "B" and mnemonic[1:] in CONDITIONS:
+        return t["branch_not_taken"], t["branch_taken"]
+    if mnemonic in ("MOV", "ADD") and text.split()[1] == "pc,":
+        key = "pc_branch"
+    elif mnemonic.startswith(("LDR", "STR")):
+        key = "load" if mnemonic[0] == "L" else "store"
+    else:
+        key = {"B": "branch_taken", "BL": "bl", "BX": "bx", "BLX": "blx",
+               "MULS": "muls", "BKPT": "bkpt"}.get(mnemonic, "dp")
+    return t[key], t[key]
+
+
+def test_base_cycles_follow_the_readme_table():
+    """Every halfword, and each 32-bit prefix with
+    `helpers.SECOND_HALFWORDS`, that decodes: `decode.base_cycles` gives
+    README's cycles by default, and under an override of one key changes
+    exactly the instructions README's rules charge that key to."""
+    assert set(README_TIMING) == set(decode_module.DEFAULT_TIMING)
+    bumped = {key: dict(README_TIMING, **{key: README_TIMING[key] + 10})
+              for key in README_TIMING}
+    changed = dict.fromkeys(README_TIMING, 0)
+    for hw in range(0x10000):
+        for hw2 in helpers.SECOND_HALFWORDS if is_wide(hw) else (None,):
+            try:
+                ins = decode(hw, hw2, 0x08000100)
+            except UndefinedInstructionError:
+                continue
+            expected = readme_base_cycles(ins, README_TIMING)
+            assert decode_module.base_cycles(ins) == expected, ins.text
+            for key, timing in bumped.items():
+                cycles = decode_module.base_cycles(ins, timing)
+                assert cycles == readme_base_cycles(ins, timing), (key,
+                                                                   ins.text)
+                changed[key] += cycles != expected
+    assert all(changed.values()), changed
+
+
 def test_decode_deterministic():
     a = decode(0x2001, None, 0x08000000)
     b = decode(0x2001, None, 0x08000000)

@@ -32,3 +32,28 @@ def test_readme_module_and_class_names_resolve():
             missing.append(checked[-1])
     assert missing == []
     assert len(checked) >= 10, checked
+
+
+# README's names for the base-cycle entries -> the `timing` keys they set
+BASE_CYCLE_LABELS = {
+    "data processing": ["dp"], "MULS": ["muls"],
+    "loads/stores": ["load", "store"], "LDM/STM/PUSH/POP": ["block_base"],
+    "taken branch": ["branch_taken"], "not-taken": ["branch_not_taken"],
+    "BL": ["bl"], "BX/BLX": ["bx", "blx"], "MOV/ADD into pc": ["pc_branch"],
+    "BKPT": ["bkpt"]}
+
+
+def test_readme_base_cycles_are_decode_default_timing():
+    """README's sentence "Base cycles before memory stalls: ..." lists
+    every entry of `decode.DEFAULT_TIMING` with its value (a register list's
+    "1+N" is block_base 1), and nothing else."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Base cycles before memory stalls: (.*?)\. ",
+                         text).group(1)
+    documented = {}
+    for item in re.sub(r" \([^)]*\)", "", sentence).split(", "):
+        label, cycles = item.rsplit(" ", 1)
+        for key in BASE_CYCLE_LABELS[label]:
+            documented[key] = int(cycles.replace("+N", ""))
+    decode = importlib.import_module("m0energy.decode")
+    assert documented == decode.DEFAULT_TIMING

@@ -742,3 +742,127 @@ def test_ram_code_runs_patched_and_runs_again(ws, prefetch, _key):
     sim.run()
     assert sim.state.regs[5] == 6 and sim.state.regs[0] == 10
     assert sim.counters.histogram["BX"] == 2
+
+
+# -- the taken-edge rule: a taken branch flushes the fetch unit ---------------
+
+LOOPS = 100  # past COMPILE_AFTER, so a default run compiles the loop
+
+
+def held_word_loop():
+    """MOVS r0, #LOOPS; B loop; loop: SUBS r0, #1; BNE loop; BKPT.  The loop
+    fills the Flash word at 0x0800000C, so BNE's target lies inside the word
+    held at the branch, and every pass is entered by a taken branch."""
+    a = Assembler()
+    a.movs(0, LOOPS)
+    a.b("loop")
+    a.label("loop")
+    a.subs_imm8(0, 1)
+    a.bne("loop")
+    a.bkpt()
+    return a.image()
+
+
+def round_trip_image():
+    """Flash -> RAM -> Flash: store BX lr at 0x20000100, BLX to it, and
+    return to the BKPT in the Flash word held at the BLX."""
+    a = Assembler()
+    a.ldr_lit(1, "dest")
+    a.ldr_lit(2, "bx_lr")
+    a.strh_imm(2, 1)
+    a.adds_imm8(1, 1)          # the Thumb bit
+    a.blx(1)                   # at 0x08000010
+    a.bkpt()                   # at 0x08000012, returned to by BX lr
+    a.word(0x20000100, label="dest")
+    a.word(0x4770, label="bx_lr")
+    return a.image()
+
+
+def steps_of_step_calls(sim):
+    steps = []
+    while not sim.state.halted:
+        steps.append(sim.step())
+    return steps
+
+
+def steps_of_on_step(sim):
+    steps = []
+    sim.run(on_step=steps.append)
+    return steps
+
+
+def default_run(sim):
+    sim.run()
+
+
+def compiled_run(sim):
+    with compile_at_first_run():
+        sim.run()
+
+
+ENGINE_PATHS = {"step": steps_of_step_calls, "on_step": steps_of_on_step,
+                "run": default_run, "compiled": compiled_run}
+
+# Cycles and fetch stalls by hand.  The loop: MOVS and B 4 cycles, then
+# per pass SUBS 1 and BNE 3 (1 on the last), then BKPT 1; at one wait
+# state, the first fetch, each pass's entry and, without prefetch, BKPT's
+# word stall 1.  The round trip: LDR literal 2 (plus 1 at WS1) twice, STRH
+# 2, ADDS 1, BLX 3, BX 3, BKPT 1; at WS1 the first fetch and the return
+# stall, and without prefetch the words at 0x0C and 0x10.
+TAKEN_EDGE_CASES = {
+    "loop": (held_word_loop, 0x0800000C, {
+        (0, False): (4 * LOOPS + 3, 0),
+        (1, False): (5 * LOOPS + 5, LOOPS + 2),
+        (1, True): (5 * LOOPS + 4, LOOPS + 1)}),
+    "round-trip": (round_trip_image, 0x08000012, {
+        (0, False): (14, 0), (1, False): (20, 4), (1, True): (18, 2)}),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
+@pytest.mark.parametrize("ws,prefetch", TIMING_CLASSES)
+@pytest.mark.parametrize("case", sorted(TAKEN_EDGE_CASES))
+def test_taken_branch_into_the_held_word_pays_the_wait_state(case, ws,
+                                                             prefetch, path):
+    """On every engine path, each fetch at a taken branch's target pays the
+    full wait state although the target lies in the word held at the
+    branch, and the totals are the hand-counted ones."""
+    image, target, expected = TAKEN_EDGE_CASES[case]
+    sim = Simulator(image(), wait_states=ws, prefetch=prefetch)
+    steps = ENGINE_PATHS[path](sim)
+    assert sim.state.halted
+    assert (sim.state.cycle_count, sim.counters.fetch_stall_cycles) == (
+        expected[ws, prefetch])
+    if steps is not None:
+        entries = [step.fetch_stall for step in steps
+                   if step.instruction.addr == target]
+        assert entries == [ws] * (LOOPS if case == "loop" else 1)
+    else:
+        assert (sim._blocks[target].code is not None) == (
+            case == "loop" or path == "compiled")
+    ref = ReferenceStepper(image(), wait_states=ws, prefetch=prefetch)
+    assert ref.run() == "halt"
+    assert machine_state(sim) == machine_state(ref)
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_on_step_raising_after_a_taken_step_keeps_the_flush(prefetch):
+    """A callback that raises right after the first taken BNE leaves the
+    fetch unit flushed: the next step, at the BNE's target inside the word
+    held at the branch, pays the full wait state, and the resumed run ends
+    with the cycles and stalls of an uninterrupted one."""
+    class Stop(Exception):
+        pass
+
+    def stop(step):
+        if step.instruction.mnemonic == "BNE" and step.branch_taken:
+            raise Stop
+
+    sim = Simulator(held_word_loop(), wait_states=1, prefetch=prefetch)
+    with pytest.raises(Stop):
+        sim.run(on_step=stop)
+    assert sim.state.pc == 0x0800000C
+    assert sim.step().fetch_stall == 1
+    assert sim.run().exit_reason == "halt"
+    assert (sim.state.cycle_count, sim.counters.fetch_stall_cycles) == (
+        TAKEN_EDGE_CASES["loop"][2][1, prefetch])

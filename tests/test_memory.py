@@ -234,7 +234,7 @@ def test_block_fetch_source_is_stall_for_of_the_next_word(prefetch):
         now = rng.randrange(4)
         word = 4 * rng.randrange(8)
         for u in (unit, copy):
-            u.stall_for(word, now, False)
+            u.stall_for(word, now)
         load, store = copy.block_state_source()
         local = {"F": copy}
         exec("\n".join(load), {}, local)
@@ -242,7 +242,7 @@ def test_block_fetch_source_is_stall_for_of_the_next_word(prefetch):
             now += rng.randint(1, 4)       # the instructions in between
             word += 4
             early = rng.randrange(2)       # an earlier fetch of the instruction
-            expected = early + unit.stall_for(word, now + early, True)
+            expected = early + unit.stall_for(word, now + early)
             if folded:
                 local.update(t=now + early, fetch_stall_cycles=0)
             else:
