@@ -96,7 +96,6 @@ def extract_cfg(mem, entry):
         raise AnalysisError(entry, "entry outside executable memory")
 
     decoded = {}  # address -> instruction
-    ends = {}  # address -> the address after its instruction
     flows = {}  # terminator address -> its control_flow edges
     leaders = {entry}
     work = [entry]
@@ -104,11 +103,9 @@ def extract_cfg(mem, entry):
         addr = work.pop()
         while addr not in decoded:  # one straight-line run
             try:
-                ins = dec.decode_at(mem, addr)
+                decoded[addr] = ins = dec.decode_at(mem, addr)
             except M0EnergyError as exc:
                 raise AnalysisError(addr, "undecodable code (%s)" % exc) from None
-            decoded[addr] = ins
-            ends[addr] = after = addr + (ins.width >> 3)
             if ins.op in dec.BLOCK_END_OPS:
                 edges = dec.control_flow(ins)
                 if edges is not None:
@@ -118,7 +115,7 @@ def extract_cfg(mem, entry):
                             leaders.add(target)
                             work.append(target)
                     break
-            addr = after
+            addr += ins.width >> 3
 
     blocks, run = {}, []  # run: the open block's instructions
     end = None  # the address after the last instruction seen
@@ -130,7 +127,7 @@ def extract_cfg(mem, entry):
                          [(addr, EDGE_FALLTHROUGH)] if addr == end else [])
             run = []
         run.append(decoded[addr])
-        end = ends[addr]
+        end = addr + (run[-1].width >> 3)
         if addr in flows:
             _close_block(blocks, run, end, mem, flows[addr])
             run = []

@@ -14,10 +14,11 @@ both, and `comparison` ranks only the configurations the file covers.
 
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
-`analyze` fills each block record's JSON text into templates built once
-per report, renders a block's counts and energies once per distinct count
-vector and writes each record as it is filled; the text format renders
-the same records from dicts.
+`analyze` runs with the cyclic garbage collector paused (its CFG holds no
+cycles), then restores it.  It fills each block record's JSON text into
+templates built once per report, renders a block's counts and energies
+once per distinct count vector and writes each record as it is filled;
+the text format renders the same records from dicts.
 Addresses and sizes in flags must lie in 0..0xFFFFFFFF.
 Each subcommand imports the modules it runs where it runs them: `cpu` to
 simulate, `cfg` in `analyze`, `energy` in `run`, `analyze` and for
@@ -28,6 +29,7 @@ report that cannot be written, 2 usage.
 
 import argparse
 import functools
+import gc
 import itertools
 import math
 import os
@@ -324,13 +326,15 @@ def _block_writer(models, labels):
     built here for distinct `labels` (config labels, with no "%").  The
     counts and energy_nj text depend only on `cfg._counts(block)`, so each
     distinct key is rendered once, as each edge kind is."""
-    from .cfg import _counts, block_energies
+    from .cfg import StaticCounts, _counts, block_energies
     hole, address = _Raw("%s"), _Raw('"0x%08x"')
     record = to_json({"start": address, "end": address,
                       "instructions": hole, "counts": hole,
                       "successors": hole, "energy_nj": hole}, 2)
-    point = to_json(dict.fromkeys(labels, hole), 3)
-    interval = to_json(dict.fromkeys(labels, {"lo": hole, "hi": hole}), 3)
+    counts = to_json(dict.fromkeys(_counts_dict(StaticCounts()), hole), 3)
+    fixed = _Raw("%.6f")  # what _json_float writes for a finite float
+    point = to_json(dict.fromkeys(labels, fixed), 3)
+    interval = to_json(dict.fromkeys(labels, {"lo": fixed, "hi": fixed}), 3)
     edge = to_json({"target": hole, "kind": hole}, 4)
     kind_text = functools.cache(_json_str)  # of each edge kind
     head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
@@ -341,12 +345,15 @@ def _block_writer(models, labels):
         rendered = memo.get(key)
         if rendered is None:
             values = block_energies(block, models)
-            energy = (point % tuple(map(_json_float, values))
-                      if block.static_counts.exact else interval % tuple(
-                          _json_float(x) for v in values
-                          for x in (v.lo, v.hi)))
-            rendered = memo[key] = (
-                to_json(_counts_dict(block.static_counts), 3), energy)
+            energy = point if block.static_counts.exact else interval
+            if energy is interval:
+                values = [x for v in values for x in (v.lo, v.hi)]
+            if not math.isfinite(sum(values)):  # some are inf or nan
+                energy = energy.replace("%.6f", "%s")
+                values = map(_json_float, values)
+            rendered = memo[key] = (counts % tuple(map(
+                to_json, _counts_dict(block.static_counts).values())),
+                energy % tuple(values))
         edges = [edge % ("null" if t is None else '"0x%08x"' % t,
                          kind_text(kind)) for t, kind in block.successors]
         texts = [i.text for i in block.instructions]  # one escape search
@@ -360,9 +367,19 @@ def _block_writer(models, labels):
 
 
 def cmd_analyze(args, parser):
+    data = _read_image(args.image, parser)
+    enabled = gc.isenabled()
+    gc.disable()  # the CFG's many objects hold no cycles
+    try:
+        return _analyze(args, data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _analyze(args, data):
     from .cfg import extract_cfg
     from .energy import builtin_models
-    data = _read_image(args.image, parser)
     try:
         mem = MemorySystem(data, flash_size=args.flash_size,
                            ram_size=args.ram_size)

@@ -66,6 +66,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from importlib import import_module
+from types import MappingProxyType
 
 from .counters import EventCounters
 from .errors import InvalidConfigError, InvalidStateFault, M0EnergyError
@@ -471,14 +472,15 @@ class Simulator:
         self.mem = MemorySystem(image, flash_size=flash_size,
                                 ram_size=ram_size, wait_states=wait_states,
                                 prefetch=prefetch)
-        self.timing = dict(dec.DEFAULT_TIMING)
+        table = dict(dec.DEFAULT_TIMING)
         for key, cycles in (timing or {}).items():  # step() needs >= 1 each
-            if key not in self.timing:
+            if key not in table:
                 raise InvalidConfigError("unknown timing entry %r" % (key,))
             if type(cycles) is not int or cycles < 1:
                 raise InvalidConfigError("timing entry %r must be an int >= 1,"
                                          " got %r" % (key, cycles))
-            self.timing[key] = cycles
+            table[key] = cycles
+        self.timing = MappingProxyType(table)  # blocks keep what they read
         self.counters = EventCounters()
         self.state = CpuState()
         self._blocks = {}        # Flash/alias pc -> _Block

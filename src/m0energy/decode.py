@@ -7,9 +7,9 @@ every other 32-bit encoding raise UndefinedInstructionError.
 Each decoded instruction carries an internal `op` id used for execution
 dispatch, a display mnemonic, an operand dict, and a pre-rendered text form.
 Branch targets and literal-pool addresses are resolved at decode time (they
-only depend on the instruction address).  Every other encoding decodes the
-same at any address, so `decode` keeps its result per halfword and hands
-each caller a new Instruction with its own `fields` dict.
+only depend on the instruction address).  `decode` keeps each 16-bit
+encoding's result, a pc-relative one's with its offset, and hands each
+caller a new Instruction for its address with its own `fields` dict.
 
 `control_flow` is the one rule for which instructions end a basic block
 and where control goes next; the simulator and the static CFG both use it.
@@ -173,7 +173,7 @@ def decode_at(mem, addr):
     i = (addr - FLASH_BASE) >> 1
     if halves is not None and 0 <= i < len(halves) - 1 and not addr & 1:
         hw1 = halves[i]
-        return decode(hw1, halves[i + 1] if is_wide(hw1) else None, addr)
+        return decode(hw1, halves[i + 1] if hw1 >= 0xE800 else None, addr)
     hw1 = mem.read_code(addr)
     return decode(hw1, mem.read_code(addr + 2) if is_wide(hw1) else None, addr)
 
@@ -203,9 +203,9 @@ def _ins(addr, op, mnemonic, raw, fields, text, width=16):
     return ins
 
 
-# Ops whose decode depends on the instruction's address.
-_ADDRESSED_OPS = frozenset(["B", "BCOND", "BL", "LDR_LIT", "ADR"])
-_MEMO = {}  # halfword -> (op, mnemonic, fields, text) of any other op
+# halfword -> (op, mnemonic, fields, text, offset) of each narrow encoding;
+# a B or BCOND's text has a hole for its target, and offset = target - addr.
+_MEMO = {}
 
 
 def decode(hw1, hw2=None, addr=0):
@@ -218,13 +218,22 @@ def decode(hw1, hw2=None, addr=0):
         raise UndefinedInstructionError(addr, hw1, "misaligned decode")
     hw = hw1 & 0xFFFF
     known = _MEMO.get(hw)
-    if known is not None:
-        op, mnemonic, fields, text = known
-        return _ins(addr, op, mnemonic, hw, fields.copy(), text)
-    ins = _decode(hw, hw2, addr)
-    if ins.op not in _ADDRESSED_OPS:
-        _MEMO[hw] = (ins.op, ins.mnemonic, ins.fields.copy(), ins.text)
-    return ins
+    if known is None:
+        ins = _decode(hw, hw2, addr)
+        if ins.width == 16:
+            target = ins.fields.get("target")
+            _MEMO[hw] = (ins.op, ins.mnemonic, ins.fields.copy()) + (
+                (ins.text, None) if target is None
+                else (ins.mnemonic + " 0x%08x", target - addr))
+        return ins
+    op, mnemonic, fields, text, offset = known
+    fields = fields.copy()
+    if "lit_addr" in fields:  # LDR_LIT, ADR
+        fields["lit_addr"] = ((addr + 4) & ~3) + fields["imm"]
+    elif offset is not None:  # any offset equal mod 2**32 masks the same
+        fields["target"] = target = (addr + offset) & 0xFFFFFFFF
+        text %= target
+    return _ins(addr, op, mnemonic, hw, fields, text)
 
 
 def _decode(hw, hw2, addr):

@@ -1,5 +1,6 @@
 """End-to-end CLI tests (in-process main with captured stdout)."""
 
+import gc
 import hashlib
 import json
 import math
@@ -24,6 +25,7 @@ from m0energy import (Assembler, EnergyModel, HardwareConfig, builtin_model,
                       builtin_models, estimate, load_models, save_dataset,
                       save_models)
 from m0energy import MemorySystem, cli
+from m0energy.asm import COND_CODES
 from m0energy.cfg import BasicBlock, StaticCounts, extract_cfg
 from m0energy.cli import main
 
@@ -765,6 +767,50 @@ def test_analyze_write_failure_part_way_is_an_error(tmp_path, capsys,
         "device\n")
 
 
+class CollectorProbe(FullDevice):
+    """A stdout that records, at each write, whether the cyclic garbage
+    collector is enabled, and fails after `room` writes."""
+
+    def __init__(self, room):
+        super().__init__(room)
+        self.collecting = []
+
+    def write(self, text):
+        self.collecting.append(gc.isenabled())
+        return super().write(text)
+
+
+@pytest.mark.parametrize("was_enabled", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome,code", [
+    ("success", 0), ("analysis-error", 1), ("write-failure", 1)])
+def test_analyze_pauses_the_collector_and_restores_it(
+        tmp_path, capsys, monkeypatch, outcome, code, was_enabled):
+    """The collector is off from the CFG walk to the last record written,
+    and `analyze` leaves it as it found it, however it ends."""
+    path = tmp_path / "prog.bin"
+    path.write_bytes(BL_AT_FLASH_END if outcome == "analysis-error"
+                     else branch_chain(20))
+    stdout = CollectorProbe(5 if outcome == "write-failure" else 10 ** 6)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    walks = []
+    extract = m0energy.cfg.extract_cfg
+    monkeypatch.setattr(m0energy.cfg, "extract_cfg", lambda mem, entry: (
+        walks.append(gc.isenabled()) or extract(mem, entry)))
+    flags = ["--flash-size", "12"] if outcome == "analysis-error" else []
+    enabled = gc.isenabled()
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        assert main(["analyze", str(path)] + flags) == code
+        assert gc.isenabled() is was_enabled
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert walks == [False]
+    assert stdout.collecting == [False] * {"success": 22, "analysis-error": 0,
+                                           "write-failure": 6}[outcome]
+    assert ("error" in capsys.readouterr().err) is (code == 1)
+
+
 def test_run_negative_max_cycles_is_usage_error(tmp_path, capsys):
     image = write_kernel(tmp_path, "loop5")
     with pytest.raises(SystemExit) as err:
@@ -893,6 +939,38 @@ def golden_image(seed):
     return a.image()
 
 
+def pc_relative_image():
+    """Dense in the decodes whose fields depend on their address: each of 28
+    units loads its literal word twice, with a B to the next instruction
+    between, and takes the word's address twice, then branches over an add
+    under one of the 14 conditions and over the word.  Odd units start a
+    halfword off a word boundary, so each pc-relative encoding recurs at
+    other addresses, and each of B, B<cond>, literal LDR and ADR has
+    encodings that recur at both alignments.  It runs once through,
+    summing the words and addresses into r0."""
+    a = Assembler()
+    conds = sorted(COND_CODES, key=COND_CODES.get)
+    a.movs(0, 0)
+    for i in range(28):
+        if i % 2:
+            a.nop()
+        a.ldr_lit(1, "w%d" % i)
+        a.b("m%d" % i)
+        a.label("m%d" % i)
+        a.ldr_lit(1, "w%d" % i)
+        a.adr(2, "w%d" % i)
+        a.adr(2, "w%d" % i)
+        a.adds_reg(0, 0, 1)
+        a.b("s%d" % i, cond=conds[i // 2 % 14])
+        a.adds_reg(0, 0, 2)
+        a.label("s%d" % i)
+        a.b("t%d" % i)
+        a.word(0x9E3779B9 * (i + 1), label="w%d" % i)
+        a.label("t%d" % i)
+    a.bkpt()
+    return a.image()
+
+
 GOLDEN_SHA256 = {
     ("analyze", 1): "8f2b3edee3a4ab43bffed397d99bf00a5b525aa061154c64dc37ffa58b964dca",
     ("analyze", 2): "df5ecc45f554cc1b21c79c21bf4b1416552a32912d779b6e7e4ec9f24912e9bf",
@@ -964,6 +1042,12 @@ GOLDEN_SHA256 = {
         "15cd3cab480b9facd75e2677b436560d35f44a543b4e851127728833ebe8ecd7",
     ("analyze-text", "straight6"):
         "acca87ef214a2a60ab6f8d19ae1016c3b8a8afda7d44a82a6a8055a07b88d460",
+    ("analyze", "pc_relative"):
+        "64bed4f13b6f580d1368fe45fddf1f196509e46578c75691fd15a783c55c9465",
+    ("analyze-text", "pc_relative"):
+        "5b00dc5a16cf52a65f5a4cffec611521370fc9b1d163771fe27593102a1b14fd",
+    ("run", "pc_relative"):
+        "634db4c5fc6e14fc9e5ea2a83a52155ab6864e38e1bf5855e7e26ce2697eeb05",
 }
 
 
@@ -972,7 +1056,8 @@ def golden_argv(command, seed, tmp_path):
         save_dataset(tmp_path / "data.csv", synth_dataset(seed=seed, n=120))
         return ["fit", "data.csv", "--kfold", "5", "--seed", str(seed)]
     (tmp_path / "prog.bin").write_bytes(
-        kernel_image(seed) if isinstance(seed, str) else golden_image(seed))
+        pc_relative_image() if seed == "pc_relative" else kernel_image(seed)
+        if isinstance(seed, str) else golden_image(seed))
     return {"analyze": ["analyze", "prog.bin"],
             "analyze-text": ["analyze", "prog.bin", "--format", "text"],
             "run": ["run", "prog.bin", "--freq", "24", "--prefetch", "on",
@@ -981,11 +1066,13 @@ def golden_argv(command, seed, tmp_path):
 
 
 # every report on golden seeds 1 and 2; `analyze` on more seeds and on
-# every helper kernel (named in place of a seed)
+# every helper kernel (named in place of a seed); `analyze` and `run` on
+# `pc_relative_image`
 GOLDEN_CASES = [(command, seed) for seed in (1, 2) for command in
                 ("analyze", "analyze-text", "run", "sweep", "fit")] + [
     (command, seed) for seed in (3, 4, 5, 6, *sorted(KERNELS))
-    for command in ("analyze", "analyze-text")]
+    for command in ("analyze", "analyze-text")] + [
+    (command, "pc_relative") for command in ("analyze", "analyze-text", "run")]
 
 
 @pytest.mark.parametrize("command,seed", GOLDEN_CASES,

@@ -17,7 +17,8 @@ from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
                      run_kernel)
 from m0energy import (Assembler, BadEntryError, InvalidConfigError,
                       MalformedImageError, M0EnergyError, Simulator)
-from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
+from m0energy.decode import (DEFAULT_TIMING, LOAD_OPS, STORE_OPS, decode,
+                             is_wide)
 
 MASK32 = 0xFFFFFFFF
 
@@ -177,6 +178,21 @@ def test_timing_override_with_an_unknown_key_is_rejected():
     # a misspelt key used to be ignored: MULS and BKPT then ran in 2 cycles
     with pytest.raises(InvalidConfigError, match="unknown timing entry 'mul'"):
         single_op_sim(lambda a: a.muls(0, 1), timing={"mul": 32})
+
+
+def test_timing_table_is_read_only_after_construction():
+    # translated blocks keep the cycles they were built with, so a write
+    # after a run would be silently ignored; it raises instead
+    sim = single_op_sim(lambda a: a.muls(0, 1), timing={"muls": 32})
+    assert sim.run().cycle_count == 33
+    with pytest.raises(TypeError):
+        sim.timing["muls"] = 1
+    with pytest.raises(TypeError):
+        del sim.timing["muls"]
+    assert not hasattr(sim.timing, "update")
+    assert dict(sim.timing) == {**DEFAULT_TIMING, "muls": 32}
+    sim.reset()
+    assert sim.run().cycle_count == 33
 
 
 @pytest.mark.parametrize("cycles", [2.5, "3", True, None])

@@ -315,6 +315,41 @@ def test_memo_matches_memo_free_decoder(monkeypatch):
     assert len(decode_module._MEMO) > 30000
 
 
+# Every pc-relative narrow encoding: B, B<cond>, literal LDR and ADR.
+PC_RELATIVE = {"B": range(0xE000, 0xE800), "BCOND": range(0xD000, 0xDE00),
+               "LDR_LIT": range(0x4800, 0x5000), "ADR": range(0xA000, 0xA800)}
+# word-aligned, halfword-aligned, and where targets wrap and literal
+# addresses pass 32 bits
+PC_RELATIVE_ADDRS = (0x08000100, 0x08000102, 0xFFFFFFFC, 0xFFFFFFFE)
+
+
+@pytest.mark.parametrize("first", PC_RELATIVE_ADDRS,
+                         ids=["0x%08x" % a for a in PC_RELATIVE_ADDRS])
+def test_pc_relative_memo_matches_memo_free_decoder(monkeypatch, first):
+    """From a cold memo, each pc-relative encoding misses at `first`, then
+    hits at every address (`first` again included); each result equals the
+    memo-free decoder's in value, text and repr, with a fields dict of its
+    own."""
+    monkeypatch.setattr(decode_module, "_MEMO", {})
+    last_fields, wrapped, past_32_bits = {}, set(), set()
+    for addr in (first,) + PC_RELATIVE_ADDRS:
+        for op, halfwords in PC_RELATIVE.items():
+            for hw in halfwords:
+                got = decode(hw, None, addr)
+                want = decode_module._decode(hw, None, addr)
+                assert got.op == op and got == want, hex(hw)
+                assert got.text == want.text and repr(got) == repr(want)
+                assert got.fields is not last_fields.get(hw)
+                last_fields[hw] = got.fields
+                got.fields["clobbered"] = True  # must not reach the memo
+                if got.fields.get("target", addr) < addr - 0x1000:
+                    wrapped.add(op)  # a forward branch past 0xFFFFFFFF
+                if got.fields.get("lit_addr", 0) > 0xFFFFFFFF:
+                    past_32_bits.add(op)
+    assert len(decode_module._MEMO) == sum(map(len, PC_RELATIVE.values()))
+    assert wrapped >= {"B", "BCOND"} and past_32_bits == {"LDR_LIT", "ADR"}
+
+
 def test_memo_hit_is_frozen_and_checks_alignment():
     first = decode(0xB510, None, 0x08000000)   # PUSH {r4, lr}
     hit = decode(0xB510, None, 0x08000010)
