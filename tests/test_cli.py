@@ -214,6 +214,70 @@ def test_sweep_model_file_ranks_only_the_configs_it_covers(tmp_path, capsys):
          "time_us": wall["[20, OFF, 0]"]}]
 
 
+def write_repeated_record_file(tmp_path):
+    """Records for [20, OFF, 0] at 1x and 2x `beta` around one for
+    [48, ON, 1] at 1.5x: on `pushpop_loop` (63 nJ under `beta`) the first
+    record ranks [20, OFF, 0] ahead of [48, ON, 1], the last one behind."""
+    beta = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    return write_model_file(tmp_path, [
+        EnergyModel(HardwareConfig(20, False, 0), beta),
+        EnergyModel(HardwareConfig(48, True, 1), tuple(1.5 * b for b in beta)),
+        EnergyModel(HardwareConfig(20, False, 0), tuple(2 * b for b in beta))])
+
+
+REPEATED_ENERGIES = [
+    {"provenance": "fitted", "config": "[20, OFF, 0]", "energy_nj": 63.0},
+    {"provenance": "fitted", "config": "[20, OFF, 0]", "energy_nj": 126.0}]
+
+
+def test_run_model_file_lists_every_record_in_file_order(tmp_path, capsys):
+    image = write_kernel(tmp_path, "pushpop_loop")
+    code, out, _ = run_cli(["run", image, "--model-file",
+                            write_repeated_record_file(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["energy_nj"] == REPEATED_ENERGIES
+
+
+def test_sweep_model_file_ranks_a_config_by_its_last_record(tmp_path, capsys):
+    image = write_kernel(tmp_path, "pushpop_loop")
+    code, out, _ = run_cli(["run", image, "--sweep", "--model-file",
+                            write_repeated_record_file(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    energies = {run["config"]["label"]: run["energy_nj"]
+                for run in report["runs"]}
+    wall = {run["config"]["label"]: run["wall_time_us"]
+            for run in report["runs"]}
+    assert len(energies) == 10
+    assert energies.pop("[20, OFF, 0]") == REPEATED_ENERGIES
+    assert energies.pop("[48, ON, 1]") == [
+        {"provenance": "fitted", "config": "[48, ON, 1]", "energy_nj": 94.5}]
+    assert list(energies.values()) == [[]] * 8
+    assert report["comparison"] == [
+        {"config": "[48, ON, 1]", "energy_nj": 94.5,
+         "time_us": wall["[48, ON, 1]"]},
+        {"config": "[20, OFF, 0]", "energy_nj": 126.0,
+         "time_us": wall["[20, OFF, 0]"]}]
+
+
+def test_header_only_model_file(tmp_path, capsys):
+    """A file with no records ranks nothing in a sweep, and has no record
+    for the configuration of a single run."""
+    image = write_kernel(tmp_path, "pushpop_loop")
+    models = write_model_file(tmp_path, [])
+    code, out, _ = run_cli(["run", image, "--sweep", "--model-file", models],
+                           capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert [run["energy_nj"] for run in report["runs"]] == [[]] * 10
+    assert report["comparison"] == []
+    with pytest.raises(SystemExit) as err:
+        main(["run", image, "--model-file", models])
+    assert err.value.code == 2
+    assert ("model file has no record for [20, OFF, 0]"
+            in capsys.readouterr().err)
+
+
 def test_sweep_builds_one_simulator_per_timing_class(tmp_path, capsys,
                                                      monkeypatch):
     built = []
