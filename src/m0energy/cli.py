@@ -5,12 +5,15 @@ Subcommands:
     analyze  static basic-block report with per-model energy
     fit      fit a model from a counters/energy CSV, with k-fold CV
 
-`run --sweep` reports all ten built-in configurations but simulates once
-per timing class (`memory.timing_class`): WS0, WS1 with prefetch off and
-WS1 with prefetch on.  Configurations in a class run identically, so each
-gets its class's run; its frequency sets only the wall time, and its model
-the energy and the ranking.  With `--model-file` the file's models set
-both, and `comparison` ranks only the configurations the file covers.
+`run` takes one path for the configuration its flags set and for the ten
+built-in ones of `--sweep`.  It maps each configuration to the models that
+price it (its built-in model, or the `--model-file` records for it in file
+order) and simulates once per timing class (`memory.timing_class`): WS0,
+WS1 with prefetch off and WS1 with prefetch on.  Configurations in a class
+run identically, so each report is built from its class's run, the
+frequency setting only the wall time; a sweep entry is thus the single
+run.  `--sweep` adds only `comparison`, which ranks the configurations
+that have a model, each by its last one.
 
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
@@ -198,17 +201,8 @@ def _simulate(data, config, args, trace_fh=None):
     return sim, summary
 
 
-def _energy_entries(config, counters, model_file_models):
-    from .energy import builtin_model, estimate
-    if model_file_models is None:
-        models = [builtin_model(config)]
-    else:
-        models = [m for m in model_file_models if m.config == config]
-    return [{"provenance": m.provenance, "config": m.config.label(),
-             "energy_nj": estimate(counters, m)} for m in models]
-
-
-def _run_report(path, data, config, sim, summary, model_file_models):
+def _run_report(path, data, config, sim, summary, models):
+    from .energy import estimate
     counters = summary.counters
     return {
         "image": _image_info(path, data),
@@ -219,7 +213,8 @@ def _run_report(path, data, config, sim, summary, model_file_models):
         "result_r0": sim.state.regs[0],
         "output": sim.mem.debug_output.decode("latin-1"),
         "counters": _counters_dict(counters),
-        "energy_nj": _energy_entries(config, counters, model_file_models),
+        "energy_nj": [{"provenance": m.provenance, "config": m.config.label(),
+                       "energy_nj": estimate(counters, m)} for m in models],
     }
 
 
@@ -235,61 +230,59 @@ def cmd_run(args, parser):
 
 
 def _run(args, parser, data):
-    from .energy import builtin_configs, compare_configs, load_models
-    model_file_models = None
+    from .energy import (builtin_configs, builtin_model, compare_configs,
+                         load_models)
+    file_models = None
     if args.model_file:
         try:
-            model_file_models = load_models(args.model_file)
+            file_models = load_models(args.model_file)
         except (OSError, InvalidConfigError) as exc:
             parser.error(str(exc))
-
-    if args.sweep:
-        if args.trace:
-            parser.error("--trace cannot be combined with --sweep")
-        reports = []
-        results = {}  # the ranked configurations
-        ok = True
-        runs = {}  # timing class -> (sim, summary), shared by its configs
-        for config in builtin_configs():
-            key = timing_class(config.wait_states, config.prefetch)
-            if key not in runs:
-                runs[key] = _simulate(data, config, args)
-            sim, summary = runs[key]
-            reports.append(_run_report(args.image, data, config, sim, summary,
-                                       model_file_models))
-            if model_file_models is None or any(
-                    m.config == config for m in model_file_models):
-                results[config] = (summary.counters, summary.cycle_count)
-            ok = ok and summary.exit_reason == "halt"
-        comparison = [{"config": c.label(), "energy_nj": e, "time_us": t}
-                      for c, e, t in compare_configs(results,
-                                                     model_file_models)]
-        return _emit({"image": _image_info(args.image, data), "runs": reports,
-                      "comparison": comparison}, args.format, "run",
-                     0 if ok else 1)
-
-    config = _config_from_args(args, parser)
-    if model_file_models is not None and not any(
-            m.config == config for m in model_file_models):
-        parser.error("model file has no record for %s" % config.label())
+    configs = (builtin_configs() if args.sweep
+               else [_config_from_args(args, parser)])
+    if args.sweep and args.trace:
+        parser.error("--trace cannot be combined with --sweep")
+    # each configuration -> the models that price it: the built-in one, or
+    # the file's records for it in file order
+    table = {config: [builtin_model(config)] if file_models is None
+             else [m for m in file_models if m.config == config]
+             for config in configs}
+    if not args.sweep and not table[configs[0]]:
+        parser.error("model file has no record for %s" % configs[0].label())
     trace_fh = None
     if args.trace:
         try:
             trace_fh = open(args.trace, "w")
         except OSError as exc:
             parser.error("cannot write trace: %s" % exc)
+    runs = {}  # timing class -> (sim, summary), shared by its configurations
     try:
         try:
-            sim, summary = _simulate(data, config, args, trace_fh)
+            for config in configs:
+                key = timing_class(config.wait_states, config.prefetch)
+                if key not in runs:
+                    runs[key] = _simulate(data, config, args, trace_fh)
         finally:
             if trace_fh:
                 trace_fh.close()
     except OSError as exc:
         print("run error: cannot write trace: %s" % exc, file=sys.stderr)
         return 1
-    return _emit(_run_report(args.image, data, config, sim, summary,
-                             model_file_models), args.format, "run",
-                 0 if summary.exit_reason == "halt" else 1)
+    reports, results = [], {}  # results: the ranked configurations
+    for config, models in table.items():
+        sim, summary = runs[timing_class(config.wait_states, config.prefetch)]
+        reports.append(_run_report(args.image, data, config, sim, summary,
+                                   models))
+        if models:
+            results[config] = (summary.counters, summary.cycle_count)
+    code = 0 if all(s.exit_reason == "halt" for _, s in runs.values()) else 1
+    if not args.sweep:
+        return _emit(reports[0], args.format, "run", code)
+    comparison = [{"config": c.label(), "energy_nj": e, "time_us": t}
+                  for c, e, t in compare_configs(results, [
+                      models[-1] for models in table.values() if models])]
+    return _emit({"image": _image_info(args.image, data), "runs": reports,
+                  "comparison": comparison}, args.format, "run", code)
 
 
 # -- analyze ------------------------------------------------------------------

@@ -28,9 +28,10 @@ the held Flash word is dropped only when another write of it comes before
 any read of it, slow path or the block's end, and a flag is loaded only
 when it can be read before it is written; constant cycle and counter
 increments merge up to the next line that reads them; and an instruction
-with no slow path adds its fetch stalls to the cycles at once.  Compiled
-functions, named `block_<pc>` or `step_<form>`, are shared by source text
-while a simulator holds them, as the simulators of a sweep do.
+with no slow path adds its fetch stalls to the cycles at once.  A
+`step_<form>` function serves every simulator; a `block_<pc>` function is
+shared, while a simulator holds it, only by simulators that generate the
+same source text, which a WS0 and a WS1 simulator never do.
 
 A compiled block runs only when the cycle budget cannot cut it: `now` plus
 its worst case before the last instruction (taken-branch base cycles plus

@@ -136,10 +136,12 @@ def compare_configs(results, models=None):
     """Rank configurations by predicted energy.
 
     `results` maps HardwareConfig -> (counters, cycles) from one simulation
-    per timing class.  Returns rows (config, energy_nj, time_us) sorted by
-    energy, ties broken by time and then by built-in table order.
+    per timing class.  Each is priced by the published model, or with
+    `models` by the last of them for it (a config without one is an error,
+    even when `models` is empty).  Returns rows (config, energy_nj, time_us)
+    sorted by energy, ties broken by time and then by built-in table order.
     """
-    by_config = {m.config: m for m in models} if models else _BUILTIN
+    by_config = _BUILTIN if models is None else {m.config: m for m in models}
     order = {config: i for i, config in enumerate(_BUILTIN)}
     rows = []
     for config, (counters, cycles) in results.items():

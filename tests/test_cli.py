@@ -1115,6 +1115,12 @@ GOLDEN_SHA256 = {
 }
 
 
+# far above the golden programs' cycles (661 at most, in any timing class),
+# so a wrong branch fails a `run` or `sweep` row at once instead of running
+# to the default budget; a report does not contain the budget
+GOLDEN_MAX_CYCLES = ["--max-cycles", "100000"]
+
+
 def golden_argv(command, seed, tmp_path):
     if command == "fit":
         save_dataset(tmp_path / "data.csv", synth_dataset(seed=seed, n=120))
@@ -1125,8 +1131,8 @@ def golden_argv(command, seed, tmp_path):
     return {"analyze": ["analyze", "prog.bin"],
             "analyze-text": ["analyze", "prog.bin", "--format", "text"],
             "run": ["run", "prog.bin", "--freq", "24", "--prefetch", "on",
-                    "--waitstates", "1"],
-            "sweep": ["run", "prog.bin", "--sweep"]}[command]
+                    "--waitstates", "1"] + GOLDEN_MAX_CYCLES,
+            "sweep": ["run", "prog.bin", "--sweep"] + GOLDEN_MAX_CYCLES}[command]
 
 
 # every report on golden seeds 1 and 2; `analyze` on more seeds and on

@@ -1,16 +1,59 @@
 """The top-level README against the package: every `module.name` and
 `Class.attr` it quotes resolves, so deleting a name cannot leave the README
-naming it."""
+naming it, and every command line it shows parses and its quickstart runs."""
 
 import importlib
 import pathlib
 import pkgutil
 import re
+import shlex
+
+import pytest
 
 import m0energy
+from m0energy import cli, save_dataset
+
+from helpers import synth_dataset
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 DOTTED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`")
+SHELL_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.M | re.S)
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+
+
+def readme_commands():
+    """The argv of each `m0energy` line in README's shell blocks (its
+    comment dropped), as one list per block that has such lines."""
+    blocks = [[shlex.split(line, comments=True)[1:]
+               for line in block.splitlines() if line.startswith("m0energy ")]
+              for block in SHELL_BLOCK.findall(README.read_text("utf-8"))]
+    return [block for block in blocks if block]
+
+
+def test_readme_command_lines_parse():
+    commands = [argv for block in readme_commands() for argv in block]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README line does not parse: m0energy "
+                        + shlex.join(argv))
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    """README's first Python block builds loop.bin; then each line of the
+    first command block exits 0, in order (so `--model-file` reads the
+    model that `fit` wrote), on a dataset the test writes as data.csv."""
+    monkeypatch.chdir(tmp_path)
+    build = PYTHON_BLOCK.findall(README.read_text("utf-8"))[0]
+    exec(compile(build, str(README), "exec"), {})
+    save_dataset(tmp_path / "data.csv", synth_dataset(seed=0, n=40))
+    quickstart = readme_commands()[0]
+    assert {argv[0] for argv in quickstart} == {"run", "analyze", "fit"}
+    for argv in quickstart:
+        assert cli.main(argv) == 0, shlex.join(argv)
 
 
 def test_readme_module_and_class_names_resolve():

@@ -173,6 +173,18 @@ def test_compare_configs_orders_by_energy():
 
 def test_compare_configs_empty():
     assert compare_configs({}) == []
+    assert compare_configs({}, []) == []
+
+
+@pytest.mark.parametrize("models", [
+    [], [EnergyModel(HardwareConfig(24, False, 0), (1.0,) * 6, "fitted")]],
+    ids=["empty", "other-config"])
+def test_compare_configs_without_a_listed_model_raises(models):
+    """An explicit model list, even an empty one, is the only source of
+    models: a result with none in it is an error, not the published one."""
+    cfg = HardwareConfig(20, False, 0)
+    with pytest.raises(InvalidConfigError, match=r"no model for \[20, OFF, 0\]"):
+        compare_configs({cfg: ((100, 0, 0, 0, 0, 0), 100)}, models)
 
 
 def test_compare_configs_ties_break_by_time():
