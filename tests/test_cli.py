@@ -347,6 +347,15 @@ def test_run_cycle_budget_exits_one(tmp_path, capsys):
     assert json.loads(out)["exit_reason"] == "cycle-budget"
 
 
+def test_sweep_exits_one_unless_every_run_halts(tmp_path, capsys):
+    """loop5 halts in 20 cycles at 0 wait states and needs 25 or 30 at 1."""
+    image = write_kernel(tmp_path, "loop5")
+    code, out, _ = run_cli(["run", image, "--sweep", "--max-cycles", "20"],
+                           capsys)
+    reasons = {run["exit_reason"] for run in json.loads(out)["runs"]}
+    assert (code, reasons) == (1, {"halt", "cycle-budget"})
+
+
 def test_run_debug_output_and_result(tmp_path, capsys):
     a = Assembler()
     a.ldr_lit(0, "port")
