@@ -238,10 +238,12 @@ def _run(args, parser, data):
             file_models = load_models(args.model_file)
         except (OSError, InvalidConfigError) as exc:
             parser.error(str(exc))
+    if args.sweep:  # it sets the configurations; a trace would mix three runs
+        for flag in ("freq", "prefetch", "waitstates", "trace"):
+            if getattr(args, flag) is not None:
+                parser.error("--%s cannot be combined with --sweep" % flag)
     configs = (builtin_configs() if args.sweep
                else [_config_from_args(args, parser)])
-    if args.sweep and args.trace:
-        parser.error("--trace cannot be combined with --sweep")
     # each configuration -> the models that price it: the built-in one, or
     # the file's records for it in file order
     table = {config: [builtin_model(config)] if file_models is None
@@ -451,7 +453,8 @@ def _read_image(path, parser):
 def _config_from_args(args, parser):
     from .energy import HardwareConfig
     try:
-        return HardwareConfig(args.freq, args.prefetch == "on", args.waitstates)
+        return HardwareConfig(args.freq or 20, args.prefetch == "on",
+                              args.waitstates or 0)  # unset: the defaults
     except InvalidConfigError as exc:
         parser.error(str(exc))
 
@@ -469,11 +472,11 @@ def _hex_int(text):
 
 
 def _add_config_flags(sub):
-    sub.add_argument("--freq", type=int, choices=[20, 24, 48], default=20,
+    sub.add_argument("--freq", type=int, choices=[20, 24, 48],
                      help="core frequency in MHz (default 20)")
-    sub.add_argument("--prefetch", choices=["on", "off"], default="off",
+    sub.add_argument("--prefetch", choices=["on", "off"],
                      help="Flash prefetch buffer (default off)")
-    sub.add_argument("--waitstates", type=int, choices=[0, 1], default=0,
+    sub.add_argument("--waitstates", type=int, choices=[0, 1],
                      help="Flash wait states (default 0)")
 
 

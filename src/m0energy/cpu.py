@@ -20,30 +20,30 @@ back the compile.  Then it is generated into one function (after QEMU's
 TCG): registers and flags live in locals, a RAM access is a bounds and
 alignment compare and an index into a word or halfword view of RAM (a slice
 if `memory.RAM_VIEWS` is false: a big-endian host, or a C int that is not 4
-bytes), a Flash literal load is a constant, and the fetch unit's in-block
-rule is inlined from `FetchUnit`.  Any other access takes the slow path,
-`MemorySystem.read`/`write`, the one place a fault is raised and so the one
-place pc is stored.  A fault stores the locals, so a write of a flag or of
-the held Flash word is dropped only when another write of it comes before
-any read of it, slow path or the block's end, and a flag is loaded only
-when it can be read before it is written; constant cycle and counter
-increments merge up to the next line that reads them; and an instruction
-with no slow path adds its fetch stalls to the cycles at once.  A
+bytes), a Flash literal load is a constant, and so is each later fetch
+stall, as wait states are 0 or 1 (the `memory` docstring).  Any other
+access takes the slow path, `MemorySystem.read`/`write`, the one place a
+fault is raised and so the one place pc is stored.  A fault stores the
+locals, so a write of a flag is dropped only when another write of it
+comes before any read of it, slow path or the block's end, and a flag is
+loaded only when it can be read before it is written; constant cycle and
+counter increments merge up to the next line that reads them.  A
 `step_<form>` function serves every simulator; a `block_<pc>` function is
 shared, while a simulator holds it, only by simulators that generate the
 same source text, which a WS0 and a WS1 simulator never do.
 
-A compiled block runs only when the cycle budget cannot cut it: `now` plus
-its worst case before the last instruction (taken-branch base cycles plus
-the wait states of every Flash word a fetch or data read could touch) is
-below the budget; otherwise it runs one instruction at a time, the budget
-checked before each.  A step or compiled block that returns taken flushes
-the fetch unit at once (`FetchUnit.flush`), before `on_step` sees it, so a
-block's entry calls `stall_for` only when its first word is not the one
-held.  `step()`, a run to one cycle past now (no timing entry is below a
-cycle), `on_step` and RAM code never use or make compiled code; each RAM
-instruction is fetched and decoded afresh, as RAM code may modify itself.
-A step's `data_events` are the c4, c5 and c6 that `_read` and `_write`
+Block entry runs `FetchUnit.stall_for` on the first instruction's words
+(two for a straddling BL), the stall `st` a compiled block starts with.
+That block runs only when the cycle budget cannot cut it: `now` plus `st`
+and its worst case before the last instruction is below the budget;
+otherwise it runs one instruction at a time, the budget checked before
+each, and `stall_for` runs on every new word.  A step or block that returns
+taken flushes the fetch unit (`FetchUnit.flush`) before `on_step` sees it,
+a compiled block that falls through leaves it holding its last word
+(`FetchUnit.hold`), and a fault flushes it.  `step()`, a run to one cycle
+past now (no timing entry is below a cycle), `on_step` and RAM code never
+use or make compiled code; each RAM instruction is fetched and decoded
+afresh, as RAM code may modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read` and `_write`
 counted.  c1, c2 and the histogram are counted per block run and folded
 into the counters when `run` or `step` returns.
 
@@ -334,7 +334,7 @@ _READ = re.compile(r"(\s*)(\w+) = READ\((.+), (\d)\)$")
 _WRITE = re.compile(r"(\s*)WRITE\((.+), (\d), (\w+)\)$")
 _NAMES = re.compile(r"\b(r\d+|[nzcv])\b")
 _FLAGS = re.compile(r"\b[nzcv]\b")
-_LIVE = ("n", "z", "c", "v", "held")  # names whose dead writes a block drops
+_LIVE = ("n", "z", "c", "v")  # names whose dead writes a block drops
 _COUNTS = ("t", "fetch_stall_cycles", "c4", "c5", "c6")  # a block's tallies
 _CODE = weakref.WeakValueDictionary()  # generated source -> function
 _STEPS = {}     # form -> one-instruction function
@@ -448,16 +448,17 @@ def _access(match, mem, words, pc):
 class _Block:
     """Straight-line code decoded once.  `entries` holds one tuple per
     instruction: (its `_step` function, instruction, base cycles if not
-    taken, if taken, Flash words fetched with a possible stall, index).
-    `word` is the Flash word of the first fetch (None when no fetch can
-    stall); `heat` its runs before it is compiled (None for RAM code, never
-    compiled); `code` the compiled function; `worst` its budget worst case;
-    `runs` its uncounted runs."""
-    __slots__ = ("entries", "word", "heat", "code", "worst", "runs")
+    taken, if taken, new Flash words it fetches, index; none for the first,
+    whose words are `head`).  `tail` is the last word fetched (None when no
+    fetch can stall); `heat` its runs before it is compiled (None for RAM
+    code, never compiled); `code` the compiled function; `worst` its budget
+    worst case; `runs` its uncounted runs."""
+    __slots__ = ("entries", "head", "tail", "heat", "code", "worst", "runs")
 
-    def __init__(self, entries, word, heat):
+    def __init__(self, entries, head, tail, heat):
         self.entries = entries
-        self.word = word
+        self.head = head
+        self.tail = tail
         self.heat = heat
         self.code = None
         self.worst = None
@@ -470,6 +471,9 @@ class Simulator:
     def __init__(self, image, wait_states=0, prefetch=False,
                  flash_size=DEFAULT_FLASH_SIZE, ram_size=DEFAULT_RAM_SIZE,
                  timing=None):
+        if wait_states not in (0, 1):  # which `_compile`'s constants rely on
+            raise InvalidConfigError("wait states must be 0 or 1, got %r"
+                                     % (wait_states,))
         self.mem = MemorySystem(image, flash_size=flash_size,
                                 ram_size=ram_size, wait_states=wait_states,
                                 prefetch=prefetch)
@@ -530,7 +534,7 @@ class Simulator:
         kind = mem.region(pc)
         ws = mem.wait_states if kind != "ram" else 0
         held = None          # Flash word held after the previous fetch
-        first_word = None
+        head = ()
         entries = []
         addr = pc
         while True:
@@ -549,8 +553,8 @@ class Simulator:
                     if word != held:
                         words.append(word)
                         held = word
-                if not entries:
-                    first_word = words.pop(0)
+            if not entries:
+                head, words = tuple(words), ()
             base, base_taken = dec.base_cycles(ins, self.timing)
             entries.append((_step(ins), ins, base, base_taken, tuple(words),
                             len(entries)))
@@ -558,23 +562,23 @@ class Simulator:
             if ins.is_terminator() or kind == "ram":
                 break
         if kind == "ram":
-            return _Block(entries, None, None)
-        block = self._blocks[pc] = _Block(entries, first_word, 0)
+            return _Block(entries, (), None, None)
+        block = self._blocks[pc] = _Block(entries, head, held, 0)
         return block
 
     def _compile(self, block):
         """Generate and compile `block`'s function, block_<pc>(S, R, C, ram,
-        W, H, read, write, F, t, st) over the state, its registers, the
-        counters, the RAM and its views, `MemorySystem.read`/`write` and the
-        fetch unit: it runs the block from cycle t with entry stall st,
+        W, H, read, write, t, st) over the state, its registers, the
+        counters, the RAM and its views and `MemorySystem.read`/`write`: it
+        runs the block from cycle t with entry stall st (`block.head`'s),
         folds its events into the state and counters, sets pc and returns
         whether the block's branch was taken.  Sets `block.worst`, the most
         cycles before the last instruction after the entry stall.  The body
         is written last line first, in one backward pass, which drops the
         dead writes and merges the increments the module docstring names."""
         mem = self.mem
-        fetch_unit = mem.fetch_unit
-        prefetch = fetch_unit.prefetch_enabled
+        ws = mem.wait_states
+        per_word = 0 if mem.fetch_unit.prefetch_enabled else ws
         # the body, last line first: the end sets pc unless a branch did
         last = block.entries[-1][1]
         rev = ["    pc = %#x" % (last.addr + last.size), "if not tk:",
@@ -583,8 +587,8 @@ class Simulator:
         adds = dict.fromkeys(_COUNTS, 0)    # increments not yet written
         names = set()                       # registers and flags used
 
-        def flush(*names):  # the increments after a line that reads them
-            for name in names or _COUNTS:
+        def flush():  # the increments after a line that reads them
+            for name in _COUNTS:
                 if adds[name]:
                     rev.append("%s += %d" % (name, adds[name]))
                     adds[name] = 0
@@ -600,24 +604,18 @@ class Simulator:
                         for line in lines]
             literal = ins.op == "LDR_LIT" and _literal(ins, mem)
             reads, writes = code.count("READ("), code.count("WRITE(")
-            first = k == 0 and block.word is not None  # entry stall st
-            folded = not first and (literal or not any(accesses))
+            wait = per_word * len(words)
             if k < len(block.entries) - 1:
-                block.worst += base_taken + mem.wait_states * (
-                    len(words) + reads)
-            fetches = [fetch_unit.block_fetch_source(word, folded)
-                       for word in words]
-            stall = first or prefetch and words and not folded
+                block.worst += base_taken + wait + ws * reads
             if base_taken != base:  # after the template lines, last first
                 rev.append("t += %d if pc is not None else 0"
                            % (base_taken - base))
-            if stall:
-                rev += ["t += stall", "fetch_stall_cycles += stall"]
+            if k == 0 and block.head:
+                rev += ["t += st", "fetch_stall_cycles += st"]
             if reads > 1:
                 rev += ["t += _fw", "c6 += _f", "c4 += %d - _f" % reads]
             if writes > 1:
                 adds["c5"] += writes
-            wait = sum(w for _lines, w in fetches)
             adds["fetch_stall_cycles"] += wait
             adds["t"] += base + wait
             for line, m in reversed(list(zip(lines, accesses))):
@@ -637,15 +635,6 @@ class Simulator:
                     live.discard(target)
                     live.update(_FLAGS.findall(expr or line))
                     rev.append(line)
-            for fetch, _w in reversed(fetches):  # each sets held, then stalls
-                if prefetch:
-                    flush("t")
-                rev.extend(reversed(fetch[1:]))
-                if "held" in live:
-                    rev.append(fetch[0])
-                    live.discard("held")
-            if stall:
-                rev.append("stall = " + ("st" if first else "0"))
             if reads > 1:
                 rev.append("_f = _fw = 0")
             rev.append("# %08x  %s" % (ins.addr, ins.text))
@@ -656,16 +645,12 @@ class Simulator:
         prologue = ["pc = None"] + ["%s = 0" % name for name in counts]
         epilogue = ["S.cycle_count = t"] + ["C.%s += %s" % (name, name)
                                             for name in counts]
-        if any(entry[4] for entry in block.entries):
-            load, store = fetch_unit.block_state_source()
-            prologue += load
-            epilogue += store
         # dead at entry: written before any slow path or the end, so not loaded
         dead = [x for x in "nzcv" if x in names and x not in live]
         epilogue += ["S.%s = %s" % (x, x) for x in dead]
         block.code = _function(
             "block_%08x" % block.entries[0][1].addr,
-            "S, R, C, ram, W, H, read, write, F, t, st", prologue, body,
+            "S, R, C, ram, W, H, read, write, t, st", prologue, body,
             names.difference(dead), (epilogue, ["R[15] = pc", "return tk"]))
         return block.code
 
@@ -706,7 +691,7 @@ class Simulator:
         stall_for, flush = fetch_unit.stall_for, fetch_unit.flush
         c = self.counters
         args = (s, regs, c, mem.ram, mem.ram_words, mem.ram_halves,
-                mem.read, mem.write, fetch_unit)
+                mem.read, mem.write)
         start_cycles = s.cycle_count
         taken_count = fetch_stalls = 0
         ran = []  # Flash blocks whose `runs` are to be folded in
@@ -721,9 +706,8 @@ class Simulator:
                     return "cycle-budget"
                 block = blocks.get(pc) or self._translate(pc)
                 stall = 0
-                word = block.word
-                if word is not None and word != fetch_unit.current_word:
-                    stall = stall_for(word, now)
+                for word in block.head:
+                    stall += stall_for(word, now + stall)
                 entries = block.entries
                 code = block.code
                 if code is None and on_step is None and block.heat is not None:
@@ -740,6 +724,8 @@ class Simulator:
                         raise
                     if taken:
                         flush()
+                    elif block.tail is not None:
+                        fetch_unit.hold(block.tail, s.cycle_count)
                     taken_count += taken
                 else:
                     try:
@@ -774,6 +760,9 @@ class Simulator:
                 else:
                     block.runs = 1
                     ran.append(block)
+        except M0EnergyError:
+            flush()  # as exception entry would; compiled code keeps no fetch state
+            raise
         finally:
             for block in ran:
                 self._tally(block.entries, block.runs)

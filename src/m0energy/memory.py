@@ -24,6 +24,11 @@ buffer.  The model, chosen so every timing figure is reproducible by hand:
 With WaitState = 0 no access ever stalls, so cycle counts are independent
 of the prefetch setting: `timing_class` is the one place that says which
 (WaitState, PreFetch) settings therefore run identically.
+
+As WaitState is at most 1 and every instruction takes at least a cycle, a
+read-ahead word is ready when the next instruction starts.  So a new word's
+sequential fetch stalls WaitState cycles without prefetch and none with it,
+unless the same instruction (a BL) fetched the word before it.
 """
 
 from .errors import BadEntryError, MalformedImageError, MemoryFault
@@ -86,31 +91,14 @@ class FetchUnit:
                 self.next_ready_at = now + stall + self.wait_states
         return stall
 
-    def block_fetch_source(self, word_addr, folded):
-        """Source for the case of stall_for a translated block runs inline:
-        a sequential fetch of `word_addr`, the word after the one held (the
-        read-ahead word with prefetch, else a miss): (lines, wait).  The
-        first line sets `held`, one of the locals of `block_state_source`;
-        with prefetch the rest add the stall at cycle `t + stall` to `stall`,
-        or if `folded` at cycle t to t and `fetch_stall_cycles`.  Without,
-        the stall is the constant `wait`, for the caller to add."""
-        held, ws = ["held = %#x" % word_addr], self.wait_states
-        if not self.prefetch_enabled:
-            return held, ws
-        if folded:
-            return held + ["if ready > t:", "    fetch_stall_cycles += ready - t",
-                           "    t = ready", "ready = t + %d" % ws], 0
-        return held + ["if ready - t > stall:", "    stall = ready - t",
-                       "ready = t + stall + %d" % ws], 0
-
-    def block_state_source(self):
-        """(load, store): source lines that move the state `block_fetch_source`
-        keeps in locals between the fetch unit `F` and those locals."""
-        if not self.prefetch_enabled:
-            return ["held = F.current_word"], ["F.current_word = held"]
-        return (["held = F.current_word", "ready = F.next_ready_at"],
-                ["F.current_word = held", "F.next_word = held + 4",
-                 "F.next_ready_at = ready"])
+    def hold(self, word_addr, now):
+        """Set the unit as a run of sequential fetches ending in `word_addr`
+        leaves it at `now`, the end of the instruction that fetched that
+        word or of a later one."""
+        self.current_word = word_addr
+        if self.prefetch_enabled:
+            self.next_word = word_addr + 4
+            self.next_ready_at = now
 
 
 class MemorySystem:

@@ -79,6 +79,25 @@ def test_run_unknown_flag_is_usage_error(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--freq", "48", "--waitstates", "0"],
+                                   ["--freq", "20"], ["--prefetch", "off"],
+                                   ["--waitstates", "1"], ["--trace", "t.txt"]],
+                         ids=["48-ws0", "freq", "prefetch", "waitstates",
+                              "trace"])
+def test_sweep_with_a_config_or_trace_flag_is_usage_error(tmp_path, capsys,
+                                                          flags):
+    # --sweep sets the ten configurations itself; a config flag used to be
+    # ignored, even an invalid combination, and the sweep exited 0
+    image = write_kernel(tmp_path, "loop5")
+    with pytest.raises(SystemExit) as err:
+        main(["run", image, "--sweep"] + [
+            str(tmp_path / f) if f.endswith(".txt") else f for f in flags])
+    assert err.value.code == 2
+    assert ("%s cannot be combined with --sweep" % flags[0]
+            in capsys.readouterr().err)
+    assert not (tmp_path / "t.txt").exists()
+
+
 def test_run_default_config_is_20_off_0(tmp_path, capsys):
     image = write_kernel(tmp_path, "straight6")
     code, out, _ = run_cli(["run", image], capsys)
@@ -418,6 +437,34 @@ def test_analyze_unknown_load_flags_interval(tmp_path, capsys):
     for value in block["energy_nj"].values():
         assert set(value) == {"lo", "hi"}
         assert value["lo"] < value["hi"]
+
+
+def test_analyze_counts_each_ldm_and_stm_register(tmp_path, capsys):
+    """LDM and STM move one word per listed register through a base the
+    analysis cannot resolve: each word is an unresolved load or store, and
+    at run time each is one RAM read (c4) or write (c5)."""
+    a = Assembler()
+    a.ldr_lit(0, "ram")
+    a.movs(4, 0)
+    a.adds_reg(4, 4, 0)
+    a.ldm(0, [1, 2, 3])
+    a.stm(4, [1, 2])
+    a.bkpt()
+    a.word(0x20000100, label="ram")
+    path = tmp_path / "ldm_stm.bin"
+    path.write_bytes(a.image())
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    [block] = json.loads(out)["blocks"]
+    counts = block["counts"]
+    assert (counts["unresolved_loads"], counts["unresolved_stores"]) == (3, 2)
+    assert (counts["c4"], counts["c5"], counts["c6"]) == ("unknown",) * 3
+    code, out, _ = run_cli(["run", str(path)], capsys)
+    assert code == 0
+    run = json.loads(out)["counters"]
+    assert (run["c4"], run["c5"]) == (counts["unresolved_loads"],
+                                      counts["unresolved_stores"])
+    assert run["c6"] == 1  # the literal load
 
 
 def test_analyze_entry_override(tmp_path, capsys):

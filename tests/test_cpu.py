@@ -16,7 +16,8 @@ from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
                      kernel_image, oracle_add_flags, oracle_sub_flags,
                      run_kernel)
 from m0energy import (Assembler, BadEntryError, InvalidConfigError,
-                      MalformedImageError, M0EnergyError, Simulator)
+                      MalformedImageError, M0EnergyError, MemorySystem,
+                      Simulator)
 from m0energy.decode import (DEFAULT_TIMING, LOAD_OPS, STORE_OPS, decode,
                              is_wide)
 
@@ -200,6 +201,17 @@ def test_timing_override_that_is_not_an_int_is_rejected(cycles):
     # 2.5 used to give fractional cycles, "3" a TypeError mid-translation
     with pytest.raises(InvalidConfigError, match="'muls' must be an int"):
         single_op_sim(lambda a: a.muls(0, 1), timing={"muls": cycles})
+
+
+@pytest.mark.parametrize("wait_states", [2, 3, -1])
+def test_wait_states_other_than_0_or_1_are_rejected(wait_states):
+    # compiled blocks price each fetch past a block's first instruction as
+    # a constant, exact only at 0 or 1 wait state; the memory system alone
+    # still models any count
+    with pytest.raises(InvalidConfigError, match="wait states must be 0 or 1"):
+        single_op_sim(lambda a: a.muls(0, 1), ws=wait_states)
+    mem = MemorySystem(kernel_image("loop5"), wait_states=wait_states)
+    assert mem.read(0x08000000, 4)[1] == wait_states
 
 
 def test_ldrsb_sign_extends():

@@ -16,6 +16,7 @@ behave identically: `run --sweep` simulates each class once.
 import contextlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -66,6 +67,8 @@ def assert_same_run(image, ws, prefetch, max_cycles=10 ** 6):
             assert summary.exit_reason == ref.run(max_cycles=max_cycles)
             assert machine_state(sim) == machine_state(ref)
             assert summary.steps == sum(ref.counters.histogram.values())
+            if summary.exit_reason.startswith("fault"):  # on either path
+                assert sim.mem.fetch_unit.current_word is None
             assert_class_mates_match(sim, summary, image, ws, prefetch,
                                      max_cycles)
         summaries.append(summary)
@@ -556,6 +559,25 @@ def test_compiled_blocks_load_only_flags_read_before_written():
                     in source))
     assert flags == {"BL": ("", ""), "LDR_LIT": ("", "nzcv"),
                      "ADCS": ("c", "nzcv"), "BKPT": ("", "")}
+
+
+def test_compiled_blocks_keep_no_fetch_unit_state():
+    """At one wait state with prefetch, a block's function takes the entry
+    stall `st` and adds constants for its other fetches: no generated block
+    has `held`, `ready` or `stall` locals or reads the fetch unit, and the
+    run still matches the reference."""
+    image = random_program(3, iterations=4)
+    assert_same_run(image, 1, True)
+    sim = Simulator(image, wait_states=1, prefetch=True)
+    with compile_at_first_run():
+        assert sim.run().exit_reason == "halt"
+    sources = [text for block in sim._blocks.values() for text, fn
+               in cpu._CODE.items() if fn is block.code]
+    assert len(sources) == len(sim._blocks) > 3
+    for source in sources:
+        assert "(S, R, C, ram, W, H, read, write, t, st):" in source
+        assert not re.search(r"\b(held|ready|stall)\b|\bF\.", source), source
+    assert any("t += st" in source for source in sources)
 
 
 def test_generated_functions_are_named_for_what_they_run():

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import fetch
 from m0energy import MalformedImageError, MemoryFault, MemorySystem
-from m0energy.memory import DEBUG_ADDR, FLASH_BASE, RAM_BASE
+from m0energy.memory import DEBUG_ADDR, FLASH_BASE, RAM_BASE, FetchUnit
 
 
 def make_mem(ws=0, prefetch=False, ram_size=8 * 1024):
@@ -220,43 +220,40 @@ def test_fetch_ws1_prefetch_partial_fill_stalls_remainder():
     assert s3 == 0
 
 
-@pytest.mark.parametrize("prefetch", [False, True])
-def test_block_fetch_source_is_stall_for_of_the_next_word(prefetch):
-    """The in-block fetch that translated blocks run inline agrees with
-    stall_for on the stall and the unit's state, over random timings, in
-    both forms.  The stall is what the lines add to `stall`, or when folded
-    to t and fetch_stall_cycles, plus the constant `wait` the caller adds."""
-    rng = random.Random(7)
-    for folded in [False, True] * 200:
-        mem, inline = make_mem(ws=1, prefetch=prefetch), make_mem(ws=1,
-                                                                  prefetch=prefetch)
-        unit, copy = mem.fetch_unit, inline.fetch_unit
-        now = rng.randrange(4)
-        word = 4 * rng.randrange(8)
-        for u in (unit, copy):
-            u.stall_for(word, now)
-        load, store = copy.block_state_source()
-        local = {"F": copy}
-        exec("\n".join(load), {}, local)
-        for _ in range(rng.randint(1, 6)):
-            now += rng.randint(1, 4)       # the instructions in between
+@pytest.mark.parametrize("ws,prefetch", [(0, False), (0, True), (1, False),
+                                         (1, True)])
+def test_stall_for_past_the_first_instruction_is_a_constant_per_word(
+        ws, prefetch):
+    """The rule compiled blocks are built on: whatever the first instruction
+    of a run of sequential fetches pays (one word, or a BL straddling two),
+    each later instruction's new word stalls the wait states without
+    prefetch and none with it, however many cycles (at least one) each
+    instruction takes.  A unit that `hold` sets to the last word at an
+    instruction's end then fetches the next word as the unit that ran."""
+    rng = random.Random(2 * ws + prefetch)
+    for _ in range(300):
+        unit = FetchUnit(ws, prefetch)
+        now, word = rng.randrange(4), 4 * rng.randrange(8)
+        if rng.randrange(2):                 # a word held from before
+            unit.stall_for(word - 4 * rng.randrange(3), now)
+            now += rng.randint(1, 4)
+        stall = unit.stall_for(word, now)
+        if rng.randrange(2):                 # the first is a straddling BL
             word += 4
-            early = rng.randrange(2)       # an earlier fetch of the instruction
-            expected = early + unit.stall_for(word, now + early)
-            if folded:
-                local.update(t=now + early, fetch_stall_cycles=0)
-            else:
-                local.update(t=now, stall=early)
-            lines, wait = copy.block_fetch_source(word, folded)
-            exec("\n".join(lines), {}, local)
-            if folded:
-                assert local["t"] - now + wait == expected
-                assert local["fetch_stall_cycles"] + wait == expected - early
-            else:
-                assert local["stall"] + wait == expected
-                assert local["t"] == now
-        exec("\n".join(store), {}, local)
-        assert ((copy.current_word, copy.next_word, copy.next_ready_at)
+            stall += unit.stall_for(word, now + stall)
+        now += stall + rng.randint(1, 4)     # base cycles and data stalls
+        for _ in range(rng.randint(1, 8)):
+            new = rng.randrange(2)           # else inside the held word
+            word += 4 * new
+            assert unit.stall_for(word, now) == (
+                ws if new and not prefetch else 0)
+            now += rng.randint(1, 4)
+        held = FetchUnit(ws, prefetch)
+        held.hold(word, now)
+        later = now + rng.randrange(3)
+        assert held.stall_for(word + 4, later) == unit.stall_for(word + 4,
+                                                                 later)
+        assert ((held.current_word, held.next_word, held.next_ready_at)
                 == (unit.current_word, unit.next_word, unit.next_ready_at))
 
 
