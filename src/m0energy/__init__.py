@@ -29,7 +29,7 @@ _SOURCES = {name: module for module, names in {
               "InvalidConfigError InvalidStateFault M0EnergyError "
               "MalformedImageError MemoryFault PathError "
               "UndefinedInstructionError",
-    "memory": "MemorySystem FetchUnit DEBUG_ADDR FLASH_BASE RAM_BASE",
+    "memory": "MemorySystem DEBUG_ADDR FLASH_BASE RAM_BASE",
     "regression": "CVResult FitResult FoldScore RegressionDataset fit "
                   "fold_indices kfold_cv load_dataset mape r2 resd "
                   "save_dataset",

@@ -131,8 +131,8 @@ def extract_cfg(mem, entry):
         if addr in flows:
             _close_block(blocks, run, end, mem, flows[addr])
             run = []
-    if run:
-        _close_block(blocks, run, end, mem, [])
+    # no run stays open: the highest instruction decoded ends its walk, so
+    # it is a terminator (any other walk would have decoded past it)
     return CFG(entry, blocks)
 
 

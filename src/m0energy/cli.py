@@ -408,6 +408,9 @@ def cmd_fit(args, parser):
         if os.path.isdir(args.emit_model) or not os.access(
                 os.path.dirname(args.emit_model) or ".", os.W_OK):
             parser.error("cannot write model: %s" % args.emit_model)
+    for flag in ("freq", "prefetch", "waitstates"):  # they label that model
+        if not args.emit_model and getattr(args, flag) is not None:
+            parser.error("--%s needs --emit-model" % flag)
     from . import regression  # numpy loads only for fit
     try:
         dataset = regression.load_dataset(args.dataset)

@@ -12,18 +12,22 @@ blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is decoded once, up to and including its
 terminator (`decode.control_flow`, the one block-end rule), with each
 instruction's base cycles (`decode.base_cycles`, under the simulator's
-`timing`) and the Flash words whose fetch can stall.  A block runs one
-instruction at a time, through per-form functions generated from the
-templates (`_step`, reaching memory through `_read` and `_write` and
-setting pc themselves), until it has run COMPILE_AFTER times, which pays
-back the compile.  Then it is generated into one function (after QEMU's
-TCG): registers and flags live in locals, a RAM access is a bounds and
-alignment compare and an index into a word or halfword view of RAM (a slice
-if `memory.RAM_VIEWS` is false: a big-endian host, or a C int that is not 4
-bytes), a Flash literal load is a constant, and so is each later fetch
-stall, as wait states are 0 or 1 (the `memory` docstring).  Any other
-access takes the slow path, `MemorySystem.read`/`write`, the one place a
-fault is raised and so the one place pc is stored.  A fault stores the
+`timing`) and its fetch stall (`memory.fetch_stall`, after the word the
+previous instruction ended in).  The first instruction has two stalls:
+`cold`, entered after a taken branch, reset or a fault, and `warm`, entered
+after a sequential fetch, by falling through or by resuming where the last
+run stopped without branching.  A block runs one instruction at a time,
+through per-form functions generated from the templates (`_step`, reaching
+memory through `_read` and `_write` and setting pc themselves), until it
+has run COMPILE_AFTER times, which pays back the compile.  Then it is
+generated into one function (after QEMU's TCG): registers and flags live
+in locals, a RAM access is a bounds and alignment compare and an index into
+a word or halfword view of RAM (a slice if `memory.RAM_VIEWS` is false: a
+big-endian host, or a C int that is not 4 bytes), a Flash literal load is a
+constant, and so is every fetch stall but the entry stall `st`, which the
+engine passes in.  Any other access takes the slow path,
+`MemorySystem.read`/`write`, the one place a fault is raised and so the one
+place pc is stored.  A fault stores the
 locals, so a write of a flag is dropped only when another write of it
 comes before any read of it, slow path or the block's end, and a flag is
 loaded only when it can be read before it is written; constant cycle and
@@ -32,20 +36,19 @@ counter increments merge up to the next line that reads them.  A
 shared, while a simulator holds it, only by simulators that generate the
 same source text, which a WS0 and a WS1 simulator never do.
 
-Block entry runs `FetchUnit.stall_for` on the first instruction's words
-(two for a straddling BL), the stall `st` a compiled block starts with.
-That block runs only when the cycle budget cannot cut it: `now` plus `st`
-and its worst case before the last instruction is below the budget;
-otherwise it runs one instruction at a time, the budget checked before
-each, and `stall_for` runs on every new word.  A step or block that returns
-taken flushes the fetch unit (`FetchUnit.flush`) before `on_step` sees it,
-a compiled block that falls through leaves it holding its last word
-(`FetchUnit.hold`), and a fault flushes it.  `step()`, a run to one cycle
-past now (no timing entry is below a cycle), `on_step` and RAM code never
-use or make compiled code; each RAM instruction is fetched and decoded
-afresh, as RAM code may modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read` and `_write`
-counted.  c1, c2 and the histogram are counted per block run and folded
-into the counters when `run` or `step` returns.
+No fetch is priced at run time.  The engine enters a block cold when the
+last instruction branched or faulted, or when a run starts at any pc but
+`_warm_pc`, where the last run stopped sequentially (None after reset, a
+taken exit or a fault), so a write to `state.pc` between runs fetches
+cold.  A compiled block runs only when the cycle budget cannot cut it:
+`now` plus `st` and its worst case before the last instruction is below
+the budget; otherwise it runs one instruction at a time, the budget
+checked before each.  `step()`, a run to one cycle past now (no timing
+entry is below a cycle), `on_step` and RAM code never use or make compiled
+code; each RAM instruction is fetched and decoded afresh, as RAM code may
+modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read`
+and `_write` counted.  c1, c2 and the histogram are counted per block run
+and folded into the counters when `run` or `step` returns.
 
 An instruction commits on completion: one that faults adds no counter event
 and no cycles and leaves pc at its address; a block transfer counts its
@@ -72,7 +75,7 @@ from types import MappingProxyType
 from .counters import EventCounters
 from .errors import InvalidConfigError, InvalidStateFault, M0EnergyError
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, RAM_BASE,
-                     MemorySystem)
+                     MemorySystem, fetch_stall)
 
 dec = import_module(".decode", __package__)  # the module, not the function
 
@@ -448,17 +451,17 @@ def _access(match, mem, words, pc):
 class _Block:
     """Straight-line code decoded once.  `entries` holds one tuple per
     instruction: (its `_step` function, instruction, base cycles if not
-    taken, if taken, new Flash words it fetches, index; none for the first,
-    whose words are `head`).  `tail` is the last word fetched (None when no
-    fetch can stall); `heat` its runs before it is compiled (None for RAM
-    code, never compiled); `code` the compiled function; `worst` its budget
-    worst case; `runs` its uncounted runs."""
-    __slots__ = ("entries", "head", "tail", "heat", "code", "worst", "runs")
+    taken, if taken, fetch stall, index; 0 stall for the first, whose stall
+    is `cold` after a taken branch, reset or fault and `warm` after a
+    sequential fetch).  `heat` is its runs before it is compiled (None for
+    RAM code, never compiled); `code` the compiled function; `worst` its
+    budget worst case; `runs` its uncounted runs."""
+    __slots__ = ("entries", "cold", "warm", "heat", "code", "worst", "runs")
 
-    def __init__(self, entries, head, tail, heat):
+    def __init__(self, entries, cold, warm, heat):
         self.entries = entries
-        self.head = head
-        self.tail = tail
+        self.cold = cold
+        self.warm = warm
         self.heat = heat
         self.code = None
         self.worst = None
@@ -475,8 +478,8 @@ class Simulator:
             raise InvalidConfigError("wait states must be 0 or 1, got %r"
                                      % (wait_states,))
         self.mem = MemorySystem(image, flash_size=flash_size,
-                                ram_size=ram_size, wait_states=wait_states,
-                                prefetch=prefetch)
+                                ram_size=ram_size, wait_states=wait_states)
+        self.prefetch = prefetch
         table = dict(dec.DEFAULT_TIMING)
         for key, cycles in (timing or {}).items():  # step() needs >= 1 each
             if key not in table:
@@ -498,7 +501,7 @@ class Simulator:
         self.state = CpuState()
         self.state.regs[13], self.state.regs[15] = self.mem.reset_vector()
         self.counters.reset()
-        self.mem.fetch_unit.flush()
+        self._warm_pc = None  # where the last run stopped sequentially
         self.mem.debug_output.clear()
 
     # -- memory helpers for step functions: count c4..c6 and Flash data stalls
@@ -533,8 +536,6 @@ class Simulator:
         mem = self.mem
         kind = mem.region(pc)
         ws = mem.wait_states if kind != "ram" else 0
-        held = None          # Flash word held after the previous fetch
-        head = ()
         entries = []
         addr = pc
         while True:
@@ -546,31 +547,31 @@ class Simulator:
                 if entries:
                     break
                 raise
-            words = []
-            if ws:
-                for half in range(addr, addr + ins.size, 2):
-                    word = mem.fetch_word(half)
-                    if word != held:
-                        words.append(word)
-                        held = word
+            words = [mem.fetch_word(half)
+                     for half in range(addr, addr + ins.size, 2)]
+            # the previous instruction ended in the word holding addr - 2
+            stall = fetch_stall(words, mem.fetch_word(addr - 2), ws,
+                                self.prefetch)
             if not entries:
-                head, words = tuple(words), ()
+                cold = fetch_stall(words, None, ws, self.prefetch)
+                warm, stall = stall, 0
             base, base_taken = dec.base_cycles(ins, self.timing)
-            entries.append((_step(ins), ins, base, base_taken, tuple(words),
+            entries.append((_step(ins), ins, base, base_taken, stall,
                             len(entries)))
             addr += ins.size
             if ins.is_terminator() or kind == "ram":
                 break
         if kind == "ram":
-            return _Block(entries, (), None, None)
-        block = self._blocks[pc] = _Block(entries, head, held, 0)
+            return _Block(entries, 0, 0, None)
+        block = self._blocks[pc] = _Block(entries, cold, warm, 0)
         return block
 
     def _compile(self, block):
         """Generate and compile `block`'s function, block_<pc>(S, R, C, ram,
         W, H, read, write, t, st) over the state, its registers, the
         counters, the RAM and its views and `MemorySystem.read`/`write`: it
-        runs the block from cycle t with entry stall st (`block.head`'s),
+        runs the block from cycle t with entry stall st (`block.cold` or
+        `warm`),
         folds its events into the state and counters, sets pc and returns
         whether the block's branch was taken.  Sets `block.worst`, the most
         cycles before the last instruction after the entry stall.  The body
@@ -578,7 +579,6 @@ class Simulator:
         dead writes and merges the increments the module docstring names."""
         mem = self.mem
         ws = mem.wait_states
-        per_word = 0 if mem.fetch_unit.prefetch_enabled else ws
         # the body, last line first: the end sets pc unless a branch did
         last = block.entries[-1][1]
         rev = ["    pc = %#x" % (last.addr + last.size), "if not tk:",
@@ -587,14 +587,14 @@ class Simulator:
         adds = dict.fromkeys(_COUNTS, 0)    # increments not yet written
         names = set()                       # registers and flags used
 
-        def flush():  # the increments after a line that reads them
+        def write_adds():  # the increments after a line that reads them
             for name in _COUNTS:
                 if adds[name]:
                     rev.append("%s += %d" % (name, adds[name]))
                     adds[name] = 0
 
         block.worst = 0
-        for _s, ins, base, base_taken, words, k in reversed(block.entries):
+        for _s, ins, base, base_taken, wait, k in reversed(block.entries):
             lines = _render(ins)
             code = "\n".join(lines)
             names.update(_NAMES.findall(code))
@@ -604,13 +604,12 @@ class Simulator:
                         for line in lines]
             literal = ins.op == "LDR_LIT" and _literal(ins, mem)
             reads, writes = code.count("READ("), code.count("WRITE(")
-            wait = per_word * len(words)
             if k < len(block.entries) - 1:
                 block.worst += base_taken + wait + ws * reads
             if base_taken != base:  # after the template lines, last first
                 rev.append("t += %d if pc is not None else 0"
                            % (base_taken - base))
-            if k == 0 and block.head:
+            if k == 0 and block.cold:
                 rev += ["t += st", "fetch_stall_cycles += st"]
             if reads > 1:
                 rev += ["t += _fw", "c6 += _f", "c4 += %d - _f" % reads]
@@ -624,7 +623,7 @@ class Simulator:
                     adds["c6"] += 1
                     adds["t"] += literal[1]
                 elif m:
-                    flush()
+                    write_adds()
                     live.update(_LIVE)
                     rev.extend(reversed(_access(m, mem, reads + writes > 1,
                                                 ins.addr)))
@@ -638,7 +637,7 @@ class Simulator:
             if reads > 1:
                 rev.append("_f = _fw = 0")
             rev.append("# %08x  %s" % (ins.addr, ins.text))
-        flush()
+        write_adds()
         body = rev[::-1]
         text = "\n".join(body)
         counts = [name for name in _COUNTS[1:] if name + " +=" in text]
@@ -687,8 +686,6 @@ class Simulator:
         regs = s.regs
         blocks = self._blocks
         mem = self.mem
-        fetch_unit = mem.fetch_unit
-        stall_for, flush = fetch_unit.stall_for, fetch_unit.flush
         c = self.counters
         args = (s, regs, c, mem.ram, mem.ram_words, mem.ram_halves,
                 mem.read, mem.write)
@@ -696,6 +693,7 @@ class Simulator:
         taken_count = fetch_stalls = 0
         ran = []  # Flash blocks whose `runs` are to be folded in
         c4, c5, c6 = c.c4, c.c5, c.c6  # the counts before the next step
+        cold = regs[15] != self._warm_pc  # no sequential fetch precedes pc
         try:
             while True:
                 if s.halted:
@@ -705,9 +703,7 @@ class Simulator:
                 if now >= max_cycles:
                     return "cycle-budget"
                 block = blocks.get(pc) or self._translate(pc)
-                stall = 0
-                for word in block.head:
-                    stall += stall_for(word, now + stall)
+                stall = block.cold if cold else block.warm
                 entries = block.entries
                 code = block.code
                 if code is None and on_step is None and block.heat is not None:
@@ -722,23 +718,17 @@ class Simulator:
                         self._tally([e for e in entries
                                      if e[1].addr < regs[15]])
                         raise
-                    if taken:
-                        flush()
-                    elif block.tail is not None:
-                        fetch_unit.hold(block.tail, s.cycle_count)
+                    cold = taken
                     taken_count += taken
                 else:
                     try:
-                        for step, ins, base, base_taken, words, i in entries:
+                        for step, ins, base, base_taken, wait, i in entries:
                             now = s.cycle_count
                             if now >= max_cycles:
                                 self._tally(entries[:i])
                                 return "cycle-budget"
-                            for word in words:
-                                stall += stall_for(word, now + stall)
-                            taken = step(self, ins)
-                            if taken:
-                                flush()
+                            stall += wait
+                            taken = cold = step(self, ins)
                             taken_count += taken
                             s.cycle_count += stall + (
                                 base_taken if taken else base)
@@ -761,9 +751,10 @@ class Simulator:
                     block.runs = 1
                     ran.append(block)
         except M0EnergyError:
-            flush()  # as exception entry would; compiled code keeps no fetch state
+            cold = True  # exception entry would empty the fetch buffer
             raise
         finally:
+            self._warm_pc = None if cold else regs[15]
             for block in ran:
                 self._tally(block.entries, block.runs)
                 block.runs = 0

@@ -7,28 +7,24 @@ Memory map:
     0x4000_0000  debug byte port: 1-byte writes append to captured output
 
 Flash timing is governed by the WaitState count (0 or 1) and the PreFetch
-buffer.  The model, chosen so every timing figure is reproducible by hand:
+buffer.  Flash is read in 32-bit words; the buffer holds the word last
+fetched and, with prefetch, reads the next one ahead.  `fetch_stall` is
+the one statement of the fetch rule: a fetch inside the held word is free,
+any other word costs WaitState cycles, and with prefetch the word after
+the held one is free too.  A taken branch, reset or a fault empties the
+buffer, so a branch target pays in full even inside the word held at the
+branch.  Data reads from Flash stall WaitState cycles and leave the buffer
+alone; RAM never stalls.
 
-  * Flash is read in 32-bit words.  The fetch unit holds the current word
-    and, with prefetch enabled, one read-ahead word.
-  * A fetch inside the held word costs 0 stall cycles.
-  * A sequential fetch that advances into the read-ahead word costs the
-    remaining fill time (the background fill completes WaitState cycles
-    after the fetch that triggered it; execution overlaps the fill).
-  * Any other fetch costs WaitState stall cycles.  A taken branch flushes
-    the buffer as it completes (`FetchUnit.flush`), so its target pays the
-    full WaitState penalty, even inside the word held at the branch.
-  * Data reads from Flash stall the core by WaitState cycles and do not
-    disturb the fetch buffer.  RAM never stalls.
-
-With WaitState = 0 no access ever stalls, so cycle counts are independent
-of the prefetch setting: `timing_class` is the one place that says which
+The rule needs no clock because WaitState is at most 1 and every
+instruction takes at least a cycle: the read-ahead an instruction starts is
+ready when the next one begins, and only the same instruction (a BL whose
+halfwords straddle a word boundary) can reach it early.  So an
+instruction's stall depends only on the word held before it, and the
+simulator prices every fetch once, when it translates a block.  With
+WaitState = 0 nothing stalls, so cycle counts do not depend on the
+prefetch setting: `timing_class` is the one place that says which
 (WaitState, PreFetch) settings therefore run identically.
-
-As WaitState is at most 1 and every instruction takes at least a cycle, a
-read-ahead word is ready when the next instruction starts.  So a new word's
-sequential fetch stalls WaitState cycles without prefetch and none with it,
-unless the same instruction (a BL) fetched the word before it.
 """
 
 from .errors import BadEntryError, MalformedImageError, MemoryFault
@@ -58,54 +54,24 @@ def timing_class(wait_states, prefetch):
     return wait_states, bool(prefetch and wait_states)
 
 
-class FetchUnit:
-    """Word buffer between the core and Flash."""
+def fetch_stall(words, held, wait_states, prefetch):
+    """Stall cycles of an instruction fetching the Flash `words` (one, or
+    two for a BL that straddles a word boundary) right after a fetch that
+    left `held` buffered, None after reset, a taken branch or a fault.
 
-    def __init__(self, wait_states, prefetch_enabled):
-        self.wait_states = wait_states
-        self.prefetch_enabled = prefetch_enabled
-        self.current_word = None
-        self.next_word = None
-        self.next_ready_at = 0
-
-    def flush(self):
-        """Empty the buffer, as a taken branch completes and on reset."""
-        self.current_word = None
-        self.next_word = None
-
-    def stall_for(self, word_addr, now):
-        """Stall cycles for fetching from `word_addr` at cycle `now`."""
-        if word_addr == self.current_word:
-            stall = 0
-        elif self.prefetch_enabled and word_addr == self.next_word:
-            stall = max(0, self.next_ready_at - now)
-            self.current_word = word_addr
-        else:
-            stall = self.wait_states
-            self.current_word = word_addr
-            self.next_word = None
-        if self.prefetch_enabled:
-            follow = word_addr + 4
-            if self.next_word != follow:
-                self.next_word = follow
-                self.next_ready_at = now + stall + self.wait_states
-        return stall
-
-    def hold(self, word_addr, now):
-        """Set the unit as a run of sequential fetches ending in `word_addr`
-        leaves it at `now`, the end of the instruction that fetched that
-        word or of a later one."""
-        self.current_word = word_addr
-        if self.prefetch_enabled:
-            self.next_word = word_addr + 4
-            self.next_ready_at = now
+    A word other than `held` costs the wait states, except that with
+    prefetch `held + 4` is free: its read-ahead, started by an earlier
+    instruction, is ready.  The read-ahead the instruction starts itself
+    is not (a straddling BL entered cold pays for both words)."""
+    ahead = {held + 4} if prefetch and held is not None else set()
+    return wait_states * len(set(words) - {held} - ahead)
 
 
 class MemorySystem:
-    """Flat memory image plus the Flash fetch timing model."""
+    """Flat memory image; Flash data reads stall `wait_states` cycles."""
 
     def __init__(self, image, flash_size=DEFAULT_FLASH_SIZE,
-                 ram_size=DEFAULT_RAM_SIZE, wait_states=0, prefetch=False):
+                 ram_size=DEFAULT_RAM_SIZE, wait_states=0):
         if len(image) < 8:
             raise MalformedImageError(
                 "image is %d bytes; need at least an 8-byte vector table"
@@ -130,7 +96,6 @@ class MemorySystem:
         self.ram_words, self.ram_halves = (
             memoryview(self.ram).cast(f) if RAM_VIEWS else None for f in "IH")
         self.flash_halves = memoryview(self.flash).cast("H") if RAM_VIEWS else None
-        self.fetch_unit = FetchUnit(wait_states, prefetch)
         self.wait_states = wait_states
         self.debug_output = bytearray()
 
@@ -168,7 +133,7 @@ class MemorySystem:
         return self._raw_read(addr, 2, region)
 
     def fetch_word(self, addr):
-        """The Flash word (offset) the fetch unit reads for a halfword at addr."""
+        """The Flash word (offset) a fetch of the halfword at addr reads."""
         return self._flash_offset(addr) & ~3
 
     def read(self, addr, size):

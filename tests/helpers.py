@@ -277,40 +277,82 @@ def compile_at_first_run():
 
 # -- independent oracles ------------------------------------------------------
 
-def fetch(mem, addr, now, sequential=True):
-    """Fetch the instruction halfword at addr through mem's fetch unit, as
-    the core sees it; returns (value, stall).  A non-sequential Flash fetch
-    (the first after reset or a taken branch) flushes the unit first.  RAM
-    fetches never stall."""
+class TimedFetchUnit:
+    """The Flash fetch buffer as a clocked state machine: the held word,
+    the read-ahead word and the cycle at which it is ready.  The engine
+    prices fetches once per block, with `memory.fetch_stall`, which needs
+    no clock; this independent model of the README's rule checks it."""
+
+    def __init__(self, wait_states, prefetch):
+        self.wait_states = wait_states
+        self.prefetch = prefetch
+        self.flush()
+
+    def flush(self):
+        """Empty the buffer, as a taken branch completes, on reset and on a
+        fault."""
+        self.current_word = None
+        self.next_word = None
+        self.next_ready_at = 0
+
+    def stall_for(self, word_addr, now):
+        """Stall cycles for fetching from `word_addr` at cycle `now`: none
+        inside the held word, the rest of the fill for the read-ahead word,
+        else the wait states.  With prefetch, a fetch starts reading the
+        following word, ready the wait states after the fetch completes."""
+        if word_addr == self.current_word:
+            stall = 0
+        elif self.prefetch and word_addr == self.next_word:
+            stall = max(0, self.next_ready_at - now)
+            self.current_word = word_addr
+        else:
+            stall = self.wait_states
+            self.current_word = word_addr
+            self.next_word = None
+        if self.prefetch:
+            follow = word_addr + 4
+            if self.next_word != follow:
+                self.next_word = follow
+                self.next_ready_at = now + stall + self.wait_states
+        return stall
+
+
+def fetch(mem, unit, addr, now, sequential=True):
+    """Fetch the instruction halfword at addr through `unit`, a
+    TimedFetchUnit, as the core sees it; returns (value, stall).  A
+    non-sequential Flash fetch (the first after reset, a taken branch or a
+    fault) flushes the unit first.  RAM fetches never stall."""
     value = mem.read_code(addr)
     if mem.region(addr) == "ram":
         return value, 0
     if not sequential:
-        mem.fetch_unit.flush()
-    return value, mem.fetch_unit.stall_for(mem.fetch_word(addr), now)
+        unit.flush()
+    return value, unit.stall_for(mem.fetch_word(addr), now)
 
 
 class ReferenceStepper:
     """The documented model executed one instruction at a time, as an oracle
     for the simulator's engine.
 
-    Every halfword is fetched through `fetch` above and decoded on
-    every step, cycles are summed from the README timing table, and counters
-    come from each completed step's own access list, `accesses`, which
-    `_read` and `_write` here keep as (r or w, region, stall).  pc moves to
-    the next instruction here unless the step branched.  Only the
+    Every halfword is fetched through `fetch` above, timed by its own
+    TimedFetchUnit rather than the engine's `memory.fetch_stall`, and
+    decoded on every step, cycles are summed from the README timing table,
+    and counters come from each completed step's own access list,
+    `accesses`, which `_read` and `_write` here keep as (r or w, region,
+    stall).  pc moves to the next instruction here unless the step
+    branched.  Only the
     instruction semantics are shared with the simulator: `step` runs the
     engine's one-instruction function, `cpu._step(ins)`, including the odd
     pc an interworking branch leaves when it clears the Thumb bit.
     """
 
     def __init__(self, image, wait_states=0, prefetch=False):
-        self.mem = MemorySystem(image, wait_states=wait_states,
-                                prefetch=prefetch)
+        self.mem = MemorySystem(image, wait_states=wait_states)
+        self.fetch_unit = TimedFetchUnit(wait_states, prefetch)
         self.state = CpuState()
         self.state.regs[13], self.state.pc = self.mem.reset_vector()
         self.counters = EventCounters()
-        self.sequential = False
+        self.sequential = False  # whether the last step fell through
 
     def _read(self, addr, size):
         value, stall, region = self.mem.read(addr & MASK32, size)
@@ -325,12 +367,15 @@ class ReferenceStepper:
         """Execute one instruction and return it.  Faults raise."""
         s, c = self.state, self.counters
         addr, now = s.pc, s.cycle_count
+        sequential, self.sequential = self.sequential, False  # if it faults
         if addr & 1:
             raise InvalidStateFault(addr ^ 1)
-        hw1, fetch_stall = fetch(self.mem, addr, now, self.sequential)
+        hw1, fetch_stall = fetch(self.mem, self.fetch_unit, addr, now,
+                                 sequential)
         hw2 = None
         if is_wide(hw1):
-            hw2, more = fetch(self.mem, addr + 2, now + fetch_stall, True)
+            hw2, more = fetch(self.mem, self.fetch_unit, addr + 2,
+                              now + fetch_stall)
             fetch_stall += more
         ins = decode(hw1, hw2, addr)
         self.accesses = []

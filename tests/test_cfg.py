@@ -274,3 +274,21 @@ def test_literal_pools_are_not_decoded():
     for block in graph.sorted_blocks():
         for ins in block.instructions:
             assert ins.addr < 0x08000014  # the literal word lives at 0x14
+
+
+def test_branch_into_a_bl_second_halfword_is_overlapping_decode():
+    """A BL 12 MiB ahead has J1 = J2 = 0, so its second halfword is 0xD000,
+    a BEQ whose target, 0x08000010, holds a BKPT.  A BEQ into that halfword
+    makes the walk decode both, which overlap."""
+    a = Assembler()
+    a.beq(0x0800000C)           # into the second halfword of the BL
+    a.bl(0x08C0000E)            # at 0x0800000A: 0xC00000 past pc
+    a.bkpt()
+    a.bkpt()
+    mem = MemorySystem(a.image(), flash_size=16 << 20)
+    mem.flash[0xC0000E:0xC00010] = (0xBE00).to_bytes(2, "little")  # BKPT
+    assert mem.read_code(0x0800000C) == 0xD000
+    with pytest.raises(AnalysisError) as err:
+        extract_cfg(mem, mem.reset_vector()[1])
+    assert err.value.addr == 0x0800000C
+    assert str(err.value) == "overlapping instruction decode at 0x0800000c"

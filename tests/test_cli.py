@@ -304,8 +304,7 @@ def test_sweep_builds_one_simulator_per_timing_class(tmp_path, capsys,
     class CountingSimulator(m0energy.cpu.Simulator):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append((self.mem.wait_states,
-                          self.mem.fetch_unit.prefetch_enabled))
+            built.append((self.mem.wait_states, self.prefetch))
 
     monkeypatch.setattr(m0energy.cpu, "Simulator", CountingSimulator)
     image = write_kernel(tmp_path, "pushpop_loop")
@@ -714,6 +713,22 @@ def test_fit_unwritable_emit_model_fails_before_fitting(tmp_path, capsys,
         main(["fit", str(csv_path), "--emit-model", str(target)])
     assert err.value.code == 2
     assert "cannot write model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--freq", "48", "--waitstates", "0"],
+                                   ["--freq", "24"], ["--prefetch", "on"],
+                                   ["--waitstates", "1"]],
+                         ids=["48-ws0", "freq", "prefetch", "waitstates"])
+def test_fit_config_flag_without_emit_model_is_usage_error(tmp_path, capsys,
+                                                           flags):
+    # the flags only label the model --emit-model writes; without it they
+    # used to be ignored, even an invalid combination, and the fit exited 0
+    csv_path = tmp_path / "data.csv"
+    save_dataset(csv_path, synth_dataset(seed=4, n=30, noise=0.0))
+    with pytest.raises(SystemExit) as err:
+        main(["fit", str(csv_path)] + flags)
+    assert err.value.code == 2
+    assert "%s needs --emit-model" % flags[0] in capsys.readouterr().err
 
 
 def test_run_model_file_without_matching_config_is_usage_error(tmp_path, capsys):

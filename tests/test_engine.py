@@ -68,7 +68,7 @@ def assert_same_run(image, ws, prefetch, max_cycles=10 ** 6):
             assert machine_state(sim) == machine_state(ref)
             assert summary.steps == sum(ref.counters.histogram.values())
             if summary.exit_reason.startswith("fault"):  # on either path
-                assert sim.mem.fetch_unit.current_word is None
+                assert sim._warm_pc is None  # the next run enters cold
             assert_class_mates_match(sim, summary, image, ws, prefetch,
                                      max_cycles)
         summaries.append(summary)
@@ -888,3 +888,139 @@ def test_on_step_raising_after_a_taken_step_keeps_the_flush(prefetch):
     assert sim.run().exit_reason == "halt"
     assert (sim.state.cycle_count, sim.counters.fetch_stall_cycles) == (
         TAKEN_EDGE_CASES["loop"][2][1, prefetch])
+
+
+# -- the entry rule: a block is entered cold or warm --------------------------
+
+def straddle_image(taken):
+    """A BL at 0x0800000E, whose halfwords straddle the Flash words at 0x0C
+    and 0x10, returning to the BKPT after it.  It is entered by a taken B at
+    0x08000008 or, when not `taken`, by a BNE at 0x0800000C that MOVS
+    r0, #0 makes fall through."""
+    a = Assembler()
+    if taken:
+        a.b("bl")
+        a.nop()
+        a.nop()
+    else:
+        a.movs(0, 0)
+        a.nop()
+        a.bne("end")
+    a.label("bl")
+    a.bl("end")
+    a.label("end")
+    a.bkpt()
+    return a.image()
+
+
+# Cycles, fetch stalls and the BL's fetch stall by hand.  Taken: B 3, BL 4,
+# BKPT 1; at WS1 the first word and the BL's target stall 1 each, and the
+# BL, entered cold, pays for both its words whether or not the read-ahead
+# is on.  Fall-through: MOVS, NOP and BNE 1 each, BL 4, BKPT 1; at WS1 the
+# first word and the BL's target stall 1 each, and without prefetch so do
+# the words at 0x0C and 0x10, while with it the BL finds its second word
+# read ahead.
+STRADDLE_CASES = {
+    "taken": (True, {(0, False): (8, 0, 0), (1, False): (12, 4, 2),
+                     (1, True): (12, 4, 2)}),
+    "fall-through": (False, {(0, False): (8, 0, 0), (1, False): (12, 4, 1),
+                             (1, True): (10, 2, 0)}),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
+@pytest.mark.parametrize("ws,prefetch", TIMING_CLASSES)
+@pytest.mark.parametrize("case", sorted(STRADDLE_CASES))
+def test_a_straddling_bl_pays_by_how_it_was_entered(case, ws, prefetch, path):
+    """Entered by a taken branch, a BL across a word boundary stalls for
+    both words in each WS1 class; entered by falling through, it stalls
+    for its second word only without prefetch.  On every engine path."""
+    taken, expected = STRADDLE_CASES[case]
+    image = straddle_image(taken)
+    sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+    steps = ENGINE_PATHS[path](sim)
+    cycles, stalls, bl_stall = expected[ws, prefetch]
+    assert sim.state.halted
+    assert (sim.state.cycle_count, sim.counters.fetch_stall_cycles) == (
+        cycles, stalls)
+    if steps is not None:
+        assert [step.fetch_stall for step in steps
+                if step.instruction.op == "BL"] == [bl_stall]
+    ref = ReferenceStepper(image, wait_states=ws, prefetch=prefetch)
+    assert ref.run() == "halt"
+    assert machine_state(sim) == machine_state(ref)
+
+
+RESUME_IMAGES = {"loop": held_word_loop, "round-trip": round_trip_image,
+                 "straddle-taken": lambda: straddle_image(True),
+                 "straddle-fall-through": lambda: straddle_image(False),
+                 "random3": lambda: random_program(3)}
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["compiled", "threshold"])
+@pytest.mark.parametrize("ws,prefetch", TIMING_CLASSES)
+@pytest.mark.parametrize("name", sorted(RESUME_IMAGES))
+def test_stopping_and_resuming_equals_one_run(name, ws, prefetch, engine):
+    """A run stopped at any cycle budget, mid-block or not, or after any
+    number of `step()` calls, then resumed, ends as one uninterrupted run:
+    a stop after a sequential instruction resumes warm, one after a taken
+    branch cold."""
+    image = RESUME_IMAGES[name]()
+    whole = Simulator(image, wait_states=ws, prefetch=prefetch)
+    assert whole.run().exit_reason == "halt"
+    end = machine_state(whole)
+    with engine():
+        for budget in range(whole.state.cycle_count + 1):
+            sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+            sim.run(max_cycles=budget)
+            assert sim.run().exit_reason == "halt"
+            assert machine_state(sim) == end, budget
+        for count in range(sum(whole.counters.histogram.values())):
+            sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+            for _ in range(count):
+                sim.step()
+            assert sim.run().exit_reason == "halt"
+            assert machine_state(sim) == end, count
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_a_write_to_pc_between_runs_fetches_cold(prefetch):
+    """A run resumes warm only at the pc where the last one stopped
+    sequentially.  After NOPs at 0x08000008 and 0x0800000A, pc set back to
+    0x0800000A, in the word still held, pays the wait state; pc written
+    with the value it has resumes warm."""
+    a = Assembler()
+    for _ in range(4):
+        a.nop()
+    a.bkpt()
+    sim = Simulator(a.image(), wait_states=1, prefetch=prefetch)
+    assert [sim.step().fetch_stall for _ in range(2)] == [1, 0]
+    sim.state.pc = 0x0800000A
+    assert sim.step().fetch_stall == 1
+    sim.state.pc = sim.state.pc
+    assert sim.step().fetch_stall == (0 if prefetch else 1)  # word 0x0C
+
+
+@pytest.mark.parametrize("ws,prefetch", TIMING_CLASSES)
+def test_a_literal_load_past_flash_faults_compiled_too(ws, prefetch):
+    """A literal pool past Flash's end is no constant: the compiled block
+    reads it on the slow path, which raises the same fault.  The block at
+    the entry runs once per call; the call after COMPILE_AFTER compiles
+    it, and every call ends alike."""
+    a = Assembler()
+    a.ldr_lit(0, 0x0800000C)   # the word after the 12-byte image
+    a.bkpt()
+    image = a.image()
+    sim = Simulator(image, wait_states=ws, prefetch=prefetch,
+                    flash_size=len(image))
+    summaries = []
+    for call in range(COMPILE_AFTER + 6):
+        summaries.append(sim.run())
+        assert (sim._blocks[0x08000008].code is not None) == (
+            call >= COMPILE_AFTER), call
+    assert summaries == [summaries[0]] * len(summaries)
+    assert summaries[0].exit_reason == "fault: unmapped read at 0x0800000c"
+    assert summaries[0].cycle_count == summaries[0].steps == 0
+    source = next(text for text, fn in cpu._CODE.items()
+                  if fn is sim._blocks[0x08000008].code)
+    assert "= read(" in source

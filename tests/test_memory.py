@@ -5,15 +5,19 @@ import tracemalloc
 
 import pytest
 
-from helpers import fetch
+from helpers import TimedFetchUnit, fetch
 from m0energy import MalformedImageError, MemoryFault, MemorySystem
-from m0energy.memory import DEBUG_ADDR, FLASH_BASE, RAM_BASE, FetchUnit
+from m0energy.memory import DEBUG_ADDR, FLASH_BASE, RAM_BASE, fetch_stall
 
 
-def make_mem(ws=0, prefetch=False, ram_size=8 * 1024):
+def make_mem(ws=0, ram_size=8 * 1024):
     image = bytes(range(256)) * 4  # 1 KiB of recognizable bytes
-    return MemorySystem(image, wait_states=ws, prefetch=prefetch,
-                        ram_size=ram_size)
+    return MemorySystem(image, wait_states=ws, ram_size=ram_size)
+
+
+def fetcher(ws=0, prefetch=False):
+    """A memory and the timed fetch unit that `fetch` reads it through."""
+    return make_mem(ws), TimedFetchUnit(ws, prefetch)
 
 
 def test_image_too_short():
@@ -151,14 +155,14 @@ def test_ram_round_trip_random():
 
 # -- fetch timing ------------------------------------------------------------
 
-def seq_fetch_stalls(mem, addrs, start_now=0, base_cycles=1):
+def seq_fetch_stalls(mem, unit, addrs, start_now=0, base_cycles=1):
     """Fetch a straight-line address sequence, advancing time by the stall
     plus `base_cycles` per fetch; returns per-fetch stalls."""
     now = start_now
     stalls = []
     sequential = False  # first fetch after reset is non-sequential
     for addr in addrs:
-        _, stall = fetch(mem, addr, now, sequential)
+        _, stall = fetch(mem, unit, addr, now, sequential)
         stalls.append(stall)
         now += stall + base_cycles
         sequential = True
@@ -167,107 +171,99 @@ def seq_fetch_stalls(mem, addrs, start_now=0, base_cycles=1):
 
 def test_fetch_ws0_never_stalls():
     for prefetch in (False, True):
-        mem = make_mem(ws=0, prefetch=prefetch)
+        mem, unit = fetcher(ws=0, prefetch=prefetch)
         addrs = [FLASH_BASE + 2 * i for i in range(12)]
-        assert seq_fetch_stalls(mem, addrs) == [0] * 12
+        assert seq_fetch_stalls(mem, unit, addrs) == [0] * 12
 
 
 def test_fetch_ws1_prefetch_off_sequential():
     # stall 1 on each new 32-bit word, 0 on the second halfword of a word
-    mem = make_mem(ws=1, prefetch=False)
+    mem, unit = fetcher(ws=1, prefetch=False)
     addrs = [FLASH_BASE + 2 * i for i in range(6)]
-    assert seq_fetch_stalls(mem, addrs) == [1, 0, 1, 0, 1, 0]
+    assert seq_fetch_stalls(mem, unit, addrs) == [1, 0, 1, 0, 1, 0]
     # with prefetch disabled only the current word is ever held
-    assert mem.fetch_unit.next_word is None
+    assert unit.next_word is None
 
 
 def test_fetch_ws1_prefetch_on_sequential_hides_stalls():
     # after the initial miss, the read-ahead word is always ready in time
-    mem = make_mem(ws=1, prefetch=True)
+    mem, unit = fetcher(ws=1, prefetch=True)
     addrs = [FLASH_BASE + 2 * i for i in range(8)]
-    assert seq_fetch_stalls(mem, addrs) == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert seq_fetch_stalls(mem, unit, addrs) == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_fetch_ws1_prefetch_on_branch_target_stalls():
     # a non-sequential fetch flushes the buffer: the target word pays 1
-    mem = make_mem(ws=1, prefetch=True)
-    _, stall = fetch(mem, FLASH_BASE, 0, False)
+    mem, unit = fetcher(ws=1, prefetch=True)
+    _, stall = fetch(mem, unit, FLASH_BASE, 0, False)
     assert stall == 1
     # branch to 0x40 (not the read-ahead word): flush, stall 1
-    _, stall = fetch(mem, FLASH_BASE + 0x40, 5, False)
+    _, stall = fetch(mem, unit, FLASH_BASE + 0x40, 5, False)
     assert stall == 1
     # even a branch into the prefetched word pays: buffer was flushed
-    mem2 = make_mem(ws=1, prefetch=True)
-    fetch(mem2, FLASH_BASE, 0, False)
-    _, stall = fetch(mem2, FLASH_BASE + 4, 5, False)
+    mem2, unit2 = fetcher(ws=1, prefetch=True)
+    fetch(mem2, unit2, FLASH_BASE, 0, False)
+    _, stall = fetch(mem2, unit2, FLASH_BASE + 4, 5, False)
     assert stall == 1
 
 
 def test_fetch_ws1_prefetch_partial_fill_stalls_remainder():
     # land mid-word, execute one 1-cycle instruction, cross into the next
     # word before its background fill completes: pay the remainder (1)
-    mem = make_mem(ws=1, prefetch=True)
-    _, s1 = fetch(mem, FLASH_BASE + 6, 0, False)   # miss: stall 1
+    mem, unit = fetcher(ws=1, prefetch=True)
+    _, s1 = fetch(mem, unit, FLASH_BASE + 6, 0, False)   # miss: stall 1
     assert s1 == 1
     # fill of 0x08 ready at 1 (fetch done) + 1 (ws) = 2; fetch at now=2 is fine
-    _, s2 = fetch(mem, FLASH_BASE + 8, 2, True)
+    _, s2 = fetch(mem, unit, FLASH_BASE + 8, 2, True)
     assert s2 == 0
-    mem2 = make_mem(ws=1, prefetch=True)
-    fetch(mem2, FLASH_BASE + 6, 0, False)
+    mem2, unit2 = fetcher(ws=1, prefetch=True)
+    fetch(mem2, unit2, FLASH_BASE + 6, 0, False)
     # arriving one cycle early costs the remaining fill cycle... not possible
     # with 1-cycle minimum execution; arriving exactly at ready time is free
-    _, s3 = fetch(mem2, FLASH_BASE + 8, 2, True)
+    _, s3 = fetch(mem2, unit2, FLASH_BASE + 8, 2, True)
     assert s3 == 0
 
 
 @pytest.mark.parametrize("ws,prefetch", [(0, False), (0, True), (1, False),
                                          (1, True)])
-def test_stall_for_past_the_first_instruction_is_a_constant_per_word(
-        ws, prefetch):
-    """The rule compiled blocks are built on: whatever the first instruction
-    of a run of sequential fetches pays (one word, or a BL straddling two),
-    each later instruction's new word stalls the wait states without
-    prefetch and none with it, however many cycles (at least one) each
-    instruction takes.  A unit that `hold` sets to the last word at an
-    instruction's end then fetches the next word as the unit that ran."""
+def test_fetch_stall_matches_the_timed_fetch_unit(ws, prefetch):
+    """The engine's clockless rule against the clocked buffer: over seeded
+    runs of 2- and 4-byte instructions (a 4-byte one is a BL, straddling a
+    word boundary when it starts at word offset 2), each taking at least a
+    cycle, with random taken branches, `fetch_stall` of an instruction's
+    words after the last word the previous one fetched (None after a taken
+    branch) is the stall the TimedFetchUnit charges for its halfwords."""
     rng = random.Random(2 * ws + prefetch)
     for _ in range(300):
-        unit = FetchUnit(ws, prefetch)
-        now, word = rng.randrange(4), 4 * rng.randrange(8)
-        if rng.randrange(2):                 # a word held from before
-            unit.stall_for(word - 4 * rng.randrange(3), now)
-            now += rng.randint(1, 4)
-        stall = unit.stall_for(word, now)
-        if rng.randrange(2):                 # the first is a straddling BL
-            word += 4
-            stall += unit.stall_for(word, now + stall)
-        now += stall + rng.randint(1, 4)     # base cycles and data stalls
-        for _ in range(rng.randint(1, 8)):
-            new = rng.randrange(2)           # else inside the held word
-            word += 4 * new
-            assert unit.stall_for(word, now) == (
-                ws if new and not prefetch else 0)
-            now += rng.randint(1, 4)
-        held = FetchUnit(ws, prefetch)
-        held.hold(word, now)
-        later = now + rng.randrange(3)
-        assert held.stall_for(word + 4, later) == unit.stall_for(word + 4,
-                                                                 later)
-        assert ((held.current_word, held.next_word, held.next_ready_at)
-                == (unit.current_word, unit.next_word, unit.next_ready_at))
+        unit = TimedFetchUnit(ws, prefetch)
+        now, addr, held = rng.randrange(4), 2 * rng.randrange(16), None
+        for _ in range(rng.randint(1, 12)):
+            size = rng.choice([2, 2, 2, 4])
+            words = [half & ~3 for half in range(addr, addr + size, 2)]
+            if held is None:
+                unit.flush()
+            stall = 0
+            for word in words:
+                stall += unit.stall_for(word, now + stall)
+            assert fetch_stall(words, held, ws, prefetch) == stall
+            now += stall + rng.randint(1, 4)  # base cycles and data stalls
+            if rng.randrange(4):
+                addr, held = addr + size, words[-1]
+            else:                             # a taken branch
+                addr, held = 2 * rng.randrange(16), None
 
 
 def test_fetch_from_ram_never_stalls():
-    mem = make_mem(ws=1, prefetch=False)
+    mem, unit = fetcher(ws=1, prefetch=False)
     mem.write(RAM_BASE, 2, 0x2001)
-    value, stall = fetch(mem, RAM_BASE, 0, False)
+    value, stall = fetch(mem, unit, RAM_BASE, 0, False)
     assert (value, stall) == (0x2001, 0)
 
 
 def test_fetch_unmapped_faults():
     mem = make_mem()
     with pytest.raises(MemoryFault):
-        fetch(mem, 0xF000_0000, 0, False)
+        fetch(mem, TimedFetchUnit(0, False), 0xF000_0000, 0, False)
 
 
 def test_reset_vector_parsing():
