@@ -8,12 +8,12 @@ Subcommands:
 `run` takes one path for the configuration its flags set and for the ten
 built-in ones of `--sweep`.  It maps each configuration to the models that
 price it (its built-in model, or the `--model-file` records for it in file
-order) and simulates once per timing class (`memory.timing_class`): WS0,
-WS1 with prefetch off and WS1 with prefetch on.  Configurations in a class
-run identically, so each report is built from its class's run, the
-frequency setting only the wall time; a sweep entry is thus the single
-run.  `--sweep` adds only `comparison`, which ranks the configurations
-that have a model, each by its last one.
+order).  It simulates the first configuration's timing class
+(`memory.timing_class`; WS0 in a sweep) and prices each other class from
+that run (`Simulator.price`), or simulates it too if that run did not halt
+or the budget would cut the priced one.  Each report is its class's run, so
+a sweep entry is the single run.  `--sweep` adds only `comparison`, which
+ranks the configurations that have a model, each by its last one.
 
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
@@ -187,11 +187,10 @@ def _trace_line(step):
 
 # -- run --------------------------------------------------------------------
 
-def _simulate(data, config, args, trace_fh=None):
+def _simulate(data, wait_states, prefetch, args, trace_fh=None):
     from .cpu import Simulator
-    sim = Simulator(data, wait_states=config.wait_states,
-                    prefetch=config.prefetch, flash_size=args.flash_size,
-                    ram_size=args.ram_size)
+    sim = Simulator(data, wait_states=wait_states, prefetch=prefetch,
+                    flash_size=args.flash_size, ram_size=args.ram_size)
     if args.entry is not None:
         sim.state.pc = args.entry
     on_step = None
@@ -238,7 +237,7 @@ def _run(args, parser, data):
             file_models = load_models(args.model_file)
         except (OSError, InvalidConfigError) as exc:
             parser.error(str(exc))
-    if args.sweep:  # it sets the configurations; a trace would mix three runs
+    if args.sweep:  # it sets the configurations; a trace shows one run
         for flag in ("freq", "prefetch", "waitstates", "trace"):
             if getattr(args, flag) is not None:
                 parser.error("--%s cannot be combined with --sweep" % flag)
@@ -257,27 +256,34 @@ def _run(args, parser, data):
             trace_fh = open(args.trace, "w")
         except OSError as exc:
             parser.error("cannot write trace: %s" % exc)
-    runs = {}  # timing class -> (sim, summary), shared by its configurations
+    first = timing_class(configs[0].wait_states, configs[0].prefetch)
     try:
         try:
-            for config in configs:
-                key = timing_class(config.wait_states, config.prefetch)
-                if key not in runs:
-                    runs[key] = _simulate(data, config, args, trace_fh)
+            sim, summary = _simulate(data, *first, args, trace_fh)
         finally:
             if trace_fh:
                 trace_fh.close()
     except OSError as exc:
         print("run error: cannot write trace: %s" % exc, file=sys.stderr)
         return 1
+
+    @functools.cache
+    def class_run(key):  # -> (sim, summary) of timing class `key`
+        if key == first:
+            return sim, summary
+        if summary.exit_reason == "halt":
+            priced = sim.price(summary, *key)
+            if priced.cycle_count < args.max_cycles:
+                return sim, priced
+        return _simulate(data, *key, args)
+
     reports, results = [], {}  # results: the ranked configurations
     for config, models in table.items():
-        sim, summary = runs[timing_class(config.wait_states, config.prefetch)]
-        reports.append(_run_report(args.image, data, config, sim, summary,
-                                   models))
+        run = class_run(timing_class(config.wait_states, config.prefetch))
+        reports.append(_run_report(args.image, data, config, *run, models))
         if models:
-            results[config] = (summary.counters, summary.cycle_count)
-    code = 0 if all(s.exit_reason == "halt" for _, s in runs.values()) else 1
+            results[config] = (run[1].counters, run[1].cycle_count)
+    code = 0 if all(r["exit_reason"] == "halt" for r in reports) else 1
     if not args.sweep:
         return _emit(reports[0], args.format, "run", code)
     comparison = [{"config": c.label(), "energy_nj": e, "time_us": t}

@@ -33,8 +33,7 @@ comes before any read of it, slow path or the block's end, and a flag is
 loaded only when it can be read before it is written; constant cycle and
 counter increments merge up to the next line that reads them.  A
 `step_<form>` function serves every simulator; a `block_<pc>` function is
-shared, while a simulator holds it, only by simulators that generate the
-same source text, which a WS0 and a WS1 simulator never do.
+shared, while a simulator holds it, by those that generate its source.
 
 No fetch is priced at run time.  The engine enters a block cold when the
 last instruction branched or faulted, or when a run starts at any pc but
@@ -48,7 +47,8 @@ entry is below a cycle), `on_step` and RAM code never use or make compiled
 code; each RAM instruction is fetched and decoded afresh, as RAM code may
 modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read`
 and `_write` counted.  c1, c2 and the histogram are counted per block run
-and folded into the counters when `run` or `step` returns.
+and folded into the counters when `run` or `step` returns, as are each
+Flash block's runs and cold entries since reset, which `price` reads.
 
 An instruction commits on completion: one that faults adds no counter event
 and no cycles and leaves pc at its address; a block transfer counts its
@@ -448,6 +448,20 @@ def _access(match, mem, words, pc):
     return [indent + line for line in lines]
 
 
+def block_stalls(mem, code, wait_states, prefetch):
+    """(cold, warm, stalls) of straight-line Flash `code` under these
+    settings: the first instruction's fetch stall with nothing held and with
+    the word at its address - 2 held, then each one's stall after the one
+    before (0 for the first).  The one place a block's fetches are priced."""
+    words = [[mem.fetch_word(ins.addr + k) for k in range(0, ins.size, 2)]
+             for ins in code]
+    # the previous instruction ended in the word holding addr - 2
+    stalls = [fetch_stall(w, mem.fetch_word(ins.addr - 2), wait_states,
+                          prefetch) for w, ins in zip(words, code)]
+    return (fetch_stall(words[0], None, wait_states, prefetch), stalls[0],
+            [0] + stalls[1:])
+
+
 class _Block:
     """Straight-line code decoded once.  `entries` holds one tuple per
     instruction: (its `_step` function, instruction, base cycles if not
@@ -455,8 +469,10 @@ class _Block:
     is `cold` after a taken branch, reset or fault and `warm` after a
     sequential fetch).  `heat` is its runs before it is compiled (None for
     RAM code, never compiled); `code` the compiled function; `worst` its
-    budget worst case; `runs` its uncounted runs."""
-    __slots__ = ("entries", "cold", "warm", "heat", "code", "worst", "runs")
+    budget worst case; `runs` its uncounted runs; `ran` and `colds` its
+    completed runs and its cold entries since reset, which price it."""
+    __slots__ = ("entries", "cold", "warm", "heat", "code", "worst", "runs",
+                 "ran", "colds")
 
     def __init__(self, entries, cold, warm, heat):
         self.entries = entries
@@ -465,7 +481,7 @@ class _Block:
         self.heat = heat
         self.code = None
         self.worst = None
-        self.runs = 0
+        self.runs = self.ran = self.colds = 0
 
 
 class Simulator:
@@ -497,10 +513,12 @@ class Simulator:
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self):
-        """Load SP and PC from the vector table; zero flags and counters."""
+        """Load SP and PC from the vector table; zero flags and all counts."""
         self.state = CpuState()
         self.state.regs[13], self.state.regs[15] = self.mem.reset_vector()
         self.counters.reset()
+        for block in self._blocks.values():
+            block.ran = block.colds = 0
         self._warm_pc = None  # where the last run stopped sequentially
         self.mem.debug_output.clear()
 
@@ -535,35 +553,28 @@ class Simulator:
             raise InvalidStateFault(pc ^ 1)
         mem = self.mem
         kind = mem.region(pc)
-        ws = mem.wait_states if kind != "ram" else 0
-        entries = []
+        code = []
         addr = pc
         while True:
-            if entries and mem.region(addr) != kind:
+            if code and mem.region(addr) != kind:
                 break
             try:
                 ins = dec.decode_at(mem, addr)
             except M0EnergyError:
-                if entries:
+                if code:
                     break
                 raise
-            words = [mem.fetch_word(half)
-                     for half in range(addr, addr + ins.size, 2)]
-            # the previous instruction ended in the word holding addr - 2
-            stall = fetch_stall(words, mem.fetch_word(addr - 2), ws,
-                                self.prefetch)
-            if not entries:
-                cold = fetch_stall(words, None, ws, self.prefetch)
-                warm, stall = stall, 0
-            base, base_taken = dec.base_cycles(ins, self.timing)
-            entries.append((_step(ins), ins, base, base_taken, stall,
-                            len(entries)))
+            code.append(ins)
             addr += ins.size
             if ins.is_terminator() or kind == "ram":
                 break
-        if kind == "ram":
-            return _Block(entries, 0, 0, None)
-        block = self._blocks[pc] = _Block(entries, cold, warm, 0)
+        cold, warm, stalls = block_stalls(
+            mem, code, mem.wait_states if kind != "ram" else 0, self.prefetch)
+        entries = [(_step(ins), ins, *dec.base_cycles(ins, self.timing), stall,
+                    k) for k, (ins, stall) in enumerate(zip(code, stalls))]
+        block = _Block(entries, cold, warm, None if kind == "ram" else 0)
+        if kind != "ram":
+            self._blocks[pc] = block
         return block
 
     def _compile(self, block):
@@ -679,6 +690,26 @@ class Simulator:
         return RunSummary(c.snapshot(), self.state.cycle_count, exit_reason,
                           c.c1 + c.c2 - before)
 
+    def price(self, summary, wait_states, prefetch):
+        """`summary`, this simulator's last run, from reset (it ran all of
+        c1 + c2) to a halt, priced as a run under `wait_states` (0 or 1)
+        and `prefetch`: each Flash block's `block_stalls` times its cold and
+        warm entries, and `wait_states` per c6.  The rest is the run's own."""
+        c = summary.counters.snapshot()
+        if summary.exit_reason != "halt" or summary.steps != c.c1 + c.c2:
+            raise M0EnergyError("only a run from reset to a halt is priced")
+        stalls = 0
+        for b in self._blocks.values():
+            if b.ran:
+                cold, warm, inner = block_stalls(
+                    self.mem, [e[1] for e in b.entries], wait_states, prefetch)
+                stalls += b.colds * (cold - warm) + b.ran * (warm + sum(inner))
+        extra = (stalls - c.fetch_stall_cycles
+                 + (wait_states - self.mem.wait_states) * c.c6)
+        c.fetch_stall_cycles = stalls
+        c.total_cycles += extra
+        return RunSummary(c, summary.cycle_count + extra, "halt", summary.steps)
+
     def _execute(self, max_cycles, on_step):
         """The engine behind run() and step(); returns the exit reason and
         raises on a fault.  Counters are folded in on every exit."""
@@ -704,6 +735,7 @@ class Simulator:
                     return "cycle-budget"
                 block = blocks.get(pc) or self._translate(pc)
                 stall = block.cold if cold else block.warm
+                block.colds += cold
                 entries = block.entries
                 code = block.code
                 if code is None and on_step is None and block.heat is not None:
@@ -757,6 +789,7 @@ class Simulator:
             self._warm_pc = None if cold else regs[15]
             for block in ran:
                 self._tally(block.entries, block.runs)
+                block.ran += block.runs
                 block.runs = 0
             c.c3 += taken_count
             c.fetch_stall_cycles += fetch_stalls

@@ -10,6 +10,7 @@ from m0energy import (AnalysisError, Assembler, EnergyInterval, HardwareConfig,
                       MemorySystem, PathError, Simulator, builtin_model,
                       builtin_models, estimate, extract_cfg, path_energy)
 from m0energy.cfg import block_energies, block_energy
+from m0energy.decode import decode
 
 MODEL = builtin_model(HardwareConfig(20, False, 0))
 
@@ -142,6 +143,16 @@ def test_static_counts_push_pop_are_ram_events():
     counts = block.static_counts
     assert counts.c4 == 2 and counts.c5 == 2
     assert counts.exact
+
+
+def test_static_counts_literal_load_from_ram_is_ram_read():
+    """`analyze` never reaches a literal pool in RAM, which holds no code at
+    analysis time, but `static_block_counters` counts one as a RAM read."""
+    _graph, mem = graph_for("straight6")
+    ins = decode(0x4800, addr=0x20000000)  # LDR r0, [pc, #0]
+    assert ins.fields["lit_addr"] == 0x20000004
+    counts = m0energy.cfg.static_block_counters([ins], mem)
+    assert (counts.c1, counts.c4_known, counts.c6_known) == (1, 1, 0)
 
 
 def test_path_energy_single_block_equals_estimate():

@@ -297,22 +297,59 @@ def test_header_only_model_file(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_sweep_builds_one_simulator_per_timing_class(tmp_path, capsys,
+def count_runs(monkeypatch):
+    """The (wait states, prefetch) of each `Simulator.run` call from here
+    on, in call order."""
+    calls = []
+    run = m0energy.cpu.Simulator.run
+
+    def counted(self, *args, **kwargs):
+        calls.append((self.mem.wait_states, self.prefetch))
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(m0energy.cpu.Simulator, "run", counted)
+    return calls
+
+
+def test_sweep_whose_first_class_halts_simulates_once(tmp_path, capsys,
                                                      monkeypatch):
-    built = []
-
-    class CountingSimulator(m0energy.cpu.Simulator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append((self.mem.wait_states, self.prefetch))
-
-    monkeypatch.setattr(m0energy.cpu, "Simulator", CountingSimulator)
+    """The first configuration's class, WS0, is the one run; the two
+    classes at one wait state are priced from it."""
+    runs = count_runs(monkeypatch)
     image = write_kernel(tmp_path, "pushpop_loop")
     code, out, _ = run_cli(["run", image, "--sweep"], capsys)
     assert code == 0 and len(json.loads(out)["runs"]) == 10
-    assert len(built) == 3
-    assert {ws for ws, _ in built} == {0, 1}
-    assert {prefetch for ws, prefetch in built if ws == 1} == {False, True}
+    assert runs == [(0, False)]
+
+
+@pytest.mark.parametrize("name", ["loop5", "pushpop_loop"])
+def test_sweep_prices_or_simulates_each_class_at_every_budget(
+        tmp_path, capsys, monkeypatch, name):
+    """At every budget up to past the slowest class's total, each sweep
+    entry equals the single run of its configuration.  The sweep simulates
+    WS0, then each class at one wait state whose priced total reaches the
+    budget, or both when the WS0 run is cut."""
+    totals = {(ws, prefetch): m0energy.cpu.Simulator(
+        kernel_image(name), wait_states=ws, prefetch=prefetch).run().cycle_count
+        for ws, prefetch in [(0, False), (1, False), (1, True)]}
+    runs = count_runs(monkeypatch)
+    image = write_kernel(tmp_path, name)
+    for budget in range(max(totals.values()) + 2):
+        extra = ["--max-cycles", str(budget)]
+        del runs[:]
+        code, out, _ = run_cli(["run", image, "--sweep"] + extra, capsys)
+        simulated = [(0, False)] + [key for key in [(1, False), (1, True)]
+                                    if totals[key] >= budget
+                                    or totals[(0, False)] > budget]
+        assert runs == simulated, budget
+        single_codes = []
+        # [20, OFF, 0], [20, OFF, 1], [20, ON, 0] and [20, ON, 1]
+        for entry in json.loads(out)["runs"][:4]:
+            single_code, single_out, _ = run_cli(
+                single_run_argv(image, entry["config"], extra), capsys)
+            assert cli.to_json(entry) + "\n" == single_out, budget
+            single_codes.append(single_code)
+        assert code == max(single_codes)
 
 
 @pytest.mark.parametrize("branch", sorted(INTERWORKING_BRANCHES))

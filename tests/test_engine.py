@@ -10,13 +10,18 @@ bit; code copied into RAM, run, patched and run again; and the long-block
 programs with RAM reached through slices, the form for hosts without
 native little-endian word views.  Every run is also repeated under the
 other settings of its timing class (`memory.timing_class`), which must
-behave identically: `run --sweep` simulates each class once.
+behave identically: `run --sweep` reports one run for all of a class.  A
+run at zero wait states that halts, priced for both classes at one wait
+state (`Simulator.price`), must equal a direct run of each.
 """
 
 import contextlib
+import functools
+import importlib.util
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -503,6 +508,95 @@ def test_every_budget_cut_matches_reference(image, ws, prefetch, _key):
             # resuming after the cut keeps the fetch buffer and branch state
             assert sim.run().exit_reason == ref.run() == "halt"
             assert machine_state(sim) == machine_state(ref), budget
+
+
+def benchmark_image(workload, name):
+    """The image of one of the benchmark's `run` workloads, seed 31."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return getattr(workloads, "gen_" + workload)(31).files[name]
+
+
+PRICED_IMAGES = {
+    **{name: functools.partial(kernel_image, name) for name in sorted(KERNELS)},
+    **{"random%d" % seed: functools.partial(random_program, seed)
+       for seed in RANDOM_SEEDS},
+    **{"alias%d" % seed: functools.partial(random_program, seed, 0)
+       for seed in RANDOM_SEEDS[:6]},
+    **{"long%d-%s" % (seed, kind): functools.partial(
+        lambda seed, planted: LongBlockProgram(seed, planted=planted).image(),
+        seed, kind == "fault") for seed in LONG_SEEDS
+       for kind in ("fault", "halt")},
+    "run_mixed": functools.partial(benchmark_image, "run_mixed", "mixed.bin"),
+    "sweep_branchy": functools.partial(benchmark_image, "sweep_branchy",
+                                       "branchy.bin"),
+}
+
+
+def assert_prices_as_direct_runs(sim, summary, image):
+    """`summary`, the last run of `sim` at zero wait states, priced for
+    both classes at one wait state equals a direct run of each: every
+    counter, the histogram, cycles, fetch stalls, exit reason and steps,
+    and r0 and output; priced for its own class it is itself.  A run that
+    did not halt is not priced."""
+    for prefetch in (False, True):
+        direct = Simulator(image, wait_states=1, prefetch=prefetch)
+        expected = direct.run()
+        if summary.exit_reason != "halt":
+            assert expected.exit_reason == summary.exit_reason
+            with pytest.raises(M0EnergyError):
+                sim.price(summary, 1, prefetch)
+            continue
+        assert sim.price(summary, 1, prefetch) == expected
+        assert sim.price(summary, 0, prefetch) == summary
+        assert (direct.state.regs[0], direct.mem.debug_output) == (
+            sim.state.regs[0], sim.mem.debug_output)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["compiled", "threshold"])
+@pytest.mark.parametrize("case", PRICED_IMAGES)
+def test_priced_classes_equal_direct_runs(case, engine):
+    """`run --sweep` simulates zero wait states and prices the two classes
+    at one from that run's block tallies: on the kernels, the random and
+    long-block programs and the benchmark's `run` images, with each block
+    compiled on its first run and with the real threshold."""
+    image = PRICED_IMAGES[case]()
+    with engine():
+        sim = Simulator(image)
+        summary = sim.run()
+        assert summary.exit_reason == "halt" or case.endswith("fault")
+        assert_prices_as_direct_runs(sim, summary, image)
+
+
+@pytest.mark.parametrize("first_budget", [10 ** 6, 40], ids=["halt", "cut"])
+def test_pricing_counts_the_run_since_reset(first_budget):
+    """reset() clears the block tallies: a run that halts, or one cut
+    part-way through a block, then reset(), RAM zeroed and a second run,
+    prices as direct runs do."""
+    image = random_program(5)
+    sim = Simulator(image)
+    sim.run(max_cycles=first_budget)
+    sim.reset()
+    sim.mem.ram[:] = bytes(len(sim.mem.ram))
+    assert_prices_as_direct_runs(sim, sim.run(), image)
+
+
+@pytest.mark.parametrize("start", ["step", "cut"])
+def test_a_run_that_did_not_start_at_reset_is_not_priced(start):
+    """A run that resumes after a step or a cut part-way through a block
+    halts, but the tallies miss the part before it, so it is not priced."""
+    sim = Simulator(random_program(5))
+    if start == "step":
+        sim.step()
+    else:
+        sim.run(max_cycles=40)
+    summary = sim.run()
+    assert summary.exit_reason == "halt"
+    with pytest.raises(M0EnergyError):
+        sim.price(summary, 1, True)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1024,3 +1118,23 @@ def test_a_literal_load_past_flash_faults_compiled_too(ws, prefetch):
     source = next(text for text, fn in cpu._CODE.items()
                   if fn is sim._blocks[0x08000008].code)
     assert "= read(" in source
+
+
+def test_translation_stops_where_the_boot_alias_meets_flash():
+    """With 128 MiB of Flash the boot alias ends at FLASH_BASE, so a block
+    decoded from the alias's last halfwords stops at the region change,
+    not at a decode fault, and the Flash block after it is entered warm.
+    The image's vector table runs as code there: NOP, NOP (the SP word),
+    MOVS r1, r1 and LSRS r0, r0, #32 (the reset pc), then BKPT."""
+    image = ((0xBF00BF00).to_bytes(4, "little")
+             + (0x08000009).to_bytes(4, "little") + bytes([0x00, 0xBE]))
+    sim = Simulator(image, wait_states=1, flash_size=memory.FLASH_BASE)
+    sim.mem.flash[-4:] = bytes([0x01, 0x32, 0x01, 0x32])  # ADDS r2, #1 twice
+    sim.state.pc = memory.FLASH_BASE - 4
+    summary = sim.run()
+    assert summary.exit_reason == "halt" and sim.state.regs[2] == 2
+    assert [e[1].addr for e in sim._blocks[memory.FLASH_BASE - 4].entries] \
+        == [memory.FLASH_BASE - 4, memory.FLASH_BASE - 2]
+    assert sim._blocks[memory.FLASH_BASE].warm == 1  # word 0 is not held
+    # 7 instructions of 1 cycle, and a new word at 0x07FFFFFC, 0, 4 and 8
+    assert (summary.steps, summary.cycle_count) == (7, 11)
