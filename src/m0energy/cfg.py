@@ -13,13 +13,18 @@ Memory events are classified by statically resolvable addresses only:
 
 Unresolved accesses make the affected counters unknown and turn energy
 estimates into intervals; there is no value analysis beyond PC/SP bases.
-Blocks end, and get their edges, by `decode.control_flow`.  Indirect
+Blocks end, and get their edges, by `decode.control_flow`'s rule.  Indirect
 branches (BX, BLX, POP into pc, MOV/ADD into pc) produce unknown-target
-edges and end the descent on that path.
+edges and end the descent on that path.  A block holds the shared
+`decode.Encoding` of each instruction and binds `instructions` when read.
 """
 
+import functools
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import import_module
+from itertools import accumulate, compress
 
 from .decode import EDGE_FALLTHROUGH
 from .energy import EnergyInterval, energies  # EnergyInterval: re-exported
@@ -28,16 +33,11 @@ from .errors import AnalysisError, M0EnergyError, PathError
 dec = import_module(".decode", __package__)  # the module, not the function
 
 
-@dataclass
-class StaticCounts:
+class StaticCounts(namedtuple("StaticCounts", "c1 c2 c4_known c5_known "
+                               "c6_known unresolved_loads unresolved_stores",
+                               defaults=(0,) * 7)):
     """Per-block counter prediction; None marks a statically unknown value."""
-    c1: int = 0
-    c2: int = 0
-    c4_known: int = 0
-    c5_known: int = 0
-    c6_known: int = 0
-    unresolved_loads: int = 0
-    unresolved_stores: int = 0
+    __slots__ = ()
 
     @property
     def c3(self):
@@ -70,14 +70,28 @@ class StaticCounts:
 class BasicBlock:
     start: int
     end: int                      # address after the last instruction
-    instructions: list
+    encodings: list               # the decode.Encoding of each instruction
     static_counts: StaticCounts
     successors: list = field(default_factory=list)  # (target or None, kind)
 
+    @functools.cached_property
+    def instructions(self):
+        """Each decode.Instruction, bound on first read (all but a BL are 2
+        bytes, and a BL ends a block)."""
+        return list(map(dec.Encoding.at, self.encodings,
+                        range(self.start, self.end, 2)))
+
+    def texts(self):
+        """Each instruction's text, as `instructions` has it, unbound."""
+        texts = [enc.text for enc in self.encodings]
+        last = self.encodings[-1]  # the only one that can branch
+        if last.offset is not None:
+            texts[-1] %= (self.end - last.size + last.offset) & 0xFFFFFFFF
+        return texts
+
     @property
     def terminator(self):
-        last = self.instructions[-1]
-        return last if last.is_terminator() else None
+        return None if self.encodings[-1].flow is None else self.instructions[-1]
 
 
 @dataclass
@@ -95,97 +109,86 @@ def extract_cfg(mem, entry):
     if mem.region(entry) is None:
         raise AnalysisError(entry, "entry outside executable memory")
 
-    decoded = {}  # address -> instruction
-    flows = {}  # terminator address -> its control_flow edges
-    leaders = {entry}
-    work = [entry]
+    decoded = {}  # address -> decode.Encoding
+    flows = {}  # block-ending address -> its edges
+    work = [(entry, None)]  # edges still to follow
     while work:
-        addr = work.pop()
-        while addr not in decoded:  # one straight-line run
-            try:
-                decoded[addr] = ins = dec.decode_at(mem, addr)
-            except M0EnergyError as exc:
-                raise AnalysisError(addr, "undecodable code (%s)" % exc) from None
-            if ins.op in dec.BLOCK_END_OPS:
-                edges = dec.control_flow(ins)
-                if edges is not None:
-                    flows[addr] = edges
-                    for target, _kind in edges:
-                        if target is not None:
-                            leaders.add(target)
-                            work.append(target)
-                    break
-            addr += ins.width >> 3
+        addr = work.pop()[0]
+        if addr is None or addr in decoded:
+            continue
+        try:
+            last = dec.run_at(mem, addr, decoded)
+        except M0EnergyError as exc:
+            while addr in decoded:  # to where the run failed
+                addr += 2  # a run's instructions but its last are 2 bytes
+            raise AnalysisError(addr, "undecodable code (%s)" % exc) from None
+        if last is not None:
+            flows[last] = edges = decoded[last].edges(last)
+            work += edges
+    # only a BL's second halfword can overlap (addresses are even)
+    overlaps = [a + 2 for a in flows if decoded[a].size == 4 and a + 2 in decoded]
+    if overlaps:
+        raise AnalysisError(min(overlaps), "overlapping instruction decode")
 
-    blocks, run = {}, []  # run: the open block's instructions
-    end = None  # the address after the last instruction seen
-    for addr in sorted(decoded):
-        if end is not None and addr < end:
-            raise AnalysisError(addr, "overlapping instruction decode")
-        if run and (addr in leaders or addr != end):
-            _close_block(blocks, run, end, mem,
-                         [(addr, EDGE_FALLTHROUGH)] if addr == end else [])
-            run = []
-        run.append(decoded[addr])
-        end = addr + (run[-1].width >> 3)
-        if addr in flows:
-            _close_block(blocks, run, end, mem, flows[addr])
-            run = []
-    # no run stays open: the highest instruction decoded ends its walk, so
-    # it is a terminator (any other walk would have decoded past it)
+    # A run ends at a block end or at an address decoded already: a block
+    # runs from a leader to the next, with a gap only after a block end.
+    addrs = sorted(decoded)
+    code = list(map(decoded.__getitem__, addrs))
+    ids = list(map(id, code))  # an Encoding holds a dict: it has no hash
+    distinct = dict(zip(ids, code))
+    tally = {key: _tally(enc) for key, enc in distinct.items()}
+    sums = [0, *accumulate(map(tally.__getitem__, ids))]
+    starts = sorted({t for edges in flows.values() for t, _kind in edges}
+                    - {None} | {entry})  # the leaders
+    bounds = [bisect_left(addrs, start) for start in starts] + [len(addrs)]
+    lits = {key for key, enc in distinct.items() if enc.op == "LDR_LIT"}
+    from_ram = [a for a in compress(addrs, map(lits.__contains__, ids))
+                if mem.region(decoded[a].literal(a)) == "ram"]
+    counts = functools.cache(_unpack)  # blocks share equal counts
+    blocks = {}
+    for start, i, j in zip(starts, bounds, bounds[1:]):
+        last, encs = addrs[j - 1], code[i:j]
+        end = last + encs[-1].size
+        total = sums[j] - sums[i]
+        if from_ram:  # literal loads that read RAM count c4, not c6
+            total += (_C4 - _C6) * (bisect_left(from_ram, end)
+                                    - bisect_left(from_ram, start))
+        edges = flows[last] if last in flows else [(end, EDGE_FALLTHROUGH)]
+        blocks[start] = BasicBlock(start, end, encs, counts(total), edges)
     return CFG(entry, blocks)
 
 
-def _close_block(blocks, instructions, end, mem, edges):
-    start = instructions[0].addr
-    blocks[start] = BasicBlock(start, end, instructions,
-                               static_block_counters(instructions, mem), edges)
+# StaticCounts' counts packed 32 bits apart, to add up in one sum: under
+# 2**29 halfwords (Flash, alias, RAM), 9 counts each, never carry over.
+_C1, _C2, _C4, _C5, _C6, _LOADS, _STORES = (1 << 32 * k for k in range(7))
 
 
-# The ops that count as more or other than one c1 event
-_COUNTED_OPS = dec.LOAD_OPS | dec.STORE_OPS | {"MULS", "PUSH", "POP", "LDM", "STM"}
+def _tally(ins):
+    """The packed counts of an Instruction or Encoding (literals in Flash)."""
+    op = ins.op
+    n = len(ins.fields.get("regs", ())) + ins.fields.get("pc", False)
+    return {"MULS": _C2, "LDR_LIT": _C1 + _C6, "LDR_SP": _C1 + _C4,
+            "STR_SP": _C1 + _C5, "PUSH": _C1 + n * _C5, "POP": _C1 + n * _C4,
+            "LDM": _C1 + n * _LOADS, "STM": _C1 + n * _STORES}.get(
+        op, _C1 + (op in dec.LOAD_OPS) * _LOADS
+        + (op in dec.STORE_OPS) * _STORES)
+
+
+def _unpack(total):
+    return StaticCounts._make(total >> 32 * k & 0xFFFFFFFF for k in range(7))
 
 
 def static_block_counters(instructions, mem):
     """Statically predicted counter vector for a straight-line run."""
-    counts = StaticCounts(c1=len(instructions))
-    for ins in instructions:
-        op = ins.op
-        if op not in _COUNTED_OPS:
-            continue
-        if op == "MULS":
-            counts.c1 -= 1
-            counts.c2 += 1
-        elif op == "LDR_LIT":
-            region = mem.region(ins.fields["lit_addr"])
-            if region == "ram":
-                counts.c4_known += 1
-            else:
-                counts.c6_known += 1  # literal pools live in Flash
-        elif op == "LDR_SP":
-            counts.c4_known += 1
-        elif op == "STR_SP":
-            counts.c5_known += 1
-        elif op == "PUSH":
-            counts.c5_known += len(ins.fields["regs"])
-        elif op == "POP":
-            counts.c4_known += len(ins.fields["regs"]) + (1 if ins.fields["pc"] else 0)
-        elif op == "LDM":
-            counts.unresolved_loads += len(ins.fields["regs"])
-        elif op == "STM":
-            counts.unresolved_stores += len(ins.fields["regs"])
-        elif op in dec.LOAD_OPS:
-            counts.unresolved_loads += 1
-        elif op in dec.STORE_OPS:
-            counts.unresolved_stores += 1
-    return counts
+    return _unpack(sum(map(_tally, instructions)) + (_C4 - _C6) * sum(
+        mem.region(ins.fields["lit_addr"]) == "ram"  # literal loads from RAM
+        for ins in instructions if ins.op == "LDR_LIT"))
 
 
 def _counts(block):
     """A block body's six counts (c3 is on edges), unresolved loads, stores."""
-    c = block.static_counts
-    return (c.c1, c.c2, 0, c.c4_known, c.c5_known, c.c6_known), \
-        c.unresolved_loads, c.unresolved_stores
+    c1, c2, c4, c5, c6, loads, stores = block.static_counts
+    return (c1, c2, 0, c4, c5, c6), loads, stores
 
 
 def block_energies(block, models):

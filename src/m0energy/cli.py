@@ -200,11 +200,11 @@ def _simulate(data, wait_states, prefetch, args, trace_fh=None):
     return sim, summary
 
 
-def _run_report(path, data, config, sim, summary, models):
+def _run_report(image, config, sim, summary, models):
     from .energy import estimate
     counters = summary.counters
     return {
-        "image": _image_info(path, data),
+        "image": image,
         "config": _config_dict(config),
         "exit_reason": summary.exit_reason,
         "cycles": summary.cycle_count,
@@ -277,10 +277,11 @@ def _run(args, parser, data):
                 return sim, priced
         return _simulate(data, *key, args)
 
+    image = _image_info(args.image, data)  # one hash for every report
     reports, results = [], {}  # results: the ranked configurations
     for config, models in table.items():
         run = class_run(timing_class(config.wait_states, config.prefetch))
-        reports.append(_run_report(args.image, data, config, *run, models))
+        reports.append(_run_report(image, config, *run, models))
         if models:
             results[config] = (run[1].counters, run[1].cycle_count)
     code = 0 if all(r["exit_reason"] == "halt" for r in reports) else 1
@@ -289,7 +290,7 @@ def _run(args, parser, data):
     comparison = [{"config": c.label(), "energy_nj": e, "time_us": t}
                   for c, e, t in compare_configs(results, [
                       models[-1] for models in table.values() if models])]
-    return _emit({"image": _image_info(args.image, data), "runs": reports,
+    return _emit({"image": image, "runs": reports,
                   "comparison": comparison}, args.format, "run", code)
 
 
@@ -313,7 +314,7 @@ def _block_dict(block, models, labels):
     return {
         "start": "0x%08x" % block.start,
         "end": "0x%08x" % block.end,
-        "instructions": [ins.text for ins in block.instructions],
+        "instructions": block.texts(),
         "counts": _counts_dict(block.static_counts),
         "successors": [{"target": None if t is None else "0x%08x" % t,
                         "kind": kind} for t, kind in block.successors],
@@ -325,45 +326,47 @@ def _block_writer(models, labels):
     """A function from a block to the text that `to_json` writes for its
     `_block_dict` as a report's record (at depth 2), filled into templates
     built here for distinct `labels` (config labels, with no "%").  The
-    counts and energy_nj text depend only on `cfg._counts(block)`, so each
-    distinct key is rendered once, as each edge kind is."""
-    from .cfg import StaticCounts, _counts, block_energies
+    counts and energy_nj text depend only on the block's StaticCounts, so
+    each distinct one is rendered once, as each edge kind is."""
+    from .cfg import StaticCounts, block_energies
     hole, address = _Raw("%s"), _Raw('"0x%08x"')
     record = to_json({"start": address, "end": address,
-                      "instructions": hole, "counts": hole,
+                      "instructions": [_Raw('"%s"')], "counts": hole,
                       "successors": hole, "energy_nj": hole}, 2)
     counts = to_json(dict.fromkeys(_counts_dict(StaticCounts()), hole), 3)
     fixed = _Raw("%.6f")  # what _json_float writes for a finite float
     point = to_json(dict.fromkeys(labels, fixed), 3)
     interval = to_json(dict.fromkeys(labels, {"lo": fixed, "hi": fixed}), 3)
     edge = to_json({"target": hole, "kind": hole}, 4)
-    kind_text = functools.cache(_json_str)  # of each edge kind
+    edges = functools.cache(lambda kind: (  # to an unknown, a known target
+        edge % ("null", _json_str(kind)),
+        edge % ('"0x%08x"', _json_str(kind).replace("%", "%%"))))
     head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
-    memo = {}
+    quoted = '"' + sep + '"'  # between texts that need no escape
+    memo = {}  # StaticCounts -> its counts and energy_nj text
 
     def write(block):
-        key = _counts(block)
-        rendered = memo.get(key)
+        static = block.static_counts
+        rendered = memo.get(static)
         if rendered is None:
             values = block_energies(block, models)
-            energy = point if block.static_counts.exact else interval
+            energy = point if static.exact else interval
             if energy is interval:
                 values = [x for v in values for x in (v.lo, v.hi)]
             if not math.isfinite(sum(values)):  # some are inf or nan
                 energy = energy.replace("%.6f", "%s")
                 values = map(_json_float, values)
-            rendered = memo[key] = (counts % tuple(map(
-                to_json, _counts_dict(block.static_counts).values())),
-                energy % tuple(values))
-        edges = [edge % ("null" if t is None else '"0x%08x"' % t,
-                         kind_text(kind)) for t, kind in block.successors]
-        texts = [i.text for i in block.instructions]  # one escape search
-        texts = ('"' + ('"' + sep + '"').join(texts) + '"'
-                 if _NEEDS_ESCAPE.search("".join(texts)) is None
-                 else sep.join(map(_json_str, texts)))
+            rendered = memo[static] = (counts % tuple([
+                '"unknown"' if v == "unknown" else v for v in
+                _counts_dict(static).values()]), energy % tuple(values))
+        succ = [edges(kind)[0] if t is None else edges(kind)[1] % t
+                for t, kind in block.successors]
+        texts = block.texts()  # one escape search
+        texts = (quoted.join(texts) if _NEEDS_ESCAPE.search("".join(texts))
+                 is None else sep.join(map(_json_str, texts))[1:-1])
         return record % (
-            block.start, block.end, head + texts + tail, rendered[0],
-            head + sep.join(edges) + tail if edges else "[]", rendered[1])
+            block.start, block.end, texts, rendered[0],
+            head + sep.join(succ) + tail if succ else "[]", rendered[1])
     return write
 
 

@@ -4,33 +4,21 @@ Covers the 16-bit Thumb-1 set plus the 32-bit BL encoding, i.e. the subset a
 bare-metal Cortex-M0 compute kernel uses.  SVC, CPS, barriers, MRS/MSR and
 every other 32-bit encoding raise UndefinedInstructionError.
 
-Each decoded instruction carries an internal `op` id used for execution
-dispatch, a display mnemonic, an operand dict, and a pre-rendered text form.
-Branch targets and literal-pool addresses are resolved at decode time (they
-only depend on the instruction address).  `decode` keeps each 16-bit
-encoding's result, a pc-relative one's with its offset, and hands each
-caller a new Instruction for its address with its own `fields` dict.
+Each encoding is decoded once (`_MEMO` keeps one per 16-bit halfword and
+one per BL) into an `Encoding` that every address holding it shares: an
+`op` id for execution dispatch, a display mnemonic, an operand dict and a
+text, with no value that derives from the address.  `run_at` walks them
+for the static CFG; `decode` and `decode_at` bind one to an address, as an
+Instruction with its target or literal address and its own `fields` dict.
 
-`control_flow` is the one rule for which instructions end a basic block
-and where control goes next; the simulator and the static CFG both use it.
-
-`base_cycles` is the one rule for an instruction's cycles before memory
-stalls, which are added on top.  Its table is `DEFAULT_TIMING`, whose
-entries the simulator's `timing` argument overrides:
-
-    dp                  1   data processing
-    muls                1   MULS (32 for the slow multiplier)
-    load, store         2   loads and stores
-    block_base          1   LDM/STM/PUSH/POP take it + N, N the words
-                            transferred (POP's pc counts)
-    branch_taken        3   B, and BCOND when taken
-    branch_not_taken    1   BCOND when not taken
-    bl                  4   BL
-    bx, blx             3   BX, BLX
-    pc_branch           3   MOV/ADD into pc
-    bkpt                1   BKPT (it counts as executed, then halts)
+`control_flow` (`_flow`, which Encodings hold) is the one rule for which
+instructions end a basic block and where control goes next; the simulator
+and the static CFG both use it.  `base_cycles` is the one rule for an
+instruction's cycles before memory stalls, from `DEFAULT_TIMING`, whose
+entries the simulator's `timing` argument overrides.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import UndefinedInstructionError
@@ -43,20 +31,14 @@ COND_NAMES = ["EQ", "NE", "CS", "CC", "MI", "PL", "VS", "VC",
 DP_OPS = ["ANDS", "EORS", "LSLS_REG", "LSRS_REG", "ASRS_REG", "ADCS", "SBCS",
           "RORS", "TST", "RSBS", "CMP_REG", "CMN", "ORRS", "MULS", "BICS",
           "MVNS"]
-DP_MNEMONICS = ["ANDS", "EORS", "LSLS", "LSRS", "ASRS", "ADCS", "SBCS",
-                "RORS", "TST", "RSBS", "CMP", "CMN", "ORRS", "MULS", "BICS",
-                "MVNS"]
+DP_MNEMONICS = [op.partition("_")[0] for op in DP_OPS]
 
 HINT_NAMES = {0x0: "NOP", 0x1: "YIELD", 0x2: "WFE", 0x3: "WFI", 0x4: "SEV"}
 
-LOAD_OPS = frozenset([
-    "LDR_LIT", "LDR_REG", "LDRH_REG", "LDRB_REG", "LDRSB_REG", "LDRSH_REG",
-    "LDR_IMM", "LDRB_IMM", "LDRH_IMM", "LDR_SP",
-])
-STORE_OPS = frozenset([
-    "STR_REG", "STRH_REG", "STRB_REG", "STR_IMM", "STRB_IMM", "STRH_IMM",
-    "STR_SP",
-])
+LOAD_OPS = frozenset("LDR_LIT LDR_REG LDRH_REG LDRB_REG LDRSB_REG LDRSH_REG "
+                     "LDR_IMM LDRB_IMM LDRH_IMM LDR_SP".split())
+STORE_OPS = frozenset("STR_REG STRH_REG STRB_REG STR_IMM STRB_IMM STRH_IMM "
+                      "STR_SP".split())
 
 # Kinds of control-flow edge; every kind but fall-through is a taken branch.
 EDGE_FALLTHROUGH = "fallthrough"
@@ -64,12 +46,8 @@ EDGE_TAKEN = "taken"
 EDGE_CALL = "call"
 EDGE_RETURN = "return"
 
-
 _REG_NAMES = tuple("r%d" % i for i in range(13)) + ("sp", "lr", "pc")
-
-
-def reg_name(i):
-    return _REG_NAMES[i]
+reg_name = _REG_NAMES.__getitem__
 
 
 def reglist_text(regs):
@@ -95,47 +73,49 @@ class Instruction:
         return control_flow(self) is not None
 
 
-# The ops `control_flow` can end a block with; every other op falls through.
-BLOCK_END_OPS = frozenset("B BCOND BL BLX BX POP MOV_HI ADD_HI BKPT".split())
-
-
-def control_flow(ins):
-    """Edges [(target or None, kind)] out of a block `ins` ends, or None when
-    it falls through.  None marks a target known only at run time; BKPT
-    halts, so it ends a block with no edge."""
-    op, f = ins.op, ins.fields
+def _flow(op, f, offset):
+    """Edges [(target - address, or None, kind)] out of a block that op `op`
+    with operands `f` and target `offset` ends, or None when it falls
+    through.  None marks a target known only at run time; BKPT has none."""
     if op == "BCOND":
-        return [(f["target"], EDGE_TAKEN), (ins.addr + 2, EDGE_FALLTHROUGH)]
+        return (offset, EDGE_TAKEN), (2, EDGE_FALLTHROUGH)
     if op == "B":
-        return [(f["target"], EDGE_TAKEN)]
+        return ((offset, EDGE_TAKEN),)
     if op == "BL":
-        return [(f["target"], EDGE_CALL), (ins.addr + 4, EDGE_FALLTHROUGH)]
+        return (offset, EDGE_CALL), (4, EDGE_FALLTHROUGH)
     if op == "BLX":
-        return [(None, EDGE_CALL), (ins.addr + 2, EDGE_FALLTHROUGH)]
+        return (None, EDGE_CALL), (2, EDGE_FALLTHROUGH)
     if op == "BX":
-        return [(None, EDGE_RETURN if f["rm"] == 14 else EDGE_TAKEN)]
+        return ((None, EDGE_RETURN if f["rm"] == 14 else EDGE_TAKEN),)
     if op == "POP" and f["pc"]:
-        return [(None, EDGE_RETURN)]
+        return ((None, EDGE_RETURN),)
     if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15:
-        return [(None, EDGE_TAKEN)]
+        return ((None, EDGE_TAKEN),)
     if op == "BKPT":
-        return []
+        return ()
     return None
 
 
+def control_flow(ins):
+    """`_flow`'s edges [(target or None, kind)] out of Instruction `ins`."""
+    flow = _flow(ins.op, ins.fields, ins.fields.get("target", 0) - ins.addr)
+    return None if flow is None else [
+        (None if off is None else ins.addr + off, kind) for off, kind in flow]
+
+
 DEFAULT_TIMING = {
-    "dp": 1,
-    "load": 2,
+    "dp": 1,                # data processing
+    "load": 2,              # loads and stores
     "store": 2,
-    "block_base": 1,
-    "branch_taken": 3,
-    "branch_not_taken": 1,
+    "block_base": 1,        # LDM/STM/PUSH/POP: it + the words moved
+    "branch_taken": 3,      # B, and BCOND when taken
+    "branch_not_taken": 1,  # BCOND when not taken
     "bl": 4,
     "bx": 3,
     "blx": 3,
-    "muls": 1,
-    "pc_branch": 3,
-    "bkpt": 1,
+    "muls": 1,              # 32 for the slow multiplier
+    "pc_branch": 3,         # MOV/ADD into pc
+    "bkpt": 1,              # it counts as executed, then halts
 }
 
 # op -> DEFAULT_TIMING key; ops not listed are data processing ("dp").
@@ -165,79 +145,106 @@ def is_wide(hw):
     return (hw & 0xF800) in (0xE800, 0xF000, 0xF800)
 
 
-def decode_at(mem, addr):
-    """The instruction at `addr` of MemorySystem `mem`, from its Flash
-    halfword view but at Flash's last halfword; there and at any other
-    address through `read_code`, which raises the fetch faults."""
-    halves = mem.flash_halves
-    i = (addr - FLASH_BASE) >> 1
-    if halves is not None and 0 <= i < len(halves) - 1 and not addr & 1:
-        hw1 = halves[i]
-        return decode(hw1, halves[i + 1] if hw1 >= 0xE800 else None, addr)
+def encoding_at(mem, addr):
+    """The Encoding at `addr` of MemorySystem `mem`, fetched through
+    `read_code`, which raises the fetch faults."""
     hw1 = mem.read_code(addr)
-    return decode(hw1, mem.read_code(addr + 2) if is_wide(hw1) else None, addr)
+    return _encoding(hw1, mem.read_code(addr + 2) if is_wide(hw1) else None,
+                     addr)
+
+
+def decode_at(mem, addr):
+    """The instruction at `addr` of MemorySystem `mem` (see encoding_at)."""
+    return encoding_at(mem, addr).at(addr)
+
+
+def run_at(mem, addr, decoded):
+    """Decode the straight-line run at `addr` into `decoded` (address ->
+    Encoding), up to an address it holds or through an Encoding that ends a
+    block, whose address it returns (else None): from Flash's halfword view
+    but at its last halfword, else by encoding_at, whose faults it raises."""
+    halves, get = mem.flash_halves or (), _MEMO.get
+    last = len(halves) - 1 if not addr & 1 else 0
+    i = (addr - FLASH_BASE) >> 1
+    while addr not in decoded:
+        if 0 <= i < last:
+            hw, hw2 = halves[i], halves[i + 1]
+            enc = get(hw if hw < 0xE800 else hw << 16 | hw2)
+            decoded[addr] = enc = enc or _encoding(hw, hw2, addr)
+        else:
+            decoded[addr] = enc = encoding_at(mem, addr)
+        if enc.flow is not None:
+            return addr
+        addr, i = addr + 2, i + 1  # only BL, which ends a block, is wider
+    return None
 
 
 def _sign_extend(value, bits):
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
+    return value - (value >> (bits - 1) << bits)
 
 
-_new_instruction = object.__new__
-(_set_addr, _set_op, _set_mnemonic, _set_width, _set_raw, _set_fields,
- _set_text) = (getattr(Instruction, name).__set__ for name in (
-    "addr", "op", "mnemonic", "width", "raw", "fields", "text"))
+class Encoding(namedtuple("Encoding", "op mnemonic width raw fields text "
+                                       "offset lit flow size")):
+    """One decoded encoding, shared by every address that holds it.  B,
+    BCOND and BL keep their target's `offset` and a text with a hole for
+    it; literal LDR and ADR (`lit`) their `imm`; `flow` is `_flow`'s edges.
+    `at` binds it to an address, with a copy of `fields`."""
+    __slots__ = ()
+
+    def literal(self, addr):
+        return ((addr + 4) & ~3) + self.fields["imm"]
+
+    def edges(self, addr):
+        """`control_flow`'s edges out of this encoding at `addr`."""
+        return [(None if off is None else (addr + off) & 0xFFFFFFFF, kind)
+                for off, kind in self.flow]
+
+    def at(self, addr):
+        """The Instruction at `addr`."""
+        fields, text = self.fields.copy(), self.text
+        if self.offset is not None:
+            fields["target"] = target = (addr + self.offset) & 0xFFFFFFFF
+            text %= target
+        elif self.lit:
+            fields["lit_addr"] = self.literal(addr)
+        return Instruction(addr, self.op, self.mnemonic, self.width, self.raw,
+                           fields, text)
 
 
-def _ins(addr, op, mnemonic, raw, fields, text, width=16):
-    # Skips the dataclass __init__, which pays an object.__setattr__ per field.
-    ins = _new_instruction(Instruction)
-    _set_addr(ins, addr)
-    _set_op(ins, op)
-    _set_mnemonic(ins, mnemonic)
-    _set_width(ins, width)
-    _set_raw(ins, raw)
-    _set_fields(ins, fields)
-    _set_text(ins, text)
-    return ins
+def _enc(op, mnemonic, raw, fields, text, offset=None, width=16):
+    return Encoding(op, mnemonic, width, raw, fields, text, offset,
+                    op in ("LDR_LIT", "ADR"), _flow(op, fields, offset),
+                    width >> 3)
 
 
-# halfword -> (op, mnemonic, fields, text, offset) of each narrow encoding;
-# a B or BCOND's text has a hole for its target, and offset = target - addr.
+# halfword, or BL's (hw1 << 16) | hw2 -> its Encoding
 _MEMO = {}
 
 
-def decode(hw1, hw2=None, addr=0):
-    """Decode one instruction at `addr`.
+def _encoding(hw, hw2, addr):
+    """The Encoding of `hw` (and `hw2`), from the memo or into it."""
+    key = hw if hw < 0xE800 or hw2 is None else hw << 16 | (hw2 & 0xFFFF)
+    known = _MEMO.get(key)
+    if known is None:
+        known = _MEMO[key] = _record(hw, hw2, addr)
+    return known
 
-    hw2 is consulted only when hw1 opens a 32-bit encoding (BL); passing
-    None for a 32-bit prefix raises UndefinedInstructionError.
-    """
+
+def decode(hw1, hw2=None, addr=0):
+    """Decode one instruction at `addr`; hw2 is read only when hw1 opens a
+    32-bit encoding (BL), which without it raises UndefinedInstructionError."""
     if addr & 1:
         raise UndefinedInstructionError(addr, hw1, "misaligned decode")
-    hw = hw1 & 0xFFFF
-    known = _MEMO.get(hw)
-    if known is None:
-        ins = _decode(hw, hw2, addr)
-        if ins.width == 16:
-            target = ins.fields.get("target")
-            _MEMO[hw] = (ins.op, ins.mnemonic, ins.fields.copy()) + (
-                (ins.text, None) if target is None
-                else (ins.mnemonic + " 0x%08x", target - addr))
-        return ins
-    op, mnemonic, fields, text, offset = known
-    fields = fields.copy()
-    if "lit_addr" in fields:  # LDR_LIT, ADR
-        fields["lit_addr"] = ((addr + 4) & ~3) + fields["imm"]
-    elif offset is not None:  # any offset equal mod 2**32 masks the same
-        fields["target"] = target = (addr + offset) & 0xFFFFFFFF
-        text %= target
-    return _ins(addr, op, mnemonic, hw, fields, text)
+    return _encoding(hw1 & 0xFFFF, hw2, addr).at(addr)
 
 
 def _decode(hw, hw2, addr):
     """decode() without the memo, for an even `addr` and a 16-bit `hw`."""
+    return _record(hw, hw2, addr).at(addr)
+
+
+def _record(hw, hw2, addr):
+    """The Encoding of `hw` (and `hw2`); `addr` only names a fault's."""
     if is_wide(hw):
         return _decode_wide(hw, hw2, addr)
 
@@ -250,14 +257,14 @@ def _decode(hw, hw2, addr):
         rd = hw & 7
         if top5 == 0b00000:
             if imm5 == 0:
-                return _ins(addr, "MOVS_REG", "MOVS", hw, {"rd": rd, "rm": rm},
+                return _enc("MOVS_REG", "MOVS", hw, {"rd": rd, "rm": rm},
                             "MOVS %s, %s" % (reg_name(rd), reg_name(rm)))
-            return _ins(addr, "LSLS_IMM", "LSLS", hw,
+            return _enc("LSLS_IMM", "LSLS", hw,
                         {"rd": rd, "rm": rm, "imm": imm5},
                         "LSLS %s, %s, #%d" % (reg_name(rd), reg_name(rm), imm5))
         shift = imm5 if imm5 else 32  # encoding 0 means shift by 32
         op, mn = (("LSRS_IMM", "LSRS") if top5 == 0b00001 else ("ASRS_IMM", "ASRS"))
-        return _ins(addr, op, mn, hw, {"rd": rd, "rm": rm, "imm": shift},
+        return _enc(op, mn, hw, {"rd": rd, "rm": rm, "imm": shift},
                     "%s %s, %s, #%d" % (mn, reg_name(rd), reg_name(rm), shift))
 
     # 00011: three-register / three-bit-immediate add and subtract
@@ -269,10 +276,10 @@ def _decode(hw, hw2, addr):
         rd = hw & 7
         if imm_form:
             op, mn = (("SUBS_IMM3", "SUBS") if sub else ("ADDS_IMM3", "ADDS"))
-            return _ins(addr, op, mn, hw, {"rd": rd, "rn": rn, "imm": x},
+            return _enc(op, mn, hw, {"rd": rd, "rn": rn, "imm": x},
                         "%s %s, %s, #%d" % (mn, reg_name(rd), reg_name(rn), x))
         op, mn = (("SUBS_REG", "SUBS") if sub else ("ADDS_REG", "ADDS"))
-        return _ins(addr, op, mn, hw, {"rd": rd, "rn": rn, "rm": x},
+        return _enc(op, mn, hw, {"rd": rd, "rn": rn, "rm": x},
                     "%s %s, %s, %s" % (mn, reg_name(rd), reg_name(rn), reg_name(x)))
 
     # 001xx: move/compare/add/subtract with 8-bit immediate
@@ -282,7 +289,7 @@ def _decode(hw, hw2, addr):
         imm8 = hw & 0xFF
         op, mn = [("MOVS_IMM", "MOVS"), ("CMP_IMM", "CMP"),
                   ("ADDS_IMM8", "ADDS"), ("SUBS_IMM8", "SUBS")][kind]
-        return _ins(addr, op, mn, hw, {"rd": r, "imm": imm8},
+        return _enc(op, mn, hw, {"rd": r, "imm": imm8},
                     "%s %s, #%d" % (mn, reg_name(r), imm8))
 
     # 010000: register data-processing
@@ -291,7 +298,7 @@ def _decode(hw, hw2, addr):
         rm = (hw >> 3) & 7
         rdn = hw & 7
         op, mn = DP_OPS[idx], DP_MNEMONICS[idx]
-        return _ins(addr, op, mn, hw, {"rd": rdn, "rm": rm},
+        return _enc(op, mn, hw, {"rd": rdn, "rm": rm},
                     "%s %s, %s" % (mn, reg_name(rdn), reg_name(rm)))
 
     # 010001: high-register ADD/CMP/MOV and BX/BLX
@@ -303,20 +310,18 @@ def _decode(hw, hw2, addr):
             if hw & 7:
                 raise UndefinedInstructionError(addr, hw)
             if (hw >> 7) & 1:
-                return _ins(addr, "BLX", "BLX", hw, {"rm": rm},
+                return _enc("BLX", "BLX", hw, {"rm": rm},
                             "BLX %s" % reg_name(rm))
-            return _ins(addr, "BX", "BX", hw, {"rm": rm}, "BX %s" % reg_name(rm))
+            return _enc("BX", "BX", hw, {"rm": rm}, "BX %s" % reg_name(rm))
         op, mn = [("ADD_HI", "ADD"), ("CMP_HI", "CMP"), ("MOV_HI", "MOV")][kind]
-        return _ins(addr, op, mn, hw, {"rd": rdn, "rm": rm},
+        return _enc(op, mn, hw, {"rd": rdn, "rm": rm},
                     "%s %s, %s" % (mn, reg_name(rdn), reg_name(rm)))
 
     # 01001: PC-relative literal load
     if top5 == 0b01001:
         rt = (hw >> 8) & 7
         imm = (hw & 0xFF) * 4
-        lit = ((addr + 4) & ~3) + imm
-        return _ins(addr, "LDR_LIT", "LDR", hw,
-                    {"rt": rt, "imm": imm, "lit_addr": lit},
+        return _enc("LDR_LIT", "LDR", hw, {"rt": rt, "imm": imm},
                     "LDR %s, [pc, #%d]" % (reg_name(rt), imm))
 
     # 0101: load/store with register offset
@@ -333,7 +338,7 @@ def _decode(hw, hw2, addr):
         fields = {"rt": rt, "rn": rn, "rm": rm, "size": size}
         if mn in ("LDRSB", "LDRSH"):
             fields["signed"] = True
-        return _ins(addr, op, mn, hw, fields,
+        return _enc(op, mn, hw, fields,
                     "%s %s, [%s, %s]" % (mn, reg_name(rt), reg_name(rn), reg_name(rm)))
 
     # 011xx: word/byte load/store with 5-bit immediate offset
@@ -346,7 +351,7 @@ def _decode(hw, hw2, addr):
                  ("STRB_IMM", "STRB", 1), ("LDRB_IMM", "LDRB", 1)]
         op, mn, size = table[kind]
         imm = imm5 * size
-        return _ins(addr, op, mn, hw, {"rt": rt, "rn": rn, "imm": imm, "size": size},
+        return _enc(op, mn, hw, {"rt": rt, "rn": rn, "imm": imm, "size": size},
                     "%s %s, [%s, #%d]" % (mn, reg_name(rt), reg_name(rn), imm))
 
     # 1000x: halfword load/store with immediate offset
@@ -355,7 +360,7 @@ def _decode(hw, hw2, addr):
         rn = (hw >> 3) & 7
         rt = hw & 7
         op, mn = (("LDRH_IMM", "LDRH") if top5 & 1 else ("STRH_IMM", "STRH"))
-        return _ins(addr, op, mn, hw, {"rt": rt, "rn": rn, "imm": imm, "size": 2},
+        return _enc(op, mn, hw, {"rt": rt, "rn": rn, "imm": imm, "size": 2},
                     "%s %s, [%s, #%d]" % (mn, reg_name(rt), reg_name(rn), imm))
 
     # 1001x: SP-relative load/store
@@ -363,20 +368,17 @@ def _decode(hw, hw2, addr):
         rt = (hw >> 8) & 7
         imm = (hw & 0xFF) * 4
         op, mn = (("LDR_SP", "LDR") if top5 & 1 else ("STR_SP", "STR"))
-        return _ins(addr, op, mn, hw, {"rt": rt, "rn": 13, "imm": imm, "size": 4},
+        return _enc(op, mn, hw, {"rt": rt, "rn": 13, "imm": imm, "size": 4},
                     "%s %s, [sp, #%d]" % (mn, reg_name(rt), imm))
 
     # 10100: ADR; 10101: ADD Rd, SP, #imm
-    if top5 == 0b10100:
+    if top5 in (0b10100, 0b10101):
         rd = (hw >> 8) & 7
         imm = (hw & 0xFF) * 4
-        tgt = ((addr + 4) & ~3) + imm
-        return _ins(addr, "ADR", "ADR", hw, {"rd": rd, "imm": imm, "lit_addr": tgt},
-                    "ADR %s, #%d" % (reg_name(rd), imm))
-    if top5 == 0b10101:
-        rd = (hw >> 8) & 7
-        imm = (hw & 0xFF) * 4
-        return _ins(addr, "ADD_SP_IMM8", "ADD", hw, {"rd": rd, "imm": imm},
+        if top5 == 0b10100:
+            return _enc("ADR", "ADR", hw, {"rd": rd, "imm": imm},
+                        "ADR %s, #%d" % (reg_name(rd), imm))
+        return _enc("ADD_SP_IMM8", "ADD", hw, {"rd": rd, "imm": imm},
                     "ADD %s, sp, #%d" % (reg_name(rd), imm))
 
     # 1011x: miscellaneous
@@ -390,10 +392,10 @@ def _decode(hw, hw2, addr):
         if not regs:
             raise UndefinedInstructionError(addr, hw, "empty register list")
         if top5 == 0b11000:
-            return _ins(addr, "STM", "STM", hw, {"rn": rn, "regs": regs},
+            return _enc("STM", "STM", hw, {"rn": rn, "regs": regs},
                         "STM %s!, %s" % (reg_name(rn), reglist_text(regs)))
         wback = rn not in regs
-        return _ins(addr, "LDM", "LDM", hw, {"rn": rn, "regs": regs, "wback": wback},
+        return _enc("LDM", "LDM", hw, {"rn": rn, "regs": regs, "wback": wback},
                     "LDM %s%s, %s" % (reg_name(rn), "!" if wback else "",
                                       reglist_text(regs)))
 
@@ -404,17 +406,14 @@ def _decode(hw, hw2, addr):
             raise UndefinedInstructionError(addr, hw, "permanently undefined")
         if cond == 0xF:
             raise UndefinedInstructionError(addr, hw, "SVC not supported")
-        offset = _sign_extend(hw & 0xFF, 8) * 2
-        target = (addr + 4 + offset) & 0xFFFFFFFF
         mn = "B" + COND_NAMES[cond]
-        return _ins(addr, "BCOND", mn, hw, {"cond": cond, "target": target},
-                    "%s 0x%08x" % (mn, target))
+        return _enc("BCOND", mn, hw, {"cond": cond}, mn + " 0x%08x",
+                    4 + _sign_extend(hw & 0xFF, 8) * 2)
 
     # 11100: unconditional branch
     if top5 == 0b11100:
-        offset = _sign_extend(hw & 0x7FF, 11) * 2
-        target = (addr + 4 + offset) & 0xFFFFFFFF
-        return _ins(addr, "B", "B", hw, {"target": target}, "B 0x%08x" % target)
+        return _enc("B", "B", hw, {}, "B 0x%08x",
+                    4 + _sign_extend(hw & 0x7FF, 11) * 2)
 
     raise UndefinedInstructionError(addr, hw)
 
@@ -424,16 +423,16 @@ def _decode_misc(hw, addr):
     if sub == 0x0:
         imm = (hw & 0x7F) * 4
         if hw & 0x80:
-            return _ins(addr, "SUB_SP_IMM7", "SUB", hw, {"imm": imm},
+            return _enc("SUB_SP_IMM7", "SUB", hw, {"imm": imm},
                         "SUB sp, #%d" % imm)
-        return _ins(addr, "ADD_SP_IMM7", "ADD", hw, {"imm": imm},
+        return _enc("ADD_SP_IMM7", "ADD", hw, {"imm": imm},
                     "ADD sp, #%d" % imm)
     if sub == 0x2:
         kind = (hw >> 6) & 3
         rm = (hw >> 3) & 7
         rd = hw & 7
         op = ["SXTH", "SXTB", "UXTH", "UXTB"][kind]
-        return _ins(addr, op, op, hw, {"rd": rd, "rm": rm},
+        return _enc(op, op, hw, {"rd": rd, "rm": rm},
                     "%s %s, %s" % (op, reg_name(rd), reg_name(rm)))
     if sub in (0x4, 0x5):
         regs = [i for i in range(8) if hw & (1 << i)]
@@ -441,7 +440,7 @@ def _decode_misc(hw, addr):
             regs.append(14)
         if not regs:
             raise UndefinedInstructionError(addr, hw, "empty register list")
-        return _ins(addr, "PUSH", "PUSH", hw, {"regs": regs},
+        return _enc("PUSH", "PUSH", hw, {"regs": regs},
                     "PUSH %s" % reglist_text(regs))
     if sub == 0xA:
         kind = (hw >> 6) & 3
@@ -450,7 +449,7 @@ def _decode_misc(hw, addr):
         if kind == 0b10:
             raise UndefinedInstructionError(addr, hw)
         op = {0b00: "REV", 0b01: "REV16", 0b11: "REVSH"}[kind]
-        return _ins(addr, op, op, hw, {"rd": rd, "rm": rm},
+        return _enc(op, op, hw, {"rd": rd, "rm": rm},
                     "%s %s, %s" % (op, reg_name(rd), reg_name(rm)))
     if sub in (0xC, 0xD):
         regs = [i for i in range(8) if hw & (1 << i)]
@@ -458,18 +457,18 @@ def _decode_misc(hw, addr):
         shown = regs + ([15] if pc else [])
         if not shown:
             raise UndefinedInstructionError(addr, hw, "empty register list")
-        return _ins(addr, "POP", "POP", hw, {"regs": regs, "pc": pc},
+        return _enc("POP", "POP", hw, {"regs": regs, "pc": pc},
                     "POP %s" % reglist_text(shown))
     if sub == 0xE:
         imm = hw & 0xFF
-        return _ins(addr, "BKPT", "BKPT", hw, {"imm": imm}, "BKPT #%d" % imm)
+        return _enc("BKPT", "BKPT", hw, {"imm": imm}, "BKPT #%d" % imm)
     if sub == 0xF:
         if hw & 0xF:
             raise UndefinedInstructionError(addr, hw)
         name = HINT_NAMES.get((hw >> 4) & 0xF)
         if name is None:
             raise UndefinedInstructionError(addr, hw)
-        return _ins(addr, "HINT", name, hw, {}, name)
+        return _enc("HINT", name, hw, {}, name)
     raise UndefinedInstructionError(addr, hw)
 
 
@@ -480,15 +479,10 @@ def _decode_wide(hw1, hw2, addr):
     # BL: hw1 = 11110 S imm10, hw2 = 11 J1 1 J2 imm11
     if (hw1 & 0xF800) == 0xF000 and (hw2 & 0xD000) == 0xD000:
         s = (hw1 >> 10) & 1
-        imm10 = hw1 & 0x3FF
-        j1 = (hw2 >> 13) & 1
-        j2 = (hw2 >> 11) & 1
-        imm11 = hw2 & 0x7FF
-        i1 = (~(j1 ^ s)) & 1
-        i2 = (~(j2 ^ s)) & 1
-        imm = (s << 24) | (i1 << 23) | (i2 << 22) | (imm10 << 12) | (imm11 << 1)
-        imm = _sign_extend(imm, 25)
-        target = (addr + 4 + imm) & 0xFFFFFFFF
-        return _ins(addr, "BL", "BL", raw, {"target": target},
-                    "BL 0x%08x" % target, width=32)
+        i1 = (~((hw2 >> 13) ^ s)) & 1  # I1 = NOT(J1 XOR S)
+        i2 = (~((hw2 >> 11) ^ s)) & 1  # I2 = NOT(J2 XOR S)
+        imm = ((s << 24) | (i1 << 23) | (i2 << 22) | ((hw1 & 0x3FF) << 12)
+               | ((hw2 & 0x7FF) << 1))
+        return _enc("BL", "BL", raw, {}, "BL 0x%08x",
+                    4 + _sign_extend(imm, 25), width=32)
     raise UndefinedInstructionError(addr, hw1, "unsupported 32-bit encoding")

@@ -119,9 +119,9 @@ def energies(models, counts, loads=0, stores=0):
               for b1, b2, b3, b4, b5, b6 in betas]
     if not (loads or stores):
         return points
-    return [EnergyInterval(e + loads * min(b[3], b[5]),
-                           e + loads * max(b[3], b[5]) + stores * b[4])
-            for e, b in zip(points, betas)]
+    return [EnergyInterval(e + loads * (b6 if b6 < b4 else b4),  # min, max
+                           e + loads * (b6 if b6 > b4 else b4) + stores * b5)
+            for e, (_, _, _, b4, b5, b6) in zip(points, betas)]
 
 
 def relative_weights(model):

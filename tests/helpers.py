@@ -11,7 +11,9 @@ by hand.  Counter expectations are hand counts over the executed path.
 import contextlib
 import csv
 import functools
+import importlib
 import math
+import random
 import re
 
 import numpy as np
@@ -21,7 +23,7 @@ from m0energy import (Assembler, CpuState, DatasetError, EventCounters,
                       InvalidStateFault, M0EnergyError, MemorySystem,
                       RegressionDataset, Simulator,
                       UndefinedInstructionError, fit, fold_indices, mape, r2)
-from m0energy.decode import LOAD_OPS, STORE_OPS, decode, is_wide
+from m0energy.decode import LOAD_OPS, STORE_OPS, control_flow, decode, is_wide
 
 MASK32 = 0xFFFFFFFF
 
@@ -516,6 +518,124 @@ def sum_static_counts(blocks, edges):
         total = [a + b for a, b in zip(total, vec)]
     total[2] += sum(1 for taken in edges if taken)
     return tuple(total)
+
+
+def reference_static_counts(instructions, mem):
+    """StaticCounts' fields, as a dict, of a straight-line run, counted one
+    instruction at a time."""
+    c = dict.fromkeys(["c1", "c2", "c4_known", "c5_known", "c6_known",
+                       "unresolved_loads", "unresolved_stores"], 0)
+    for ins in instructions:
+        op, f = ins.op, ins.fields
+        c["c2" if op == "MULS" else "c1"] += 1
+        if op == "LDR_LIT":
+            c["c4_known" if mem.region(f["lit_addr"]) == "ram"
+              else "c6_known"] += 1
+        elif op == "LDR_SP":
+            c["c4_known"] += 1
+        elif op == "STR_SP":
+            c["c5_known"] += 1
+        elif op == "PUSH":
+            c["c5_known"] += len(f["regs"])
+        elif op == "POP":
+            c["c4_known"] += len(f["regs"]) + int(f["pc"])
+        elif op == "LDM":
+            c["unresolved_loads"] += len(f["regs"])
+        elif op == "STM":
+            c["unresolved_stores"] += len(f["regs"])
+        elif op in LOAD_OPS:
+            c["unresolved_loads"] += 1
+        elif op in STORE_OPS:
+            c["unresolved_stores"] += 1
+    return c
+
+
+def reference_cfg(mem, entry):
+    """{start: (end, instructions, successors, counts)} of the CFG from
+    `entry`, as extract_cfg should find it: a worklist walk that fetches
+    every address through read_code and decodes it with the memo-free
+    decoder, ending a run at each of control_flow's block ends; blocks
+    split at every edge target (and the entry)."""
+    memo_free = importlib.import_module("m0energy.decode")._decode
+    entry &= ~1
+    decoded, leaders, work = {}, {entry}, [entry]
+    while work:
+        addr = work.pop()
+        while addr not in decoded:
+            hw1 = mem.read_code(addr)
+            hw2 = mem.read_code(addr + 2) if is_wide(hw1) else None
+            decoded[addr] = ins = memo_free(hw1, hw2, addr)
+            edges = control_flow(ins)
+            if edges is not None:
+                targets = [t for t, _kind in edges if t is not None]
+                leaders.update(targets)
+                work += targets
+                break
+            addr += ins.size
+    blocks, run = {}, []
+
+    def close(edges):
+        end = run[-1].addr + run[-1].size
+        blocks[run[0].addr] = (end, list(run), edges,
+                               reference_static_counts(run, mem))
+        run.clear()
+    for addr in sorted(decoded):
+        if run and addr in leaders:
+            close([(addr, "fallthrough")])
+        run.append(decoded[addr])
+        edges = control_flow(decoded[addr])
+        if edges is not None:
+            close(edges)
+    return blocks
+
+
+def analyze_like_image(seed, blocks=240, functions=24):
+    """A seeded image shaped like the analyze benchmark's: a chain of
+    blocks, each of one to six body instructions (ALU, MULS, register and
+    SP-relative loads and stores) ending in a BEQ two blocks ahead, a BL
+    to one of the functions, or a B over one or two literal words it
+    loads; then the functions, half ending in POP {r4, pc} and half in BX
+    lr over a literal word they load."""
+    rng = random.Random(seed)
+    a = Assembler()
+
+    def body():
+        for _ in range(rng.randint(1, 6)):
+            r = rng.randint(0, 3)
+            emit = rng.choice([
+                lambda: a.adds_reg(r, r + 1, r + 2), lambda: a.muls(r, r + 1),
+                lambda: a.ldr_imm(r, r + 1, 4), lambda: a.str_imm(r, r + 1, 8),
+                lambda: a.ldr_sp(r, 4), lambda: a.str_sp(r, 4)])
+            emit()
+    for i in range(blocks):
+        a.label("m%d" % i)
+        body()
+        end = rng.choice(["beq", "bl", "b"]) if i < blocks - 2 else "b"
+        if i == blocks - 1:
+            a.bkpt()
+        elif end == "beq":
+            a.beq("m%d" % (i + 2))
+        elif end == "bl":
+            a.bl("f%d" % rng.randrange(functions))
+        else:
+            pool = ["p%d_%d" % (i, k) for k in range(rng.randint(1, 2))]
+            for name in pool:
+                a.ldr_lit(rng.randint(0, 7), name)
+            a.b("m%d" % (i + 1))
+            for name in pool:
+                a.word(rng.getrandbits(32), name)
+    for j in range(functions):
+        a.label("f%d" % j)
+        if j % 2:
+            a.push([4], True)
+            body()
+            a.pop([4], True)
+        else:
+            body()
+            a.ldr_lit(5, "q%d" % j)
+            a.bx(14)
+            a.word(rng.getrandbits(32), "q%d" % j)
+    return a.image()
 
 
 def reference_load_dataset(path, name=None):

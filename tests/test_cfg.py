@@ -1,11 +1,17 @@
 """Static CFG extraction, block counters, and path energy tests."""
 
+import contextlib
+import importlib
+import io
+
 import pytest
 
 import m0energy.cfg
+import m0energy.cli
 import m0energy.energy
-from helpers import (KERNELS, PUBLISHED_TABLE, dot_oracle, dynamic_block_path,
-                     kernel_image, run_kernel, sum_static_counts)
+from helpers import (KERNELS, PUBLISHED_TABLE, analyze_like_image, dot_oracle,
+                     dynamic_block_path, kernel_image, reference_cfg,
+                     run_kernel, sum_static_counts)
 from m0energy import (AnalysisError, Assembler, EnergyInterval, HardwareConfig,
                       MemorySystem, PathError, Simulator, builtin_model,
                       builtin_models, estimate, extract_cfg, path_energy)
@@ -303,3 +309,120 @@ def test_branch_into_a_bl_second_halfword_is_overlapping_decode():
         extract_cfg(mem, mem.reset_vector()[1])
     assert err.value.addr == 0x0800000C
     assert str(err.value) == "overlapping instruction decode at 0x0800000c"
+
+
+# -- extract_cfg against a walk that decodes every address afresh ------------
+
+def assert_cfg_matches_reference(mem, entry):
+    """Every block's range, successors, counts, texts and bound
+    instructions equal those of `helpers.reference_cfg`."""
+    want = reference_cfg(mem, entry)
+    graph = extract_cfg(mem, entry)
+    assert sorted(graph.blocks) == sorted(want)
+    for start, (end, instructions, successors, counts) in want.items():
+        block = graph.blocks[start]
+        assert (block.start, block.end, block.successors) == (
+            start, end, successors), hex(start)
+        assert block.static_counts._asdict() == counts, hex(start)
+        assert block.texts() == [ins.text for ins in instructions]
+        assert block.instructions == instructions
+        assert list(map(repr, block.instructions)) == list(map(repr,
+                                                               instructions))
+
+
+def differential_image(kind, seed):
+    from test_cli import golden_image, pc_relative_image
+    from test_engine import random_program
+    return {"kernel": kernel_image, "golden": golden_image,
+            "random": random_program, "analyze": analyze_like_image,
+            "alias": lambda seed: random_program(seed, flash_base=0),
+            "pc_relative": lambda seed: pc_relative_image()}[kind](seed)
+
+
+DIFFERENTIAL_IMAGES = ([("kernel", name) for name in sorted(KERNELS)]
+                       + [("golden", seed) for seed in range(1, 21)]
+                       + [("random", seed) for seed in range(24)]
+                       + [("alias", seed) for seed in range(4)]
+                       + [("pc_relative", 0)]
+                       + [("analyze", seed) for seed in (31, 32)])
+
+
+@pytest.mark.parametrize("kind,seed", DIFFERENTIAL_IMAGES,
+                         ids=["%s-%s" % case for case in DIFFERENTIAL_IMAGES])
+def test_cfg_matches_a_walk_that_decodes_every_address(kind, seed):
+    mem = MemorySystem(differential_image(kind, seed))
+    assert_cfg_matches_reference(mem, mem.reset_vector()[1])
+
+
+def test_literal_loads_count_the_region_they_read():
+    """Code in RAM loads literals from RAM (c4) and from past RAM's end
+    (c6), and Flash code at Flash's end loads one from past it (c6)."""
+    a = Assembler(flash_base=0x20000000)
+    a.ldr_lit(0, "word")
+    a.adds_reg(0, 0, 0)
+    a.ldr_lit(1, "word")
+    a.raw(0x4AFF)  # LDR r2, [pc, #1020]: past a 64-byte RAM
+    a.bkpt()
+    a.word(7, "word")
+    code = a.image()[8:]
+    mem = MemorySystem(kernel_image("straight6"), ram_size=64)
+    mem.ram[:len(code)] = code
+    assert_cfg_matches_reference(mem, 0x20000000)
+    counts = extract_cfg(mem, 0x20000000).blocks[0x20000000].static_counts
+    assert (counts.c4_known, counts.c6_known) == (2, 1)
+
+    a = Assembler()
+    a.movs(0, 1)
+    a.movs(1, 2)
+    a.raw(0x4BFF)  # LDR r3, [pc, #1020]: past the end of Flash
+    a.bkpt()
+    image = a.image()
+    mem = MemorySystem(image, flash_size=len(image))
+    assert_cfg_matches_reference(mem, mem.reset_vector()[1])
+    assert extract_cfg(mem, 0x08000008).blocks[0x08000008].static_counts == (
+        4, 0, 0, 0, 1, 0, 0)
+
+
+def test_json_analyze_binds_no_instruction(tmp_path, monkeypatch):
+    """A JSON report is written from the blocks' shared Encodings: no
+    Instruction is bound.  A block binds its instructions once."""
+    bound = []
+    encoding = importlib.import_module("m0energy.decode").Encoding
+    at = encoding.at
+    monkeypatch.setattr(encoding, "at", lambda enc, addr: (
+        bound.append(addr) or at(enc, addr)))
+    path = tmp_path / "analyze.bin"
+    path.write_bytes(analyze_like_image(31))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert m0energy.cli.main(["analyze", str(path)]) == 0
+    assert bound == [] and '"instructions"' in out.getvalue()
+    mem = MemorySystem(path.read_bytes())
+    block = extract_cfg(mem, mem.reset_vector()[1]).sorted_blocks()[0]
+    assert bound == []
+    first = block.instructions
+    assert block.instructions is first and len(bound) == len(first) > 1
+
+
+def test_walk_reads_flash_through_its_halfword_view(monkeypatch):
+    """Once the memo holds an image's encodings, BLs included, the walk
+    reads no Flash halfword through read_code."""
+    mem = MemorySystem(analyze_like_image(31))
+    entry = mem.reset_vector()[1]
+    extract_cfg(mem, entry)
+    fetched = []
+    read_code = MemorySystem.read_code
+    monkeypatch.setattr(MemorySystem, "read_code", lambda self, addr: (
+        fetched.append(addr) or read_code(self, addr)))
+    graph = extract_cfg(mem, entry)
+    assert fetched == []
+    assert any(b.encodings[-1].op == "BL" for b in graph.blocks.values())
+
+
+def test_walk_without_halfword_views_matches_the_reference(monkeypatch):
+    """Where Flash has no halfword view (a big-endian host), the walk reads
+    every address through read_code, to the same CFG."""
+    monkeypatch.setattr(importlib.import_module("m0energy.memory"),
+                        "RAM_VIEWS", False)
+    mem = MemorySystem(analyze_like_image(31))
+    assert mem.flash_halves is None
+    assert_cfg_matches_reference(mem, mem.reset_vector()[1])

@@ -322,6 +322,20 @@ def test_sweep_whose_first_class_halts_simulates_once(tmp_path, capsys,
     assert runs == [(0, False)]
 
 
+def test_sweep_hashes_the_image_once(tmp_path, capsys, monkeypatch):
+    """The sweep's top level and each of its ten reports show one sha256 of
+    the image, computed once."""
+    hashed = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda data: hashed.append(len(data)) or sha256(data))
+    image = write_kernel(tmp_path, "pushpop_loop")
+    code, out, _ = run_cli(["run", image, "--sweep"], capsys)
+    report = json.loads(out)
+    assert code == 0 and hashed == [len(kernel_image("pushpop_loop"))]
+    assert [run["image"] for run in report["runs"]] == [report["image"]] * 10
+
+
 @pytest.mark.parametrize("name", ["loop5", "pushpop_loop"])
 def test_sweep_prices_or_simulates_each_class_at_every_budget(
         tmp_path, capsys, monkeypatch, name):
@@ -1409,7 +1423,8 @@ def test_block_writer_matches_to_json_of_block_dict(kind, seed):
 
 def hand_block(start, counts, texts=("ADDS r0, r0, r1",), successors=()):
     return BasicBlock(start, start + 2 * len(texts),
-                      [SimpleNamespace(text=text) for text in texts],
+                      [SimpleNamespace(text=text, offset=None)
+                       for text in texts],
                       counts, list(successors))
 
 
