@@ -15,8 +15,10 @@ Unresolved accesses make the affected counters unknown and turn energy
 estimates into intervals; there is no value analysis beyond PC/SP bases.
 Blocks end, and get their edges, by `decode.control_flow`'s rule.  Indirect
 branches (BX, BLX, POP into pc, MOV/ADD into pc) produce unknown-target
-edges and end the descent on that path.  A block holds the shared
-`decode.Encoding` of each instruction and binds `instructions` when read.
+edges and end the descent on that path.  Runs are walked by `decode.run_at`
+and counted by `decode.tally`, as the simulator's translation does; a block
+holds each instruction's shared `decode.Encoding` and binds `instructions`
+when read.
 """
 
 import functools
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from itertools import accumulate, compress
 
-from .decode import EDGE_FALLTHROUGH
+from .decode import EDGE_FALLTHROUGH, tally
 from .energy import EnergyInterval, energies  # EnergyInterval: re-exported
 from .errors import AnalysisError, M0EnergyError, PathError
 
@@ -86,7 +88,7 @@ class BasicBlock:
         texts = [enc.text for enc in self.encodings]
         last = self.encodings[-1]  # the only one that can branch
         if last.offset is not None:
-            texts[-1] %= (self.end - last.size + last.offset) & 0xFFFFFFFF
+            texts[-1] = last.text_at(self.end - last.size)
         return texts
 
     @property
@@ -165,13 +167,13 @@ _C1, _C2, _C4, _C5, _C6, _LOADS, _STORES = (1 << 32 * k for k in range(7))
 
 def _tally(ins):
     """The packed counts of an Instruction or Encoding (literals in Flash)."""
+    c1, c2, _histogram = tally((ins,))
     op = ins.op
     n = len(ins.fields.get("regs", ())) + ins.fields.get("pc", False)
-    return {"MULS": _C2, "LDR_LIT": _C1 + _C6, "LDR_SP": _C1 + _C4,
-            "STR_SP": _C1 + _C5, "PUSH": _C1 + n * _C5, "POP": _C1 + n * _C4,
-            "LDM": _C1 + n * _LOADS, "STM": _C1 + n * _STORES}.get(
-        op, _C1 + (op in dec.LOAD_OPS) * _LOADS
-        + (op in dec.STORE_OPS) * _STORES)
+    return c1 * _C1 + c2 * _C2 + {
+        "LDR_LIT": _C6, "LDR_SP": _C4, "STR_SP": _C5, "PUSH": n * _C5,
+        "POP": n * _C4, "LDM": n * _LOADS, "STM": n * _STORES}.get(
+        op, (op in dec.LOAD_OPS) * _LOADS + (op in dec.STORE_OPS) * _STORES)
 
 
 def _unpack(total):

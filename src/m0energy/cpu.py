@@ -9,11 +9,13 @@ each shift's carry, and `_extend` is the one sign/zero-extension rule.
 
 Execution runs on a translation cache, in the manner of QEMU's translation
 blocks.  The first time a Flash (or boot-alias) pc is reached, the
-straight-line code there is decoded once, up to and including its
-terminator (`decode.control_flow`, the one block-end rule), with each
-instruction's base cycles (`decode.base_cycles`, under the simulator's
-`timing`) and its fetch stall (`memory.fetch_stall`, after the word the
-previous instruction ended in).  The first instruction has two stalls:
+straight-line code there is walked once by `decode.run_at`, as `analyze`
+walks it, up to and including its terminator (`decode.control_flow`, the
+one block-end rule).  Each entry holds the shared `decode.Encoding` and its
+address, with its base cycles (`decode.base_cycles`, under the simulator's
+`timing`) and its fetch stall (`memory.block_stalls`, after the word the
+previous instruction ended in); the block holds one run's `decode.tally`.
+Only a StepResult binds an Instruction.  The first instruction has two stalls:
 `cold`, entered after a taken branch, reset or a fault, and `warm`, entered
 after a sequential fetch, by falling through or by resuming where the last
 run stopped without branching.  A block runs one instruction at a time,
@@ -46,9 +48,9 @@ checked before each.  `step()`, a run to one cycle past now (no timing
 entry is below a cycle), `on_step` and RAM code never use or make compiled
 code; each RAM instruction is fetched and decoded afresh, as RAM code may
 modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read`
-and `_write` counted.  c1, c2 and the histogram are counted per block run
-and folded into the counters when `run` or `step` returns, as are each
-Flash block's runs and cold entries since reset, which `price` reads.
+and `_write` counted.  A block's c1, c2 and histogram, times its runs, are
+folded into the counters when `run` or `step` returns, as are each Flash
+block's runs and cold entries since reset, which `price` reads.
 
 An instruction commits on completion: one that faults adds no counter event
 and no cycles and leaves pc at its address; a block transfer counts its
@@ -74,8 +76,8 @@ from types import MappingProxyType
 
 from .counters import EventCounters
 from .errors import InvalidConfigError, InvalidStateFault, M0EnergyError
-from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, RAM_BASE,
-                     MemorySystem, fetch_stall)
+from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, FLASH_BASE,
+                     RAM_BASE, MemorySystem, block_stalls)
 
 dec = import_module(".decode", __package__)  # the module, not the function
 
@@ -255,13 +257,13 @@ TEMPLATES = {
     "MOV_HI pc": "pc = {rm} & 0xFFFFFFFE",
     "ADD_HI": "{rd} = ({rd} + {rm}) & 0xFFFFFFFF",
     "ADD_HI pc": "pc = ({rd} + {rm}) & 0xFFFFFFFE",
-    "ADR": "{rd} = {lit_addr}",
+    "ADR": "{rd} = {literal}",
     "ADD_SP_IMM8": "{rd} = (r13 + {imm}) & 0xFFFFFFFF",
     "ADD_SP_IMM7": "r13 = (r13 + {imm}) & 0xFFFFFFFF",
     "SUB_SP_IMM7": "r13 = (r13 - {imm}) & 0xFFFFFFFF",
     "HINT": "",
     "BKPT": "S.halted = True",
-    "LDR_LIT": "{rt} = READ({lit_addr}, 4)",
+    "LDR_LIT": "{rt} = READ({literal}, 4)",
     # register, immediate and SP-relative: rn plus imm or rm, size bytes
     "LOAD": "{rt} = READ({rn} + {offset}, {size})",
     "LDRSB_REG": "{rt} = READ({rn} + {rm}, 1)\n{rt} = " + _extend("{rt}", 8),
@@ -286,11 +288,11 @@ TEMPLATES = {
 }
 
 
-def _form(ins):
-    """The TEMPLATES key of `ins`: its op; LOAD or STORE for a load or store
+def _form(enc):
+    """The TEMPLATES key of `enc`: its op; LOAD or STORE for a load or store
     that does not sign-extend; or for a MOV/ADD into pc, a POP into pc or an
     LDM that loads its base register, the op and that form."""
-    op, f = ins.op, ins.fields
+    op, f = enc.op, enc.fields
     if op in ("MOV_HI", "ADD_HI") and f["rd"] == 15 or op == "POP" and f["pc"]:
         return op + " pc"
     if op == "LDM" and not f["wback"]:
@@ -300,25 +302,29 @@ def _form(ins):
     return op
 
 
-def _render(ins, generic=False):
-    """`ins`'s template lines with registers as the locals r0..r14 and the
-    other operands as constants; when `generic`, as `R[f["rd"]]` and
-    `f["imm"]`, for every instruction of its `_step` form."""
-    f = ins.fields
-    operands = {"next": "(ins.addr + %d)" % ins.size if generic
-                else "%#x" % (ins.addr + ins.size)}
+def _render(enc, addr=None):
+    """`enc`'s template lines at `addr`, registers as the locals r0..r14 and
+    the other operands as constants; without `addr`, as `R[f["rd"]]`,
+    `f["imm"]` and `e.target(a)`, for a step function's Encoding `e` at `a`."""
+    f, generic = enc.fields, addr is None
+    operands = {"next": "(a + %d)" % enc.size if generic
+                else "%#x" % (addr + enc.size)}
     for name, value in f.items():
         if name in ("rd", "rn", "rm", "rt"):
             operands[name] = ('R[f["%s"]]' % name if generic else "%#x"
-                              % (ins.addr + 4) if value == 15 else "r%d" % value)
+                              % (addr + 4) if value == 15 else "r%d" % value)
         elif name == "cond":
             operands[name] = _CONDITIONS[value]
-        elif name in ("imm", "lit_addr", "target"):
-            operands[name] = 'f["%s"]' % name if generic else "%#x" % value
+        elif name == "imm":
+            operands[name] = 'f["imm"]' if generic else "%#x" % value
         elif name == "size":
             operands[name] = "%d" % value
+    if enc.offset is not None or enc.lit:  # an operand bound to the address
+        name = "literal" if enc.lit else "target"
+        operands[name] = ("e.%s(a)" % name if generic
+                          else "%#x" % getattr(enc, name)(addr))
     operands["offset"] = operands.get("imm") or operands.get("rm")
-    template = TEMPLATES[_form(ins)]
+    template = TEMPLATES[_form(enc)]
     if isinstance(template, str):
         return template.format_map(operands).splitlines()
     head, word, tail = template
@@ -370,24 +376,24 @@ def _function(name, signature, prologue, body, names, epilogue):
     return _compile(name, "\n".join(lines) + "\n")
 
 
-def _step(ins):
-    """step_<form>(sim, ins) for `ins`'s form (op, condition, register
-    list, size), generated from its template on first use: registers from
-    the state, operands from `ins.fields`, memory only through `sim._read`
-    and `_write`.  It sets pc (the next instruction, the branch target, or
-    its own address if it faults) and returns whether it branched; a block
-    transfer that faults part-way rolls back its words' events."""
-    f = ins.fields
-    form = (_form(ins), f.get("cond"), tuple(f.get("regs", ())), f.get("size"),
+def _step(enc):
+    """step_<form>(sim, e, a), running Encoding `e` of `enc`'s form (op,
+    condition, register list, size) at address `a`, generated on first use:
+    operands from `e.fields`, memory only through `sim._read` and `_write`.
+    It sets pc (the next instruction, the branch target, or its own address
+    if it faults) and returns whether it branched; a block transfer that
+    faults part-way rolls back its words' events."""
+    f = enc.fields
+    form = (_form(enc), f.get("cond"), tuple(f.get("regs", ())), f.get("size"),
             "imm" in f)
     fn = _STEPS.get(form)
     if fn is None:
         body = [re.sub(r"\br(\d+)\b", r"R[\1]", line).replace(
             "READ(", "sim._read(").replace("WRITE(", "sim._write(")
-            for line in _render(ins, generic=True)]
+            for line in _render(enc)]
         names = set(_FLAGS.findall("\n".join(body)))
-        prologue = ["S = sim.state", "R = S.regs", "f = ins.fields",
-                    "pc = None", "R[15] = ins.addr + 4  # pc reads"]
+        prologue = ["S = sim.state", "R = S.regs", "f = e.fields",
+                    "pc = None", "R[15] = a + 4  # pc reads"]
         if sum(line.count("sim._") for line in body) > 1:
             saved = "C.c4, C.c5, C.c6, S.cycle_count"
             prologue += ["C = sim.counters", "_k = " + saved]
@@ -395,18 +401,18 @@ def _step(ins):
                     + ["except M0EnergyError:", "    %s = _k" % saved,
                        "    raise"])
         fn = _STEPS[form] = _function(
-            "step_" + re.sub(r"\W", "_", form[0]), "sim, ins", prologue, body,
-            names, (["R[15] = ins.addr"], [
-                "R[15] = ins.addr + %d if pc is None else pc" % ins.size,
+            "step_" + re.sub(r"\W", "_", form[0]), "sim, e, a", prologue, body,
+            names, (["R[15] = a"], [
+                "R[15] = a + %d if pc is None else pc" % enc.size,
                 "return pc is not None"]))
     return fn
 
 
-def _literal(ins, mem):
-    """(value, stall) of LDR_LIT's load when it reads Flash, which is never
-    written, so the value is a constant; else None."""
+def _literal(lit_addr, mem):
+    """(value, stall) of LDR_LIT's load from `lit_addr` when it reads Flash,
+    which is never written, so the value is a constant; else None."""
     try:
-        value, stall, region = mem.read(ins.fields["lit_addr"], 4)
+        value, stall, region = mem.read(lit_addr, 4)
     except M0EnergyError:
         return None
     return (value, stall) if region == "flash" else None
@@ -448,36 +454,24 @@ def _access(match, mem, words, pc):
     return [indent + line for line in lines]
 
 
-def block_stalls(mem, code, wait_states, prefetch):
-    """(cold, warm, stalls) of straight-line Flash `code` under these
-    settings: the first instruction's fetch stall with nothing held and with
-    the word at its address - 2 held, then each one's stall after the one
-    before (0 for the first).  The one place a block's fetches are priced."""
-    words = [[mem.fetch_word(ins.addr + k) for k in range(0, ins.size, 2)]
-             for ins in code]
-    # the previous instruction ended in the word holding addr - 2
-    stalls = [fetch_stall(w, mem.fetch_word(ins.addr - 2), wait_states,
-                          prefetch) for w, ins in zip(words, code)]
-    return (fetch_stall(words[0], None, wait_states, prefetch), stalls[0],
-            [0] + stalls[1:])
-
-
 class _Block:
     """Straight-line code decoded once.  `entries` holds one tuple per
-    instruction: (its `_step` function, instruction, base cycles if not
-    taken, if taken, fetch stall, index; 0 stall for the first, whose stall
-    is `cold` after a taken branch, reset or fault and `warm` after a
-    sequential fetch).  `heat` is its runs before it is compiled (None for
-    RAM code, never compiled); `code` the compiled function; `worst` its
-    budget worst case; `runs` its uncounted runs; `ran` and `colds` its
-    completed runs and its cold entries since reset, which price it."""
-    __slots__ = ("entries", "cold", "warm", "heat", "code", "worst", "runs",
-                 "ran", "colds")
+    instruction: (its `_step` function, shared `decode.Encoding`, address,
+    base cycles if not taken, if taken, fetch stall; 0 stall for the first,
+    whose stall is `cold` after a taken branch, reset or fault and `warm`
+    after a sequential fetch).  `counts` is one run's `decode.tally`; `heat`
+    its runs before it is compiled (None for RAM code, never compiled);
+    `code` the compiled function; `worst` its budget worst case; `runs` its
+    uncounted runs; `ran` and `colds` its completed runs and its cold
+    entries since reset, which price it."""
+    __slots__ = ("entries", "cold", "warm", "counts", "heat", "code", "worst",
+                 "runs", "ran", "colds")
 
-    def __init__(self, entries, cold, warm, heat):
+    def __init__(self, entries, cold, warm, counts, heat):
         self.entries = entries
         self.cold = cold
         self.warm = warm
+        self.counts = counts
         self.heat = heat
         self.code = None
         self.worst = None
@@ -543,36 +537,33 @@ class Simulator:
     def _translate(self, pc):
         """The block at pc, decoded once and cached for Flash, afresh for RAM.
 
-        Decoding stops after a terminator, and before an instruction that
-        cannot be fetched or decoded so that executing it raises the fault;
-        at the block's first instruction it raises here, as it does for the
-        odd pc an interworking branch leaves when the Thumb bit is clear.
-        A RAM block is one instruction long.
+        `decode.run_at` stops after a terminator, at `stop` (where the boot
+        alias meets Flash, and after one instruction in RAM), and before an
+        instruction that cannot be fetched or decoded so that executing it
+        raises the fault; at the block's first instruction it raises here,
+        as it does for the odd pc an interworking branch leaves when the
+        Thumb bit is clear.
         """
         if pc & 1:
             raise InvalidStateFault(pc ^ 1)
         mem = self.mem
         kind = mem.region(pc)
-        code = []
-        addr = pc
-        while True:
-            if code and mem.region(addr) != kind:
-                break
-            try:
-                ins = dec.decode_at(mem, addr)
-            except M0EnergyError:
-                if code:
-                    break
+        stop = {"alias": FLASH_BASE, "ram": pc + 2}.get(kind)
+        run = {stop: None}
+        try:
+            dec.run_at(mem, pc, run)
+        except M0EnergyError:
+            if pc not in run:
                 raise
-            code.append(ins)
-            addr += ins.size
-            if ins.is_terminator() or kind == "ram":
-                break
-        cold, warm, stalls = block_stalls(
-            mem, code, mem.wait_states if kind != "ram" else 0, self.prefetch)
-        entries = [(_step(ins), ins, *dec.base_cycles(ins, self.timing), stall,
-                    k) for k, (ins, stall) in enumerate(zip(code, stalls))]
-        block = _Block(entries, cold, warm, None if kind == "ram" else 0)
+        del run[stop]
+        code = list(run.items())
+        cold, warm, stalls = (0, 0, [0]) if kind == "ram" else block_stalls(
+            [(addr, enc.size) for addr, enc in code], mem.wait_states,
+            self.prefetch)  # RAM never stalls
+        entries = [(_step(enc), enc, addr, *dec.base_cycles(enc, self.timing),
+                    stall) for (addr, enc), stall in zip(code, stalls)]
+        block = _Block(entries, cold, warm, dec.tally(run.values()),
+                       None if kind == "ram" else 0)
         if kind != "ram":
             self._blocks[pc] = block
         return block
@@ -591,8 +582,8 @@ class Simulator:
         mem = self.mem
         ws = mem.wait_states
         # the body, last line first: the end sets pc unless a branch did
-        last = block.entries[-1][1]
-        rev = ["    pc = %#x" % (last.addr + last.size), "if not tk:",
+        start, (_s, enc, last) = block.entries[0][2], block.entries[-1][:3]
+        rev = ["    pc = %#x" % (last + enc.size), "if not tk:",
                "tk = pc is not None"]
         live = set(_LIVE)                   # read by the block's end
         adds = dict.fromkeys(_COUNTS, 0)    # increments not yet written
@@ -605,22 +596,22 @@ class Simulator:
                     adds[name] = 0
 
         block.worst = 0
-        for _s, ins, base, base_taken, wait, k in reversed(block.entries):
-            lines = _render(ins)
+        for _s, enc, addr, base, base_taken, wait in reversed(block.entries):
+            lines = _render(enc, addr)
             code = "\n".join(lines)
             names.update(_NAMES.findall(code))
             if not live & {"c", "v"} and lines and lines[0].startswith("_a = "):
                 lines = _collapse(lines)
             accesses = [_READ.match(line) or _WRITE.match(line)
                         for line in lines]
-            literal = ins.op == "LDR_LIT" and _literal(ins, mem)
+            literal = enc.op == "LDR_LIT" and _literal(enc.literal(addr), mem)
             reads, writes = code.count("READ("), code.count("WRITE(")
-            if k < len(block.entries) - 1:
+            if addr != last:
                 block.worst += base_taken + wait + ws * reads
             if base_taken != base:  # after the template lines, last first
                 rev.append("t += %d if pc is not None else 0"
                            % (base_taken - base))
-            if k == 0 and block.cold:
+            if addr == start and block.cold:
                 rev += ["t += st", "fetch_stall_cycles += st"]
             if reads > 1:
                 rev += ["t += _fw", "c6 += _f", "c4 += %d - _f" % reads]
@@ -637,7 +628,7 @@ class Simulator:
                     write_adds()
                     live.update(_LIVE)
                     rev.extend(reversed(_access(m, mem, reads + writes > 1,
-                                                ins.addr)))
+                                                addr)))
                 else:  # an indented write is conditional: it kills nothing
                     target, _eq, expr = line.partition(" = ")
                     if target in _LIVE and target not in live:
@@ -647,7 +638,7 @@ class Simulator:
                     rev.append(line)
             if reads > 1:
                 rev.append("_f = _fw = 0")
-            rev.append("# %08x  %s" % (ins.addr, ins.text))
+            rev.append("# %08x  %s" % (addr, enc.text_at(addr)))
         write_adds()
         body = rev[::-1]
         text = "\n".join(body)
@@ -659,7 +650,7 @@ class Simulator:
         dead = [x for x in "nzcv" if x in names and x not in live]
         epilogue += ["S.%s = %s" % (x, x) for x in dead]
         block.code = _function(
-            "block_%08x" % block.entries[0][1].addr,
+            "block_%08x" % start,
             "S, R, C, ram, W, H, read, write, t, st", prologue, body,
             names.difference(dead), (epilogue, ["R[15] = pc", "return tk"]))
         return block.code
@@ -702,7 +693,8 @@ class Simulator:
         for b in self._blocks.values():
             if b.ran:
                 cold, warm, inner = block_stalls(
-                    self.mem, [e[1] for e in b.entries], wait_states, prefetch)
+                    [(e[2], e[1].size) for e in b.entries], wait_states,
+                    prefetch)
                 stalls += b.colds * (cold - warm) + b.ran * (warm + sum(inner))
         extra = (stalls - c.fetch_stall_cycles
                  + (wait_states - self.mem.wait_states) * c.c6)
@@ -736,7 +728,6 @@ class Simulator:
                 block = blocks.get(pc) or self._translate(pc)
                 stall = block.cold if cold else block.warm
                 block.colds += cold
-                entries = block.entries
                 code = block.code
                 if code is None and on_step is None and block.heat is not None:
                     block.heat += 1
@@ -747,20 +738,20 @@ class Simulator:
                     try:
                         taken = code(*args, now, stall)
                     except M0EnergyError:
-                        self._tally([e for e in entries
-                                     if e[1].addr < regs[15]])
+                        self._tally(block, stop=regs[15])
                         raise
                     cold = taken
                     taken_count += taken
                 else:
                     try:
-                        for step, ins, base, base_taken, wait, i in entries:
+                        for (step, enc, addr, base, base_taken,
+                             wait) in block.entries:
                             now = s.cycle_count
                             if now >= max_cycles:
-                                self._tally(entries[:i])
+                                self._tally(block, stop=addr)
                                 return "cycle-budget"
                             stall += wait
-                            taken = cold = step(self, ins)
+                            taken = cold = step(self, enc, addr)
                             taken_count += taken
                             s.cycle_count += stall + (
                                 base_taken if taken else base)
@@ -768,15 +759,16 @@ class Simulator:
                             if on_step is not None:
                                 events = (c.c4 - c4, c.c5 - c5, c.c6 - c6)
                                 c4, c5, c6 = c.c4, c.c5, c.c6
-                                on_step(StepResult(ins, s.cycle_count - now,
+                                on_step(StepResult(enc.at(addr),
+                                                   s.cycle_count - now,
                                                    taken, s.halted, stall,
                                                    events))
                             stall = 0
-                    except M0EnergyError:
-                        self._tally(entries[:i])  # the faulting one: nothing
+                    except M0EnergyError:  # the faulting one counts nothing
+                        self._tally(block, stop=addr)
                         raise
                 if block.heat is None:  # RAM code, decoded afresh each time
-                    self._tally(entries)
+                    self._tally(block)
                 elif block.runs:
                     block.runs += 1
                 else:
@@ -788,20 +780,20 @@ class Simulator:
         finally:
             self._warm_pc = None if cold else regs[15]
             for block in ran:
-                self._tally(block.entries, block.runs)
+                self._tally(block, block.runs)
                 block.ran += block.runs
                 block.runs = 0
             c.c3 += taken_count
             c.fetch_stall_cycles += fetch_stalls
             c.total_cycles += s.cycle_count - start_cycles
 
-    def _tally(self, entries, times=1):
-        """Fold `times` runs of these entries into c1, c2 and the histogram."""
+    def _tally(self, block, times=1, stop=None):
+        """Fold `times` runs of `block`, or one of its entries before address
+        `stop`, into c1, c2 and the histogram."""
+        c1, c2, histogram = block.counts if stop is None else dec.tally(
+            e[1] for e in block.entries if e[2] < stop)
         c = self.counters
-        for entry in entries:
-            ins = entry[1]
-            if ins.op == "MULS":
-                c.c2 += times
-            else:
-                c.c1 += times
-            c.histogram[ins.mnemonic] = c.histogram.get(ins.mnemonic, 0) + times
+        c.c1 += c1 * times
+        c.c2 += c2 * times
+        for mnemonic, n in histogram.items():
+            c.histogram[mnemonic] = c.histogram.get(mnemonic, 0) + n * times

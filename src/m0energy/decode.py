@@ -8,14 +8,17 @@ Each encoding is decoded once (`_MEMO` keeps one per 16-bit halfword and
 one per BL) into an `Encoding` that every address holding it shares: an
 `op` id for execution dispatch, a display mnemonic, an operand dict and a
 text, with no value that derives from the address.  `run_at` walks them
-for the static CFG; `decode` and `decode_at` bind one to an address, as an
-Instruction with its target or literal address and its own `fields` dict.
+for the simulator's translation and the static CFG, which read a target or
+literal address only where they use one; `decode`, `decode_at` and
+`Encoding.at` bind one to an address, as an Instruction with its target or
+literal address and its own `fields` dict.
 
 `control_flow` (`_flow`, which Encodings hold) is the one rule for which
-instructions end a basic block and where control goes next; the simulator
-and the static CFG both use it.  `base_cycles` is the one rule for an
-instruction's cycles before memory stalls, from `DEFAULT_TIMING`, whose
-entries the simulator's `timing` argument overrides.
+instructions end a basic block and where control goes next, and `tally`
+for c1, c2 and the histogram; the simulator and the static CFG both use
+them.  `base_cycles` is the one rule for an instruction's cycles before
+memory stalls, from `DEFAULT_TIMING`, whose entries the simulator's
+`timing` argument overrides.
 """
 
 from collections import namedtuple
@@ -140,6 +143,16 @@ def base_cycles(ins, timing=DEFAULT_TIMING):
     return n, n
 
 
+def tally(code):
+    """(c1, c2, histogram) of one run of `code`, Encodings or Instructions:
+    MULS counts in c2, every other instruction in c1."""
+    histogram = {}
+    for enc in code:
+        histogram[enc.mnemonic] = histogram.get(enc.mnemonic, 0) + 1
+    c2 = histogram.get("MULS", 0)
+    return sum(histogram.values()) - c2, c2, histogram
+
+
 def is_wide(hw):
     """True when hw is the first halfword of a 32-bit encoding."""
     return (hw & 0xF800) in (0xE800, 0xF000, 0xF800)
@@ -162,7 +175,8 @@ def run_at(mem, addr, decoded):
     """Decode the straight-line run at `addr` into `decoded` (address ->
     Encoding), up to an address it holds or through an Encoding that ends a
     block, whose address it returns (else None): from Flash's halfword view
-    but at its last halfword, else by encoding_at, whose faults it raises."""
+    but at its last halfword, else by encoding_at, whose faults it raises
+    with the run so far in `decoded`."""
     halves, get = mem.flash_halves or (), _MEMO.get
     last = len(halves) - 1 if not addr & 1 else 0
     i = (addr - FLASH_BASE) >> 1
@@ -188,11 +202,18 @@ class Encoding(namedtuple("Encoding", "op mnemonic width raw fields text "
     """One decoded encoding, shared by every address that holds it.  B,
     BCOND and BL keep their target's `offset` and a text with a hole for
     it; literal LDR and ADR (`lit`) their `imm`; `flow` is `_flow`'s edges.
-    `at` binds it to an address, with a copy of `fields`."""
+    `target`, `literal` and `text_at` give a value at an address; `at`
+    binds it there, with a copy of `fields`."""
     __slots__ = ()
 
     def literal(self, addr):
         return ((addr + 4) & ~3) + self.fields["imm"]
+
+    def target(self, addr):
+        return (addr + self.offset) & 0xFFFFFFFF
+
+    def text_at(self, addr):
+        return self.text if self.offset is None else self.text % self.target(addr)
 
     def edges(self, addr):
         """`control_flow`'s edges out of this encoding at `addr`."""
@@ -201,14 +222,13 @@ class Encoding(namedtuple("Encoding", "op mnemonic width raw fields text "
 
     def at(self, addr):
         """The Instruction at `addr`."""
-        fields, text = self.fields.copy(), self.text
+        fields = self.fields.copy()
         if self.offset is not None:
-            fields["target"] = target = (addr + self.offset) & 0xFFFFFFFF
-            text %= target
+            fields["target"] = self.target(addr)
         elif self.lit:
             fields["lit_addr"] = self.literal(addr)
         return Instruction(addr, self.op, self.mnemonic, self.width, self.raw,
-                           fields, text)
+                           fields, self.text_at(addr))
 
 
 def _enc(op, mnemonic, raw, fields, text, offset=None, width=16):
@@ -236,11 +256,6 @@ def decode(hw1, hw2=None, addr=0):
     if addr & 1:
         raise UndefinedInstructionError(addr, hw1, "misaligned decode")
     return _encoding(hw1 & 0xFFFF, hw2, addr).at(addr)
-
-
-def _decode(hw, hw2, addr):
-    """decode() without the memo, for an even `addr` and a 16-bit `hw`."""
-    return _record(hw, hw2, addr).at(addr)
 
 
 def _record(hw, hw2, addr):

@@ -20,8 +20,8 @@ The rule needs no clock because WaitState is at most 1 and every
 instruction takes at least a cycle: the read-ahead an instruction starts is
 ready when the next one begins, and only the same instruction (a BL whose
 halfwords straddle a word boundary) can reach it early.  So an
-instruction's stall depends only on the word held before it, and the
-simulator prices every fetch once, when it translates a block.  With
+instruction's stall depends only on the word held before it, and
+`block_stalls` prices a block's fetches once, when it is translated.  With
 WaitState = 0 nothing stalls, so cycle counts do not depend on the
 prefetch setting: `timing_class` is the one place that says which
 (WaitState, PreFetch) settings therefore run identically.
@@ -67,6 +67,21 @@ def fetch_stall(words, held, wait_states, prefetch):
     return wait_states * len(set(words) - {held} - ahead)
 
 
+def block_stalls(code, wait_states, prefetch):
+    """(cold, warm, stalls) of straight-line Flash `code`, (address, size)
+    pairs, under these settings: the first instruction's fetch stall with
+    nothing held and with the word at its address - 2 held, then each one's
+    stall after the one before (0 for the first).  The one place a block's
+    fetches are priced."""
+    word = MemorySystem.fetch_word
+    words = [[word(addr + k) for k in range(0, size, 2)] for addr, size in code]
+    # the previous instruction ended in the word holding addr - 2
+    stalls = [fetch_stall(w, word(addr - 2), wait_states, prefetch)
+              for w, (addr, _size) in zip(words, code)]
+    return (fetch_stall(words[0], None, wait_states, prefetch), stalls[0],
+            [0] + stalls[1:])
+
+
 class MemorySystem:
     """Flat memory image; Flash data reads stall `wait_states` cycles."""
 
@@ -110,7 +125,8 @@ class MemorySystem:
             return "alias"
         return None
 
-    def _flash_offset(self, addr):
+    @staticmethod
+    def _flash_offset(addr):
         # alias region mirrors flash; normalize to a flash offset
         return addr - FLASH_BASE if addr >= FLASH_BASE else addr
 
@@ -132,9 +148,10 @@ class MemorySystem:
             raise MemoryFault(addr, "unmapped fetch")
         return self._raw_read(addr, 2, region)
 
-    def fetch_word(self, addr):
+    @staticmethod
+    def fetch_word(addr):
         """The Flash word (offset) a fetch of the halfword at addr reads."""
-        return self._flash_offset(addr) & ~3
+        return MemorySystem._flash_offset(addr) & ~3
 
     def read(self, addr, size):
         """Data read; returns (value, stall, region) with alias -> flash."""

@@ -11,7 +11,6 @@ by hand.  Counter expectations are hand counts over the executed path.
 import contextlib
 import csv
 import functools
-import importlib
 import math
 import random
 import re
@@ -23,7 +22,8 @@ from m0energy import (Assembler, CpuState, DatasetError, EventCounters,
                       InvalidStateFault, M0EnergyError, MemorySystem,
                       RegressionDataset, Simulator,
                       UndefinedInstructionError, fit, fold_indices, mape, r2)
-from m0energy.decode import LOAD_OPS, STORE_OPS, control_flow, decode, is_wide
+from m0energy.decode import (LOAD_OPS, STORE_OPS, _encoding, _record,
+                             control_flow, decode, is_wide)
 
 MASK32 = 0xFFFFFFFF
 
@@ -338,14 +338,16 @@ class ReferenceStepper:
 
     Every halfword is fetched through `fetch` above, timed by its own
     TimedFetchUnit rather than the engine's `memory.fetch_stall`, and
-    decoded on every step, cycles are summed from the README timing table,
-    and counters come from each completed step's own access list,
+    decoded on every step (`decode._encoding`, then bound with
+    `Encoding.at`), cycles are summed from the README timing table, and
+    counters come from each completed step's own access list,
     `accesses`, which `_read` and `_write` here keep as (r or w, region,
     stall).  pc moves to the next instruction here unless the step
     branched.  Only the
     instruction semantics are shared with the simulator: `step` runs the
-    engine's one-instruction function, `cpu._step(ins)`, including the odd
-    pc an interworking branch leaves when it clears the Thumb bit.
+    engine's one-instruction function, `cpu._step(enc)`, on the Encoding and
+    its address, including the odd pc an interworking branch leaves when it
+    clears the Thumb bit.
     """
 
     def __init__(self, image, wait_states=0, prefetch=False):
@@ -379,9 +381,10 @@ class ReferenceStepper:
             hw2, more = fetch(self.mem, self.fetch_unit, addr + 2,
                               now + fetch_stall)
             fetch_stall += more
-        ins = decode(hw1, hw2, addr)
+        enc = _encoding(hw1, hw2, addr)
+        ins = enc.at(addr)
         self.accesses = []
-        taken = bool(cpu._step(ins)(self, ins))
+        taken = bool(cpu._step(enc)(self, enc, addr))
         op, f = ins.op, ins.fields
         if op in ("PUSH", "POP", "LDM", "STM"):
             base = 1 + len(self.accesses)
@@ -550,13 +553,17 @@ def reference_static_counts(instructions, mem):
     return c
 
 
+def memo_free_decode(hw, hw2, addr):
+    """decode() without the memo, for an even `addr` and a 16-bit `hw`."""
+    return _record(hw, hw2, addr).at(addr)
+
+
 def reference_cfg(mem, entry):
     """{start: (end, instructions, successors, counts)} of the CFG from
     `entry`, as extract_cfg should find it: a worklist walk that fetches
     every address through read_code and decodes it with the memo-free
     decoder, ending a run at each of control_flow's block ends; blocks
     split at every edge target (and the entry)."""
-    memo_free = importlib.import_module("m0energy.decode")._decode
     entry &= ~1
     decoded, leaders, work = {}, {entry}, [entry]
     while work:
@@ -564,7 +571,7 @@ def reference_cfg(mem, entry):
         while addr not in decoded:
             hw1 = mem.read_code(addr)
             hw2 = mem.read_code(addr + 2) if is_wide(hw1) else None
-            decoded[addr] = ins = memo_free(hw1, hw2, addr)
+            decoded[addr] = ins = memo_free_decode(hw1, hw2, addr)
             edges = control_flow(ins)
             if edges is not None:
                 targets = [t for t, _kind in edges if t is not None]

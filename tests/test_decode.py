@@ -304,7 +304,7 @@ def test_memo_matches_memo_free_decoder(monkeypatch):
         for addr in (0x08000100, 0x2000_1FFE):
             for case in cases:
                 got = _outcome(decode, *case, addr)
-                want = _outcome(decode_module._decode, *case, addr)
+                want = _outcome(helpers.memo_free_decode, *case, addr)
                 assert got == want
                 if isinstance(got, tuple):
                     continue
@@ -336,7 +336,7 @@ def test_pc_relative_memo_matches_memo_free_decoder(monkeypatch, first):
         for op, halfwords in PC_RELATIVE.items():
             for hw in halfwords:
                 got = decode(hw, None, addr)
-                want = decode_module._decode(hw, None, addr)
+                want = helpers.memo_free_decode(hw, None, addr)
                 assert got.op == op and got == want, hex(hw)
                 assert got.text == want.text and repr(got) == repr(want)
                 assert got.fields is not last_fields.get(hw)

@@ -15,9 +15,11 @@ run at zero wait states that halts, priced for both classes at one wait
 state (`Simulator.price`), must equal a direct run of each.
 """
 
+import collections
 import contextlib
 import functools
 import importlib.util
+import io
 import itertools
 import random
 import re
@@ -30,7 +32,8 @@ from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
                      dynamic_block_path, invstate_image, invstate_reason,
                      kernel_image, machine_state)
 from m0energy import (Assembler, M0EnergyError, MemorySystem, Simulator,
-                      builtin_models, cpu, extract_cfg, memory, path_energy)
+                      builtin_models, cli, cpu, extract_cfg, memory,
+                      path_energy)
 from m0energy.cpu import COMPILE_AFTER
 from m0energy.memory import timing_class
 
@@ -486,7 +489,7 @@ def test_random_programs_static_counts_match_dynamic(seed, flash_base):
             if block.terminator is not None:
                 break
             block = graph.blocks[block.end]
-        assert [entry[1].addr for entry in translated.entries] == expected
+        assert [entry[2] for entry in translated.entries] == expected
 
 
 @pytest.mark.parametrize("image", [kernel_image("pushpop_loop"),
@@ -1133,8 +1136,148 @@ def test_translation_stops_where_the_boot_alias_meets_flash():
     sim.state.pc = memory.FLASH_BASE - 4
     summary = sim.run()
     assert summary.exit_reason == "halt" and sim.state.regs[2] == 2
-    assert [e[1].addr for e in sim._blocks[memory.FLASH_BASE - 4].entries] \
+    assert [e[2] for e in sim._blocks[memory.FLASH_BASE - 4].entries] \
         == [memory.FLASH_BASE - 4, memory.FLASH_BASE - 2]
     assert sim._blocks[memory.FLASH_BASE].warm == 1  # word 0 is not held
     # 7 instructions of 1 cycle, and a new word at 0x07FFFFFC, 0, 4 and 8
     assert (summary.steps, summary.cycle_count) == (7, 11)
+
+
+@pytest.mark.parametrize("tail", ["undefined", "past_flash"])
+def test_translation_stops_right_before_a_fault(tail):
+    """A Flash block holds every instruction before one that cannot be
+    decoded (UDF) or fetched (past the end of Flash), which raises its
+    fault when it runs; translating at that instruction raises it."""
+    a = Assembler()
+    a.movs(0, 1)
+    a.movs(1, 2)
+    if tail == "undefined":
+        a.udf()
+        a.nop()
+    image = a.image()
+    sim = Simulator(image, flash_size=len(image))
+    block = sim._translate(0x08000008)
+    assert [entry[2] for entry in block.entries] == [0x08000008, 0x0800000A]
+    with pytest.raises(M0EnergyError):
+        sim._translate(0x0800000C)
+    summary = sim.run()
+    assert summary.exit_reason.startswith("fault: ")
+    assert (summary.steps, sim.state.pc) == (2, 0x0800000C)
+
+
+# -- translation against the static CFG ---------------------------------------
+
+TRANSLATION_IMAGES = ([("kernel", name) for name in sorted(KERNELS)]
+                      + [("golden", seed) for seed in range(1, 21)]
+                      + [("random", seed) for seed in RANDOM_SEEDS])
+TRANSLATION_IDS = ["%s-%s" % case for case in TRANSLATION_IMAGES]
+
+
+def leader_translations(kind, seed, ws, prefetch):
+    """(CFG blocks, translated block) for each Flash leader of the image's
+    CFG: the blocks from the leader along fall-through edges up to the
+    first that ends on a block end, and the simulator's translation of the
+    leader."""
+    from test_cli import golden_image
+    image = {"kernel": kernel_image, "golden": golden_image,
+             "random": random_program}[kind](seed)
+    sim = Simulator(image, wait_states=ws, prefetch=prefetch)
+    graph = extract_cfg(sim.mem, sim.mem.reset_vector()[1])
+    for start in sorted(graph.blocks):
+        if sim.mem.region(start) == "flash":
+            run = [graph.blocks[start]]
+            while run[-1].encodings[-1].flow is None:
+                run.append(graph.blocks[run[-1].end])
+            yield run, sim._translate(start)
+
+
+def cfg_pairs(blocks):
+    """(address, Encoding) of each instruction of the CFG `blocks`."""
+    return [pair for block in blocks for pair in zip(
+        range(block.start, block.end, 2), block.encodings)]
+
+
+@pytest.mark.parametrize("kind,seed", TRANSLATION_IMAGES, ids=TRANSLATION_IDS)
+def test_translations_walk_what_the_cfg_walks(kind, seed):
+    """A translation of a Flash CFG leader holds the CFG walk's addresses
+    and its shared Encodings, the same objects, up to the first block end;
+    its c1, c2 and mnemonic histogram are those of the CFG blocks."""
+    translations = list(leader_translations(kind, seed, 0, False))
+    assert translations
+    for run, block in translations:
+        pairs = cfg_pairs(run)
+        assert [entry[2] for entry in block.entries] == [a for a, _e in pairs]
+        assert all(entry[1] is enc
+                   for entry, (_a, enc) in zip(block.entries, pairs))
+        c1, c2, histogram = block.counts
+        assert (c1, c2) == (sum(b.static_counts.c1 for b in run),
+                            sum(b.static_counts.c2 for b in run))
+        assert histogram == collections.Counter(
+            ins.mnemonic for b in run for ins in b.instructions)
+
+
+@pytest.mark.parametrize("ws,prefetch", TIMING_CLASSES)
+@pytest.mark.parametrize("kind,seed", TRANSLATION_IMAGES, ids=TRANSLATION_IDS)
+def test_block_stalls_of_cfg_blocks_are_their_translations(kind, seed, ws,
+                                                           prefetch):
+    """`memory.block_stalls` over a Flash CFG block's (address, size) pairs
+    gives the cold, warm and in-block stalls its translation holds."""
+    for run, block in leader_translations(kind, seed, ws, prefetch):
+        pairs = [(addr, enc.size) for addr, enc in cfg_pairs(run[:1])]
+        cold, warm, stalls = memory.block_stalls(pairs, ws, prefetch)
+        assert (cold, warm) == (block.cold, block.warm)
+        assert stalls == [entry[5] for entry in block.entries[:len(pairs)]]
+
+
+# -- late binding -------------------------------------------------------------
+
+def recorded_bindings(monkeypatch):
+    """The addresses `Encoding.at` binds from now on, in order."""
+    bound = []
+    encoding = importlib.import_module("m0energy.decode").Encoding
+    at = encoding.at
+    monkeypatch.setattr(encoding, "at", lambda enc, addr: (
+        bound.append(addr) or at(enc, addr)))
+    return bound
+
+
+LAZY_IMAGES = {
+    "run_mixed": functools.partial(benchmark_image, "run_mixed", "mixed.bin"),
+    "sweep_branchy": functools.partial(benchmark_image, "sweep_branchy",
+                                       "branchy.bin"),
+    **{name: functools.partial(kernel_image, name) for name in sorted(KERNELS)},
+}
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+@pytest.mark.parametrize("name", LAZY_IMAGES)
+def test_run_binds_no_instruction(tmp_path, monkeypatch, name, sweep):
+    """A `run` or `run --sweep` executes and prices shared Encodings at
+    their addresses: no Instruction is bound."""
+    path = tmp_path / "prog.bin"
+    path.write_bytes(LAZY_IMAGES[name]())
+    bound = recorded_bindings(monkeypatch)
+    argv = ["run", str(path), "--sweep"] if sweep else [
+        "run", str(path), "--waitstates", "1", "--prefetch", "on"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert bound == [] and '"c1"' in out.getvalue()
+
+
+def test_on_step_and_step_bind_the_instructions_decode_at_does(monkeypatch):
+    """`on_step` and `step()` see each step's Instruction bound once, equal
+    to `decode_at`'s at its address."""
+    decode_at = importlib.import_module("m0energy.decode").decode_at
+    image = random_program(5)
+    bound = recorded_bindings(monkeypatch)
+    traced = Simulator(image, wait_states=1, prefetch=True)
+    results = []
+    assert traced.run(on_step=results.append).exit_reason == "halt"
+    stepped = Simulator(image, wait_states=1, prefetch=True)
+    while not stepped.state.halted:
+        results.append(stepped.step())
+    assert bound == [result.instruction.addr for result in results]
+    for result in results:
+        ins = result.instruction
+        expected = decode_at(traced.mem, ins.addr)
+        assert ins == expected and repr(ins) == repr(expected)
