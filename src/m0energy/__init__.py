@@ -17,14 +17,13 @@ from importlib import import_module
 # public name -> the submodule that defines it
 _SOURCES = {name: module for module, names in {
     "asm": "Assembler",
-    "cfg": "BasicBlock CFG StaticCounts block_energy extract_cfg path_energy "
-           "static_block_counters",
+    "cfg": "BasicBlock CFG StaticCounts extract_cfg path_energy",
     "counters": "EventCounters",
     "cpu": "CpuState RunSummary Simulator StepResult",
     "decode": "Instruction decode DEFAULT_TIMING",
     "energy": "EnergyInterval EnergyModel HardwareConfig builtin_configs "
               "builtin_model builtin_models compare_configs estimate "
-              "load_models relative_weights save_models",
+              "load_models save_models",
     "errors": "AnalysisError BadEntryError DatasetError DegenerateDesignError "
               "InvalidConfigError InvalidStateFault M0EnergyError "
               "MalformedImageError MemoryFault PathError "

@@ -13,7 +13,7 @@ Memory events are classified by statically resolvable addresses only:
 
 Unresolved accesses make the affected counters unknown and turn energy
 estimates into intervals; there is no value analysis beyond PC/SP bases.
-Blocks end, and get their edges, by `decode.control_flow`'s rule.  Indirect
+Blocks end, and get their edges, by `decode.Encoding.flow`'s rule.  Indirect
 branches (BX, BLX, POP into pc, MOV/ADD into pc) produce unknown-target
 edges and end the descent on that path.  Runs are walked by `decode.run_at`
 and counted by `decode.tally`, as the simulator's translation does; a block
@@ -91,10 +91,6 @@ class BasicBlock:
             texts[-1] = last.text_at(self.end - last.size)
         return texts
 
-    @property
-    def terminator(self):
-        return None if self.encodings[-1].flow is None else self.instructions[-1]
-
 
 @dataclass
 class CFG:
@@ -165,11 +161,12 @@ def extract_cfg(mem, entry):
 _C1, _C2, _C4, _C5, _C6, _LOADS, _STORES = (1 << 32 * k for k in range(7))
 
 
-def _tally(ins):
-    """The packed counts of an Instruction or Encoding (literals in Flash)."""
-    c1, c2, _histogram = tally((ins,))
-    op = ins.op
-    n = len(ins.fields.get("regs", ())) + ins.fields.get("pc", False)
+def _tally(enc):
+    """The packed counts of an Encoding (a literal load's literal in Flash:
+    extract_cfg moves those that read RAM to c4)."""
+    c1, c2, _histogram = tally((enc,))
+    op = enc.op
+    n = len(enc.fields.get("regs", ())) + enc.fields.get("pc", False)
     return c1 * _C1 + c2 * _C2 + {
         "LDR_LIT": _C6, "LDR_SP": _C4, "STR_SP": _C5, "PUSH": n * _C5,
         "POP": n * _C4, "LDM": n * _LOADS, "STM": n * _STORES}.get(
@@ -178,13 +175,6 @@ def _tally(ins):
 
 def _unpack(total):
     return StaticCounts._make(total >> 32 * k & 0xFFFFFFFF for k in range(7))
-
-
-def static_block_counters(instructions, mem):
-    """Statically predicted counter vector for a straight-line run."""
-    return _unpack(sum(map(_tally, instructions)) + (_C4 - _C6) * sum(
-        mem.region(ins.fields["lit_addr"]) == "ram"  # literal loads from RAM
-        for ins in instructions if ins.op == "LDR_LIT"))
 
 
 def _counts(block):
@@ -197,11 +187,6 @@ def block_energies(block, models):
     """Energy of one block body (taken-edge cost excluded) under each of
     `models`, from one read of its counts."""
     return energies(models, *_counts(block))
-
-
-def block_energy(block, model):
-    """Energy of one block body (taken-edge cost excluded)."""
-    return block_energies(block, [model])[0]
 
 
 def path_energy(blocks, edges, model):

@@ -10,11 +10,12 @@ each shift's carry, and `_extend` is the one sign/zero-extension rule.
 Execution runs on a translation cache, in the manner of QEMU's translation
 blocks.  The first time a Flash (or boot-alias) pc is reached, the
 straight-line code there is walked once by `decode.run_at`, as `analyze`
-walks it, up to and including its terminator (`decode.control_flow`, the
-one block-end rule).  Each entry holds the shared `decode.Encoding` and its
-address, with its base cycles (`decode.base_cycles`, under the simulator's
-`timing`) and its fetch stall (`memory.block_stalls`, after the word the
-previous instruction ended in); the block holds one run's `decode.tally`.
+walks it, up to and including its terminator (`Encoding.flow`, the one
+block-end rule).  Each entry holds the shared `decode.Encoding` and its
+address, with its base cycles (`decode.base_cycles`, from
+`decode.DEFAULT_TIMING`) and its fetch stall (`memory.block_stalls`, after
+the word the previous instruction ended in); the block holds one run's
+`decode.tally`.
 Only a StepResult binds an Instruction.  The first instruction has two stalls:
 `cold`, entered after a taken branch, reset or a fault, and `warm`, entered
 after a sequential fetch, by falling through or by resuming where the last
@@ -44,13 +45,15 @@ taken exit or a fault), so a write to `state.pc` between runs fetches
 cold.  A compiled block runs only when the cycle budget cannot cut it:
 `now` plus `st` and its worst case before the last instruction is below
 the budget; otherwise it runs one instruction at a time, the budget
-checked before each.  `step()`, a run to one cycle past now (no timing
-entry is below a cycle), `on_step` and RAM code never use or make compiled
-code; each RAM instruction is fetched and decoded afresh, as RAM code may
-modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read`
-and `_write` counted.  A block's c1, c2 and histogram, times its runs, are
-folded into the counters when `run` or `step` returns, as are each Flash
-block's runs and cold entries since reset, which `price` reads.
+checked before each.  `step()`, a run to one cycle past now (no
+`DEFAULT_TIMING` entry is below a cycle), `on_step` and RAM code never use
+or make compiled code; each RAM instruction is fetched and decoded afresh,
+as RAM code may modify itself.  A step's `data_events` are the c4, c5 and
+c6 that `_read` and `_write` counted.  A block's c1, c2 and histogram,
+times its runs, are folded into the counters when `run` or `step` returns
+or raises (a block left part-way, by a fault or a raising `on_step`, folds
+the instructions that completed), as are each Flash block's runs and cold
+entries since reset, which `price` reads.
 
 An instruction commits on completion: one that faults adds no counter event
 and no cycles and leaves pc at its address; a block transfer counts its
@@ -72,7 +75,6 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from importlib import import_module
-from types import MappingProxyType
 
 from .counters import EventCounters
 from .errors import InvalidConfigError, InvalidStateFault, M0EnergyError
@@ -482,23 +484,13 @@ class Simulator:
     """One simulated core plus its memory and event counters."""
 
     def __init__(self, image, wait_states=0, prefetch=False,
-                 flash_size=DEFAULT_FLASH_SIZE, ram_size=DEFAULT_RAM_SIZE,
-                 timing=None):
+                 flash_size=DEFAULT_FLASH_SIZE, ram_size=DEFAULT_RAM_SIZE):
         if wait_states not in (0, 1):  # which `_compile`'s constants rely on
             raise InvalidConfigError("wait states must be 0 or 1, got %r"
                                      % (wait_states,))
         self.mem = MemorySystem(image, flash_size=flash_size,
                                 ram_size=ram_size, wait_states=wait_states)
         self.prefetch = prefetch
-        table = dict(dec.DEFAULT_TIMING)
-        for key, cycles in (timing or {}).items():  # step() needs >= 1 each
-            if key not in table:
-                raise InvalidConfigError("unknown timing entry %r" % (key,))
-            if type(cycles) is not int or cycles < 1:
-                raise InvalidConfigError("timing entry %r must be an int >= 1,"
-                                         " got %r" % (key, cycles))
-            table[key] = cycles
-        self.timing = MappingProxyType(table)  # blocks keep what they read
         self.counters = EventCounters()
         self.state = CpuState()
         self._blocks = {}        # Flash/alias pc -> _Block
@@ -560,8 +552,8 @@ class Simulator:
         cold, warm, stalls = (0, 0, [0]) if kind == "ram" else block_stalls(
             [(addr, enc.size) for addr, enc in code], mem.wait_states,
             self.prefetch)  # RAM never stalls
-        entries = [(_step(enc), enc, addr, *dec.base_cycles(enc, self.timing),
-                    stall) for (addr, enc), stall in zip(code, stalls)]
+        entries = [(_step(enc), enc, addr, *dec.base_cycles(enc), stall)
+                   for (addr, enc), stall in zip(code, stalls)]
         block = _Block(entries, cold, warm, dec.tally(run.values()),
                        None if kind == "ram" else 0)
         if kind != "ram":
@@ -764,8 +756,10 @@ class Simulator:
                                                    taken, s.halted, stall,
                                                    events))
                             stall = 0
-                    except M0EnergyError:  # the faulting one counts nothing
-                        self._tally(block, stop=addr)
+                    except BaseException:  # a fault, or on_step raised
+                        # fold the completed ones: each took a cycle or
+                        # more, and the faulting one none, so counts nothing
+                        self._tally(block, stop=addr + (s.cycle_count > now))
                         raise
                 if block.heat is None:  # RAM code, decoded afresh each time
                     self._tally(block)

@@ -13,12 +13,12 @@ literal address only where they use one; `decode`, `decode_at` and
 `Encoding.at` bind one to an address, as an Instruction with its target or
 literal address and its own `fields` dict.
 
-`control_flow` (`_flow`, which Encodings hold) is the one rule for which
-instructions end a basic block and where control goes next, and `tally`
-for c1, c2 and the histogram; the simulator and the static CFG both use
-them.  `base_cycles` is the one rule for an instruction's cycles before
-memory stalls, from `DEFAULT_TIMING`, whose entries the simulator's
-`timing` argument overrides.
+`_flow`, which each Encoding holds as `flow` and `Encoding.edges` binds to
+an address, is the one rule for which instructions end a basic block and
+where control goes next, and `tally` for c1, c2 and the histogram; the
+simulator and the static CFG both use them.  `base_cycles` is the one rule
+for an instruction's cycles before memory stalls, from `DEFAULT_TIMING`,
+the one table the simulator reads; every entry is at least a cycle.
 """
 
 from collections import namedtuple
@@ -71,10 +71,6 @@ class Instruction:
     def size(self):
         return self.width // 8
 
-    def is_terminator(self):
-        """Control transfer or BKPT: ends a basic block."""
-        return control_flow(self) is not None
-
 
 def _flow(op, f, offset):
     """Edges [(target - address, or None, kind)] out of a block that op `op`
@@ -97,13 +93,6 @@ def _flow(op, f, offset):
     if op == "BKPT":
         return ()
     return None
-
-
-def control_flow(ins):
-    """`_flow`'s edges [(target or None, kind)] out of Instruction `ins`."""
-    flow = _flow(ins.op, ins.fields, ins.fields.get("target", 0) - ins.addr)
-    return None if flow is None else [
-        (None if off is None else ins.addr + off, kind) for off, kind in flow]
 
 
 DEFAULT_TIMING = {
@@ -216,7 +205,8 @@ class Encoding(namedtuple("Encoding", "op mnemonic width raw fields text "
         return self.text if self.offset is None else self.text % self.target(addr)
 
     def edges(self, addr):
-        """`control_flow`'s edges out of this encoding at `addr`."""
+        """`flow`'s edges [(target or None, kind)] out of this encoding at
+        `addr`, a block-ending one."""
         return [(None if off is None else (addr + off) & 0xFFFFFFFF, kind)
                 for off, kind in self.flow]
 

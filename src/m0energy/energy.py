@@ -124,14 +124,6 @@ def energies(models, counts, loads=0, stores=0):
             for e, (_, _, _, b4, b5, b6) in zip(points, betas)]
 
 
-def relative_weights(model):
-    """Each coefficient's share of the summed coefficients (sums to 1)."""
-    total = sum(model.beta)
-    if total <= 0:
-        raise ValueError("coefficient sum must be positive")
-    return tuple(b / total for b in model.beta)
-
-
 def compare_configs(results, models=None):
     """Rank configurations by predicted energy.
 

@@ -23,7 +23,7 @@ from m0energy import (Assembler, CpuState, DatasetError, EventCounters,
                       RegressionDataset, Simulator,
                       UndefinedInstructionError, fit, fold_indices, mape, r2)
 from m0energy.decode import (LOAD_OPS, STORE_OPS, _encoding, _record,
-                             control_flow, decode, is_wide)
+                             decode, is_wide)
 
 MASK32 = 0xFFFFFFFF
 
@@ -562,23 +562,24 @@ def reference_cfg(mem, entry):
     """{start: (end, instructions, successors, counts)} of the CFG from
     `entry`, as extract_cfg should find it: a worklist walk that fetches
     every address through read_code and decodes it with the memo-free
-    decoder, ending a run at each of control_flow's block ends; blocks
-    split at every edge target (and the entry)."""
+    decoder, ending a run at each Encoding whose `flow` ends a block, with
+    its `edges`; blocks split at every edge target (and the entry)."""
     entry &= ~1
-    decoded, leaders, work = {}, {entry}, [entry]
+    decoded, flows, leaders, work = {}, {}, {entry}, [entry]
     while work:
         addr = work.pop()
         while addr not in decoded:
             hw1 = mem.read_code(addr)
             hw2 = mem.read_code(addr + 2) if is_wide(hw1) else None
-            decoded[addr] = ins = memo_free_decode(hw1, hw2, addr)
-            edges = control_flow(ins)
-            if edges is not None:
-                targets = [t for t, _kind in edges if t is not None]
+            enc = _record(hw1, hw2, addr)
+            decoded[addr] = enc.at(addr)
+            if enc.flow is not None:
+                flows[addr] = enc.edges(addr)
+                targets = [t for t, _kind in flows[addr] if t is not None]
                 leaders.update(targets)
                 work += targets
                 break
-            addr += ins.size
+            addr += enc.size
     blocks, run = {}, []
 
     def close(edges):
@@ -590,9 +591,8 @@ def reference_cfg(mem, entry):
         if run and addr in leaders:
             close([(addr, "fallthrough")])
         run.append(decoded[addr])
-        edges = control_flow(decoded[addr])
-        if edges is not None:
-            close(edges)
+        if addr in flows:
+            close(flows[addr])
     return blocks
 
 

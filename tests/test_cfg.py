@@ -15,8 +15,7 @@ from helpers import (KERNELS, PUBLISHED_TABLE, analyze_like_image, dot_oracle,
 from m0energy import (AnalysisError, Assembler, EnergyInterval, HardwareConfig,
                       MemorySystem, PathError, Simulator, builtin_model,
                       builtin_models, estimate, extract_cfg, path_energy)
-from m0energy.cfg import block_energies, block_energy
-from m0energy.decode import decode
+from m0energy.cfg import block_energies
 
 MODEL = builtin_model(HardwareConfig(20, False, 0))
 
@@ -92,8 +91,8 @@ def test_terminators_only_at_block_end():
     for name in KERNELS:
         graph, _ = graph_for(name)
         for block in graph.sorted_blocks():
-            for ins in block.instructions[:-1]:
-                assert not ins.is_terminator()
+            for enc in block.encodings[:-1]:
+                assert enc.flow is None
 
 
 def test_static_instruction_count_matches_c1_plus_c2():
@@ -152,13 +151,14 @@ def test_static_counts_push_pop_are_ram_events():
 
 
 def test_static_counts_literal_load_from_ram_is_ram_read():
-    """`analyze` never reaches a literal pool in RAM, which holds no code at
-    analysis time, but `static_block_counters` counts one as a RAM read."""
+    """A file image holds no code in RAM, but a caller's CFG walk from RAM
+    counts a literal load there as a RAM read."""
     _graph, mem = graph_for("straight6")
-    ins = decode(0x4800, addr=0x20000000)  # LDR r0, [pc, #0]
-    assert ins.fields["lit_addr"] == 0x20000004
-    counts = m0energy.cfg.static_block_counters([ins], mem)
-    assert (counts.c1, counts.c4_known, counts.c6_known) == (1, 1, 0)
+    mem.ram[:4] = (0xBE004800).to_bytes(4, "little")  # LDR r0, [pc, #0]; BKPT
+    block = extract_cfg(mem, 0x20000000).blocks[0x20000000]
+    assert block.instructions[0].fields["lit_addr"] == 0x20000004
+    counts = block.static_counts
+    assert (counts.c1, counts.c4_known, counts.c6_known) == (2, 1, 0)
 
 
 def test_path_energy_single_block_equals_estimate():
@@ -168,7 +168,7 @@ def test_path_energy_single_block_equals_estimate():
     assert isinstance(value, float)
     assert value == pytest.approx(
         estimate(block.static_counts.as_vector(), MODEL), rel=1e-12)
-    assert block_energy(block, MODEL) == value
+    assert block_energies(block, [MODEL]) == [value]
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -180,7 +180,7 @@ def test_block_energies_equal_one_block_paths(name):
     for block in graph.sorted_blocks():
         values = block_energies(block, models)
         assert values == [path_energy([block], [], m) for m in models]
-        assert values == [block_energy(block, m) for m in models]
+        assert values == [block_energies(block, [m])[0] for m in models]
 
 
 def test_flash_literal_block_energy_matches_published_models():

@@ -19,18 +19,17 @@ from m0energy import (Assembler, BadEntryError, InvalidConfigError,
                       MalformedImageError, M0EnergyError, MemorySystem,
                       Simulator)
 from m0energy.decode import (DEFAULT_TIMING, LOAD_OPS, STORE_OPS, decode,
-                             is_wide)
+                             encoding_at, is_wide)
 
 MASK32 = 0xFFFFFFFF
 
 
-def single_op_sim(emit, ws=0, prefetch=False, timing=None):
+def single_op_sim(emit, ws=0, prefetch=False):
     """Simulator whose code is one instruction (emitted by `emit`) + BKPT."""
     a = Assembler()
     emit(a)
     a.bkpt()
-    return Simulator(a.image(), wait_states=ws, prefetch=prefetch,
-                     timing=timing)
+    return Simulator(a.image(), wait_states=ws, prefetch=prefetch)
 
 
 def set_inputs(sim, r0, r1, c, n, z, v):
@@ -49,11 +48,8 @@ def run_first_block(sim):
     is a block of its own, and a budget of one cycle stops the run right
     after it; anything else runs on through the BKPT that follows it.
     Returns the summary and whether that BKPT ran."""
-    mem = sim.mem
-    hw1 = mem.read_code(0x08000008)
-    hw2 = mem.read_code(0x0800000A) if is_wide(hw1) else None
     with compile_at_first_run():
-        if decode(hw1, hw2, 0x08000008).is_terminator():
+        if encoding_at(sim.mem, 0x08000008).flow is not None:
             return sim.run(max_cycles=1), False
         return sim.run(), True
 
@@ -161,46 +157,11 @@ def test_step_on_halted_raises():
         sim.step()
 
 
-def test_muls_timing_override():
-    sim = single_op_sim(lambda a: a.muls(0, 1), timing={"muls": 32})
-    step = exec_once(sim, r0=3, r1=4)
-    assert sim.state.regs[0] == 12
-    assert step.cycles == 32
-
-
-@pytest.mark.parametrize("key", ["dp", "muls", "branch_taken"])
-def test_timing_override_below_one_cycle_is_rejected(key):
+def test_every_base_cycle_entry_is_an_int_of_at_least_one_cycle():
     # step() runs to one cycle past now, so no instruction may be free
-    with pytest.raises(InvalidConfigError, match="'%s'" % key):
-        single_op_sim(lambda a: a.muls(0, 1), timing={key: 0})
-
-
-def test_timing_override_with_an_unknown_key_is_rejected():
-    # a misspelt key used to be ignored: MULS and BKPT then ran in 2 cycles
-    with pytest.raises(InvalidConfigError, match="unknown timing entry 'mul'"):
-        single_op_sim(lambda a: a.muls(0, 1), timing={"mul": 32})
-
-
-def test_timing_table_is_read_only_after_construction():
-    # translated blocks keep the cycles they were built with, so a write
-    # after a run would be silently ignored; it raises instead
-    sim = single_op_sim(lambda a: a.muls(0, 1), timing={"muls": 32})
-    assert sim.run().cycle_count == 33
-    with pytest.raises(TypeError):
-        sim.timing["muls"] = 1
-    with pytest.raises(TypeError):
-        del sim.timing["muls"]
-    assert not hasattr(sim.timing, "update")
-    assert dict(sim.timing) == {**DEFAULT_TIMING, "muls": 32}
-    sim.reset()
-    assert sim.run().cycle_count == 33
-
-
-@pytest.mark.parametrize("cycles", [2.5, "3", True, None])
-def test_timing_override_that_is_not_an_int_is_rejected(cycles):
-    # 2.5 used to give fractional cycles, "3" a TypeError mid-translation
-    with pytest.raises(InvalidConfigError, match="'muls' must be an int"):
-        single_op_sim(lambda a: a.muls(0, 1), timing={"muls": cycles})
+    assert DEFAULT_TIMING
+    for key, cycles in DEFAULT_TIMING.items():
+        assert type(cycles) is int and cycles >= 1, key
 
 
 @pytest.mark.parametrize("wait_states", [2, 3, -1])

@@ -15,7 +15,7 @@ import pytest
 import helpers
 from m0energy import (Assembler, M0EnergyError, MemorySystem, cpu, decode,
                       UndefinedInstructionError)
-from m0energy.decode import control_flow, is_wide
+from m0energy.decode import _encoding, is_wide
 
 decode_module = importlib.import_module("m0energy.decode")
 
@@ -555,7 +555,7 @@ EMITTERS = sorted(name for name in dir(Assembler) if not name.startswith("_")
 
 def assemble_one(emitter, args, padding):
     """Image with `padding` NOPs, then the instruction; returns the
-    instruction's address and the decode of it."""
+    instruction's address, the decode of it and its Encoding."""
     a = Assembler()
     for _ in range(padding):
         a.nop()
@@ -565,7 +565,7 @@ def assemble_one(emitter, args, padding):
     off = addr - FLASH
     hw1 = int.from_bytes(image[off:off + 2], "little")
     hw2 = int.from_bytes(image[off + 2:off + 4], "little") if is_wide(hw1) else None
-    return addr, decode(hw1, hw2, addr)
+    return addr, decode(hw1, hw2, addr), _encoding(hw1, hw2, addr)
 
 
 @pytest.mark.parametrize("emitter", EMITTERS)
@@ -575,11 +575,11 @@ def test_decode_of_assembled_emitter_round_trips(emitter):
         padding = seed % 2   # half the cases start off a word boundary
         addr = FLASH + 8 + 2 * padding
         args, op, text, fields, edges = round_trip_case(emitter, rng, addr)
-        ins_addr, ins = assemble_one(emitter, args, padding)
+        ins_addr, ins, enc = assemble_one(emitter, args, padding)
         assert ins_addr == addr
         assert (ins.op, ins.text, ins.fields) == (op, text, fields), args
-        assert control_flow(ins) == edges, args
-        assert ins.is_terminator() == (edges is not None)
+        assert (enc.flow is not None) == (edges is not None), args
+        assert enc.flow is None or enc.edges(addr) == edges, args
 
 
 def test_udf_emitter_decodes_as_undefined():
@@ -592,11 +592,11 @@ def test_block_end_ops_hold_every_op_that_ends_a_block():
     for hw in range(0x10000):
         for hw2 in helpers.SECOND_HALFWORDS if is_wide(hw) else (None,):
             try:
-                ins = decode(hw, hw2, 0x08000100)
+                enc = _encoding(hw, hw2, 0x08000100)
             except UndefinedInstructionError:
                 continue
-            if control_flow(ins) is not None:
-                ends.add(ins.op)
+            if enc.flow is not None:
+                ends.add(enc.op)
     assert ends == set("B BCOND BL BLX BX POP MOV_HI ADD_HI BKPT".split())
 
 

@@ -8,7 +8,7 @@ from helpers import PUBLISHED_TABLE, dot_oracle
 from m0energy import (EnergyModel, HardwareConfig, InvalidConfigError,
                       builtin_configs, builtin_model, builtin_models,
                       compare_configs, estimate, load_models,
-                      relative_weights, save_models)
+                      save_models)
 
 
 def test_exactly_ten_builtin_models():
@@ -127,24 +127,6 @@ def test_estimate_linearity_and_monotonicity():
         for i in range(6):
             bumped = tuple(c + 1 if j == i else c for j, c in enumerate(base))
             assert estimate(bumped, model) > estimate(base, model)
-
-
-def test_relative_weights_uniform():
-    model = EnergyModel(HardwareConfig(20, False, 0), (1.0,) * 6,
-                        provenance="fitted")
-    assert relative_weights(model) == (pytest.approx(1 / 6),) * 6
-
-
-def test_relative_weights_published_row():
-    model = builtin_model(HardwareConfig(20, False, 0))
-    weights = relative_weights(model)
-    assert weights[0] == pytest.approx(0.964258 / 7.102716, rel=1e-12)
-    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_relative_weights_sum_to_one_for_all_builtins():
-    for model in builtin_models():
-        assert sum(relative_weights(model)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compare_configs_single_row():

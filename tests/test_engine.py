@@ -486,7 +486,7 @@ def test_random_programs_static_counts_match_dynamic(seed, flash_base):
         block = graph.blocks[pc]
         while True:
             expected += [ins.addr for ins in block.instructions]
-            if block.terminator is not None:
+            if block.encodings[-1].flow is not None:
                 break
             block = graph.blocks[block.end]
         assert [entry[2] for entry in translated.entries] == expected
@@ -985,6 +985,39 @@ def test_on_step_raising_after_a_taken_step_keeps_the_flush(prefetch):
     assert sim.run().exit_reason == "halt"
     assert (sim.state.cycle_count, sim.counters.fetch_stall_cycles) == (
         TAKEN_EDGE_CASES["loop"][2][1, prefetch])
+
+
+@pytest.mark.parametrize("error", [ValueError, M0EnergyError])
+def test_on_step_raising_folds_the_instructions_that_completed(error):
+    """A callback that raises at its second call, inside a block of three
+    MOVS and a BKPT, leaves both completed MOVS counted with the cycles
+    they took; an M0EnergyError ends the run as a fault that names it, any
+    other error leaves run().  The resumed run counts only the rest."""
+    a = Assembler()
+    for rd in range(3):
+        a.movs(rd, rd + 1)
+    a.bkpt()
+    calls = []
+
+    def stop(step):
+        calls.append(step)
+        if len(calls) == 2:
+            raise error("stop")
+
+    sim = Simulator(a.image())
+    if error is M0EnergyError:
+        summary = sim.run(on_step=stop)
+        assert (summary.exit_reason, summary.steps) == ("fault: stop", 2)
+        assert (summary.counters.c1, summary.cycle_count) == (2, 2)
+    else:
+        with pytest.raises(error, match="stop"):
+            sim.run(on_step=stop)
+    c = sim.counters
+    assert (c.c1, c.c2, c.histogram) == (2, 0, {"MOVS": 2})
+    assert (sim.state.cycle_count, c.total_cycles) == (2, 2)
+    assert sim.state.pc == 0x0800000C
+    assert sim.run().steps == 2
+    assert (c.c1, c.histogram) == (4, {"MOVS": 3, "BKPT": 1})
 
 
 # -- the entry rule: a block is entered cold or warm --------------------------

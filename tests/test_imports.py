@@ -106,3 +106,25 @@ def test_every_public_name_resolves():
     assert len(set(m0energy.__all__)) == len(m0energy.__all__)
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         m0energy.nonexistent
+
+
+# The public API, so that a change to it shows in a diff of this test.
+PUBLIC_NAMES = [
+    "AnalysisError", "Assembler", "BadEntryError", "BasicBlock", "CFG",
+    "CVResult", "CpuState", "DEBUG_ADDR", "DEFAULT_TIMING", "DatasetError",
+    "DegenerateDesignError", "EnergyInterval", "EnergyModel", "EventCounters",
+    "FLASH_BASE", "FitResult", "FoldScore", "HardwareConfig", "Instruction",
+    "InvalidConfigError", "InvalidStateFault", "M0EnergyError",
+    "MalformedImageError", "MemoryFault", "MemorySystem", "PathError",
+    "RAM_BASE", "RegressionDataset", "RunSummary", "Simulator",
+    "StaticCounts", "StepResult", "UndefinedInstructionError",
+    "builtin_configs", "builtin_model", "builtin_models", "compare_configs",
+    "decode", "estimate", "extract_cfg", "fit", "fold_indices", "kfold_cv",
+    "load_dataset", "load_models", "mape", "path_energy", "r2", "resd",
+    "save_dataset", "save_models",
+]
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sorted(m0energy.__all__) == PUBLIC_NAMES
