@@ -27,7 +27,7 @@ generated into one function (after QEMU's TCG): registers and flags live
 in locals, a RAM access is a bounds and alignment compare and an index into
 a word or halfword view of RAM (a slice if `memory.RAM_VIEWS` is false: a
 big-endian host, or a C int that is not 4 bytes), a Flash literal load is a
-constant, and so is every fetch stall but the entry stall `st`, which the
+constant, and so is every stall but the entry fetch stall `st`, which the
 engine passes in.  Any other access takes the slow path,
 `MemorySystem.read`/`write`, the one place a fault is raised and so the one
 place pc is stored.  A fault stores the
@@ -77,9 +77,9 @@ from dataclasses import dataclass, field
 from importlib import import_module
 
 from .counters import EventCounters
-from .errors import InvalidConfigError, InvalidStateFault, M0EnergyError
+from .errors import InvalidStateFault, M0EnergyError
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, FLASH_BASE,
-                     RAM_BASE, MemorySystem, block_stalls)
+                     RAM_BASE, MemorySystem, block_stalls, timing_class)
 
 dec = import_module(".decode", __package__)  # the module, not the function
 
@@ -411,22 +411,22 @@ def _step(enc):
 
 
 def _literal(lit_addr, mem):
-    """(value, stall) of LDR_LIT's load from `lit_addr` when it reads Flash,
+    """The value of LDR_LIT's load from `lit_addr` when it reads Flash,
     which is never written, so the value is a constant; else None."""
     try:
-        value, stall, region = mem.read(lit_addr, 4)
+        value, region = mem.read(lit_addr, 4)
     except M0EnergyError:
         return None
-    return (value, stall) if region == "flash" else None
+    return value if region == "flash" else None
 
 
-def _access(match, mem, words, pc):
+def _access(match, mem, ws, words, pc):
     """Block code for a READ or WRITE template line: the RAM fast path
     inline, through the memory's views if it has them, else a slice; else
     the slow path, `MemorySystem.read`/`write`, which raise the faults (so
-    pc is stored first) and complete a Flash read or a debug-port write.  A
-    single access counts its event where it happens; the `words` of a block
-    transfer count in `_f` (Flash reads) and `_fw` (their stalls)."""
+    pc is stored first) and complete a Flash read, which stalls `ws`, or a
+    debug-port write.  A single access counts its event where it happens;
+    the `words` of a block transfer count their Flash reads in `_f`."""
     if match.re is _READ:
         indent, target, addr, size = match.groups()
     else:
@@ -439,8 +439,9 @@ def _access(match, mem, words, pc):
     if match.re is _READ:
         fast = "%s = %s" % (target, view or "_fb(%s, 'little')" % span)
         count = "c4 += 1"
-        slow = ["%s, _w, _g = read(%s)" % (target, where)] + (
-            ["_f += 1", "_fw += _w"] if words else ["c6 += 1", "t += _w"])
+        slow = ["%s = read(%s)[0]" % (target, where)] + (
+            ["_f += 1"] if words else ["c6 += 1", "t += %d" % ws] if ws
+            else ["c6 += 1"])
     else:
         mask = "%s & %#x" % (value, (1 << 8 * size) - 1)
         fast = ("%s = %s" % (view, mask) if view else
@@ -485,12 +486,8 @@ class Simulator:
 
     def __init__(self, image, wait_states=0, prefetch=False,
                  flash_size=DEFAULT_FLASH_SIZE, ram_size=DEFAULT_RAM_SIZE):
-        if wait_states not in (0, 1):  # which `_compile`'s constants rely on
-            raise InvalidConfigError("wait states must be 0 or 1, got %r"
-                                     % (wait_states,))
-        self.mem = MemorySystem(image, flash_size=flash_size,
-                                ram_size=ram_size, wait_states=wait_states)
-        self.prefetch = prefetch
+        self.wait_states, self.prefetch = timing_class(wait_states, prefetch)
+        self.mem = MemorySystem(image, flash_size=flash_size, ram_size=ram_size)
         self.counters = EventCounters()
         self.state = CpuState()
         self._blocks = {}        # Flash/alias pc -> _Block
@@ -511,12 +508,12 @@ class Simulator:
     # -- memory helpers for step functions: count c4..c6 and Flash data stalls
 
     def _read(self, addr, size):
-        value, stall, region = self.mem.read(addr & MASK32, size)
+        value, region = self.mem.read(addr & MASK32, size)
         if region == "ram":
             self.counters.c4 += 1
         else:
             self.counters.c6 += 1
-            self.state.cycle_count += stall
+            self.state.cycle_count += self.wait_states
         return value
 
     def _write(self, addr, size, value):
@@ -550,7 +547,7 @@ class Simulator:
         del run[stop]
         code = list(run.items())
         cold, warm, stalls = (0, 0, [0]) if kind == "ram" else block_stalls(
-            [(addr, enc.size) for addr, enc in code], mem.wait_states,
+            [(addr, enc.size) for addr, enc in code], self.wait_states,
             self.prefetch)  # RAM never stalls
         entries = [(_step(enc), enc, addr, *dec.base_cycles(enc), stall)
                    for (addr, enc), stall in zip(code, stalls)]
@@ -571,8 +568,7 @@ class Simulator:
         cycles before the last instruction after the entry stall.  The body
         is written last line first, in one backward pass, which drops the
         dead writes and merges the increments the module docstring names."""
-        mem = self.mem
-        ws = mem.wait_states
+        mem, ws = self.mem, self.wait_states
         # the body, last line first: the end sets pc unless a branch did
         start, (_s, enc, last) = block.entries[0][2], block.entries[-1][:3]
         rev = ["    pc = %#x" % (last + enc.size), "if not tk:",
@@ -596,7 +592,7 @@ class Simulator:
                 lines = _collapse(lines)
             accesses = [_READ.match(line) or _WRITE.match(line)
                         for line in lines]
-            literal = enc.op == "LDR_LIT" and _literal(enc.literal(addr), mem)
+            literal = _literal(enc.literal(addr), mem) if enc.op == "LDR_LIT" else None
             reads, writes = code.count("READ("), code.count("WRITE(")
             if addr != last:
                 block.worst += base_taken + wait + ws * reads
@@ -606,20 +602,21 @@ class Simulator:
             if addr == start and block.cold:
                 rev += ["t += st", "fetch_stall_cycles += st"]
             if reads > 1:
-                rev += ["t += _fw", "c6 += _f", "c4 += %d - _f" % reads]
+                rev += ["c6 += _f", "c4 += %d - _f" % reads] + (
+                    ["t += %d * _f" % ws] if ws else [])
             if writes > 1:
                 adds["c5"] += writes
             adds["fetch_stall_cycles"] += wait
             adds["t"] += base + wait
             for line, m in reversed(list(zip(lines, accesses))):
-                if m and literal:
-                    rev.append("%s = %#x" % (m.group(2), literal[0]))
+                if m and literal is not None:
+                    rev.append("%s = %#x" % (m.group(2), literal))
                     adds["c6"] += 1
-                    adds["t"] += literal[1]
+                    adds["t"] += ws
                 elif m:
                     write_adds()
                     live.update(_LIVE)
-                    rev.extend(reversed(_access(m, mem, reads + writes > 1,
+                    rev.extend(reversed(_access(m, mem, ws, reads + writes > 1,
                                                 addr)))
                 else:  # an indented write is conditional: it kills nothing
                     target, _eq, expr = line.partition(" = ")
@@ -629,7 +626,7 @@ class Simulator:
                     live.update(_FLAGS.findall(expr or line))
                     rev.append(line)
             if reads > 1:
-                rev.append("_f = _fw = 0")
+                rev.append("_f = 0")
             rev.append("# %08x  %s" % (addr, enc.text_at(addr)))
         write_adds()
         body = rev[::-1]
@@ -677,7 +674,9 @@ class Simulator:
         """`summary`, this simulator's last run, from reset (it ran all of
         c1 + c2) to a halt, priced as a run under `wait_states` (0 or 1)
         and `prefetch`: each Flash block's `block_stalls` times its cold and
-        warm entries, and `wait_states` per c6.  The rest is the run's own."""
+        warm entries, and `wait_states` per c6.  The rest is the run's own.
+        Raises InvalidConfigError, as `timing_class` does, for other counts."""
+        wait_states, prefetch = timing_class(wait_states, prefetch)
         c = summary.counters.snapshot()
         if summary.exit_reason != "halt" or summary.steps != c.c1 + c.c2:
             raise M0EnergyError("only a run from reset to a halt is priced")
@@ -689,7 +688,7 @@ class Simulator:
                     prefetch)
                 stalls += b.colds * (cold - warm) + b.ran * (warm + sum(inner))
         extra = (stalls - c.fetch_stall_cycles
-                 + (wait_states - self.mem.wait_states) * c.c6)
+                 + (wait_states - self.wait_states) * c.c6)
         c.fetch_stall_cycles = stalls
         c.total_cycles += extra
         return RunSummary(c, summary.cycle_count + extra, "halt", summary.steps)

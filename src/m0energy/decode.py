@@ -18,11 +18,12 @@ an address, is the one rule for which instructions end a basic block and
 where control goes next, and `tally` for c1, c2 and the histogram; the
 simulator and the static CFG both use them.  `base_cycles` is the one rule
 for an instruction's cycles before memory stalls, from `DEFAULT_TIMING`,
-the one table the simulator reads; every entry is at least a cycle.
+the one read-only table the simulator reads, each entry at least a cycle.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import UndefinedInstructionError
 from .memory import FLASH_BASE
@@ -95,7 +96,7 @@ def _flow(op, f, offset):
     return None
 
 
-DEFAULT_TIMING = {
+DEFAULT_TIMING = MappingProxyType({  # read-only: every simulator shares it
     "dp": 1,                # data processing
     "load": 2,              # loads and stores
     "store": 2,
@@ -108,7 +109,7 @@ DEFAULT_TIMING = {
     "muls": 1,              # 32 for the slow multiplier
     "pc_branch": 3,         # MOV/ADD into pc
     "bkpt": 1,              # it counts as executed, then halts
-}
+})
 
 # op -> DEFAULT_TIMING key; ops not listed are data processing ("dp").
 # Block transfers, BCOND and MOV/ADD into pc are classified in base_cycles.

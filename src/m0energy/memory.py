@@ -13,8 +13,8 @@ the one statement of the fetch rule: a fetch inside the held word is free,
 any other word costs WaitState cycles, and with prefetch the word after
 the held one is free too.  A taken branch, reset or a fault empties the
 buffer, so a branch target pays in full even inside the word held at the
-branch.  Data reads from Flash stall WaitState cycles and leave the buffer
-alone; RAM never stalls.
+branch.  Data reads from Flash stall WaitState cycles, which the simulator
+adds, and leave the buffer alone; RAM never stalls.
 
 The rule needs no clock because WaitState is at most 1 and every
 instruction takes at least a cycle: the read-ahead an instruction starts is
@@ -23,11 +23,11 @@ halfwords straddle a word boundary) can reach it early.  So an
 instruction's stall depends only on the word held before it, and
 `block_stalls` prices a block's fetches once, when it is translated.  With
 WaitState = 0 nothing stalls, so cycle counts do not depend on the
-prefetch setting: `timing_class` is the one place that says which
+prefetch setting: `timing_class`, the one check of WaitState, says which
 (WaitState, PreFetch) settings therefore run identically.
 """
 
-from .errors import BadEntryError, MalformedImageError, MemoryFault
+from .errors import BadEntryError, InvalidConfigError, MalformedImageError, MemoryFault
 
 FLASH_BASE = 0x08000000
 RAM_BASE = 0x20000000
@@ -49,8 +49,12 @@ def timing_class(wait_states, prefetch):
     cycles, with the same counters and fetch stalls, for every image and
     cycle budget: at zero wait states no fetch or data access stalls, so
     the prefetch buffer has nothing to hide.  Core frequency never enters:
-    it only converts cycles into time.
+    it only converts cycles into time.  Raises InvalidConfigError unless
+    there are 0 or 1 wait states, the counts the clock-free rule holds for.
     """
+    if wait_states not in (0, 1):
+        raise InvalidConfigError("wait states must be 0 or 1, got %r"
+                                 % (wait_states,))
     return wait_states, bool(prefetch and wait_states)
 
 
@@ -83,10 +87,10 @@ def block_stalls(code, wait_states, prefetch):
 
 
 class MemorySystem:
-    """Flat memory image; Flash data reads stall `wait_states` cycles."""
+    """Flat memory image: the address space, with no timing."""
 
     def __init__(self, image, flash_size=DEFAULT_FLASH_SIZE,
-                 ram_size=DEFAULT_RAM_SIZE, wait_states=0):
+                 ram_size=DEFAULT_RAM_SIZE):
         if len(image) < 8:
             raise MalformedImageError(
                 "image is %d bytes; need at least an 8-byte vector table"
@@ -111,7 +115,6 @@ class MemorySystem:
         self.ram_words, self.ram_halves = (
             memoryview(self.ram).cast(f) if RAM_VIEWS else None for f in "IH")
         self.flash_halves = memoryview(self.flash).cast("H") if RAM_VIEWS else None
-        self.wait_states = wait_states
         self.debug_output = bytearray()
 
     # -- address classification -------------------------------------------
@@ -154,16 +157,14 @@ class MemorySystem:
         return MemorySystem._flash_offset(addr) & ~3
 
     def read(self, addr, size):
-        """Data read; returns (value, stall, region) with alias -> flash."""
+        """Data read; returns (value, region) with alias -> flash."""
         region = self.region(addr)
         if region is None:
             raise MemoryFault(addr, "unmapped read")
         if size > 1 and addr % size:
             raise MemoryFault(addr, "misaligned read")
-        value = self._raw_read(addr, size, region)
-        if region == "ram":
-            return value, 0, "ram"
-        return value, self.wait_states, "flash"
+        return (self._raw_read(addr, size, region),
+                "ram" if region == "ram" else "flash")
 
     def write(self, addr, size, value):
         """Data write, which never stalls; returns the region."""

@@ -342,8 +342,8 @@ class ReferenceStepper:
     `Encoding.at`), cycles are summed from the README timing table, and
     counters come from each completed step's own access list,
     `accesses`, which `_read` and `_write` here keep as (r or w, region,
-    stall).  pc moves to the next instruction here unless the step
-    branched.  Only the
+    stall), a Flash or boot-alias data read stalling the wait states here.
+    pc moves to the next instruction here unless the step branched.  Only the
     instruction semantics are shared with the simulator: `step` runs the
     engine's one-instruction function, `cpu._step(enc)`, on the Encoding and
     its address, including the odd pc an interworking branch leaves when it
@@ -351,7 +351,8 @@ class ReferenceStepper:
     """
 
     def __init__(self, image, wait_states=0, prefetch=False):
-        self.mem = MemorySystem(image, wait_states=wait_states)
+        self.mem = MemorySystem(image)
+        self.wait_states = wait_states
         self.fetch_unit = TimedFetchUnit(wait_states, prefetch)
         self.state = CpuState()
         self.state.regs[13], self.state.pc = self.mem.reset_vector()
@@ -359,8 +360,9 @@ class ReferenceStepper:
         self.sequential = False  # whether the last step fell through
 
     def _read(self, addr, size):
-        value, stall, region = self.mem.read(addr & MASK32, size)
-        self.accesses.append(("r", region, stall))
+        value, region = self.mem.read(addr & MASK32, size)
+        self.accesses.append(
+            ("r", region, self.wait_states if region == "flash" else 0))
         return value
 
     def _write(self, addr, size, value):

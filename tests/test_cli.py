@@ -304,7 +304,7 @@ def count_runs(monkeypatch):
     run = m0energy.cpu.Simulator.run
 
     def counted(self, *args, **kwargs):
-        calls.append((self.mem.wait_states, self.prefetch))
+        calls.append((self.wait_states, self.prefetch))
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(m0energy.cpu.Simulator, "run", counted)

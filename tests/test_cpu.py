@@ -16,10 +16,10 @@ from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
                      kernel_image, oracle_add_flags, oracle_sub_flags,
                      run_kernel)
 from m0energy import (Assembler, BadEntryError, InvalidConfigError,
-                      MalformedImageError, M0EnergyError, MemorySystem,
-                      Simulator)
+                      MalformedImageError, M0EnergyError, Simulator)
 from m0energy.decode import (DEFAULT_TIMING, LOAD_OPS, STORE_OPS, decode,
                              encoding_at, is_wide)
+from m0energy.memory import timing_class
 
 MASK32 = 0xFFFFFFFF
 
@@ -164,15 +164,31 @@ def test_every_base_cycle_entry_is_an_int_of_at_least_one_cycle():
         assert type(cycles) is int and cycles >= 1, key
 
 
+def test_the_base_cycle_table_is_read_only():
+    # every simulator reads the one table, so a caller's write of 0 would
+    # make step() run on past the instruction it was asked for
+    with pytest.raises(TypeError):
+        DEFAULT_TIMING["dp"] = 0
+    sim = single_op_sim(lambda a: a.movs(0, 1))
+    assert sim.step().cycles == 1 and sim.state.pc == 0x0800000A
+
+
 @pytest.mark.parametrize("wait_states", [2, 3, -1])
 def test_wait_states_other_than_0_or_1_are_rejected(wait_states):
-    # compiled blocks price each fetch past a block's first instruction as
-    # a constant, exact only at 0 or 1 wait state; the memory system alone
-    # still models any count
-    with pytest.raises(InvalidConfigError, match="wait states must be 0 or 1"):
-        single_op_sim(lambda a: a.muls(0, 1), ws=wait_states)
-    mem = MemorySystem(kernel_image("loop5"), wait_states=wait_states)
-    assert mem.read(0x08000000, 4)[1] == wait_states
+    # the fetch rule needs no clock, and compiled blocks price each fetch
+    # past a block's first instruction as a constant, only at 0 or 1 wait
+    # state; `timing_class` is the one check, for a simulator and for
+    # pricing a run under another class alike
+    message = "^wait states must be 0 or 1, got %d$" % wait_states
+    sim, summary, _ = run_kernel("flash_lit")
+    for prefetch in (False, True):
+        with pytest.raises(InvalidConfigError, match=message):
+            timing_class(wait_states, prefetch)
+        with pytest.raises(InvalidConfigError, match=message):
+            single_op_sim(lambda a: a.muls(0, 1), ws=wait_states,
+                          prefetch=prefetch)
+        with pytest.raises(InvalidConfigError, match=message):
+            sim.price(summary, wait_states, prefetch)
 
 
 def test_ldrsb_sign_extends():

@@ -30,11 +30,12 @@ import pytest
 from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
                      ReferenceStepper, compile_at_first_run,
                      dynamic_block_path, invstate_image, invstate_reason,
-                     kernel_image, machine_state)
+                     kernel_image, machine_state, reference_data_events)
 from m0energy import (Assembler, M0EnergyError, MemorySystem, Simulator,
                       builtin_models, cli, cpu, extract_cfg, memory,
                       path_energy)
 from m0energy.cpu import COMPILE_AFTER
+from m0energy.decode import base_cycles
 from m0energy.memory import timing_class
 
 RANDOM_SEEDS = range(24)
@@ -1018,6 +1019,85 @@ def test_on_step_raising_folds_the_instructions_that_completed(error):
     assert sim.state.pc == 0x0800000C
     assert sim.run().steps == 2
     assert (c.c1, c.histogram) == (4, {"MOVS": 3, "BKPT": 1})
+
+
+# -- the data stall: each Flash data read stalls the wait states ---------------
+
+DATA_LOOPS = 3
+
+
+def flash_data_image():
+    """A setup block, then a loop of DATA_LOOPS passes through one block
+    that reads Flash every way the engine can: register-indirect LDR, LDRH
+    and LDRB from Flash and from the boot alias, a POP and an LDM of Flash
+    words, and two Flash literals, the first of them 0; and RAM, by PUSH,
+    an SP-relative LDR and POP.  The last five words are the literals and
+    a three-word table."""
+    a = Assembler()
+    a.movs(7, DATA_LOOPS)
+    a.mov_hi(6, 13)                 # sp, restored after the Flash POP
+    a.b("loop")
+    a.label("loop")
+    a.adr(0, "table")
+    a.movs(1, 4)
+    a.lsls_imm(5, 0, 8)
+    a.lsrs_imm(5, 5, 8)             # the table through the boot alias
+    for base in (0, 5):
+        a.ldr_reg(2, base, 1)
+        a.ldrh_reg(3, base, 1)
+        a.ldrb_reg(4, base, 1)
+    a.mov_hi(13, 0)
+    a.pop([2, 3])
+    a.mov_hi(13, 6)
+    a.ldm(0, [2, 3, 4])
+    a.ldr_lit(2, "zero")
+    a.ldr_lit(3, "lit")
+    a.push([1, 2])
+    a.ldr_sp(4, 4)
+    a.pop([3, 4])
+    a.subs_imm8(7, 1)
+    a.bne("loop")
+    a.bkpt()
+    a.word(0, label="zero")
+    a.word(0x12345678, label="lit")
+    a.word(0x89ABCDEF, label="table")
+    a.word(0x01234567)
+    a.word(0x76543210)
+    return a.image()
+
+
+@pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
+def test_each_flash_data_read_stalls_the_wait_states(monkeypatch, ws,
+                                                     prefetch, _key):
+    """Every traced step takes its base cycles, its fetch stall and the
+    wait states per Flash or alias data read the reference counts, and no
+    more; the compiled run ends where the stepped one does; and each Flash
+    literal, the one whose word is 0 too, is read once, when its block is
+    compiled, not on each of the compiled runs."""
+    image = flash_data_image()
+    end = memory.FLASH_BASE + len(image)
+    literals = [end - 20, end - 16]
+    read = MemorySystem.read
+    reads = []
+    monkeypatch.setattr(MemorySystem, "read", lambda mem, addr, size: (
+        reads.append(addr) or read(mem, addr, size)))
+    stepped = Simulator(image, wait_states=ws, prefetch=prefetch)
+    steps = []
+    assert stepped.run(on_step=steps.append).exit_reason == "halt"
+    events = reference_data_events(steps, image, ws, prefetch)
+    assert sum(e[2] for e in events) == 13 * DATA_LOOPS
+    for step, (_c4, _c5, flash_reads) in zip(steps, events):
+        base, base_taken = base_cycles(step.instruction)
+        assert step.cycles - (base_taken if step.branch_taken else base) - (
+            step.fetch_stall) == ws * flash_reads, step.instruction
+    del reads[:]
+    with compile_at_first_run():
+        compiled = Simulator(image, wait_states=ws, prefetch=prefetch)
+        assert compiled.run().exit_reason == "halt"
+    assert all(block.code for block in compiled._blocks.values())
+    assert machine_state(compiled) == machine_state(stepped)
+    assert sorted(addr for addr in reads if addr in literals) == literals
+    assert_same_run(image, ws, prefetch)
 
 
 # -- the entry rule: a block is entered cold or warm --------------------------

@@ -10,14 +10,14 @@ from m0energy import MalformedImageError, MemoryFault, MemorySystem
 from m0energy.memory import DEBUG_ADDR, FLASH_BASE, RAM_BASE, fetch_stall
 
 
-def make_mem(ws=0, ram_size=8 * 1024):
+def make_mem(ram_size=8 * 1024):
     image = bytes(range(256)) * 4  # 1 KiB of recognizable bytes
-    return MemorySystem(image, wait_states=ws, ram_size=ram_size)
+    return MemorySystem(image, ram_size=ram_size)
 
 
 def fetcher(ws=0, prefetch=False):
     """A memory and the timed fetch unit that `fetch` reads it through."""
-    return make_mem(ws), TimedFetchUnit(ws, prefetch)
+    return make_mem(), TimedFetchUnit(ws, prefetch)
 
 
 def test_image_too_short():
@@ -67,14 +67,13 @@ def test_region_classification():
 def test_ram_read_after_write_word():
     mem = make_mem()
     assert mem.write(RAM_BASE, 4, 0xDEADBEEF) == "ram"
-    value, stall, region = mem.read(RAM_BASE, 4)
-    assert (value, stall, region) == (0xDEADBEEF, 0, "ram")
+    assert mem.read(RAM_BASE, 4) == (0xDEADBEEF, "ram")
 
 
 def test_ram_read_after_write_halfword():
     mem = make_mem()
     mem.write(0x2000_0004, 2, 0xBEEF)
-    value, _, _ = mem.read(0x2000_0004, 2)
+    value, _ = mem.read(0x2000_0004, 2)
     assert value == 0xBEEF
 
 
@@ -113,21 +112,20 @@ def test_misaligned_data_access_faults():
     assert mem.read(RAM_BASE + 1, 1)[0] == 0xAB
 
 
-def test_flash_data_read_stall_tracks_wait_states():
-    for ws in (0, 1):
-        mem = make_mem(ws=ws)
-        value, stall, region = mem.read(0x0800_0040, 4)
-        assert region == "flash"
-        assert stall == ws
-        assert value == int.from_bytes(bytes(range(0x40, 0x44)), "little")
+def test_flash_data_read_returns_value_and_region():
+    # the memory system has no timing: the simulator adds the data stall
+    mem = make_mem()
+    assert not hasattr(mem, "wait_states")
+    assert mem.read(0x0800_0040, 4) == (
+        int.from_bytes(bytes(range(0x40, 0x44)), "little"), "flash")
 
 
 def test_alias_reads_mirror_flash_and_classify_as_flash():
-    mem = make_mem(ws=1)
+    mem = make_mem()
     direct = mem.read(FLASH_BASE + 0x10, 4)
     aliased = mem.read(0x0000_0010, 4)
-    assert direct[0] == aliased[0]
-    assert aliased[2] == "flash"
+    assert direct == aliased
+    assert aliased[1] == "flash"
 
 
 def test_debug_port_captures_bytes():
