@@ -22,8 +22,8 @@ _SOURCES = {name: module for module, names in {
     "cpu": "CpuState RunSummary Simulator StepResult",
     "decode": "Instruction decode DEFAULT_TIMING",
     "energy": "EnergyInterval EnergyModel HardwareConfig builtin_configs "
-              "builtin_model builtin_models compare_configs estimate "
-              "load_models save_models",
+              "builtin_model builtin_models estimate load_models "
+              "save_models",
     "errors": "AnalysisError BadEntryError DatasetError DegenerateDesignError "
               "InvalidConfigError InvalidStateFault M0EnergyError "
               "MalformedImageError MemoryFault PathError "

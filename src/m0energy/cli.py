@@ -12,8 +12,8 @@ order).  It simulates the first configuration's timing class
 (`memory.timing_class`; WS0 in a sweep) and prices each other class from
 that run (`Simulator.price`), or simulates it too if that run did not halt
 or the budget would cut the priced one.  Each report is its class's run, so
-a sweep entry is the single run.  `--sweep` adds only `comparison`, which
-ranks the configurations that have a model, each by its last one.
+a sweep entry is the single run.  `--sweep` adds only `comparison`: the
+entries that have a model, sorted by the energy and time they report.
 
 Reports are JSON by default, with a fixed field order and floats rendered
 at six decimal places so identical inputs produce byte-identical output.
@@ -229,8 +229,7 @@ def cmd_run(args, parser):
 
 
 def _run(args, parser, data):
-    from .energy import (builtin_configs, builtin_model, compare_configs,
-                         load_models)
+    from .energy import builtin_configs, builtin_model, load_models
     file_models = None
     if args.model_file:
         try:
@@ -278,18 +277,19 @@ def _run(args, parser, data):
         return _simulate(data, *key, args)
 
     image = _image_info(args.image, data)  # one hash for every report
-    reports, results = [], {}  # results: the ranked configurations
-    for config, models in table.items():
-        run = class_run(timing_class(config.wait_states, config.prefetch))
-        reports.append(_run_report(image, config, *run, models))
-        if models:
-            results[config] = (run[1].counters, run[1].cycle_count)
+    reports = [_run_report(image, config, *class_run(timing_class(
+                   config.wait_states, config.prefetch)), models)
+               for config, models in table.items()]
     code = 0 if all(r["exit_reason"] == "halt" for r in reports) else 1
     if not args.sweep:
         return _emit(reports[0], args.format, "run", code)
-    comparison = [{"config": c.label(), "energy_nj": e, "time_us": t}
-                  for c, e, t in compare_configs(results, [
-                      models[-1] for models in table.values() if models])]
+    # each configuration with a model, by its last one's energy, then by
+    # time; `sorted` is stable, so ties keep built-in table order
+    comparison = sorted(({"config": r["config"]["label"],
+                          "energy_nj": r["energy_nj"][-1]["energy_nj"],
+                          "time_us": r["wall_time_us"]}
+                         for r in reports if r["energy_nj"]),
+                        key=lambda row: (row["energy_nj"], row["time_us"]))
     return _emit({"image": image, "runs": reports,
                   "comparison": comparison}, args.format, "run", code)
 

@@ -45,7 +45,7 @@ class HardwareConfig:
             raise InvalidConfigError(
                 "frequency must be one of %s MHz, got %r"
                 % (list(VALID_FREQUENCIES), self.frequency_mhz))
-        if self.wait_states not in (0, 1):
+        if type(self.wait_states) is not int or self.wait_states not in (0, 1):
             raise InvalidConfigError("wait states must be 0 or 1")
         if self.frequency_mhz == 48 and self.wait_states == 0:
             raise InvalidConfigError("48 MHz requires 1 wait state")
@@ -122,29 +122,6 @@ def energies(models, counts, loads=0, stores=0):
     return [EnergyInterval(e + loads * (b6 if b6 < b4 else b4),  # min, max
                            e + loads * (b6 if b6 > b4 else b4) + stores * b5)
             for e, (_, _, _, b4, b5, b6) in zip(points, betas)]
-
-
-def compare_configs(results, models=None):
-    """Rank configurations by predicted energy.
-
-    `results` maps HardwareConfig -> (counters, cycles) from one simulation
-    per timing class.  Each is priced by the published model, or with
-    `models` by the last of them for it (a config without one is an error,
-    even when `models` is empty).  Returns rows (config, energy_nj, time_us)
-    sorted by energy, ties broken by time and then by built-in table order.
-    """
-    by_config = _BUILTIN if models is None else {m.config: m for m in models}
-    order = {config: i for i, config in enumerate(_BUILTIN)}
-    rows = []
-    for config, (counters, cycles) in results.items():
-        model = by_config.get(config)
-        if model is None:
-            raise InvalidConfigError("no model for %s" % config.label())
-        energy = estimate(counters, model)
-        time_us = cycles / config.frequency_mhz
-        rows.append((config, energy, time_us))
-    rows.sort(key=lambda r: (r[1], r[2], order.get(r[0], len(order))))
-    return rows
 
 
 # -- model files -----------------------------------------------------------

@@ -50,9 +50,9 @@ def timing_class(wait_states, prefetch):
     cycle budget: at zero wait states no fetch or data access stalls, so
     the prefetch buffer has nothing to hide.  Core frequency never enters:
     it only converts cycles into time.  Raises InvalidConfigError unless
-    there are 0 or 1 wait states, the counts the clock-free rule holds for.
-    """
-    if wait_states not in (0, 1):
+    `wait_states` is the int 0 or 1 (not a bool or a float), the counts
+    the clock-free rule holds for."""
+    if type(wait_states) is not int or wait_states not in (0, 1):
         raise InvalidConfigError("wait states must be 0 or 1, got %r"
                                  % (wait_states,))
     return wait_states, bool(prefetch and wait_states)

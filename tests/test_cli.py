@@ -21,9 +21,9 @@ import m0energy.cpu
 from helpers import (INTERWORKING_BRANCHES, KERNELS, invstate_image,
                      invstate_reason, kernel_image, recount_from_trace_file,
                      reference_to_json, run_kernel, synth_dataset)
-from m0energy import (Assembler, EnergyModel, HardwareConfig, builtin_model,
-                      builtin_models, estimate, load_models, save_dataset,
-                      save_models)
+from m0energy import (Assembler, EnergyModel, HardwareConfig, builtin_configs,
+                      builtin_model, builtin_models, estimate, load_models,
+                      save_dataset, save_models)
 from m0energy import MemorySystem, cli
 from m0energy.asm import COND_CODES
 from m0energy.cfg import BasicBlock, StaticCounts, extract_cfg
@@ -277,6 +277,51 @@ def test_sweep_model_file_ranks_a_config_by_its_last_record(tmp_path, capsys):
          "time_us": wall["[48, ON, 1]"]},
         {"config": "[20, OFF, 0]", "energy_nj": 126.0,
          "time_us": wall["[20, OFF, 0]"]}]
+
+
+# file order of one-beta records -> the ranking of `pushpop_loop`, which
+# costs 63 nJ under each: by time, then in built-in table order
+TIE_CASES = {
+    "time": (["[20, OFF, 0]", "[24, OFF, 0]"],
+             [("[24, OFF, 0]", 4 / 3), ("[20, OFF, 0]", 1.6)]),
+    "table-order": (["[20, ON, 0]", "[24, OFF, 0]", "[20, OFF, 0]",
+                     "[48, ON, 1]"],
+                    [("[48, ON, 1]", 0.75), ("[24, OFF, 0]", 4 / 3),
+                     ("[20, OFF, 0]", 1.6), ("[20, ON, 0]", 1.6)]),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_sweep_ranks_equal_energies_by_time_then_table_order(tmp_path, capsys,
+                                                              case):
+    order, ranked = TIE_CASES[case]
+    configs = {c.label(): c for c in builtin_configs()}
+    beta = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    models = write_model_file(tmp_path, [EnergyModel(configs[label], beta)
+                                         for label in order])
+    image = write_kernel(tmp_path, "pushpop_loop")
+    code, out, _ = run_cli(["run", image, "--sweep", "--model-file", models],
+                           capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert [(row["config"], row["energy_nj"]) for row in report["comparison"]
+            ] == [(label, 63.0) for label, _ in ranked]
+    assert [row["time_us"] for row in report["comparison"]] == pytest.approx(
+        [time_us for _, time_us in ranked], abs=5e-7)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_sweep_comparison_sorts_what_its_runs_report(tmp_path, capsys, name):
+    image = write_kernel(tmp_path, name)
+    code, out, _ = run_cli(["run", image, "--sweep"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    rows = [{"config": run["config"]["label"],
+             "energy_nj": run["energy_nj"][-1]["energy_nj"],
+             "time_us": run["wall_time_us"]} for run in report["runs"]]
+    assert len(rows) == 10
+    assert report["comparison"] == sorted(
+        rows, key=lambda row: (row["energy_nj"], row["time_us"]))
 
 
 def test_header_only_model_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ implementation uses.
 
 import itertools
 import random
+import re
 import zlib
 
 import pytest
@@ -15,8 +16,9 @@ import helpers
 from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
                      kernel_image, oracle_add_flags, oracle_sub_flags,
                      run_kernel)
-from m0energy import (Assembler, BadEntryError, InvalidConfigError,
-                      MalformedImageError, M0EnergyError, Simulator)
+from m0energy import (Assembler, BadEntryError, HardwareConfig,
+                      InvalidConfigError, MalformedImageError, M0EnergyError,
+                      Simulator)
 from m0energy.decode import (DEFAULT_TIMING, LOAD_OPS, STORE_OPS, decode,
                              encoding_at, is_wide)
 from m0energy.memory import timing_class
@@ -173,13 +175,18 @@ def test_the_base_cycle_table_is_read_only():
     assert sim.step().cycles == 1 and sim.state.pc == 0x0800000A
 
 
-@pytest.mark.parametrize("wait_states", [2, 3, -1])
+@pytest.mark.parametrize("wait_states", [2, 3, -1, 1.0, 0.0, True, False,
+                                         "1"])
 def test_wait_states_other_than_0_or_1_are_rejected(wait_states):
     # the fetch rule needs no clock, and compiled blocks price each fetch
     # past a block's first instruction as a constant, only at 0 or 1 wait
     # state; `timing_class` is the one check, for a simulator and for
-    # pricing a run under another class alike
-    message = "^wait states must be 0 or 1, got %d$" % wait_states
+    # pricing a run under another class alike.  1.0 and True equal 1, but
+    # a float count made a run report float cycles, and a bool labelled a
+    # configuration as the int would; the configuration's own check is the
+    # same test with its own message
+    message = "^wait states must be 0 or 1, got %s$" % re.escape(
+        repr(wait_states))
     sim, summary, _ = run_kernel("flash_lit")
     for prefetch in (False, True):
         with pytest.raises(InvalidConfigError, match=message):
@@ -189,6 +196,9 @@ def test_wait_states_other_than_0_or_1_are_rejected(wait_states):
                           prefetch=prefetch)
         with pytest.raises(InvalidConfigError, match=message):
             sim.price(summary, wait_states, prefetch)
+        with pytest.raises(InvalidConfigError,
+                           match="^wait states must be 0 or 1$"):
+            HardwareConfig(20, prefetch, wait_states)
 
 
 def test_ldrsb_sign_extends():

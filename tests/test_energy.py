@@ -1,13 +1,12 @@
-"""Energy model tests: published table fidelity, evaluation, comparisons."""
+"""Energy model tests: published table fidelity, evaluation, model files."""
 
 import random
 
 import pytest
 
 from helpers import PUBLISHED_TABLE, dot_oracle
-from m0energy import (EnergyModel, HardwareConfig, InvalidConfigError,
-                      builtin_configs, builtin_model, builtin_models,
-                      compare_configs, estimate, load_models,
+from m0energy import (HardwareConfig, InvalidConfigError, builtin_configs,
+                      builtin_model, builtin_models, estimate, load_models,
                       save_models)
 
 
@@ -127,59 +126,6 @@ def test_estimate_linearity_and_monotonicity():
         for i in range(6):
             bumped = tuple(c + 1 if j == i else c for j, c in enumerate(base))
             assert estimate(bumped, model) > estimate(base, model)
-
-
-def test_compare_configs_single_row():
-    cfg = HardwareConfig(20, False, 0)
-    counters = (100, 10, 5, 3, 2, 1)
-    rows = compare_configs({cfg: (counters, 1000)})
-    assert len(rows) == 1
-    config, energy, time_us = rows[0]
-    assert config == cfg
-    assert energy == estimate(counters, builtin_model(cfg))
-    assert time_us == 1000 / 20
-
-
-def test_compare_configs_orders_by_energy():
-    counters = (1000, 100, 50, 30, 20, 10)
-    results = {cfg: (counters, 5000) for cfg in builtin_configs()}
-    rows = compare_configs(results)
-    assert len(rows) == 10
-    energies = [e for _, e, _ in rows]
-    assert energies == sorted(energies)
-    # recompute each row independently
-    for config, energy, time_us in rows:
-        assert energy == estimate(counters, builtin_model(config))
-        assert time_us == 5000 / config.frequency_mhz
-
-
-def test_compare_configs_empty():
-    assert compare_configs({}) == []
-    assert compare_configs({}, []) == []
-
-
-@pytest.mark.parametrize("models", [
-    [], [EnergyModel(HardwareConfig(24, False, 0), (1.0,) * 6, "fitted")]],
-    ids=["empty", "other-config"])
-def test_compare_configs_without_a_listed_model_raises(models):
-    """An explicit model list, even an empty one, is the only source of
-    models: a result with none in it is an error, not the published one."""
-    cfg = HardwareConfig(20, False, 0)
-    with pytest.raises(InvalidConfigError, match=r"no model for \[20, OFF, 0\]"):
-        compare_configs({cfg: ((100, 0, 0, 0, 0, 0), 100)}, models)
-
-
-def test_compare_configs_ties_break_by_time():
-    # two configs given the same synthetic model: equal energy, the faster
-    # clock (smaller time) sorts first
-    c20 = HardwareConfig(20, False, 0)
-    c24 = HardwareConfig(24, False, 0)
-    beta = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    models = [EnergyModel(c20, beta, "fitted"), EnergyModel(c24, beta, "fitted")]
-    counters = (10, 0, 0, 0, 0, 0)
-    rows = compare_configs({c20: (counters, 240), c24: (counters, 240)},
-                           models=models)
-    assert [r[0] for r in rows] == [c24, c20]  # 10 us before 12 us
 
 
 def test_model_file_round_trip_bit_exact(tmp_path):

@@ -118,8 +118,8 @@ PUBLIC_NAMES = [
     "MalformedImageError", "MemoryFault", "MemorySystem", "PathError",
     "RAM_BASE", "RegressionDataset", "RunSummary", "Simulator",
     "StaticCounts", "StepResult", "UndefinedInstructionError",
-    "builtin_configs", "builtin_model", "builtin_models", "compare_configs",
-    "decode", "estimate", "extract_cfg", "fit", "fold_indices", "kfold_cv",
+    "builtin_configs", "builtin_model", "builtin_models", "decode",
+    "estimate", "extract_cfg", "fit", "fold_indices", "kfold_cv",
     "load_dataset", "load_models", "mape", "path_energy", "r2", "resd",
     "save_dataset", "save_models",
 ]
