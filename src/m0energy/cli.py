@@ -21,7 +21,9 @@ at six decimal places so identical inputs produce byte-identical output.
 cycles), then restores it.  It fills each block record's JSON text into
 templates built once per report, renders a block's counts and energies
 once per distinct count vector and writes each record as it is filled;
-the text format renders the same records from dicts.
+the text format renders the same records from dicts.  The templates take
+decoder texts (none needs a JSON escape), built-in energies (all finite)
+and decode's EDGE_* kinds as they are, as test_decode and test_cli check.
 Addresses and sizes in flags must lie in 0..0xFFFFFFFF.
 Each subcommand imports the modules it runs where it runs them: `cpu` to
 simulate, `cfg` in `analyze`, `energy` in `run`, `analyze` and for
@@ -50,60 +52,47 @@ MAX_CYCLES_DEFAULT = 10 ** 9
 # -- deterministic JSON ---------------------------------------------------
 
 def to_json(obj, indent=0):
-    """JSON with floats fixed at 6 decimals and stable field order."""
-    return (_WRITERS.get(type(obj)) or _writer_for(obj))(obj, indent)
-
-
-def _writer_for(obj):
-    """The writer for a subclass of a written type, checked in this order."""
-    for base in (bool, int, float, str, dict, list, tuple):
-        if isinstance(obj, base):
-            return _WRITERS[base]
-    raise TypeError("cannot serialize %r" % type(obj))
+    """JSON with floats fixed at 6 decimals and stable field order; a
+    subclass is written as the first type checked here that it is."""
+    if isinstance(obj, _Raw):
+        return obj
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return "%.6f" % obj if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [_json_str(str(k)) + ": " + to_json(v, indent + 1)
+                 for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [to_json(v, indent + 1) for v in obj]
+    else:
+        raise TypeError("cannot serialize %r" % type(obj))
+    if not items:
+        return brackets
+    pad = "\n" + "  " * indent
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
 _ESCAPES = {'"': '\\"', "\\": "\\\\", **{chr(i): "\\u%04x" % i for i in range(32)}}
 
 
-def _json_str(obj, indent=0):
+def _json_str(obj):
     if _NEEDS_ESCAPE.search(obj) is None:
         return '"' + obj + '"'
     return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], obj) + '"'
 
 
-def _json_float(obj, indent=0):
-    return "%.6f" % obj if math.isfinite(obj) else "null"
-
-
-def _json_dict(obj, indent):
-    pad = "  " * indent
-    get, indent = _WRITERS.get, indent + 1
-    items = [_json_str(str(k)) + ": "
-             + (get(type(v)) or _writer_for(v))(v, indent)
-             for k, v in obj.items()]
-    return ("{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}"
-            if items else "{}")
-
-
-def _json_list(obj, indent):
-    pad = "  " * indent
-    get, indent = _WRITERS.get, indent + 1
-    items = [(get(type(v)) or _writer_for(v))(v, indent) for v in obj]
-    return ("[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
-            if items else "[]")
-
-
 class _Raw(str):
     """JSON text that to_json writes as it is, such as a template's hole."""
-
-
-_WRITERS = {
-    type(None): lambda obj, indent: "null",
-    bool: lambda obj, indent: "true" if obj else "false",
-    int: lambda obj, indent: str(obj),
-    float: _json_float, str: _json_str, dict: _json_dict, list: _json_list,
-    tuple: _json_list, _Raw: lambda obj, indent: obj}
 
 
 def render_text(obj, indent=0):
@@ -323,26 +312,24 @@ def _block_dict(block, models, labels):
 
 
 def _block_writer(models, labels):
-    """A function from a block to the text that `to_json` writes for its
-    `_block_dict` as a report's record (at depth 2), filled into templates
-    built here for distinct `labels` (config labels, with no "%").  The
+    """A function from a block of `_analyze` to the text that `to_json`
+    writes for its `_block_dict` as a report's record (at depth 2), filled
+    into templates built here for distinct `labels` (config labels, with
+    no "%"), which take its texts, energies and kinds as they are.  The
     counts and energy_nj text depend only on the block's StaticCounts, so
-    each distinct one is rendered once, as each edge kind is."""
+    each distinct one is rendered once."""
     from .cfg import StaticCounts, block_energies
-    hole, address = _Raw("%s"), _Raw('"0x%08x"')
+    hole, quoted_hole, address = _Raw("%s"), _Raw('"%s"'), _Raw('"0x%08x"')
     record = to_json({"start": address, "end": address,
-                      "instructions": [_Raw('"%s"')], "counts": hole,
+                      "instructions": [quoted_hole], "counts": hole,
                       "successors": hole, "energy_nj": hole}, 2)
     counts = to_json(dict.fromkeys(_counts_dict(StaticCounts()), hole), 3)
-    fixed = _Raw("%.6f")  # what _json_float writes for a finite float
+    fixed = _Raw("%.6f")  # what to_json writes for a finite float
     point = to_json(dict.fromkeys(labels, fixed), 3)
     interval = to_json(dict.fromkeys(labels, {"lo": fixed, "hi": fixed}), 3)
-    edge = to_json({"target": hole, "kind": hole}, 4)
-    edges = functools.cache(lambda kind: (  # to an unknown, a known target
-        edge % ("null", _json_str(kind)),
-        edge % ('"0x%08x"', _json_str(kind).replace("%", "%%"))))
+    edge = to_json({"target": hole, "kind": quoted_hole}, 4)
     head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
-    quoted = '"' + sep + '"'  # between texts that need no escape
+    quoted = '"' + sep + '"'  # between two instruction texts
     memo = {}  # StaticCounts -> its counts and energy_nj text
 
     def write(block):
@@ -353,19 +340,13 @@ def _block_writer(models, labels):
             energy = point if static.exact else interval
             if energy is interval:
                 values = [x for v in values for x in (v.lo, v.hi)]
-            if not math.isfinite(sum(values)):  # some are inf or nan
-                energy = energy.replace("%.6f", "%s")
-                values = map(_json_float, values)
             rendered = memo[static] = (counts % tuple([
                 '"unknown"' if v == "unknown" else v for v in
                 _counts_dict(static).values()]), energy % tuple(values))
-        succ = [edges(kind)[0] if t is None else edges(kind)[1] % t
+        succ = [edge % ("null" if t is None else '"0x%08x"' % t, kind)
                 for t, kind in block.successors]
-        texts = block.texts()  # one escape search
-        texts = (quoted.join(texts) if _NEEDS_ESCAPE.search("".join(texts))
-                 is None else sep.join(map(_json_str, texts))[1:-1])
         return record % (
-            block.start, block.end, texts, rendered[0],
+            block.start, block.end, quoted.join(block.texts()), rendered[0],
             head + sep.join(succ) + tail if succ else "[]", rendered[1])
     return write
 

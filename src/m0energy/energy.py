@@ -143,7 +143,7 @@ def save_models(path, models):
 
 def load_models(path):
     models = []
-    with open(path) as fh:
+    with open(path, encoding="latin-1") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != MODEL_FILE_HEADER:
         raise InvalidConfigError("model file missing header %r" % MODEL_FILE_HEADER)

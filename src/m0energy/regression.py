@@ -30,7 +30,6 @@ MIN_ROWS = 7  # one more row than coefficients
 class RegressionDataset:
     counts: np.ndarray   # (n, 6) non-negative event counts
     energies: np.ndarray  # (n,) measured energy in nJ, all > 0
-    name: str = ""
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
@@ -89,7 +88,7 @@ class CVResult:
     seed: int
 
 
-def load_dataset(path, name=None):
+def load_dataset(path):
     """Read a `c1,..,c6,energy_nj` CSV; errors carry the offending line.
     Latin-1 decodes any byte, so a binary file is reported as bad CSV, and
     nan or inf (which float() accepts) is rejected like a non-number.
@@ -107,7 +106,7 @@ def load_dataset(path, name=None):
     if data is None:
         data = _scan(path, io.StringIO(header + body, newline=""))[0]
     try:
-        return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+        return RegressionDataset(data[:, :6], data[:, 6])
     except DatasetError:
         fault = _value_fault(data[:, :6], data[:, 6])
         if fault is None:
@@ -276,6 +275,8 @@ def fold_indices(n, k, seed):
         raise DatasetError("k must be at least 2, got %d" % k)
     if k > n:
         raise DatasetError("k=%d exceeds dataset size %d" % (k, n))
+    if seed is not None and seed < 0:  # None: numpy's fresh entropy
+        raise DatasetError("seed must be a non-negative integer, got %d" % seed)
     rng = np.random.default_rng(seed)
     return np.array_split(rng.permutation(n), k)
 

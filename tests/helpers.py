@@ -647,7 +647,7 @@ def analyze_like_image(seed, blocks=240, functions=24):
     return a.image()
 
 
-def reference_load_dataset(path, name=None):
+def reference_load_dataset(path):
     """The dataset loader as first written, frozen as an oracle: one
     csv.reader pass and float() per field.  It still lets csv.Error (a
     field past csv.field_size_limit) escape."""
@@ -681,7 +681,7 @@ def reference_load_dataset(path, name=None):
     if not finite.all():
         raise DatasetError("%s: line %d: non-finite value"
                            % (path, lines[int(np.argmin(finite))]))
-    return RegressionDataset(data[:, :6], data[:, 6], name or str(path))
+    return RegressionDataset(data[:, :6], data[:, 6])
 
 
 def reference_to_json(obj, indent=0):
@@ -797,4 +797,4 @@ def synth_dataset(seed, n=230, beta=BETA_20_OFF_0, noise=0.03):
     energies = counts @ np.asarray(beta)
     if noise:
         energies = energies * (1.0 + noise * rng.standard_normal(n))
-    return RegressionDataset(counts, energies, name="synthetic-%d" % seed)
+    return RegressionDataset(counts, energies)

@@ -13,8 +13,8 @@ import zlib
 import pytest
 
 import helpers
-from m0energy import (Assembler, M0EnergyError, MemorySystem, cpu, decode,
-                      UndefinedInstructionError)
+from m0energy import (Assembler, M0EnergyError, MemorySystem, cli, cpu,
+                      decode, UndefinedInstructionError)
 from m0energy.decode import _encoding, is_wide
 
 decode_module = importlib.import_module("m0energy.decode")
@@ -290,7 +290,8 @@ def test_memo_matches_memo_free_decoder(monkeypatch):
     """Every halfword, and each 32-bit prefix with a seeded sample of second
     halfwords, at two addresses: from a cleared memo (misses, then hits at
     the second address) and from a warm one, each result equals the
-    memo-free decoder's, with a fields dict of its own."""
+    memo-free decoder's, with a fields dict of its own.  No text needs a
+    JSON escape, as the analyze block writer writes texts as they are."""
     monkeypatch.setattr(decode_module, "_MEMO", {})
     rng = random.Random(zlib.crc32(b"decode memo"))
     cases = []
@@ -309,6 +310,7 @@ def test_memo_matches_memo_free_decoder(monkeypatch):
                 if isinstance(got, tuple):
                     continue
                 assert got.text == want.text and repr(got) == repr(want)
+                assert cli._NEEDS_ESCAPE.search(got.text) is None, got.text
                 assert got.fields is not last_fields.get(case)
                 last_fields[case] = got.fields
                 got.fields["clobbered"] = True  # must not reach the memo

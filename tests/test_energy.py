@@ -150,6 +150,20 @@ def test_model_file_rejects_bad_header(tmp_path):
         load_models(path)
 
 
+def test_model_file_reads_binary_bytes_as_latin1(tmp_path):
+    # bytes that are not UTF-8: a file of them lacks the header, and a
+    # record of them is a bad record, whatever the locale's encoding
+    binary = bytes(range(128, 256))
+    path = tmp_path / "k.bin"
+    path.write_bytes(binary)
+    with pytest.raises(InvalidConfigError, match="model file missing header"):
+        load_models(path)
+    path.write_bytes(b"freq_mhz,prefetch,wait_states,b1,b2,b3,b4,b5,b6\n"
+                     b"20,on,0,1,1,1,1,1,1\n" + binary + b"\n")
+    with pytest.raises(InvalidConfigError, match="model file line 3"):
+        load_models(path)
+
+
 @pytest.mark.parametrize("record,detail", [
     ("20,off,0,0.9,oops,1,1,1,1", "could not convert"),
     ("2O,off,0,0.9,1,1,1,1,1", "invalid literal"),

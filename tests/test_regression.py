@@ -203,6 +203,12 @@ def test_kfold_size_errors():
         kfold_cv(ds, k=1)
 
 
+def test_kfold_rejects_a_negative_seed():
+    ds = synth_dataset(seed=9, n=50, noise=0.0)
+    with pytest.raises(DatasetError, match="non-negative integer, got -1"):
+        kfold_cv(ds, seed=-1)
+
+
 def test_kfold_leave_one_out_runs():
     ds = synth_dataset(seed=10, n=12, noise=0.01)
     result = kfold_cv(ds, k=12, seed=0)
@@ -375,7 +381,7 @@ def load_outcome(loader, path):
         ds = loader(path)
     except DatasetError as exc:
         return ("error", str(exc))
-    return ("data", bits(ds.counts), bits(ds.energies), ds.name)
+    return ("data", bits(ds.counts), bits(ds.energies))
 
 
 CORPUS = range(300)
