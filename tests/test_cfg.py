@@ -12,9 +12,10 @@ import m0energy.energy
 from helpers import (KERNELS, PUBLISHED_TABLE, analyze_like_image, dot_oracle,
                      dynamic_block_path, kernel_image, reference_cfg,
                      run_kernel, sum_static_counts)
-from m0energy import (AnalysisError, Assembler, EnergyInterval, HardwareConfig,
-                      MemorySystem, PathError, Simulator, builtin_model,
-                      builtin_models, estimate, extract_cfg, path_energy)
+from m0energy import (CFG, AnalysisError, Assembler, BasicBlock,
+                      EnergyInterval, HardwareConfig, MemorySystem, PathError,
+                      Simulator, StaticCounts, builtin_model, builtin_models,
+                      estimate, extract_cfg, path_energy)
 from m0energy.cfg import block_energies
 
 MODEL = builtin_model(HardwareConfig(20, False, 0))
@@ -426,3 +427,28 @@ def test_walk_without_halfword_views_matches_the_reference(monkeypatch):
     mem = MemorySystem(analyze_like_image(31))
     assert mem.flash_halves is None
     assert_cfg_matches_reference(mem, mem.reset_vector()[1])
+
+
+def test_blocks_and_graphs_are_mutable_records():
+    graph, mem = graph_for("loop5")
+    again = extract_cfg(mem, mem.reset_vector()[1])
+    assert again == graph and again is not graph
+    block = graph.sorted_blocks()[0]
+    assert block.instructions is block.instructions  # bound once, kept
+    assert again.blocks[block.start] == block  # bound or not, by fields
+    bare = BasicBlock(start=8, end=10, encodings=[],
+                      static_counts=StaticCounts(c1=1))
+    assert bare.successors == [] and bare.successors is not BasicBlock(
+        8, 10, [], StaticCounts(c1=1)).successors
+    assert bare == BasicBlock(8, 10, [], StaticCounts(c1=1), [])
+    assert bare != BasicBlock(8, 10, [], StaticCounts(c1=1), [(8, "taken")])
+    assert CFG(entry=8, blocks={8: bare}) == CFG(8, {8: bare})
+    assert CFG(8, {8: bare}) != CFG(8, {}) and CFG(8, {}) != (8, {})
+    for record in (bare, graph):
+        with pytest.raises(TypeError):
+            hash(record)
+    assert repr(CFG(8, {8: bare})) == (
+        "CFG(entry=8, blocks={8: BasicBlock(start=8, end=10, encodings=[], "
+        "static_counts=StaticCounts(c1=1, c2=0, c4_known=0, c5_known=0, "
+        "c6_known=0, unresolved_loads=0, unresolved_stores=0), "
+        "successors=[])})")

@@ -66,6 +66,31 @@ def test_snapshot_is_a_pure_copy():
     assert (snap.as_vector(), dict(snap.histogram), snap.total_cycles) == before
 
 
+def test_event_counters_construct_compare_and_print_as_records():
+    c = EventCounters(c2=2, histogram={"MULS": 2})
+    assert c.as_vector() == (0, 2, 0, 0, 0, 0)
+    assert (c.total_cycles, c.fetch_stall_cycles) == (0, 0)
+    assert c == EventCounters(0, 2, 0, 0, 0, 0, 0, 0, {"MULS": 2})
+    assert c != EventCounters(c2=2) and c != c.as_vector()
+    assert EventCounters().histogram == {}
+    assert EventCounters().histogram is not EventCounters().histogram
+    with pytest.raises(TypeError):
+        hash(c)  # mutable: no hash
+    assert repr(c) == ("EventCounters(c1=0, c2=2, c3=0, c4=0, c5=0, c6=0, "
+                       "total_cycles=0, fetch_stall_cycles=0, "
+                       "histogram={'MULS': 2})")
+
+
+def test_snapshot_shares_nothing_with_its_source():
+    c = EventCounters(c1=1, total_cycles=4, histogram={"MOVS": 1})
+    snap = c.snapshot()
+    assert snap == c and snap is not c and snap.histogram is not c.histogram
+    c.c1 += 1
+    c.histogram["MOVS"] += 1
+    c.reset()
+    assert snap == EventCounters(c1=1, total_cycles=4, histogram={"MOVS": 1})
+
+
 def test_reset_zeroes_everything():
     c = EventCounters(c1=5, c2=1, c3=2, c4=3, c5=4, c6=5, total_cycles=99,
                       fetch_stall_cycles=3, histogram={"MOVS": 5})

@@ -16,9 +16,9 @@ import helpers
 from helpers import (KERNELS, TIMING_CONFIGS, compile_at_first_run,
                      kernel_image, oracle_add_flags, oracle_sub_flags,
                      run_kernel)
-from m0energy import (Assembler, BadEntryError, HardwareConfig,
-                      InvalidConfigError, MalformedImageError, M0EnergyError,
-                      Simulator)
+from m0energy import (Assembler, BadEntryError, CpuState, EventCounters,
+                      HardwareConfig, InvalidConfigError, MalformedImageError,
+                      M0EnergyError, RunSummary, Simulator, StepResult)
 from m0energy.decode import (DEFAULT_TIMING, LOAD_OPS, STORE_OPS, decode,
                              encoding_at, is_wide)
 from m0energy.memory import timing_class
@@ -1206,3 +1206,45 @@ def test_resumable_after_budget():
     second = sim.run(max_cycles=10 ** 6)
     assert second.exit_reason == "halt"
     assert sim.state.regs[0] == 10
+
+
+# -- records -------------------------------------------------------------------
+
+def test_cpu_state_is_a_mutable_record():
+    state = CpuState(z=True)
+    assert state.regs == [0] * 16 and CpuState().regs is not CpuState().regs
+    assert (state.n, state.z, state.c, state.v) == (False, True, False, False)
+    assert (state.halted, state.cycle_count) == (False, 0)
+    state.pc = 0x08000011
+    assert state.regs[15] == state.pc == 0x08000010
+    assert state == CpuState([0] * 15 + [0x08000010], z=True)
+    assert state != CpuState(z=True) and state != state.regs
+    with pytest.raises(TypeError):
+        hash(state)
+    assert repr(CpuState(regs=[1, 2], c=True)) == (
+        "CpuState(regs=[1, 2], n=False, z=False, c=True, v=False, "
+        "halted=False, cycle_count=0)")
+
+
+def test_step_result_and_run_summary_are_records():
+    step = StepResult(instruction=None, cycles=2, branch_taken=False,
+                      halted=True)
+    assert (step.fetch_stall, step.data_events) == (0, (0, 0, 0))
+    assert step == StepResult(None, 2, False, True, 0, (0, 0, 0))
+    assert step != StepResult(None, 2, False, True, 1)
+    assert repr(step) == ("StepResult(instruction=None, cycles=2, "
+                          "branch_taken=False, halted=True, fetch_stall=0, "
+                          "data_events=(0, 0, 0))")
+    summary = RunSummary(counters=EventCounters(c1=1), cycle_count=3,
+                         exit_reason="halt")
+    assert summary.steps == 0
+    assert summary == RunSummary(EventCounters(c1=1), 3, "halt", 0)
+    assert summary != RunSummary(EventCounters(), 3, "halt")
+    assert summary != (EventCounters(c1=1), 3, "halt", 0)
+    for record in (step, summary):
+        with pytest.raises(TypeError):
+            hash(record)
+    assert repr(RunSummary(EventCounters(), 0, "halt", 1)) == (
+        "RunSummary(counters=EventCounters(c1=0, c2=0, c3=0, c4=0, c5=0, "
+        "c6=0, total_cycles=0, fetch_stall_cycles=0, histogram={}), "
+        "cycle_count=0, exit_reason='halt', steps=1)")

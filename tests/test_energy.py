@@ -5,9 +5,9 @@ import random
 import pytest
 
 from helpers import PUBLISHED_TABLE, dot_oracle
-from m0energy import (HardwareConfig, InvalidConfigError, builtin_configs,
-                      builtin_model, builtin_models, estimate, load_models,
-                      save_models)
+from m0energy import (EnergyInterval, EnergyModel, HardwareConfig,
+                      InvalidConfigError, builtin_configs, builtin_model,
+                      builtin_models, estimate, load_models, save_models)
 
 
 def test_exactly_ten_builtin_models():
@@ -55,6 +55,63 @@ def test_invalid_config_rejected():
         HardwareConfig(16, False, 0)
     with pytest.raises(InvalidConfigError):
         HardwareConfig(20, False, 2)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((16, False, 0), "frequency must be one of [20, 24, 48] MHz, got 16"),
+    ((20, False, 2), "wait states must be 0 or 1"),
+    ((20, False, True), "wait states must be 0 or 1"),
+    ((48, True, 0), "48 MHz requires 1 wait state"),
+])
+def test_invalid_config_names_the_fault(args, message):
+    with pytest.raises(InvalidConfigError) as err:
+        HardwareConfig(*args)
+    assert str(err.value) == message
+
+
+def test_config_and_model_are_frozen_hashable_records():
+    config = HardwareConfig(frequency_mhz=24, prefetch=True, wait_states=1)
+    assert config == HardwareConfig(24, True, 1)
+    assert config != HardwareConfig(24, False, 1)
+    assert config != (24, True, 1) and (24, True, 1) != config
+    assert {config: "a"}[HardwareConfig(24, True, 1)] == "a"
+    assert repr(config) == ("HardwareConfig(frequency_mhz=24, prefetch=True, "
+                            "wait_states=1)")
+    model = EnergyModel(config, (1.0,) * 6)
+    assert (model.provenance, model.reported_mape,
+            model.reported_resd) == ("builtin", None, None)
+    assert model == EnergyModel(config=config, beta=(1.0,) * 6,
+                                provenance="builtin")
+    assert model != EnergyModel(config, (1.0,) * 6, "fitted")
+    assert model != builtin_model(config) and model != config
+    assert {model: "b"}[EnergyModel(config, (1.0,) * 6)] == "b"
+    assert repr(model) == (
+        "EnergyModel(config=HardwareConfig(frequency_mhz=24, prefetch=True, "
+        "wait_states=1), beta=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "
+        "provenance='builtin', reported_mape=None, reported_resd=None)")
+    with pytest.raises(InvalidConfigError,
+                       match="^model needs exactly 6 coefficients$"):
+        EnergyModel(config, (1.0,) * 5)
+    for record, name in ((config, "prefetch"), (model, "beta"),
+                         (config, "new"), (model, "new")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del config.prefetch
+    assert config == HardwareConfig(24, True, 1)
+    assert model == EnergyModel(config, (1.0,) * 6)
+
+
+def test_energy_interval_is_a_mutable_record():
+    interval = EnergyInterval(lo=1.0, hi=3.5)
+    assert interval.width == 2.5
+    assert interval == EnergyInterval(1.0, 3.5)
+    assert interval != EnergyInterval(1.0, 3.0) and interval != (1.0, 3.5)
+    assert repr(interval) == "EnergyInterval(lo=1.0, hi=3.5)"
+    with pytest.raises(TypeError):
+        hash(interval)
+    interval.hi = 4.0
+    assert interval.width == 3.0
 
 
 @pytest.mark.parametrize("config", [[24, True, 1], (24, True, 1), "24-on-1",
