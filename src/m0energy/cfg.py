@@ -24,13 +24,13 @@ when read.
 import functools
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass, field
 from importlib import import_module
 from itertools import accumulate, compress
 
 from .decode import EDGE_FALLTHROUGH, tally
 from .energy import EnergyInterval, energies  # EnergyInterval: re-exported
 from .errors import AnalysisError, M0EnergyError, PathError
+from .record import Record
 
 dec = import_module(".decode", __package__)  # the module, not the function
 
@@ -68,13 +68,14 @@ class StaticCounts(namedtuple("StaticCounts", "c1 c2 c4_known c5_known "
         return (self.c1, self.c2, 0, self.c4_known, self.c5_known, self.c6_known)
 
 
-@dataclass
-class BasicBlock:
-    start: int
-    end: int                      # address after the last instruction
-    encodings: list               # the decode.Encoding of each instruction
-    static_counts: StaticCounts
-    successors: list = field(default_factory=list)  # (target or None, kind)
+class BasicBlock(Record):
+    def __init__(self, start, end, encodings, static_counts, successors=None):
+        self.start = start
+        self.end = end                # address after the last instruction
+        self.encodings = encodings    # the decode.Encoding of each instruction
+        self.static_counts = static_counts
+        # [(target or None, kind)]
+        self.successors = [] if successors is None else successors
 
     @functools.cached_property
     def instructions(self):
@@ -92,10 +93,10 @@ class BasicBlock:
         return texts
 
 
-@dataclass
-class CFG:
-    entry: int
-    blocks: dict  # start address -> BasicBlock
+class CFG(Record):
+    def __init__(self, entry, blocks):
+        self.entry = entry
+        self.blocks = blocks  # start address -> BasicBlock
 
     def sorted_blocks(self):
         return [self.blocks[a] for a in sorted(self.blocks)]

@@ -27,7 +27,8 @@ and decode's EDGE_* kinds as they are, as test_decode and test_cli check.
 Addresses and sizes in flags must lie in 0..0xFFFFFFFF.
 Each subcommand imports the modules it runs where it runs them: `cpu` to
 simulate, `cfg` in `analyze`, `energy` in `run`, `analyze` and for
-`--emit-model`, `regression` and numpy in `fit`, `hashlib` to hash an image.
+`--emit-model`, `regression` and numpy in `fit`, `hashlib` to hash an image;
+`run` loads `dataclasses` only for `--trace`, which binds each Instruction.
 Exit codes: 0 completed halt, 1 fault, analysis/fit failure or a trace or
 report that cannot be written, 2 usage.
 """

@@ -14,20 +14,17 @@ Debug-port writes are not RAM writes and count nowhere.  Auxiliary fields
 part of the energy model.
 """
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
-@dataclass
-class EventCounters:
-    c1: int = 0
-    c2: int = 0
-    c3: int = 0
-    c4: int = 0
-    c5: int = 0
-    c6: int = 0
-    total_cycles: int = 0
-    fetch_stall_cycles: int = 0
-    histogram: dict = field(default_factory=dict)
+class EventCounters(Record):
+    def __init__(self, c1=0, c2=0, c3=0, c4=0, c5=0, c6=0, total_cycles=0,
+                 fetch_stall_cycles=0, histogram=None):
+        self.c1, self.c2, self.c3, self.c4, self.c5, self.c6 = (
+            c1, c2, c3, c4, c5, c6)
+        self.total_cycles = total_cycles
+        self.fetch_stall_cycles = fetch_stall_cycles
+        self.histogram = {} if histogram is None else histogram
 
     def as_vector(self):
         return (self.c1, self.c2, self.c3, self.c4, self.c5, self.c6)
@@ -38,7 +35,4 @@ class EventCounters:
                              self.fetch_stall_cycles, dict(self.histogram))
 
     def reset(self):
-        self.c1 = self.c2 = self.c3 = self.c4 = self.c5 = self.c6 = 0
-        self.total_cycles = 0
-        self.fetch_stall_cycles = 0
-        self.histogram = {}
+        self.__init__()

@@ -73,13 +73,13 @@ independent.
 
 import re
 import weakref
-from dataclasses import dataclass, field
 from importlib import import_module
 
 from .counters import EventCounters
 from .errors import InvalidStateFault, M0EnergyError
 from .memory import (DEFAULT_FLASH_SIZE, DEFAULT_RAM_SIZE, FLASH_BASE,
                      RAM_BASE, MemorySystem, block_stalls, timing_class)
+from .record import Record
 
 dec = import_module(".decode", __package__)  # the module, not the function
 
@@ -87,15 +87,12 @@ MASK32 = 0xFFFFFFFF
 
 COMPILE_AFTER = 64  # runs of a Flash block before it is compiled
 
-@dataclass
-class CpuState:
-    regs: list = field(default_factory=lambda: [0] * 16)
-    n: bool = False
-    z: bool = False
-    c: bool = False
-    v: bool = False
-    halted: bool = False
-    cycle_count: int = 0
+class CpuState(Record):
+    def __init__(self, regs=None, n=False, z=False, c=False, v=False,
+                 halted=False, cycle_count=0):
+        self.regs = [0] * 16 if regs is None else regs
+        self.n, self.z, self.c, self.v = n, z, c, v
+        self.halted, self.cycle_count = halted, cycle_count
 
     @property
     def sp(self):
@@ -114,22 +111,20 @@ class CpuState:
         self.regs[15] = value & MASK32 & ~1
 
 
-@dataclass
-class StepResult:
-    instruction: dec.Instruction
-    cycles: int
-    branch_taken: bool
-    halted: bool
-    fetch_stall: int = 0
-    data_events: tuple = (0, 0, 0)  # the c4, c5 and c6 the step added
+class StepResult(Record):
+    def __init__(self, instruction, cycles, branch_taken, halted,
+                 fetch_stall=0, data_events=(0, 0, 0)):
+        self.instruction = instruction  # a decode.Instruction
+        self.cycles, self.branch_taken, self.halted = cycles, branch_taken, halted
+        self.fetch_stall = fetch_stall
+        self.data_events = data_events  # the c4, c5 and c6 the step added
 
 
-@dataclass
-class RunSummary:
-    counters: EventCounters
-    cycle_count: int
-    exit_reason: str
-    steps: int = 0
+class RunSummary(Record):
+    def __init__(self, counters, cycle_count, exit_reason, steps=0):
+        self.counters = counters  # an EventCounters
+        self.cycle_count, self.exit_reason = cycle_count, exit_reason
+        self.steps = steps
 
 
 # -- templates: the one statement of each op's semantics ----------------------
@@ -489,7 +484,6 @@ class Simulator:
         self.wait_states, self.prefetch = timing_class(wait_states, prefetch)
         self.mem = MemorySystem(image, flash_size=flash_size, ram_size=ram_size)
         self.counters = EventCounters()
-        self.state = CpuState()
         self._blocks = {}        # Flash/alias pc -> _Block
         self.reset()
 

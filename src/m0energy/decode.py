@@ -22,7 +22,6 @@ the one read-only table the simulator reads, each entry at least a cycle.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import UndefinedInstructionError
@@ -58,19 +57,30 @@ def reglist_text(regs):
     return "{%s}" % ", ".join(reg_name(r) for r in regs)
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
-    addr: int
-    op: str                 # internal id, e.g. "ADDS_REG"
-    mnemonic: str           # display form, e.g. "ADDS" or "BNE"
-    width: int              # 16 or 32 bits; 32 only for BL
-    raw: int                # halfword, or (hw1 << 16) | hw2 for BL
-    fields: dict = field(default_factory=dict)
-    text: str = ""
+def __getattr__(name):
+    """Instruction, defined on first use (PEP 562): only a call that binds
+    one (a trace, `step`, `on_step`, `decode`) loads `dataclasses`."""
+    if name != "Instruction":
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from dataclasses import dataclass, field
 
-    @property
-    def size(self):
-        return self.width // 8
+    @dataclass(frozen=True, slots=True)
+    class Instruction:
+        __qualname__ = "Instruction"
+        addr: int
+        op: str                 # internal id, e.g. "ADDS_REG"
+        mnemonic: str           # display form, e.g. "ADDS" or "BNE"
+        width: int              # 16 or 32 bits; 32 only for BL
+        raw: int                # halfword, or (hw1 << 16) | hw2 for BL
+        fields: dict = field(default_factory=dict)
+        text: str = ""
+
+        @property
+        def size(self):
+            return self.width // 8
+
+    return globals().setdefault(name, Instruction)  # one class, if raced
 
 
 def _flow(op, f, offset):
@@ -218,8 +228,9 @@ class Encoding(namedtuple("Encoding", "op mnemonic width raw fields text "
             fields["target"] = self.target(addr)
         elif self.lit:
             fields["lit_addr"] = self.literal(addr)
-        return Instruction(addr, self.op, self.mnemonic, self.width, self.raw,
-                           fields, self.text_at(addr))
+        cls = globals().get("Instruction") or __getattr__("Instruction")
+        return cls(addr, self.op, self.mnemonic, self.width, self.raw, fields,
+                   self.text_at(addr))
 
 
 def _enc(op, mnemonic, raw, fields, text, offset=None, width=16):

@@ -13,9 +13,9 @@ the reported hardware-validation MAPE/RESD kept as provenance metadata.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidConfigError
+from .record import Record
 
 VALID_FREQUENCIES = (20, 24, 48)
 
@@ -34,21 +34,17 @@ _BUILTIN_TABLE = [
 ]
 
 
-@dataclass(frozen=True)
-class HardwareConfig:
-    frequency_mhz: int
-    prefetch: bool
-    wait_states: int
-
-    def __post_init__(self):
-        if self.frequency_mhz not in VALID_FREQUENCIES:
+class HardwareConfig(Record, frozen=True):
+    def __init__(self, frequency_mhz, prefetch, wait_states):
+        if frequency_mhz not in VALID_FREQUENCIES:
             raise InvalidConfigError(
                 "frequency must be one of %s MHz, got %r"
-                % (list(VALID_FREQUENCIES), self.frequency_mhz))
-        if type(self.wait_states) is not int or self.wait_states not in (0, 1):
+                % (list(VALID_FREQUENCIES), frequency_mhz))
+        if type(wait_states) is not int or wait_states not in (0, 1):
             raise InvalidConfigError("wait states must be 0 or 1")
-        if self.frequency_mhz == 48 and self.wait_states == 0:
+        if frequency_mhz == 48 and wait_states == 0:
             raise InvalidConfigError("48 MHz requires 1 wait state")
+        self._set(frequency_mhz, prefetch, wait_states)
 
     def label(self):
         return "[%d, %s, %d]" % (self.frequency_mhz,
@@ -56,17 +52,13 @@ class HardwareConfig:
                                  self.wait_states)
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    config: HardwareConfig
-    beta: tuple                 # six nJ/event coefficients, c1..c6 order
-    provenance: str = "builtin"  # builtin | fitted
-    reported_mape: float = None
-    reported_resd: float = None
-
-    def __post_init__(self):
-        if len(self.beta) != 6:
+class EnergyModel(Record, frozen=True):
+    def __init__(self, config, beta, provenance="builtin",
+                 reported_mape=None, reported_resd=None):
+        # beta: six nJ/event coefficients, c1..c6; provenance: builtin | fitted
+        if len(beta) != 6:
             raise InvalidConfigError("model needs exactly 6 coefficients")
+        self._set(config, beta, provenance, reported_mape, reported_resd)
 
 
 # config -> model, in table order; built once, as the models are frozen
@@ -99,10 +91,10 @@ def estimate(counters, model):
     return 0.0 + energies([model], counters)[0]
 
 
-@dataclass
-class EnergyInterval:
-    lo: float
-    hi: float
+class EnergyInterval(Record):
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
 
     @property
     def width(self):
@@ -144,10 +136,10 @@ def save_models(path, models):
 def load_models(path):
     models = []
     with open(path, encoding="latin-1") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != MODEL_FILE_HEADER:
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != MODEL_FILE_HEADER:
         raise InvalidConfigError("model file missing header %r" % MODEL_FILE_HEADER)
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             models.append(_parse_model(line))
         except (InvalidConfigError, ValueError) as exc:

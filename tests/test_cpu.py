@@ -1208,7 +1208,7 @@ def test_resumable_after_budget():
     assert sim.state.regs[0] == 10
 
 
-# -- records -------------------------------------------------------------------
+# -- records ------------------------------------------------------------------
 
 def test_cpu_state_is_a_mutable_record():
     state = CpuState(z=True)

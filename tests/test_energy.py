@@ -221,6 +221,15 @@ def test_model_file_reads_binary_bytes_as_latin1(tmp_path):
         load_models(path)
 
 
+def test_load_models_names_a_bad_record_by_its_file_line(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("freq_mhz,prefetch,wait_states,b1,b2,b3,b4,b5,b6\n\n"
+                    "20,off,0,1,1,1,1,1,1\n\n20,maybe,0,1,1,1,1,1,1\n")
+    with pytest.raises(InvalidConfigError,
+                       match="^model file line 5: prefetch must be on or off"):
+        load_models(path)
+
+
 @pytest.mark.parametrize("record,detail", [
     ("20,off,0,0.9,oops,1,1,1,1", "could not convert"),
     ("2O,off,0,0.9,1,1,1,1,1", "invalid literal"),

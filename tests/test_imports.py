@@ -38,16 +38,26 @@ def pkg(*names):
     return {"m0energy." + name for name in names}
 
 
+# Only a call that binds an Instruction loads dataclasses, and inspect with it.
+NO_DATACLASSES = {"dataclasses", "inspect"}
+RUN = (pkg("cpu", "energy"),
+       pkg("asm", "cfg", "regression") | {"numpy"} | NO_DATACLASSES)
+ANALYZE = (pkg("cfg", "energy"),
+           pkg("cpu", "asm", "counters", "regression") | {"numpy"}
+           | NO_DATACLASSES)
+
+
 @pytest.mark.parametrize("command,loaded,absent", [
-    ("run", pkg("cpu", "energy"),
-     pkg("asm", "cfg", "regression") | {"numpy"}),
-    ("analyze", pkg("cfg", "energy"),
-     pkg("cpu", "asm", "counters", "regression") | {"numpy"}),
+    ("run", *RUN),
+    ("analyze", *ANALYZE),
     ("fit", pkg("regression"),
      pkg("cpu", "cfg", "asm", "counters", "decode", "energy")),
+    ("run --sweep", *RUN),
+    ("analyze --format text", *ANALYZE),
 ])
 def test_subcommand_imports_only_what_it_runs(tmp_path, command, loaded,
                                               absent):
+    command, *options = command.split()
     if command == "fit":
         path = tmp_path / "data.csv"
         save_dataset(path, synth_dataset(seed=5, n=30))
@@ -55,10 +65,27 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, command, loaded,
         path = tmp_path / "loop5.bin"
         path.write_bytes(kernel_image("loop5"))
     code, modules = json.loads(fresh_python(MAIN_THEN_MODULES, command,
-                                            str(path)))
+                                            str(path), *options))
     assert code == 0
     assert loaded <= set(modules)
     assert not absent & set(modules)
+
+
+def test_instruction_is_a_dataclass_that_steps_bind(tmp_path):
+    """A step binds the first Instruction, so defines the class, in a fresh
+    interpreter; both public names then give that class."""
+    path = tmp_path / "loop5.bin"
+    path.write_bytes(kernel_image("loop5"))
+    out = fresh_python(
+        "import dataclasses, sys, m0energy\n"
+        "image = open(sys.argv[1], 'rb').read()\n"
+        "step = m0energy.Simulator(image).step()\n"
+        "from m0energy.decode import Instruction\n"
+        "print(dataclasses.is_dataclass(m0energy.Instruction),\n"
+        "      Instruction is m0energy.Instruction,\n"
+        "      isinstance(step.instruction, Instruction))\n",
+        str(path))
+    assert out.split() == ["True"] * 3
 
 
 def test_fit_loads_energy_only_to_emit_a_model(tmp_path):
