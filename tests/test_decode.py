@@ -365,6 +365,37 @@ def test_memo_hit_is_frozen_and_checks_alignment():
         decode(0xB510, None, 0x08000011)
 
 
+def test_instruction_is_a_frozen_record():
+    from m0energy import Instruction
+    nop = Instruction(addr=0x08000000, op="NOP", mnemonic="NOP", width=16,
+                      raw=0xBF00)
+    assert (nop.fields, nop.text, nop.size) == ({}, "", 2)
+    assert nop.fields is not Instruction(0, "NOP", "NOP", 16, 0xBF00).fields
+    assert nop == Instruction(0x08000000, "NOP", "NOP", 16, 0xBF00, {}, "")
+    assert type(decode(0xBF00, None, 0x08000000)) is Instruction
+    assert nop != Instruction(0x08000002, "NOP", "NOP", 16, 0xBF00)
+    assert nop != (0x08000000, "NOP", "NOP", 16, 0xBF00, {}, "")
+
+    class Other(Instruction):
+        pass
+
+    other = Other(0x08000000, "NOP", "NOP", 16, 0xBF00)
+    assert nop != other and other != nop and not nop == other
+    assert repr(decode(0xF000, 0xF801, 0x08000000)) == (
+        "Instruction(addr=134217728, op='BL', mnemonic='BL', width=32, "
+        "raw=4026595329, fields={'target': 134217734}, "
+        "text='BL 0x08000006')")
+    with pytest.raises(TypeError):
+        hash(nop)
+    for name in ("addr", "fields", "text"):
+        with pytest.raises(AttributeError):
+            setattr(nop, name, None)
+    for name in ("addr", "text"):
+        with pytest.raises(AttributeError):
+            delattr(nop, name)
+    assert nop == Instruction(0x08000000, "NOP", "NOP", 16, 0xBF00)
+
+
 # -- decode(assemble(x)) round trip for every Assembler emitter ---------------
 # Each row draws seeded random operands for one emitter and states, from
 # those operands alone, the op, the text, the complete operand dict and the

@@ -9,9 +9,10 @@ import pytest
 
 from helpers import (BETA_20_OFF_0, reference_kfold_scores,
                      reference_load_dataset, synth_dataset)
-from m0energy import (DatasetError, DegenerateDesignError, RegressionDataset,
-                      fit, fold_indices, kfold_cv, load_dataset, mape, r2,
-                      resd, save_dataset)
+from m0energy import (CVResult, DatasetError, DegenerateDesignError,
+                      FitResult, FoldScore, RegressionDataset, fit,
+                      fold_indices, kfold_cv, load_dataset, mape, r2, resd,
+                      save_dataset)
 from m0energy import regression
 
 
@@ -269,6 +270,62 @@ def test_dataset_rejects_negative_counts():
     counts[0, 0] = -1
     with pytest.raises(DatasetError):
         RegressionDataset(counts, np.ones(5))
+
+
+@pytest.mark.parametrize("counts,energies,message", [
+    (np.ones(6), np.ones(1), "counter matrix must be n x 6"),
+    (np.ones((2, 5)), np.ones(2), "counter matrix must be n x 6"),
+    (np.ones((2, 6)), np.ones(3), "need one energy per counter row"),
+    (np.ones((2, 6)), [1.0, np.nan], "counters and energies must be finite"),
+    ([[1, 1, 1, 1, 1, -1]] * 2, np.ones(2), "counters must be non-negative"),
+    (np.ones((2, 6)), [1.0, 0.0], "energies must be positive"),
+    ([[1] * 6, [0] * 6], np.ones(2),
+     "dataset contains an all-zero counter row"),
+])
+def test_dataset_names_the_rule_it_breaks(counts, energies, message):
+    with pytest.raises(DatasetError) as err:
+        RegressionDataset(counts, energies)
+    assert str(err.value) == message
+
+
+def test_dataset_is_a_mutable_record_of_float_arrays():
+    ds = RegressionDataset(counts=[[1, 2, 0, 0, 0, 3]], energies=[2])
+    assert ds.counts.dtype == ds.energies.dtype == float and len(ds) == 1
+    assert repr(ds) == ("RegressionDataset(counts=array([[1., 2., 0., 0., "
+                        "0., 3.]]), energies=array([2.]))")
+    assert ds != (ds.counts, ds.energies) and ds != FoldScore(0, 1.0, 2.0)
+    with pytest.raises(TypeError):
+        hash(ds)
+    ds.energies = np.array([4.0])
+    assert ds.energies[0] == 4.0
+
+
+def test_fit_results_are_mutable_records():
+    result = FitResult(beta=(1.0,) * 6, mape=1.5, resd=2.0, r2=0.5)
+    assert result.warnings == [] and result.warnings is not FitResult(
+        (1.0,) * 6, 1.5, 2.0, 0.5).warnings
+    assert result == FitResult((1.0,) * 6, 1.5, 2.0, 0.5, [])
+    assert result != FitResult((1.0,) * 6, 1.5, 2.0, 0.5, ["w"])
+    assert result != ((1.0,) * 6, 1.5, 2.0, 0.5, [])
+    assert repr(result) == ("FitResult(beta=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "
+                            "mape=1.5, resd=2.0, r2=0.5, warnings=[])")
+    score = FoldScore(fold=0, r2=0.5, mape=1.5)
+    assert score == FoldScore(0, 0.5, 1.5) and score != FoldScore(1, 0.5, 1.5)
+    assert score != (0, 0.5, 1.5) and score != result
+    assert repr(score) == "FoldScore(fold=0, r2=0.5, mape=1.5)"
+    cv = CVResult(mean_r2=0.5, sd_r2=0.0, folds=[score], k=2, seed=7)
+    assert cv == CVResult(0.5, 0.0, [FoldScore(0, 0.5, 1.5)], 2, 7)
+    assert cv != CVResult(0.5, 0.0, [score], 2, 8) and cv != score
+    assert cv != (0.5, 0.0, [score], 2, 7)
+    assert repr(cv) == ("CVResult(mean_r2=0.5, sd_r2=0.0, "
+                        "folds=[FoldScore(fold=0, r2=0.5, mape=1.5)], k=2, "
+                        "seed=7)")
+    for record in (result, score, cv):
+        with pytest.raises(TypeError):
+            hash(record)
+    result.warnings.append("negative coefficient c1 = -1")
+    cv.k = 3
+    assert (result.warnings, cv.k) == (["negative coefficient c1 = -1"], 3)
 
 
 def test_csv_round_trip(tmp_path):
