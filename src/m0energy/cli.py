@@ -27,8 +27,7 @@ and decode's EDGE_* kinds as they are, as test_decode and test_cli check.
 Addresses and sizes in flags must lie in 0..0xFFFFFFFF.
 Each subcommand imports the modules it runs where it runs them: `cpu` to
 simulate, `cfg` in `analyze`, `energy` in `run`, `analyze` and for
-`--emit-model`, `regression` and numpy in `fit`, `hashlib` to hash an image;
-`run` loads `dataclasses` only for `--trace`, which binds each Instruction.
+`--emit-model`, `regression` and numpy in `fit`, `hashlib` to hash an image.
 Exit codes: 0 completed halt, 1 fault, analysis/fit failure or a trace or
 report that cannot be written, 2 usage.
 """
@@ -301,34 +300,35 @@ def _block_dict(block, models, labels):
     energies = block_energies(block, models)
     if not block.static_counts.exact:
         energies = [{"lo": v.lo, "hi": v.hi} for v in energies]
-    return {
-        "start": "0x%08x" % block.start,
-        "end": "0x%08x" % block.end,
-        "instructions": block.texts(),
-        "counts": _counts_dict(block.static_counts),
-        "successors": [{"target": None if t is None else "0x%08x" % t,
-                        "kind": kind} for t, kind in block.successors],
-        "energy_nj": dict(zip(labels, energies)),
-    }
+    return _block_record(
+        "0x%08x" % block.start, "0x%08x" % block.end, block.texts(),
+        _counts_dict(block.static_counts),
+        [(t if t is None else "0x%08x" % t, k) for t, k in block.successors],
+        dict(zip(labels, energies)))
+
+
+def _block_record(start, end, texts, counts, edges, energies):
+    return dict(start=start, end=end, instructions=texts, counts=counts,
+                successors=[dict(target=t, kind=k) for t, k in edges],
+                energy_nj=energies)
 
 
 def _block_writer(models, labels):
     """A function from a block of `_analyze` to the text that `to_json`
-    writes for its `_block_dict` as a report's record (at depth 2), filled
-    into templates built here for distinct `labels` (config labels, with
-    no "%"), which take its texts, energies and kinds as they are.  The
-    counts and energy_nj text depend only on the block's StaticCounts, so
-    each distinct one is rendered once."""
+    writes for its `_block_dict` as a report's record (at depth 2): the
+    `_block_record` of holes for distinct `labels` (config labels, with no
+    "%"), filled with its texts, energies and kinds as they are and with its
+    counts and energy_nj text, rendered once per distinct StaticCounts."""
     from .cfg import StaticCounts, block_energies
     hole, quoted_hole, address = _Raw("%s"), _Raw('"%s"'), _Raw('"0x%08x"')
-    record = to_json({"start": address, "end": address,
-                      "instructions": [quoted_hole], "counts": hole,
-                      "successors": hole, "energy_nj": hole}, 2)
+    fields = _block_record(address, address, [quoted_hole], hole,
+                           [(hole, quoted_hole)], hole)
+    edge = to_json(fields["successors"].pop(), 4)  # from its one edge
+    record = to_json(dict(fields, successors=hole), 2)
     counts = to_json(dict.fromkeys(_counts_dict(StaticCounts()), hole), 3)
     fixed = _Raw("%.6f")  # what to_json writes for a finite float
     point = to_json(dict.fromkeys(labels, fixed), 3)
     interval = to_json(dict.fromkeys(labels, {"lo": fixed, "hi": fixed}), 3)
-    edge = to_json({"target": hole, "kind": quoted_hole}, 4)
     head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
     quoted = '"' + sep + '"'  # between two instruction texts
     memo = {}  # StaticCounts -> its counts and energy_nj text

@@ -10,8 +10,8 @@ one per BL) into an `Encoding` that every address holding it shares: an
 text, with no value that derives from the address.  `run_at` walks them
 for the simulator's translation and the static CFG, which read a target or
 literal address only where they use one; `decode`, `decode_at` and
-`Encoding.at` bind one to an address, as an Instruction with its target or
-literal address and its own `fields` dict.
+`Encoding.at` bind one to an address, as an Instruction (a frozen record)
+with its target or literal address and its own `fields` dict.
 
 `_flow`, which each Encoding holds as `flow` and `Encoding.edges` binds to
 an address, is the one rule for which instructions end a basic block and
@@ -26,6 +26,7 @@ from types import MappingProxyType
 
 from .errors import UndefinedInstructionError
 from .memory import FLASH_BASE
+from .record import Record
 
 COND_NAMES = ["EQ", "NE", "CS", "CC", "MI", "PL", "VS", "VC",
               "HI", "LS", "GE", "LT", "GT", "LE"]
@@ -57,30 +58,17 @@ def reglist_text(regs):
     return "{%s}" % ", ".join(reg_name(r) for r in regs)
 
 
-def __getattr__(name):
-    """Instruction, defined on first use (PEP 562): only a call that binds
-    one (a trace, `step`, `on_step`, `decode`) loads `dataclasses`."""
-    if name != "Instruction":
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from dataclasses import dataclass, field
+class Instruction(Record, frozen=True):
+    def __init__(self, addr, op, mnemonic, width, raw, fields=None, text=""):
+        # op: internal id, e.g. "ADDS_REG"; mnemonic: display form, e.g.
+        # "ADDS" or "BNE"; width: 16 or 32 bits, 32 only for BL; raw: the
+        # halfword, or (hw1 << 16) | hw2 for BL
+        self._set(addr, op, mnemonic, width, raw,
+                  {} if fields is None else fields, text)
 
-    @dataclass(frozen=True, slots=True)
-    class Instruction:
-        __qualname__ = "Instruction"
-        addr: int
-        op: str                 # internal id, e.g. "ADDS_REG"
-        mnemonic: str           # display form, e.g. "ADDS" or "BNE"
-        width: int              # 16 or 32 bits; 32 only for BL
-        raw: int                # halfword, or (hw1 << 16) | hw2 for BL
-        fields: dict = field(default_factory=dict)
-        text: str = ""
-
-        @property
-        def size(self):
-            return self.width // 8
-
-    return globals().setdefault(name, Instruction)  # one class, if raced
+    @property
+    def size(self):
+        return self.width // 8
 
 
 def _flow(op, f, offset):
@@ -228,9 +216,8 @@ class Encoding(namedtuple("Encoding", "op mnemonic width raw fields text "
             fields["target"] = self.target(addr)
         elif self.lit:
             fields["lit_addr"] = self.literal(addr)
-        cls = globals().get("Instruction") or __getattr__("Instruction")
-        return cls(addr, self.op, self.mnemonic, self.width, self.raw, fields,
-                   self.text_at(addr))
+        return Instruction(addr, self.op, self.mnemonic, self.width, self.raw,
+                           fields, self.text_at(addr))
 
 
 def _enc(op, mnemonic, raw, fields, text, offset=None, width=16):

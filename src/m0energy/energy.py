@@ -42,6 +42,8 @@ class HardwareConfig(Record, frozen=True):
                 % (list(VALID_FREQUENCIES), frequency_mhz))
         if type(wait_states) is not int or wait_states not in (0, 1):
             raise InvalidConfigError("wait states must be 0 or 1")
+        if type(prefetch) is not bool:
+            raise InvalidConfigError("prefetch must be True or False")
         if frequency_mhz == 48 and wait_states == 0:
             raise InvalidConfigError("48 MHz requires 1 wait state")
         self._set(frequency_mhz, prefetch, wait_states)

@@ -51,11 +51,15 @@ def timing_class(wait_states, prefetch):
     the prefetch buffer has nothing to hide.  Core frequency never enters:
     it only converts cycles into time.  Raises InvalidConfigError unless
     `wait_states` is the int 0 or 1 (not a bool or a float), the counts
-    the clock-free rule holds for."""
+    the clock-free rule holds for, and `prefetch` a bool (a truthy "off"
+    would turn it on)."""
     if type(wait_states) is not int or wait_states not in (0, 1):
         raise InvalidConfigError("wait states must be 0 or 1, got %r"
                                  % (wait_states,))
-    return wait_states, bool(prefetch and wait_states)
+    if type(prefetch) is not bool:
+        raise InvalidConfigError("prefetch must be True or False, got %r"
+                                 % (prefetch,))
+    return wait_states, prefetch and wait_states == 1
 
 
 def fetch_stall(words, held, wait_states, prefetch):

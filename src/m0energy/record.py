@@ -18,8 +18,7 @@ class Record:
         return tuple(getattr(self, name) for name in self._fields)
 
     def _set(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -15,35 +15,33 @@ most one, and scores each fold with a model fitted on the other k-1.
 
 import csv
 import io
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DatasetError, DegenerateDesignError
+from .record import Record
 
 COUNTER_NAMES = ("c1", "c2", "c3", "c4", "c5", "c6")
 CSV_HEADER = ["c1", "c2", "c3", "c4", "c5", "c6", "energy_nj"]
 MIN_ROWS = 7  # one more row than coefficients
 
 
-@dataclass
-class RegressionDataset:
-    counts: np.ndarray   # (n, 6) non-negative event counts
-    energies: np.ndarray  # (n,) measured energy in nJ, all > 0
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=float)
-        self.energies = np.asarray(self.energies, dtype=float)
-        if self.counts.ndim != 2 or self.counts.shape[1] != 6:
+class RegressionDataset(Record):
+    def __init__(self, counts, energies):
+        # counts: (n, 6) non-negative event counts; energies: (n,) measured
+        # energy in nJ, all > 0
+        counts = np.asarray(counts, dtype=float)
+        energies = np.asarray(energies, dtype=float)
+        if counts.ndim != 2 or counts.shape[1] != 6:
             raise DatasetError("counter matrix must be n x 6")
-        if self.energies.shape != (self.counts.shape[0],):
+        if energies.shape != (counts.shape[0],):
             raise DatasetError("need one energy per counter row")
-        if not (np.isfinite(self.counts).all()
-                and np.isfinite(self.energies).all()):
+        if not (np.isfinite(counts).all() and np.isfinite(energies).all()):
             raise DatasetError("counters and energies must be finite")
-        fault = _value_fault(self.counts, self.energies)
+        fault = _value_fault(counts, energies)
         if fault is not None:
             raise DatasetError(fault[0])
+        self.counts, self.energies = counts, energies
 
     def __len__(self):
         return self.counts.shape[0]
@@ -63,29 +61,21 @@ def _value_fault(counts, energies):
     return None
 
 
-@dataclass
-class FitResult:
-    beta: tuple
-    mape: float
-    resd: float
-    r2: float
-    warnings: list = field(default_factory=list)
+class FitResult(Record):
+    def __init__(self, beta, mape, resd, r2, warnings=None):
+        self.beta, self.mape, self.resd, self.r2 = beta, mape, resd, r2
+        self.warnings = [] if warnings is None else warnings
 
 
-@dataclass
-class FoldScore:
-    fold: int
-    r2: float
-    mape: float
+class FoldScore(Record):
+    def __init__(self, fold, r2, mape):
+        self.fold, self.r2, self.mape = fold, r2, mape
 
 
-@dataclass
-class CVResult:
-    mean_r2: float
-    sd_r2: float
-    folds: list
-    k: int
-    seed: int
+class CVResult(Record):
+    def __init__(self, mean_r2, sd_r2, folds, k, seed):
+        self.mean_r2, self.sd_r2, self.folds = mean_r2, sd_r2, folds
+        self.k, self.seed = k, seed
 
 
 def load_dataset(path):

@@ -201,6 +201,25 @@ def test_wait_states_other_than_0_or_1_are_rejected(wait_states):
             HardwareConfig(20, prefetch, wait_states)
 
 
+@pytest.mark.parametrize("prefetch", ["off", "on", 1, 0, None])
+def test_prefetch_other_than_a_bool_is_rejected(prefetch):
+    # a truthy "off" ran with prefetch on, and labelled its configuration ON
+    message = "^prefetch must be True or False, got %s$" % re.escape(
+        repr(prefetch))
+    sim, summary, _ = run_kernel("flash_lit")
+    for wait_states in (0, 1):
+        with pytest.raises(InvalidConfigError, match=message):
+            timing_class(wait_states, prefetch)
+        with pytest.raises(InvalidConfigError, match=message):
+            single_op_sim(lambda a: a.muls(0, 1), ws=wait_states,
+                          prefetch=prefetch)
+        with pytest.raises(InvalidConfigError, match=message):
+            sim.price(summary, wait_states, prefetch)
+        with pytest.raises(InvalidConfigError,
+                           match="^prefetch must be True or False$"):
+            HardwareConfig(20, prefetch, wait_states)
+
+
 def test_ldrsb_sign_extends():
     a = Assembler()
     a.ldr_lit(0, "ram")
