@@ -329,7 +329,7 @@ def _block_writer(models, labels):
     fixed = _Raw("%.6f")  # what to_json writes for a finite float
     point = to_json(dict.fromkeys(labels, fixed), 3)
     interval = to_json(dict.fromkeys(labels, {"lo": fixed, "hi": fixed}), 3)
-    head, sep, tail = "[\n        ", ",\n        ", "\n      ]"  # depth 3
+    head, sep, tail = to_json([_Raw("\0")] * 2, 3).split("\0")  # depth 3
     quoted = '"' + sep + '"'  # between two instruction texts
     memo = {}  # StaticCounts -> its counts and energy_nj text
 

@@ -56,9 +56,10 @@ the instructions that completed), as are each Flash block's runs and cold
 entries since reset, which `price` reads.
 
 An instruction commits on completion: one that faults adds no counter event
-and no cycles and leaves pc at its address; a block transfer counts its
-words only when all are done.  Register and memory writes made before the
-fault are not undone.
+and no cycles and leaves pc at its address.  The engine, not the step
+function, restores a faulting step's counts and cycles; a compiled block
+counts a transfer's words only when all are done.  Register and memory
+writes made before the fault are not undone.
 
 BX, BLX and POP into pc are interworking branches: bit 0 of the target is
 the Thumb bit.  A clear bit would select ARM state, which ARMv6-M lacks, so
@@ -349,7 +350,7 @@ _STEPS = {}     # form -> one-instruction function
 def _compile(name, source):
     fn = _CODE.get(source)
     if fn is None:
-        namespace = {"_fb": int.from_bytes, "M0EnergyError": M0EnergyError}
+        namespace = {"_fb": int.from_bytes}
         exec(compile(source, "<m0energy>", "exec"), namespace)
         fn = _CODE[source] = namespace[name]
     return fn
@@ -378,8 +379,8 @@ def _step(enc):
     condition, register list, size) at address `a`, generated on first use:
     operands from `e.fields`, memory only through `sim._read` and `_write`.
     It sets pc (the next instruction, the branch target, or its own address
-    if it faults) and returns whether it branched; a block transfer that
-    faults part-way rolls back its words' events."""
+    if it faults) and returns whether it branched.  The engine, not the step
+    function, restores a faulting step's events."""
     f = enc.fields
     form = (_form(enc), f.get("cond"), tuple(f.get("regs", ())), f.get("size"),
             "imm" in f)
@@ -389,17 +390,10 @@ def _step(enc):
             "READ(", "sim._read(").replace("WRITE(", "sim._write(")
             for line in _render(enc)]
         names = set(_FLAGS.findall("\n".join(body)))
-        prologue = ["S = sim.state", "R = S.regs", "f = e.fields",
-                    "pc = None", "R[15] = a + 4  # pc reads"]
-        if sum(line.count("sim._") for line in body) > 1:
-            saved = "C.c4, C.c5, C.c6, S.cycle_count"
-            prologue += ["C = sim.counters", "_k = " + saved]
-            body = (["try:"] + ["    " + line for line in body]
-                    + ["except M0EnergyError:", "    %s = _k" % saved,
-                       "    raise"])
         fn = _STEPS[form] = _function(
-            "step_" + re.sub(r"\W", "_", form[0]), "sim, e, a", prologue, body,
-            names, (["R[15] = a"], [
+            "step_" + re.sub(r"\W", "_", form[0]), "sim, e, a",
+            ["S = sim.state", "R = S.regs", "f = e.fields", "pc = None",
+             "R[15] = a + 4  # pc reads"], body, names, (["R[15] = a"], [
                 "R[15] = a + %d if pc is None else pc" % enc.size,
                 "return pc is not None"]))
     return fn
@@ -700,7 +694,6 @@ class Simulator:
         start_cycles = s.cycle_count
         taken_count = fetch_stalls = 0
         ran = []  # Flash blocks whose `runs` are to be folded in
-        c4, c5, c6 = c.c4, c.c5, c.c6  # the counts before the next step
         cold = regs[15] != self._warm_pc  # no sequential fetch precedes pc
         try:
             while True:
@@ -736,18 +729,22 @@ class Simulator:
                                 self._tally(block, stop=addr)
                                 return "cycle-budget"
                             stall += wait
-                            taken = cold = step(self, enc, addr)
+                            c4, c5, c6 = c.c4, c.c5, c.c6
+                            try:
+                                taken = cold = step(self, enc, addr)
+                            except M0EnergyError:  # it commits nothing
+                                c.c4, c.c5, c.c6 = c4, c5, c6
+                                s.cycle_count = now
+                                raise
                             taken_count += taken
                             s.cycle_count += stall + (
                                 base_taken if taken else base)
                             fetch_stalls += stall
                             if on_step is not None:
-                                events = (c.c4 - c4, c.c5 - c5, c.c6 - c6)
-                                c4, c5, c6 = c.c4, c.c5, c.c6
-                                on_step(StepResult(enc.at(addr),
-                                                   s.cycle_count - now,
-                                                   taken, s.halted, stall,
-                                                   events))
+                                on_step(StepResult(
+                                    enc.at(addr), s.cycle_count - now, taken,
+                                    s.halted, stall,
+                                    (c.c4 - c4, c.c5 - c5, c.c6 - c6)))
                             stall = 0
                     except BaseException:  # a fault, or on_step raised
                         # fold the completed ones: each took a cycle or

@@ -36,7 +36,8 @@ _BUILTIN_TABLE = [
 
 class HardwareConfig(Record, frozen=True):
     def __init__(self, frequency_mhz, prefetch, wait_states):
-        if frequency_mhz not in VALID_FREQUENCIES:
+        if (type(frequency_mhz) is not int
+                or frequency_mhz not in VALID_FREQUENCIES):
             raise InvalidConfigError(
                 "frequency must be one of %s MHz, got %r"
                 % (list(VALID_FREQUENCIES), frequency_mhz))

@@ -27,6 +27,7 @@ from m0energy import MemorySystem, cli
 from m0energy.asm import COND_CODES
 from m0energy.cfg import BasicBlock, StaticCounts, extract_cfg
 from m0energy.cli import main
+from m0energy.regression import CSV_HEADER
 
 
 def run_cli(argv, capsys):
@@ -1595,3 +1596,102 @@ def test_trace_bytes_are_pinned(tmp_path, capsys, kernel, timing, budget):
     assert (code, err) == (0 if budget is None else 1, "")
     digest = hashlib.sha256(trace.read_bytes()).hexdigest()
     assert digest == TRACE_SHA256[kernel, timing, budget]
+
+
+# -- seeded fuzz of the command line ------------------------------------------
+
+# halfwords that run: MOVS, ADDS, LDR and STR through r0, PUSH {lr}, POP
+# {pc}, BX lr, a branch to itself, BKPT and the first half of a BL
+FUZZ_HALFWORDS = (0x2001, 0x1C40, 0x6800, 0x6001, 0xB500, 0xBD00, 0x4770,
+                  0xE7FE, 0xBE00, 0xF000)
+FUZZ_SIZES = ("0x40", "0x100", "0x2000", "0x10000", "0x40000", "0", "6", "x",
+              "0xFFFFFFFF", "-4")
+FUZZ_ENTRIES = ("0x08000008", "0x08000009", "0x20000001", "0x9", "0x7",
+                "0xFFFFFFFF", "zz")
+FUZZ_VALUES = ("0", "1", "17", "12345", "2.5", "-3", "nan", "inf", "-inf",
+               "", "x")
+
+
+def fuzz_image(rng):
+    """Random bytes, or a vector table (an SP in or beside RAM, a reset
+    vector at or near the code after it) followed by halfwords that run."""
+    if rng.random() < 0.3:
+        return rng.randbytes(rng.randrange(40))
+    sp = rng.choice((0x20002000, 0x20000100, 0x20002004, rng.getrandbits(32)))
+    entry = rng.choice((0x08000009, 0x08000009, 0x08000008, 0x0800000B))
+    code = [rng.choice(FUZZ_HALFWORDS) if rng.random() < 0.7
+            else rng.getrandbits(16) for _ in range(rng.randrange(1, 24))]
+    return b"".join([sp.to_bytes(4, "little"), entry.to_bytes(4, "little")]
+                    + [hw.to_bytes(2, "little") for hw in code])
+
+
+def fuzz_csv(rng):
+    """A fit dataset: the header or a bad one, then rows of counts and
+    energies, in half of the files one row with a non-finite, empty,
+    negative or non-numeric field or too few fields."""
+    lines = [",".join(CSV_HEADER) if rng.random() < 0.9 else "c1,c2,e"]
+    for _ in range(rng.randrange(40)):
+        lines.append(",".join([str(rng.randrange(10 ** 4)) for _ in range(6)]
+                              + ["%.3f" % rng.uniform(0, 10 ** 4)]))
+    if len(lines) > 1 and rng.random() < 0.5:
+        row = lines[rng.randrange(1, len(lines))].split(",")
+        row[rng.randrange(7)] = rng.choice(FUZZ_VALUES)
+        lines[rng.randrange(1, len(lines))] = ",".join(
+            row[:rng.randrange(7)] if rng.random() < 0.2 else row)
+    return "\n".join(lines) + "\n" * rng.randrange(2)
+
+
+def fuzz_argv(rng, tmp_path):
+    command = rng.choice(("run", "run", "sweep", "trace", "analyze", "fit"))
+    if command == "fit":
+        dataset = tmp_path / "fuzz.csv"
+        dataset.write_text(fuzz_csv(rng))
+        argv = ["fit", str(dataset), "--kfold",
+                rng.choice(("-1", "0", "1", "2", "3", "5", "10", "40"))]
+        if rng.random() < 0.3:
+            argv += ["--seed", rng.choice(("-1", "0", "7"))]
+        if rng.random() < 0.3:
+            argv += ["--emit-model", str(tmp_path / "fuzz-model.csv"),
+                     "--freq", rng.choice(("20", "48")), "--waitstates", "1"]
+        return argv
+    image = tmp_path / "fuzz.bin"
+    image.write_bytes(fuzz_image(rng))
+    argv = ["analyze" if command == "analyze" else "run", str(image)]
+    if command == "sweep":
+        argv.append("--sweep")
+    if command == "trace":
+        argv += ["--trace", str(tmp_path / "fuzz-trace.txt")]
+    if command != "analyze":
+        argv += ["--max-cycles", str(rng.choice((0, 1, 50, 2000, 20000)))]
+    sizes = FUZZ_SIZES + ("%#x" % rng.randrange(0x40000),)
+    for flag, choices in (("--flash-size", sizes), ("--ram-size", sizes),
+                          ("--entry", FUZZ_ENTRIES
+                           + ("%#x" % rng.getrandbits(32),))):
+        if rng.random() < 0.25:
+            argv += [flag, rng.choice(choices)]
+    if rng.random() < 0.2:
+        argv += ["--format", "text"]
+    return argv
+
+
+def test_seeded_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    """Random images, memory sizes, entries and datasets never escape
+    `main` as an exception: every call exits 0, 1 or 2 (argparse's usage
+    errors), writes no traceback, and a failure without a report writes
+    one line to stderr (a run that does not halt reports why on stdout)."""
+    rng = random.Random(36)
+    seen = set()  # (subcommand, exit code)
+    for _ in range(300):
+        argv = fuzz_argv(rng, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = 2
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        if code == 1:
+            assert len(err.splitlines()) == (0 if out else 1), (argv, err)
+        seen.add((argv[0], code))
+    assert seen == {(command, code) for command in ("run", "analyze", "fit")
+                    for code in (0, 1, 2)} - {("fit", 2)}

@@ -62,6 +62,7 @@ def test_invalid_config_rejected():
     ((20, False, 2), "wait states must be 0 or 1"),
     ((20, False, True), "wait states must be 0 or 1"),
     ((48, True, 0), "48 MHz requires 1 wait state"),
+    ((20.0, False, 0), "frequency must be one of [20, 24, 48] MHz, got 20.0"),
 ])
 def test_invalid_config_names_the_fault(args, message):
     with pytest.raises(InvalidConfigError) as err:

@@ -5,10 +5,11 @@ Covered: every hand-traced kernel and seeded random programs (loops, RAM
 and Flash loads, stores, PUSH/POP, calls, varying alignment) under every
 timing configuration; every cycle-budget cut, with and without resuming;
 single-stepping; pc after each traced step and after a fault; block
-transfers that fault part-way; interworking branches that clear the Thumb
-bit; code copied into RAM, run, patched and run again; and the long-block
-programs with RAM reached through slices, the form for hosts without
-native little-endian word views.  Every run is also repeated under the
+transfers that fault part-way, run by the engine and by a step function
+alone; interworking branches that clear the Thumb bit; code copied into
+RAM, run, patched and run again; and the long-block programs with RAM
+reached through slices, the form for hosts without native little-endian
+word views.  Every run is also repeated under the
 other settings of its timing class (`memory.timing_class`), which must
 behave identically: `run --sweep` reports one run for all of a class.  A
 run at zero wait states that halts, priced for both classes at one wait
@@ -23,6 +24,7 @@ import io
 import itertools
 import random
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -31,11 +33,11 @@ from helpers import (INTERWORKING_BRANCHES, KERNELS, TIMING_CONFIGS,
                      ReferenceStepper, compile_at_first_run,
                      dynamic_block_path, invstate_image, invstate_reason,
                      kernel_image, machine_state, reference_data_events)
-from m0energy import (Assembler, M0EnergyError, MemorySystem, Simulator,
-                      builtin_models, cli, cpu, extract_cfg, memory,
-                      path_energy)
+from m0energy import (Assembler, CpuState, M0EnergyError, MemorySystem,
+                      Simulator, builtin_models, cli, cpu, extract_cfg,
+                      memory, path_energy)
 from m0energy.cpu import COMPILE_AFTER
-from m0energy.decode import base_cycles
+from m0energy.decode import base_cycles, encoding_at
 from m0energy.memory import timing_class
 
 RANDOM_SEEDS = range(24)
@@ -800,6 +802,45 @@ def test_transfer_faulting_part_way_commits_nothing(emit, base, completed,
     # only the literal load before the transfer counted a data event
     assert (counters.c4, counters.c5, counters.c6) == (0, 0, 1)
     assert counters.c1 == completed and summary.steps == completed
+
+
+@pytest.mark.parametrize("emit,sp,r0", [
+    # the first word is the last RAM word, the second is unmapped
+    (lambda a: a.push([1, 2]), 0x20002004, 0),
+    (lambda a: a.pop([1, 2]), 0x20001FFC, 0),
+    (lambda a: a.stm(0, [1, 2]), 0x20002000, 0x20001FFC),
+], ids=["push", "pop", "stm"])
+def test_step_functions_reach_only_state_and_memory(emit, sp, r0):
+    """A one-instruction function touches only `sim.state` and memory
+    through `sim._read` and `_write`: on a stub with nothing else, a
+    transfer that faults after its first word raises and leaves pc at its
+    address.  Restoring the faulting step's events is the engine's work."""
+    a = Assembler()
+    emit(a)
+    a.bkpt()
+    mem = MemorySystem(a.image())
+    addr = mem.reset_vector()[1]
+    enc = encoding_at(mem, addr)
+    state = CpuState()
+    state.regs[0], state.regs[13], state.pc = r0, sp, addr
+    accesses = []
+
+    def read(address, size):
+        accesses.append(address)
+        return mem.read(address, size)[0]
+
+    def write(address, size, value):
+        accesses.append(address)
+        mem.write(address, size, value)
+
+    stub = types.SimpleNamespace(state=state, _read=read, _write=write)
+    step = cpu._step(enc)
+    with pytest.raises(M0EnergyError, match="unmapped"):
+        step(stub, enc, addr)
+    assert accesses == [0x20001FFC, 0x20002000]
+    assert state.pc == addr
+    source, = [text for text, fn in cpu._CODE.items() if fn is step]
+    assert "except" not in source and "counters" not in source
 
 
 @pytest.mark.parametrize("name", sorted(INTERWORKING_BRANCHES))
