@@ -1298,6 +1298,25 @@ GOLDEN_SHA256 = {
         "5b00dc5a16cf52a65f5a4cffec611521370fc9b1d163771fe27593102a1b14fd",
     ("run", "pc_relative"):
         "634db4c5fc6e14fc9e5ea2a83a52155ab6864e38e1bf5855e7e26ce2697eeb05",
+    # (report, trace)
+    ("trace-on", 1): (
+        "fb6950ca9f752ed1d4b0fbc5d2189a6cc75a2f0e93229d9b2662cd412bc9701b",
+        "e7e7ad286668c930c2888311fe1e76afa09a2358da1a35f31ef4194324c51489"),
+    ("trace-off", 1): (
+        "a7fa4e0ee488cf25c65365cd1b06bce999000e262c7fdee800596a8a130b3ecb",
+        "8a78aef69234f26c9f85f56100bcfeda1d39724670e25057a65b4be2ebb1f541"),
+    ("trace-on", 2): (
+        "3f8b32677880b20598b9968de34138f1dd967199362b4791fc48e31e8a28d2cc",
+        "9c326de5a64800a43301f4cbab2e842121ddd3129d3dc94b9b8aa9c3f3c62d03"),
+    ("trace-off", 2): (
+        "b1608529691c17e66b30f253f924b84da5de2f2ca1fd663db93ab488dbe5bfb0",
+        "39508708eef35dae4bd09246402e21262158ba2f82f97d4b34ec1b6a2f1ff6dc"),
+    ("trace-on", "pc_relative"): (
+        "634db4c5fc6e14fc9e5ea2a83a52155ab6864e38e1bf5855e7e26ce2697eeb05",
+        "5953e872f2670741e115d320680dac4262572b2d80864b5e55c1a5f64a180ae0"),
+    ("trace-off", "pc_relative"): (
+        "79a67629edb6b78daa2237b16dd222be4bb6b6cba4dfa25d7af51d825189188d",
+        "f18cb522ca57ae29ee763f7680ba223dc6eacffe2fe827fe2cb148d38caf2fbe"),
 }
 
 
@@ -1318,17 +1337,25 @@ def golden_argv(command, seed, tmp_path):
             "analyze-text": ["analyze", "prog.bin", "--format", "text"],
             "run": ["run", "prog.bin", "--freq", "24", "--prefetch", "on",
                     "--waitstates", "1"] + GOLDEN_MAX_CYCLES,
-            "sweep": ["run", "prog.bin", "--sweep"] + GOLDEN_MAX_CYCLES}[command]
+            "sweep": ["run", "prog.bin", "--sweep"] + GOLDEN_MAX_CYCLES,
+            **{"trace-" + prefetch: [
+                "run", "prog.bin", "--freq", "24", "--waitstates", "1",
+                "--prefetch", prefetch, "--trace", "trace.txt"]
+               + GOLDEN_MAX_CYCLES for prefetch in ("on", "off")}}[command]
 
 
 # every report on golden seeds 1 and 2; `analyze` on more seeds and on
 # every helper kernel (named in place of a seed); `analyze` and `run` on
-# `pc_relative_image`
+# `pc_relative_image`; then a traced run at one wait state, whose report and
+# trace are both pinned, with prefetch on and off, on seeds 1 and 2 and
+# `pc_relative_image` (2, 2 and 56 Flash data reads)
 GOLDEN_CASES = [(command, seed) for seed in (1, 2) for command in
                 ("analyze", "analyze-text", "run", "sweep", "fit")] + [
     (command, seed) for seed in (3, 4, 5, 6, *sorted(KERNELS))
     for command in ("analyze", "analyze-text")] + [
-    (command, "pc_relative") for command in ("analyze", "analyze-text", "run")]
+    (command, "pc_relative") for command in ("analyze", "analyze-text", "run")
+] + [(command, seed) for seed in (1, 2, "pc_relative")
+     for command in ("trace-on", "trace-off")]
 
 
 @pytest.mark.parametrize("command,seed", GOLDEN_CASES,
@@ -1338,6 +1365,9 @@ def test_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, seed):
     code, out, err = run_cli(golden_argv(command, seed, tmp_path), capsys)
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    if command.startswith("trace-"):
+        digest = digest, hashlib.sha256(
+            (tmp_path / "trace.txt").read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[command, seed]
 
 
