@@ -16,50 +16,52 @@ address, with its base cycles (`decode.base_cycles`, from
 `decode.DEFAULT_TIMING`) and its fetch stall (`memory.block_stalls`, after
 the word the previous instruction ended in); the block holds one run's
 `decode.tally`.
-Only a StepResult binds an Instruction.  The first instruction has two stalls:
-`cold`, entered after a taken branch, reset or a fault, and `warm`, entered
-after a sequential fetch, by falling through or by resuming where the last
-run stopped without branching.  A block runs one instruction at a time,
-through per-form functions generated from the templates (`_step`, reaching
-memory through `_read` and `_write` and setting pc themselves), until it
-has run COMPILE_AFTER times, which pays back the compile.  Then it is
-generated into one function (after QEMU's TCG): registers and flags live
+Only a StepResult binds an Instruction.  The first instruction has two
+stalls: `cold`, entered after a taken branch, reset or a fault, and `warm`,
+entered after a sequential fetch, by falling through or by resuming where
+the last run stopped without branching.  A block runs one instruction at a
+time, through per-form functions generated from the templates (`_step`,
+reaching memory through `_read` and `_write` and setting pc themselves),
+until it has run COMPILE_AFTER times, which pays back the compile.  Then it
+is generated into one function (after QEMU's TCG): registers and flags live
 in locals, a RAM access is a bounds and alignment compare and an index into
 a word or halfword view of RAM (a slice if `memory.RAM_VIEWS` is false: a
 big-endian host, or a C int that is not 4 bytes), a Flash literal load is a
-constant, and so is every stall but the entry fetch stall `st`, which the
+constant, and so is every fetch stall but the entry stall `st`, which the
 engine passes in.  Any other access takes the slow path,
 `MemorySystem.read`/`write`, the one place a fault is raised and so the one
-place pc is stored.  A fault stores the
-locals, so a write of a flag is dropped only when another write of it
-comes before any read of it, slow path or the block's end, and a flag is
-loaded only when it can be read before it is written; constant cycle and
-counter increments merge up to the next line that reads them.  A
-`step_<form>` function serves every simulator; a `block_<pc>` function is
-shared, while a simulator holds it, by those that generate its source.
+place pc is stored.  A fault stores the locals, so a write of a flag is
+dropped only when another write of it comes before any read of it, slow
+path or the block's end, and a flag is loaded only when it can be read
+before it is written; constant cycle and counter increments merge up to the
+next line that reads them.  A `step_<form>` function serves every simulator;
+a `block_<pc>` function is shared, while a simulator holds it, by those
+that generate its source.
 
 No fetch is priced at run time.  The engine enters a block cold when the
 last instruction branched or faulted, or when a run starts at any pc but
 `_warm_pc`, where the last run stopped sequentially (None after reset, a
 taken exit or a fault), so a write to `state.pc` between runs fetches
-cold.  A compiled block runs only when the cycle budget cannot cut it:
-`now` plus `st` and its worst case before the last instruction is below
-the budget; otherwise it runs one instruction at a time, the budget
-checked before each.  `step()`, a run to one cycle past now (no
-`DEFAULT_TIMING` entry is below a cycle), `on_step` and RAM code never use
-or make compiled code; each RAM instruction is fetched and decoded afresh,
-as RAM code may modify itself.  A step's `data_events` are the c4, c5 and
-c6 that `_read` and `_write` counted.  A block's c1, c2 and histogram,
-times its runs, are folded into the counters when `run` or `step` returns
-or raises (a block left part-way, by a fault or a raising `on_step`, folds
-the instructions that completed), as are each Flash block's runs and cold
-entries since reset, which `price` reads.
+cold.  A compiled block runs only when the cycle budget cannot cut it: `now`
+plus `st` and its worst case before the last instruction is below the
+budget; otherwise it runs one instruction at a time, the budget checked
+before each.  `step()`, a run to one cycle past now (no `DEFAULT_TIMING`
+entry is below a cycle), `on_step` and RAM code never use or make compiled
+code; each RAM instruction is fetched and decoded afresh, as RAM code may
+modify itself.  A step's `data_events` are the c4, c5 and c6 that `_read`
+and `_write` counted.  Flash data stalls are charged as `wait_states` x c6
+where cycles are committed: during a run only `_execute`'s commit of a
+completed step and a compiled block's epilogue write `state.cycle_count`.  A
+block's c1, c2 and histogram, times its runs, are folded into the counters
+when `run` or `step` returns or raises (a block left part-way, by a fault
+or a raising `on_step`, folds the instructions that completed), as are each
+Flash block's runs and cold entries since reset, which `price` reads.
 
 An instruction commits on completion: one that faults adds no counter event
 and no cycles and leaves pc at its address.  The engine, not the step
-function, restores a faulting step's counts and cycles; a compiled block
-counts a transfer's words only when all are done.  Register and memory
-writes made before the fault are not undone.
+function, restores a faulting step's counts; a compiled block counts a
+transfer's words only when all are done.  Register and memory writes made
+before the fault are not undone.
 
 BX, BLX and POP into pc are interworking branches: bit 0 of the target is
 the Thumb bit.  A clear bit would select ARM state, which ARMv6-M lacks, so
@@ -379,8 +381,8 @@ def _step(enc):
     condition, register list, size) at address `a`, generated on first use:
     operands from `e.fields`, memory only through `sim._read` and `_write`.
     It sets pc (the next instruction, the branch target, or its own address
-    if it faults) and returns whether it branched.  The engine, not the step
-    function, restores a faulting step's events."""
+    if it faults) and returns whether it branched.  It writes no cycles;
+    the engine commits them, and restores a faulting step's events."""
     f = enc.fields
     form = (_form(enc), f.get("cond"), tuple(f.get("regs", ())), f.get("size"),
             "imm" in f)
@@ -409,13 +411,13 @@ def _literal(lit_addr, mem):
     return value if region == "flash" else None
 
 
-def _access(match, mem, ws, words, pc):
+def _access(match, mem, words, pc):
     """Block code for a READ or WRITE template line: the RAM fast path
     inline, through the memory's views if it has them, else a slice; else
     the slow path, `MemorySystem.read`/`write`, which raise the faults (so
-    pc is stored first) and complete a Flash read, which stalls `ws`, or a
-    debug-port write.  A single access counts its event where it happens;
-    the `words` of a block transfer count their Flash reads in `_f`."""
+    pc is stored first) and complete a Flash read or a debug-port write.
+    A single access counts its event where it happens; the `words` of a
+    block transfer count their Flash reads in `_f`."""
     if match.re is _READ:
         indent, target, addr, size = match.groups()
     else:
@@ -428,9 +430,8 @@ def _access(match, mem, ws, words, pc):
     if match.re is _READ:
         fast = "%s = %s" % (target, view or "_fb(%s, 'little')" % span)
         count = "c4 += 1"
-        slow = ["%s = read(%s)[0]" % (target, where)] + (
-            ["_f += 1"] if words else ["c6 += 1", "t += %d" % ws] if ws
-            else ["c6 += 1"])
+        slow = ["%s = read(%s)[0]" % (target, where),
+                "_f += 1" if words else "c6 += 1"]
     else:
         mask = "%s & %#x" % (value, (1 << 8 * size) - 1)
         fast = ("%s = %s" % (view, mask) if view else
@@ -493,7 +494,7 @@ class Simulator:
         self._warm_pc = None  # where the last run stopped sequentially
         self.mem.debug_output.clear()
 
-    # -- memory helpers for step functions: count c4..c6 and Flash data stalls
+    # -- memory helpers for step functions: count c4..c6
 
     def _read(self, addr, size):
         value, region = self.mem.read(addr & MASK32, size)
@@ -501,7 +502,6 @@ class Simulator:
             self.counters.c4 += 1
         else:
             self.counters.c6 += 1
-            self.state.cycle_count += self.wait_states
         return value
 
     def _write(self, addr, size, value):
@@ -550,11 +550,12 @@ class Simulator:
         W, H, read, write, t, st) over the state, its registers, the
         counters, the RAM and its views and `MemorySystem.read`/`write`: it
         runs the block from cycle t with entry stall st (`block.cold` or
-        `warm`),
-        folds its events into the state and counters, sets pc and returns
-        whether the block's branch was taken.  Sets `block.worst`, the most
-        cycles before the last instruction after the entry stall.  The body
-        is written last line first, in one backward pass, which drops the
+        `warm`), folds its events into the state and counters, sets pc and
+        returns whether the block's branch was taken.  Flash data stalls
+        stay out of t: t and c6 are flushed together before each slow path,
+        and the epilogue stores t + wait_states x c6.  Sets `block.worst`,
+        the most cycles before the last instruction after the entry stall.
+        The body is written last line first, in one pass, which drops the
         dead writes and merges the increments the module docstring names."""
         mem, ws = self.mem, self.wait_states
         # the body, last line first: the end sets pc unless a branch did
@@ -590,8 +591,7 @@ class Simulator:
             if addr == start and block.cold:
                 rev += ["t += st", "fetch_stall_cycles += st"]
             if reads > 1:
-                rev += ["c6 += _f", "c4 += %d - _f" % reads] + (
-                    ["t += %d * _f" % ws] if ws else [])
+                rev += ["c6 += _f", "c4 += %d - _f" % reads]
             if writes > 1:
                 adds["c5"] += writes
             adds["fetch_stall_cycles"] += wait
@@ -600,11 +600,10 @@ class Simulator:
                 if m and literal is not None:
                     rev.append("%s = %#x" % (m.group(2), literal))
                     adds["c6"] += 1
-                    adds["t"] += ws
                 elif m:
                     write_adds()
                     live.update(_LIVE)
-                    rev.extend(reversed(_access(m, mem, ws, reads + writes > 1,
+                    rev.extend(reversed(_access(m, mem, reads + writes > 1,
                                                 addr)))
                 else:  # an indented write is conditional: it kills nothing
                     target, _eq, expr = line.partition(" = ")
@@ -621,8 +620,9 @@ class Simulator:
         text = "\n".join(body)
         counts = [name for name in _COUNTS[1:] if name + " +=" in text]
         prologue = ["pc = None"] + ["%s = 0" % name for name in counts]
-        epilogue = ["S.cycle_count = t"] + ["C.%s += %s" % (name, name)
-                                            for name in counts]
+        epilogue = ["S.cycle_count = t + c6" if ws and "c6" in counts
+                    else "S.cycle_count = t"]  # wait_states is 0 or 1
+        epilogue += ["C.%s += %s" % (name, name) for name in counts]
         # dead at entry: written before any slow path or the end, so not loaded
         dead = [x for x in "nzcv" if x in names and x not in live]
         epilogue += ["S.%s = %s" % (x, x) for x in dead]
@@ -687,8 +687,7 @@ class Simulator:
         s = self.state
         regs = s.regs
         blocks = self._blocks
-        mem = self.mem
-        c = self.counters
+        mem, ws, c = self.mem, self.wait_states, self.counters
         args = (s, regs, c, mem.ram, mem.ram_words, mem.ram_halves,
                 mem.read, mem.write)
         start_cycles = s.cycle_count
@@ -734,10 +733,9 @@ class Simulator:
                                 taken = cold = step(self, enc, addr)
                             except M0EnergyError:  # it commits nothing
                                 c.c4, c.c5, c.c6 = c4, c5, c6
-                                s.cycle_count = now
                                 raise
                             taken_count += taken
-                            s.cycle_count += stall + (
+                            s.cycle_count += stall + ws * (c.c6 - c6) + (
                                 base_taken if taken else base)
                             fetch_stalls += stall
                             if on_step is not None:

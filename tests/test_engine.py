@@ -843,6 +843,38 @@ def test_step_functions_reach_only_state_and_memory(emit, sp, r0):
     assert "except" not in source and "counters" not in source
 
 
+@pytest.mark.parametrize("index,words", [(0, 1), (1, 2)],
+                         ids=["ldr_lit", "ldm"])
+def test_step_functions_leave_flash_stalls_to_the_engine(index, words):
+    """At one wait state a step function's Flash data reads count c6 and
+    add no cycles; the engine charges wait_states x c6 when it commits the
+    step."""
+    a = Assembler()
+    a.ldr_lit(1, "k")
+    a.ldm(0, [1, 2])
+    a.bkpt()
+    a.word(3, "k")
+    a.word(5)
+    image = a.image()
+    sim = Simulator(image, wait_states=1)
+    start = sim.state.pc
+    lit = encoding_at(sim.mem, start)
+    addr = start + 2 * index
+    enc = encoding_at(sim.mem, addr)
+    sim.state.regs[0] = lit.literal(start)  # the LDM's base: the two words
+    cpu._step(enc)(sim, enc, addr)
+    assert sim.counters.c6 == words
+    assert sim.state.cycle_count == 0
+    assert sim.state.regs[1] == 3 and sim.state.pc == addr + 2
+
+    sim = Simulator(image, wait_states=1)
+    sim.state.regs[0], sim.state.pc = lit.literal(start), addr
+    result = sim.step()
+    assert result.data_events == (0, 0, words)
+    assert result.cycles == (base_cycles(enc)[0] + result.fetch_stall
+                             + words) == sim.state.cycle_count
+
+
 @pytest.mark.parametrize("name", sorted(INTERWORKING_BRANCHES))
 @pytest.mark.parametrize("ws,prefetch,_key", TIMING_CONFIGS)
 def test_interworking_branch_to_even_target_faults_invstate(name, ws, prefetch,
