@@ -96,25 +96,19 @@ class _Raw(str):
 
 
 def render_text(obj, indent=0):
-    """Plain-text rendering of a report for --format text."""
+    """Plain-text rendering of a report for --format text: a dict's items
+    as `key: value` and a list's as `- value`, nested ones indented below."""
     pad = "  " * indent
+    if not isinstance(obj, (dict, list, tuple)):
+        return [pad + _scalar_text(obj)]
     lines = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list, tuple)):
-                lines.append("%s%s:" % (pad, k))
-                lines.extend(render_text(v, indent + 1))
-            else:
-                lines.append("%s%s: %s" % (pad, k, _scalar_text(v)))
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            if isinstance(v, (dict, list, tuple)):
-                lines.append("%s-" % pad)
-                lines.extend(render_text(v, indent + 1))
-            else:
-                lines.append("%s- %s" % (pad, _scalar_text(v)))
-    else:
-        lines.append("%s%s" % (pad, _scalar_text(obj)))
+    items = (("%s:" % (k,), v) for k, v in obj.items()) if isinstance(
+        obj, dict) else (("-", v) for v in obj)
+    for head, v in items:
+        if isinstance(v, (dict, list, tuple)):
+            lines += [pad + head] + render_text(v, indent + 1)
+        else:
+            lines.append("%s%s %s" % (pad, head, _scalar_text(v)))
     return lines
 
 
@@ -123,7 +117,8 @@ def _scalar_text(v):
         return "%.6f" % v
     if v is None:
         return "-"
-    return str(v)
+    v = str(v)  # escaped where a terminal would act on it
+    return v if v.isprintable() else ascii(v)
 
 
 def _emit(report, fmt, command, code=0):
