@@ -12,7 +12,7 @@ Coefficients are stored exactly as published (six decimal places), with
 the reported hardware-validation MAPE/RESD kept as provenance metadata.
 """
 
-import math
+import sys
 
 from .errors import InvalidConfigError
 from .record import Record
@@ -59,9 +59,18 @@ class EnergyModel(Record, frozen=True):
     def __init__(self, config, beta, provenance="builtin",
                  reported_mape=None, reported_resd=None):
         # beta: six nJ/event coefficients, c1..c6; provenance: builtin | fitted
-        if len(beta) != 6:
-            raise InvalidConfigError("model needs exactly 6 coefficients")
-        self._set(config, beta, provenance, reported_mape, reported_resd)
+        self._set(config, _coefficients(beta), provenance, reported_mape,
+                  reported_resd)
+
+
+def _coefficients(beta):  # six finite ints or floats, not bools, as a tuple
+    beta = tuple(beta)
+    if len(beta) != 6:
+        raise InvalidConfigError("model needs exactly 6 coefficients")
+    if not all(isinstance(b, (int, float)) and not isinstance(b, bool)
+               and abs(b) <= sys.float_info.max for b in beta):
+        raise InvalidConfigError("coefficients must be finite numbers")
+    return beta
 
 
 # config -> model, in table order; built once, as the models are frozen
@@ -157,8 +166,6 @@ def _parse_model(line):
     prefetch = {"on": True, "off": False}.get(parts[1].strip().lower())
     if prefetch is None:
         raise InvalidConfigError("prefetch must be on or off, got %r" % parts[1])
-    beta = tuple(float(p) for p in parts[3:])
-    if not all(math.isfinite(b) for b in beta):
-        raise InvalidConfigError("coefficients must be finite numbers")
+    beta = _coefficients(float(p) for p in parts[3:])  # before the config
     config = HardwareConfig(int(parts[0]), prefetch, int(parts[2]))
     return EnergyModel(config, beta, provenance="fitted")

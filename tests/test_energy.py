@@ -1,6 +1,7 @@
 """Energy model tests: published table fidelity, evaluation, model files."""
 
 import random
+import sys
 
 import pytest
 
@@ -101,6 +102,58 @@ def test_config_and_model_are_frozen_hashable_records():
         del config.prefetch
     assert config == HardwareConfig(24, True, 1)
     assert model == EnergyModel(config, (1.0,) * 6)
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), -float("inf"), "1", True, False, None, 1j,
+    10 ** 400, -(10 ** 309)],
+    ids=["nan", "inf", "-inf", "str", "true", "false", "none", "complex",
+         "huge-int", "huge-negative-int"])
+def test_model_refuses_a_coefficient_that_is_not_a_finite_number(bad):
+    for i in (0, 5):
+        beta = [1, 2, 3, 4, 5, 6]
+        beta[i] = bad
+        with pytest.raises(InvalidConfigError,
+                           match="^coefficients must be finite numbers$"):
+            EnergyModel(HardwareConfig(20, False, 0), beta)
+
+
+class Real(float):
+    """A float subclass, as numpy.float64 is."""
+
+
+def test_model_stores_its_coefficients_as_a_tuple():
+    config = HardwareConfig(20, False, 0)
+    beta = [1, 2.5, Real(3.25), -4, 0, sys.float_info.max]
+    model = EnergyModel(config, beta)
+    assert model.beta == tuple(beta) and type(model.beta) is tuple
+    assert {model: 1}[EnergyModel(config, iter(beta))] == 1  # hashable
+
+
+def test_every_accepted_model_survives_a_file_round_trip(tmp_path):
+    """Seeded coefficients, some of them refused: every model the
+    constructor accepts keeps its config and its six-decimal coefficients
+    through save_models and load_models."""
+    rng = random.Random(37)
+    pool = (0, 1, -1, 10 ** 300, 10 ** 400, 0.5, -2.25, 4e-7, 1e300,
+            sys.float_info.max, -sys.float_info.max, float("nan"),
+            float("inf"), True, "1", None)
+    accepted = []
+    for _ in range(300):
+        beta = [rng.choice(pool) if rng.random() < 0.3
+                else rng.uniform(-5, 5) for _ in range(6)]
+        try:
+            accepted.append(EnergyModel(rng.choice(builtin_configs()), beta))
+        except InvalidConfigError:
+            pass
+    path = tmp_path / "models.csv"
+    save_models(path, accepted)
+    loaded = load_models(path)
+    assert len(loaded) == len(accepted) > 100
+    for model, back in zip(accepted, loaded):
+        assert back.config == model.config
+        assert (["%.6f" % b for b in back.beta]
+                == ["%.6f" % b for b in model.beta])
 
 
 def test_energy_interval_is_a_mutable_record():
@@ -238,6 +291,7 @@ def test_load_models_names_a_bad_record_by_its_file_line(tmp_path):
     ("20,maybe,0,0.9,1,1,1,1,1", "prefetch must be on or off"),
     ("20,on,0,0.9,nan,1,1,1,1", "finite"),
     ("48,on,0,0.9,1,1,1,1,1", "48 MHz requires 1 wait state"),
+    ("2O,off,0,0.9,inf,1,1,1,1", "finite"),  # coefficients before the config
 ])
 def test_load_models_rejects_bad_records_naming_the_line(tmp_path, record,
                                                          detail):
