@@ -27,6 +27,7 @@ from m0energy import MemorySystem, cli
 from m0energy.asm import COND_CODES
 from m0energy.cfg import BasicBlock, StaticCounts, extract_cfg
 from m0energy.cli import main
+from m0energy.energy import MODEL_FILE_HEADER
 from m0energy.regression import CSV_HEADER
 
 
@@ -487,6 +488,32 @@ def test_run_debug_output_and_result(tmp_path, capsys):
     report = json.loads(out)
     assert report["output"] == "Hi"
     assert report["result_r0"] == 42
+
+
+def test_text_report_escapes_what_a_terminal_would_act_on(tmp_path,
+                                                          capsys):
+    """Debug output with a newline and an erase-screen sequence: the text
+    report writes it as its ascii(), on one line and with no raw ESC, so it
+    adds no line that reads like a key; the JSON report is unchanged."""
+    output = "hi\nx: 1\x1b[2J"
+    a = Assembler()
+    a.ldr_lit(0, "port")
+    for char in output:
+        a.movs(1, ord(char))
+        a.strb_imm(1, 0)
+    a.bkpt()
+    a.word(0x40000000, label="port")
+    path = tmp_path / "escape.bin"
+    path.write_bytes(a.image())
+    code, out, err = run_cli(["run", str(path), "--format", "text"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "output: 'hi\\nx: 1\\x1b[2J'" in lines
+    assert "\x1b" not in out and "x: 1" not in lines
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert json.loads(out)["output"] == output
+    assert cli.render_text({"k": "caf\xe9 \u2264", "l": ["a\tb"]}) == [
+        "k: caf\xe9 \u2264", "l:", "  - 'a\\tb'"]
 
 
 def test_run_entry_override(tmp_path, capsys):
@@ -1725,3 +1752,80 @@ def test_seeded_cli_fuzz_exits_cleanly(tmp_path, capsys):
         seen.add((argv[0], code))
     assert seen == {(command, code) for command in ("run", "analyze", "fit")
                     for code in (0, 1, 2)} - {("fit", 2)}
+
+
+MODEL_TOKENS = ("nan", "inf", "-inf", "1e400", "0x10", "1_0", " off ",
+                "maybe", "\0", "\xff", "", "20", "48", "on", "1", "-0.5")
+
+
+def fuzz_model_file(rng):
+    """A --model-file: the header or none, then records of 8, 9 or 10
+    fields, each a built-in config and random coefficients with some fields
+    swapped for tokens; blank lines; LF or CRLF line ends."""
+    lines = [MODEL_FILE_HEADER] if rng.random() < 0.85 else []
+    for _ in range(rng.randrange(6)):
+        config = rng.choice(builtin_configs())
+        fields = [str(config.frequency_mhz),
+                  "on" if config.prefetch else "off", str(config.wait_states)]
+        fields += ["%.6f" % rng.uniform(-1, 3) for _ in range(6)]
+        for _ in range(rng.choice((0, 0, 0, 0, 1, 2))):
+            fields[rng.randrange(9)] = rng.choice(MODEL_TOKENS)
+        count = rng.choice((8, 9, 9, 9, 9, 9, 9, 10))
+        lines.append(",".join(fields[:count] + ["1"] * (count - 9)))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "  ")))
+    end = rng.choice(("\n", "\r\n"))
+    return (end.join(lines) + end * rng.randrange(2)).encode("latin-1")
+
+
+def model_fuzz_argv(rng, tmp_path, image):
+    """The argvs of one case: `run` with a fuzzed model file, alone, with
+    --sweep or with config flags; or `fit --emit-model` on a fuzzed
+    dataset, then `run` with the model file it wrote, if it wrote one."""
+    if rng.random() < 0.2:
+        dataset = tmp_path / "fuzz.csv"
+        dataset.write_text(fuzz_csv(rng))
+        model = tmp_path / "emitted.csv"
+        model.unlink(missing_ok=True)
+        config = rng.choice(builtin_configs())
+        flags = ["--freq", str(config.frequency_mhz), "--prefetch",
+                 "on" if config.prefetch else "off",
+                 "--waitstates", str(config.wait_states)]
+        return (["fit", str(dataset), "--kfold", "2", "--emit-model",
+                 str(model)] + flags,
+                ["run", image, "--model-file", str(model)] + flags)
+    path = tmp_path / "fuzz-model.csv"
+    path.write_bytes(fuzz_model_file(rng))
+    argv = ["run", image, "--model-file", str(path)]
+    kind = rng.choice(("alone", "sweep", "config"))
+    if kind == "sweep":
+        argv.append("--sweep")
+    elif kind == "config":
+        argv += ["--freq", rng.choice(("20", "24", "48")),
+                 "--prefetch", rng.choice(("on", "off")),
+                 "--waitstates", rng.choice(("0", "1"))]
+    if rng.random() < 0.3:
+        argv += ["--max-cycles", "10"]
+    return argv,
+
+
+def test_seeded_model_file_fuzz_exits_cleanly(tmp_path, capsys):
+    """Random model files (no header, blank lines, CRLF, 8 to 10 fields,
+    non-finite, hex, underscored, padded and binary tokens) and emitted
+    ones never escape `main`: the assertions of the CLI fuzz above."""
+    rng = random.Random(37)
+    image = write_kernel(tmp_path, "loop5")
+    seen = set()  # (subcommand, exit code)
+    for _ in range(200):
+        for argv in model_fuzz_argv(rng, tmp_path, image):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = 2
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+            if code == 1:
+                assert len(err.splitlines()) == (0 if out else 1), (argv, err)
+            seen.add((argv[0], code))
+    assert {("run", 0), ("run", 1), ("run", 2), ("fit", 0)} <= seen
